@@ -8,8 +8,16 @@ Writes CSV/JSON files under --outdir; plot with any external tool.
 
 import argparse
 import os
+import sys
 
-from catgate.cli import main as catgate
+from catgate.cli import main as catgate_main
+
+
+def catgate(argv: list[str]) -> None:
+    """Run one ``catgate`` command; exit with its code if it fails."""
+    code = catgate_main(argv)
+    if code:
+        sys.exit(code)
 
 
 def run(outdir: str) -> None:

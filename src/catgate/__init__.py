@@ -28,7 +28,6 @@ from .errors import (
     GridSupportError,
     LinearizationDomainError,
     NyquistError,
-    OscillationBudgetError,
     ZeroProbabilityError,
 )
 from .gate import CollapseResult, collapse, probability_density, probability_scan
@@ -93,7 +92,6 @@ __all__ = [
     "MappingResult",
     "MatchReport",
     "NyquistError",
-    "OscillationBudgetError",
     "PhasePoint",
     "SqueezingScan",
     "WaveFunction",

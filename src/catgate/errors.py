@@ -17,10 +17,6 @@ class NyquistError(CatGateError):
     """A grid is too coarse to resolve the declared phase oscillation."""
 
 
-class OscillationBudgetError(CatGateError):
-    """An oscillatory integral would need more samples than the budget allows."""
-
-
 class ZeroProbabilityError(CatGateError):
     """A homodyne outcome with vanishing probability density was requested."""
 

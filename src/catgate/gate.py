@@ -47,9 +47,8 @@ class CollapseResult:
 def _resource_momentum_factor(resource: ResourceSpec, y: np.ndarray) -> np.ndarray:
     """[F psi_res](y) for the supported resources.
 
-    A Fock ancilla is its own Fourier transform up to (-i)^n, so the factor is
-    evaluated in closed form; the cubic phase state goes through the
-    oscillatory quadrature.
+    Both are closed forms: a Fock ancilla is its own Fourier transform up to
+    (-i)^n, and the cubic phase state's factor is an Airy function.
     """
     if isinstance(resource, FockResource):
         return (-1j) ** resource.n * hermite_values(resource.n, y)

@@ -14,12 +14,9 @@ from . import gate
 from .analysis import WignerGrid, fidelity, fidelity_cat, wigner
 from .cubic import CubicGateConfig, cubic_collapse
 from .errors import ConvergenceError, FitRangeError
-from .numerics import Grid, default_grid, oscillatory_fourier_factor
+from .numerics import MIN_SQUEEZING, Grid, default_grid, oscillatory_fourier_factor
 from .semiclassical import reference_cat
 from .states import FockResource, make_vacuum
-
-#: Smallest ancilla squeezing factor the resource model supports.
-MIN_SQUEEZING = 0.05
 
 
 def matched_outcome_ratio(reference_n: int = 5) -> float:
@@ -34,8 +31,8 @@ def _node_residual(y_m: float, s: float, ratio: float) -> float:
 
     For a centered vacuum input the output is an odd cat exactly when this
     amplitude vanishes: the two copies then interfere with a node at x = 0.
-    The value is real up to quadrature roundoff (the integrand's imaginary
-    part is odd), so the sign changes between consecutive odd-cat points.
+    The closed-form factor is real (the integrand's imaginary part is odd),
+    so the sign changes between consecutive odd-cat points.
     """
     return complex(oscillatory_fourier_factor(y_m / ratio, s, y_m)).real
 

@@ -1,5 +1,5 @@
 """Shared numerical kernels: grids, wavefunctions, Hermite functions, Fourier
-transforms in the continuum convention, and the oscillatory integral behind the
+transforms in the continuum convention, and the closed-form Airy factor of the
 cubic-phase ancilla.
 
 Conventions used throughout the package:
@@ -19,23 +19,18 @@ from typing import Union
 
 import numpy as np
 from scipy import fft as _fft
+from scipy import special as _special
 
-from .errors import (
-    GridMismatchError,
-    GridSupportError,
-    NyquistError,
-    OscillationBudgetError,
-)
+from .errors import GridMismatchError, GridSupportError, NyquistError
 
 MAX_HERMITE_ORDER = 64
 
-#: Hard cap on the number of quadrature samples for one oscillatory integral.
-OSCILLATION_SAMPLE_BUDGET = 2 ** 26
+#: Smallest ancilla squeezing factor the cubic resource model supports.
+MIN_SQUEEZING = 0.05
 
-#: Half-width of the cubic-state integration window in units of 1/s.  At
-#: |x| = 8/s the Gaussian envelope is exp(-32) ~ 1.3e-14, far below every
-#: tolerance used by callers.
-CUBIC_WINDOW_FACTOR = 8.0
+#: Above this Airy argument the Airy routines lose all digits (they return NaN
+#: from about 1.26e6); the two-term large-z series is exact to ~1e-20 there.
+AIRY_ASYMPTOTIC_Z = 1e6
 
 
 @dataclass(frozen=True)
@@ -196,91 +191,79 @@ def fourier_transform(psi: WaveFunction, max_wavenumber: float | None = None) ->
     return WaveFunction(grid, out * dx / math.sqrt(2.0 * math.pi))
 
 
-def _validate_cubic_params(gamma: float, s: float) -> None:
+def validate_cubic_params(gamma: float, s: float) -> None:
+    """Range check shared by every cubic-resource entry point."""
     if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"cubic nonlinearity must be in [0, 1], got {gamma}")
-    if not 0.05 <= s <= 1.0:
-        raise ValueError(f"squeezing factor must be in [0.05, 1], got {s}")
+        raise ValueError(f"cubic nonlinearity gamma must be in [0, 1], got {gamma}")
+    if not MIN_SQUEEZING <= s <= 1.0:
+        raise ValueError(f"squeezing factor s must be in [{MIN_SQUEEZING}, 1], got {s}")
 
 
-def _cubic_rule(gamma: float, s: float, y_max: float, oversample: float = 1.0):
-    """Integration window and step for the cubic-state Fourier integral.
+def _airy_factor(gamma: float, s: float, y: np.ndarray) -> np.ndarray:
+    """Real values of the cubic-state factor on a 1-D float array of y.
 
-    Step bound: pi / (4 max|phase slope|) with the slope of
-    ``gamma x^3 - y x`` maximized over the window, plus the envelope rate as a
-    small pad.  Returns (half_width, n_samples).
+    ``u = 12 gamma y / s^4 < 1`` is the z > 0 side.  At gamma = 0, and for
+    gamma so small that z overflows, z is +inf and every point takes the
+    large-z branch.
     """
-    half_width = CUBIC_WINDOW_FACTOR / s
-    slope = 3.0 * gamma * half_width ** 2 + abs(y_max) + s ** 2 * half_width
-    step = np.pi / (4.0 * slope * oversample)
-    n_samples = int(math.ceil(2.0 * half_width / step)) + 1
-    if n_samples > OSCILLATION_SAMPLE_BUDGET:
-        raise OscillationBudgetError(
-            f"cubic factor at gamma={gamma}, s={s}, |y|<={y_max:.3g} needs "
-            f"{n_samples} samples (budget {OSCILLATION_SAMPLE_BUDGET})"
-        )
-    return half_width, n_samples
+    norm = (s * s / np.pi) ** 0.25
+    with np.errstate(divide="ignore", over="ignore"):
+        cube = np.float64(3.0 * gamma) ** (1.0 / 3.0)
+        airy_scale = norm * math.sqrt(2.0 * math.pi) / cube
+        z = (s ** 4 / np.float64(12.0 * gamma) - y) / cube
+        growth = s ** 6 / np.float64(108.0 * gamma * gamma)
+    u = 12.0 * gamma * y / s ** 4
+    out = np.zeros_like(y)
 
+    decaying = u < 1.0
+    w = np.sqrt(1.0 - u[decaying])
+    zd = z[decaying]
+    values = np.exp(-(4.0 / 3.0) * (y[decaying] / s) ** 2 * (w + 0.5) / (1.0 + w) ** 2)
+    far = zd > AIRY_ASYMPTOTIC_Z
+    # Ai(z) exp(2/3 z^(3/2)) = (1 - 5/(48 z^(3/2)) + ...) / (2 sqrt(pi) z^(1/4))
+    values[far] *= norm / (s * np.sqrt(w[far])) * (1.0 - 5.0 / 48.0 * zd[far] ** -1.5)
+    values[~far] *= airy_scale * _special.airye(zd[~far])[0]
+    out[decaying] = values
 
-def _cubic_factor_scalar(gamma: float, s: float, y: float, oversample: float = 1.0) -> complex:
-    half_width, n_samples = _cubic_rule(gamma, s, y, oversample)
-    x = np.linspace(-half_width, half_width, n_samples)
-    h = x[1] - x[0]
-    total = 0.0 + 0.0j
-    chunk = 1 << 21
-    for lo in range(0, n_samples, chunk):
-        xk = x[lo:lo + chunk]
-        total += np.sum(np.exp(-s ** 2 * xk ** 2 / 2.0 + 1j * (gamma * xk ** 3 - y * xk)))
-    ends = np.exp(-s ** 2 * half_width ** 2 / 2.0 + 1j * (gamma * x[0] ** 3 - y * x[0])) \
-        + np.exp(-s ** 2 * half_width ** 2 / 2.0 + 1j * (gamma * x[-1] ** 3 - y * x[-1]))
-    total -= 0.5 * ends
-    return complex((s ** 2 / np.pi) ** 0.25 * h * total / math.sqrt(2.0 * math.pi))
-
-
-def _cubic_factor_uniform(gamma: float, s: float, y0: float, dy: float, m: int,
-                          oversample: float = 1.0) -> np.ndarray:
-    y_max = max(abs(y0), abs(y0 + dy * (m - 1)))
-    half_width, n_samples = _cubic_rule(gamma, s, y_max, oversample)
-    x = np.linspace(-half_width, half_width, n_samples)
-    h = x[1] - x[0]
-    f = np.exp(-s ** 2 * x ** 2 / 2.0 + 1j * gamma * x ** 3)
-    f[0] *= 0.5
-    f[-1] *= 0.5
-    out = _offset_dft(f, x[0], h, y0, dy, m)
-    return out * ((s ** 2 / np.pi) ** 0.25 * h / math.sqrt(2.0 * math.pi))
+    oscillating = np.flatnonzero(~decaying)
+    scale = np.exp(growth * (1.0 - 1.5 * u[oscillating]))
+    keep = scale > 0.0
+    live = oscillating[keep]
+    out[live] = airy_scale * scale[keep] * _special.airy(z[live])[0]
+    return out
 
 
 def oscillatory_fourier_factor(
     gamma: float,
     s: float,
     y: Union[float, np.ndarray],
-    oversample: float = 1.0,
 ) -> Union[complex, np.ndarray]:
     """Momentum-representation amplitude of the cubic phase state,
 
     ``(2 pi)^(-1/2) integral dx exp(-i y x) (s^2/pi)^(1/4)
     exp(-s^2 x^2 / 2) exp(+i gamma x^3)``,
 
-    by trapezoid quadrature on a window |x| <= 8/s with step
-    pi / (4 max|phase slope|).  Accepts a scalar y or a uniformly spaced
-    array of y values (evaluated with a single chirp transform).
+    in closed form (DLMF 9.5).  Shifting the contour by -i s^2/(6 gamma)
+    completes the cube and leaves an Airy function of a real argument,
 
-    ``oversample`` tightens the step by that factor; used by convergence
-    checks.
+    ``F(y) = (s^2/pi)^(1/4) sqrt(2 pi) (3 gamma)^(-1/3)
+    exp(s^6/(108 gamma^2) - s^2 y/(6 gamma)) Ai(z)``,
+    ``z = (s^4/(12 gamma) - y) / (3 gamma)^(1/3)``,
+
+    so F is real.  On the z > 0 side, with ``u = 12 gamma y / s^4`` and
+    ``w = sqrt(1 - u)``, the exponential cancels against the decay of Ai to
+    ``exp(-(4/3) (y/s)^2 (w + 1/2) / (1 + w)^2)`` times ``airye(z)``, which
+    stays finite as gamma -> 0.  Beyond ``AIRY_ASYMPTOTIC_Z`` the large-z
+    series replaces ``airye``; gamma = 0 is its w = 1 limit, the Gaussian.
+    On the z <= 0 side a factor whose exponential underflows is exactly 0, so
+    an impossible outcome reads as zero probability rather than NaN.
+
+    Returns a complex for a scalar y and a complex128 array for a 1-D y.
     """
-    _validate_cubic_params(gamma, s)
+    validate_cubic_params(gamma, s)
     if np.isscalar(y):
-        return _cubic_factor_scalar(gamma, s, float(y), oversample)
+        return complex(_airy_factor(gamma, s, np.array([float(y)]))[0])
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("y must be a scalar or a 1-D array")
-    if y.size == 1:
-        return np.array([_cubic_factor_scalar(gamma, s, float(y[0]), oversample)])
-    steps = np.diff(y)
-    dy = steps[0]
-    if dy == 0.0 or not np.allclose(steps, dy, rtol=1e-9, atol=0.0):
-        return np.array([_cubic_factor_scalar(gamma, s, float(v), oversample) for v in y])
-    if dy > 0:
-        return _cubic_factor_uniform(gamma, s, float(y[0]), float(dy), y.size, oversample)
-    rev = _cubic_factor_uniform(gamma, s, float(y[-1]), float(-dy), y.size, oversample)
-    return rev[::-1]
+    return _airy_factor(gamma, s, y).astype(np.complex128)

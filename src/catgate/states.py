@@ -10,7 +10,13 @@ from typing import Literal, Union
 import numpy as np
 
 from .errors import NyquistError
-from .numerics import Grid, WaveFunction, hermite_function
+from .numerics import (
+    MAX_HERMITE_ORDER,
+    Grid,
+    WaveFunction,
+    hermite_function,
+    validate_cubic_params,
+)
 
 Parity = Literal["even", "odd"]
 
@@ -22,8 +28,10 @@ class FockResource:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= 64:
-            raise ValueError(f"Fock resource supports n in [0, 64], got {self.n}")
+        if not 0 <= self.n <= MAX_HERMITE_ORDER:
+            raise ValueError(
+                f"Fock resource supports n in [0, {MAX_HERMITE_ORDER}], got {self.n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -35,10 +43,7 @@ class CubicPhaseResource:
     s: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.05 <= self.s <= 1.0:
-            raise ValueError(f"s must be in [0.05, 1], got {self.s}")
+        validate_cubic_params(self.gamma, self.s)
 
 
 ResourceSpec = Union[FockResource, CubicPhaseResource]

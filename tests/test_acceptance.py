@@ -131,7 +131,6 @@ def test_criterion_04_outcome_density_completeness():
     check("04", ok, "integral P dy = " + ", ".join(details) + " (1 +- 1e-3)")
 
 
-@pytest.mark.slow
 def test_criterion_05_odd_cat_ladder_reproduction():
     entries = odd_cat_ladder(9)
     ok = len(entries) == 9

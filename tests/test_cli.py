@@ -53,6 +53,13 @@ def test_collapse_requires_one_resource():
     assert main(["collapse", "--fock", "1", "--cubic", "0.1,1,0.5"]) == 2
 
 
+def test_impossible_cubic_outcome_reports_zero_probability(capsys):
+    assert main(["collapse", "--cubic", "0.075,1e6,0.171"]) == 2
+    message = capsys.readouterr().err
+    assert "vanishing probability" in message
+    assert "finite" not in message
+
+
 def test_malformed_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["collapse", "--bogus"])
@@ -163,7 +170,6 @@ def test_match_ladder_nonconvergence_exit_code():
     assert main(args) == 3
 
 
-@pytest.mark.slow
 def test_match_compare_entry_mode():
     # entry mode locates the odd-cat point, then fits s for equal success
     # probability with the Fock gate

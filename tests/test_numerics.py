@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import airy
 
@@ -19,12 +19,7 @@ from catgate import (
     oscillatory_fourier_factor,
     overlap,
 )
-from catgate.errors import (
-    GridMismatchError,
-    GridSupportError,
-    NyquistError,
-    OscillationBudgetError,
-)
+from catgate.errors import GridMismatchError, GridSupportError, NyquistError
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
@@ -243,19 +238,25 @@ def test_matches_high_precision_closed_form():
     #          Ai((s^4/(12 gamma) - y)/(3 gamma)^(1/3))
     # evaluated here at 50 digits as an independent oracle
     mpmath.mp.dps = 50
-    gamma, s = 0.075, 0.171
-    for y in (-2.0, 0.0, 2.486):
-        g, sv, yv = mpmath.mpf(gamma), mpmath.mpf(s), mpmath.mpf(y)
-        cube = (3 * g) ** mpmath.mpf("1/3")
-        exact = (
-            (2 * mpmath.pi) ** mpmath.mpf("-0.5")
-            * (sv ** 2 / mpmath.pi) ** mpmath.mpf("0.25")
-            * 2 * mpmath.pi / cube
-            * mpmath.exp(sv ** 6 / (108 * g ** 2) - sv ** 2 * yv / (6 * g))
-            * mpmath.airyai((sv ** 4 / (12 * g) - yv) / cube)
-        )
-        numeric = oscillatory_fourier_factor(gamma, s, y)
-        assert abs(numeric - complex(exact)) / abs(complex(exact)) < 1e-7
+    cases = [
+        (0.075, 0.171, (-2.0, 0.0, -0.514, 2.486, 5.486)),  # probability-matched point
+        (0.334, 0.241, (8.012, 11.012, 14.012)),  # fidelity-matched point
+        (1.0, 0.05, (-3.0, 0.0, 2.5, 11.0)),  # strongest nonlinearity and squeezing
+        (1e-6, 1.0, (-3.0, 0.0, 1.0, 3.0)),  # large-z series branch
+    ]
+    for gamma, s, ys in cases:
+        for y in ys:
+            g, sv, yv = mpmath.mpf(gamma), mpmath.mpf(s), mpmath.mpf(y)
+            cube = (3 * g) ** mpmath.mpf("1/3")
+            exact = (
+                (2 * mpmath.pi) ** mpmath.mpf("-0.5")
+                * (sv ** 2 / mpmath.pi) ** mpmath.mpf("0.25")
+                * 2 * mpmath.pi / cube
+                * mpmath.exp(sv ** 6 / (108 * g ** 2) - sv ** 2 * yv / (6 * g))
+                * mpmath.airyai((sv ** 4 / (12 * g) - yv) / cube)
+            )
+            numeric = oscillatory_fourier_factor(gamma, s, y)
+            assert abs(numeric - complex(exact)) / abs(complex(exact)) < 1e-12
 
 
 def test_modulus_decays_below_and_oscillates_above():
@@ -267,14 +268,53 @@ def test_modulus_decays_below_and_oscillates_above():
     assert extrema >= 4
 
 
+def _trapezoid_cubic_factor(gamma, s, y, oversample=4.0):
+    # reference quadrature of the defining integral on |x| <= 8/s, with a step
+    # `oversample` times finer than pi / (4 max|phase slope|) over the window
+    half_width = 8.0 / s
+    slope = 3.0 * gamma * half_width ** 2 + abs(y) + s ** 2 * half_width
+    n = int(math.ceil(2.0 * half_width * 4.0 * slope * oversample / np.pi)) + 1
+    x = np.linspace(-half_width, half_width, n)
+    f = np.exp(-s ** 2 * x ** 2 / 2.0 + 1j * (gamma * x ** 3 - y * x))
+    integral = np.trapezoid(f, x)
+    return complex((s ** 2 / np.pi) ** 0.25 * integral / math.sqrt(2.0 * math.pi))
+
+
 @pytest.mark.parametrize(
     "gamma,s,y_m", [(0.075, 0.171, 2.486), (0.334, 0.241, 11.012)]
 )
 def test_agrees_with_oversampled_trapezoid(gamma, s, y_m):
     for y in (y_m - 3.0, y_m, y_m + 3.0):
-        coarse = oscillatory_fourier_factor(gamma, s, y)
-        fine = oscillatory_fourier_factor(gamma, s, y, oversample=4.0)
-        assert abs(coarse - fine) / abs(fine) < 1e-6
+        closed = oscillatory_fourier_factor(gamma, s, y)
+        fine = _trapezoid_cubic_factor(gamma, s, y)
+        assert abs(closed - fine) / abs(fine) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "gamma,s", [(0.075, 0.171), (0.334, 0.241), (1.0, 0.5), (1e-3, 1.0), (0.0, 0.05)]
+)
+def test_factor_satisfies_parseval(gamma, s):
+    # the resource state has unit norm, so its momentum amplitude does too
+    h = 0.01
+    ys = np.arange(-60.0, 400.0, h)
+    total = np.trapezoid(np.abs(oscillatory_fourier_factor(gamma, s, ys)) ** 2, dx=h)
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma=st.floats(0.0, 1.0),
+    s=st.floats(0.05, 1.0),
+    y=st.floats(-1e9, 1e9),
+)
+@example(gamma=5e-324, s=0.05, y=-1e9)
+@example(gamma=1e-310, s=1.0, y=1e9)
+@example(gamma=0.0, s=0.05, y=1e9)
+@example(gamma=1.0, s=0.05, y=1e9)
+def test_factor_is_finite_over_the_validated_box(gamma, s, y):
+    assert math.isfinite(oscillatory_fourier_factor(gamma, s, y).real)
+    window = oscillatory_fourier_factor(gamma, s, y + np.linspace(-16.0, 16.0, 65))
+    assert np.all(np.isfinite(window))
 
 
 def test_vector_matches_scalar_path():
@@ -299,5 +339,5 @@ def test_parameter_and_budget_errors():
         oscillatory_fourier_factor(1.5, 0.3, 0.0)
     with pytest.raises(ValueError):
         oscillatory_fourier_factor(0.3, 0.01, 0.0)
-    with pytest.raises(OscillationBudgetError):
-        oscillatory_fourier_factor(1.0, 0.05, 1e9)
+    for y in (-1e9, 1e9):
+        assert oscillatory_fourier_factor(1.0, 0.05, y) == 0.0
