@@ -11,7 +11,7 @@ import numpy as np
 
 from . import gate
 from .errors import GridSupportError
-from .numerics import Grid, WaveFunction, overlap
+from .numerics import Grid, WaveFunction, default_grid, overlap
 from .semiclassical import reference_cat
 from .states import FockResource, make_vacuum
 
@@ -143,8 +143,6 @@ def fidelity_mix(
             f"window d={window.d} exceeds the cat regime width 2*sqrt(2n+1)"
         )
     if psi_in is None:
-        from .numerics import default_grid
-
         psi_in = make_vacuum(default_grid())
     reference = reference_cat(n, 0.0, psi_in.grid)
     nodes, weights = np.polynomial.legendre.leggauss(window.n_quadrature)

@@ -8,9 +8,14 @@ headers plus JSON summaries; every CSV carries a ``.meta.json`` sidecar with
 the full parameter echo.  Deterministic: rerunning a command reproduces the
 output byte for byte.
 
+``COMMANDS`` is the one table of subcommands, their typed options and compute
+functions; the argument parser, the option resolver and the file writer are
+derived from it.  An option comes from its flag, else the command's section
+of the ``--config`` file, else (the grid only) the environment variable
+``CATGATE_GRID`` ("xmin,xmax,n"), else its default.
+
 Exit codes: 0 success, 2 usage/config error, 3 numerical non-convergence,
-4 I/O error.  The environment variable ``CATGATE_GRID`` ("xmin,xmax,n")
-overrides the default grid when no ``--grid`` flag is given.
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -21,168 +26,245 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .analysis import AcceptanceWindow, fidelity_cat, fidelity_coh, fidelity_mix, wigner
+from .analysis import AcceptanceWindow, WignerGrid, default_wigner_axes
+from .analysis import fidelity_cat, fidelity_coh, fidelity_mix, wigner
 from .cubic import CubicGateConfig, squeezing_db, squeezing_scan
-from .errors import (
-    CatGateError,
-    ConvergenceError,
-    FitRangeError,
-    LinearizationDomainError,
-)
+from .errors import CatGateError, ConvergenceError, LinearizationDomainError
 from .gate import collapse, probability_scan
-from .matching import MIN_SQUEEZING, compare_gates, fit_squeezing, odd_cat_ladder
-from .numerics import Grid, default_grid
+from .matching import compare_gates, fit_squeezing, odd_cat_ladder
+from .numerics import MIN_SQUEEZING, Grid, default_grid
 from .states import FockResource, make_vacuum
 
 GRID_ENV_VAR = "CATGATE_GRID"
 
 
-class UsageError(Exception):
-    """Bad flag/config value; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------- parsing
+# A parser turns an option's text into its typed value or raises ValueError,
+# which the resolver reports with the option's flag.  Every ValueError, from
+# here or from the library, is a usage error (exit code 2).
 
-def _float(text: str, name: str) -> float:
+def _float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise UsageError(f"{name}: expected a number, got {text!r}") from None
+        raise ValueError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _int(text: str, name: str) -> int:
+def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"{name}: expected an integer, got {text!r}") from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _bool(value, name: str) -> bool:
+def _positive(parse: Callable, kind: str) -> Callable:
+    def positive(text: str):
+        value = parse(text)
+        if value <= 0:
+            raise ValueError(f"expected a positive {kind}, got {text!r}")
+        return value
+    return positive
+
+
+_positive_float = _positive(_float, "number")
+_positive_int = _positive(_int, "integer")
+
+
+def _bool(value) -> bool:
+    """A switch's True, or config-file text such as 'yes' or 'off'."""
     if isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        low = value.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-    raise UsageError(f"{name}: expected a boolean, got {value!r}")
-
-
-def _grid_spec(text: str, name: str = "--grid") -> Grid:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"{name}: expected 'xmin,xmax,n', got {text!r}")
     try:
-        return Grid(float(parts[0]), float(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise UsageError(f"{name}: {exc}") from None
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {value!r}") from None
 
 
-def _cubic_spec(text: str) -> CubicGateConfig:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"--cubic: expected 'gamma,ym,s', got {text!r}")
-    try:
-        return CubicGateConfig(float(parts[0]), float(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise UsageError(f"--cubic: {exc}") from None
+def _fields(form: str, *parsers: Callable, into: Callable | None = None) -> Callable:
+    """Parser of the comma-separated fields that ``form`` names, one parser
+    each; the values are passed to ``into`` if given."""
+    def parse(text: str):
+        parts = text.split(",")
+        if len(parts) != len(parsers):
+            raise ValueError(f"expected '{form}', got {text!r}")
+        values = tuple(field_parser(part) for field_parser, part in zip(parsers, parts))
+        return values if into is None else into(*values)
+    return parse
 
 
-def _int_range(text: str, name: str) -> list[int]:
+_grid_spec = _fields("xmin,xmax,n", _float, _float, _int, into=Grid)
+_cubic_spec = _fields("gamma,ym,s", _float, _float, _float, into=CubicGateConfig)
+_triple = _fields("lo,hi,count", _float, _float, _positive_int)
+_scan_range = _fields("lo,hi,step", _float, _float, _positive_float)
+
+
+def _pair(text: str) -> tuple[float, float]:
+    lo, hi = _fields("lo,hi", _float, _float)(text)
+    if hi < lo:
+        raise ValueError(f"empty window {text!r}")
+    return lo, hi
+
+
+def _int_range(text: str) -> list[int]:
     """'1..10' or '5' -> list of ints."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo_i, hi_i = _int(lo, name), _int(hi, name)
+        lo_i, hi_i = _int(lo), _int(hi)
         if hi_i < lo_i:
-            raise UsageError(f"{name}: empty range {text!r}")
+            raise ValueError(f"empty range {text!r}")
         return list(range(lo_i, hi_i + 1))
-    return [_int(text, name)]
+    return [_int(text)]
 
 
-def _span(text: str, name: str) -> tuple[float, float]:
+def _span(text: str) -> tuple[float, float]:
     """'0..2' -> (0.0, 2.0)."""
     if ".." not in text:
-        raise UsageError(f"{name}: expected 'lo..hi', got {text!r}")
+        raise ValueError(f"expected 'lo..hi', got {text!r}")
     lo, hi = text.split("..", 1)
-    lo_f, hi_f = _float(lo, name), _float(hi, name)
+    lo_f, hi_f = _float(lo), _float(hi)
     if hi_f <= lo_f:
-        raise UsageError(f"{name}: empty span {text!r}")
+        raise ValueError(f"empty span {text!r}")
     return lo_f, hi_f
 
 
-def _pair(text: str, name: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{name}: expected 'lo,hi', got {text!r}")
-    return _float(parts[0], name), _float(parts[1], name)
+# ---------------------------------------------------------------- table types
+
+@dataclass(frozen=True)
+class Param:
+    """One option: ``--key`` on the command line, ``key = ...`` in the
+    command's config-file section.  ``default`` is text, parsed like a flag.
+    An option parsed by ``_bool`` is a switch on the command line."""
+
+    flag: str
+    parse: Callable
+    default: str | None = None
+    help: str = ""
+    env: str | None = None
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:]
 
 
-def _triple(text: str, name: str) -> tuple[float, float, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"{name}: expected 'lo,hi,count', got {text!r}")
-    return _float(parts[0], name), _float(parts[1], name), _int(parts[2], name)
+@dataclass
+class Table:
+    """One CSV file: its title, its columns (name -> 1-D numbers) and what
+    its ``.meta.json`` sidecar adds to the echo."""
+
+    title: str
+    columns: dict
+    extra: dict = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------- config file
+@dataclass
+class Output:
+    """What one command computed: the parameter echo, then its files in the
+    order they are written and announced, each a suffix of the ``--out``
+    prefix with a Table or a JSON summary dict, then a note for stdout."""
+
+    params: dict[str, str]
+    files: list[tuple[str, Table | dict]]
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: path, help, own options, compute function
+    ``(values, texts) -> Output`` and the options it cannot do without."""
+
+    path: tuple[str, ...]
+    help: str
+    params: tuple[Param, ...]
+    compute: Callable[[SimpleNamespace, dict], Output]
+    required: tuple[str, ...] = ()
+    # match ladder accepts --grid but has no use for it: it reads no `grid`
+    # key and no CATGATE_GRID, and echoes no grid
+    uses_grid: bool = True
+
+    @property
+    def name(self) -> str:
+        return " ".join(self.path)
+
+
+def _grid_params(grid: Grid) -> str:
+    return f"{grid.x_min},{grid.x_max},{grid.n_points}"
+
+
+GRID = Param("--grid", _grid_spec, _grid_params(default_grid()),
+             "grid override 'xmin,xmax,n'", env=GRID_ENV_VAR)
+OUT = Param("--out", str, None, "output path prefix")
+
+
+# ---------------------------------------------------------------- resolver
 
 def _load_config(path: str | None, section: str) -> dict[str, str]:
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path!r}: {exc}") from None
     if not read:
-        raise UsageError(f"config file {path!r} not found or unreadable")
+        raise ValueError(f"config file {path!r} not found or unreadable")
     if not parser.has_section(section):
         return {}
     return dict(parser.items(section))
 
 
-def _resolve(ns: argparse.Namespace, config: dict[str, str], key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    file_value = config.pop(key, None)
-    flag = getattr(ns, key, None)
-    if flag is not None:
-        return flag
-    if file_value is not None:
-        return file_value
-    return default
+def _resolve(command: Command, ns: argparse.Namespace) -> tuple[SimpleNamespace, dict]:
+    """Each option's text (flag, config file, environment, default), then its
+    parsed value.  Returns the values and the texts, which some echoes keep."""
+    config = _load_config(ns.config, command.name)
+    grid = (GRID,) if command.uses_grid else ()
+    options = command.params + grid + (replace(OUT, default="_".join(command.path)),)
+    unknown = sorted(set(config) - {p.key for p in options})
+    if unknown:
+        raise ValueError(f"unknown config keys in [{command.name}]: {unknown}")
+    texts = {}
+    for p in options:
+        sources = (getattr(ns, p.key), config.get(p.key), p.env and os.environ.get(p.env), p.default)
+        texts[p.key] = next((text for text in sources if text is not None), None)
+    if any(texts[key] is None for key in command.required):
+        flags = " and ".join(f"--{key}" for key in command.required)
+        raise ValueError(f"{command.name} requires {flags}")
+    values = {}
+    for p in options:
+        try:
+            values[p.key] = None if texts[p.key] is None else p.parse(texts[p.key])
+        except ValueError as exc:
+            raise ValueError(f"{p.flag}: {exc}") from None
+    return SimpleNamespace(**values), texts
 
 
-def _reject_unknown(config: dict[str, str], section: str) -> None:
-    if config:
-        raise UsageError(f"unknown config keys in [{section}]: {sorted(config)}")
+def _exactly_one(values: SimpleNamespace, a: str, b: str) -> None:
+    if (getattr(values, a) is None) == (getattr(values, b) is None):
+        raise ValueError(f"exactly one of --{a} or --{b} is required")
 
 
-def _resolve_grid(ns, config) -> Grid:
-    spec = _resolve(ns, config, "grid")
-    if spec is None:
-        spec = os.environ.get(GRID_ENV_VAR)
-    if spec is None:
-        return default_grid()
-    return spec if isinstance(spec, Grid) else _grid_spec(spec)
-
-
-# ---------------------------------------------------------------- output
+# ---------------------------------------------------------------- writer
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_csv(path: str, comments: list[str], columns: dict[str, np.ndarray]) -> None:
+def _write_csv(path: str, title: str, columns: dict) -> None:
     names = list(columns)
-    rows = zip(*(np.atleast_1d(columns[c]) for c in names))
+    values = [np.atleast_1d(np.asarray(columns[c], dtype=float)).tolist() for c in names]
+    row = ",".join(["%.12g"] * len(names)) + "\n"
     with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        fh.write(f"# {title}\n# columns: {', '.join(names)}\n{','.join(names)}\n")
+        fh.writelines(row % cells for cells in zip(*values))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -191,468 +273,315 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _sidecar(path: str, command: str, params: dict, extra: dict | None = None) -> None:
-    meta = {
-        "command": command,
-        "parameters": params,
-        "version": __version__,
-    }
-    if extra:
-        meta.update(extra)
-    _write_json(path + ".meta.json", meta)
+def _write(command: Command, v: SimpleNamespace, output: Output) -> None:
+    """Every file of one command, each echoing the parameters (with the grid
+    where the command takes one) and the version; then the stdout line."""
+    if command.uses_grid:
+        output.params["grid"] = _grid_params(v.grid)
+    echo = {"parameters": output.params, "version": __version__}
+    written = []
+    for suffix, content in output.files:
+        path = v.out + suffix
+        if isinstance(content, Table):
+            _write_csv(path, f"catgate {command.name}: {content.title}", content.columns)
+            _write_json(path + ".meta.json", {"command": command.name, **echo, **content.extra})
+        else:
+            _write_json(path, {**content, **echo})
+        written.append(path)
+    note = f" ({output.note})" if output.note else ""
+    print(f"wrote {', '.join(written)}{note}")
 
 
-def _grid_params(grid: Grid) -> str:
-    return f"{grid.x_min},{grid.x_max},{grid.n_points}"
+def _wigner_table(w: WignerGrid, title: str, extra: dict) -> Table:
+    """The long-format (x, y, W) table of one Wigner grid."""
+    xs, ys = np.meshgrid(w.x_axis.points, w.y_axis.points, indexing="ij")
+    return Table(title, {"x": xs.ravel(), "y": ys.ravel(), "W": w.values.ravel()}, extra)
 
 
 # ---------------------------------------------------------------- commands
 
-def _parse_resource(ns, config):
-    fock = _resolve(ns, config, "fock")
-    cubic = _resolve(ns, config, "cubic")
-    if (fock is None) == (cubic is None):
-        raise UsageError("exactly one of --fock or --cubic is required")
-    if fock is not None:
-        return FockResource(_int(fock, "--fock")), None
-    cfg = cubic if isinstance(cubic, CubicGateConfig) else _cubic_spec(cubic)
-    return cfg.resource, cfg
+def _resource(v: SimpleNamespace):
+    """The --fock or --cubic resource, the cubic operating point (or None),
+    and the outcome: --ym, else the cubic point's, else 0."""
+    _exactly_one(v, "fock", "cubic")
+    cubic = v.cubic
+    resource = FockResource(v.fock) if cubic is None else cubic.resource
+    y_m = v.ym if v.ym is not None else (cubic.y_m if cubic is not None else 0.0)
+    return resource, cubic, y_m
 
 
-def cmd_collapse(ns) -> int:
-    config = _load_config(ns.config, "collapse")
-    resource, cubic_cfg = _parse_resource(ns, config)
-    grid = _resolve_grid(ns, config)
-    if cubic_cfg is not None:
-        y_m = cubic_cfg.y_m
-        ym_flag = _resolve(ns, config, "ym")
-        if ym_flag is not None:
-            y_m = _float(ym_flag, "--ym")
-    else:
-        y_m = _float(_resolve(ns, config, "ym", "0"), "--ym")
-    out = _resolve(ns, config, "out", "collapse")
-    _reject_unknown(config, "collapse")
-
-    psi_in = make_vacuum(grid)
-    result = collapse(psi_in, resource, y_m)
-    params = {
-        "resource": repr(resource),
-        "ym": _fmt(y_m),
-        "grid": _grid_params(grid),
-    }
-
-    fidelities: dict[str, float] = {}
-    if isinstance(resource, FockResource):
-        fidelities["cat"] = fidelity_cat(result.psi_out, resource.n)
+def _collapse(v, texts) -> Output:
+    resource, cubic, y_m = _resource(v)
+    result = collapse(make_vacuum(v.grid), resource, y_m)
+    params = {"resource": repr(resource), "ym": _fmt(y_m)}
+    fidelities = {"cat": fidelity_cat(result.psi_out, 5 if cubic is not None else resource.n)}
+    if cubic is None:
         try:
             fidelities["coh"] = fidelity_coh(result.psi_out, resource.n, y_m)
         except LinearizationDomainError:
             pass
-    else:
-        fidelities["cat"] = fidelity_cat(result.psi_out, 5)
-
-    x = grid.points
-    v = result.psi_out.values
-    _write_csv(
-        out + ".csv",
-        [f"catgate collapse: output wavefunction, resource={params['resource']}, ym={params['ym']}",
-         "columns: x, re, im, abs2"],
-        {"x": x, "re": v.real, "im": v.imag, "abs2": np.abs(v) ** 2},
+    psi = result.psi_out.values
+    table = Table(
+        f"output wavefunction, resource={params['resource']}, ym={params['ym']}",
+        {"x": v.grid.points, "re": psi.real, "im": psi.imag, "abs2": np.abs(psi) ** 2},
     )
-    _sidecar(out + ".csv", "collapse", params)
-    summary = {
-        "y_m": y_m,
-        "norm_N": result.norm_N,
-        "P": result.norm_N,
-        "fidelities": fidelities,
-        "parameters": params,
-        "version": __version__,
-    }
-    _write_json(out + ".json", summary)
-    print(f"wrote {out}.csv, {out}.json (P={result.norm_N:.6g})")
-    return 0
+    summary = {"y_m": y_m, "norm_N": result.norm_N, "P": result.norm_N, "fidelities": fidelities}
+    return Output(params, [(".csv", table), (".json", summary)], f"P={result.norm_N:.6g}")
 
 
-def cmd_wigner(ns) -> int:
-    config = _load_config(ns.config, "wigner")
-    grid = _resolve_grid(ns, config)
-    vacuum = _bool(_resolve(ns, config, "vacuum", False), "--vacuum")
-    out = _resolve(ns, config, "out", "wigner")
-    stride = _int(_resolve(ns, config, "stride", "8"), "--stride")
-    paxis_spec = _resolve(ns, config, "paxis")
-
-    psi_in = make_vacuum(grid)
-    if vacuum:
-        if getattr(ns, "fock", None) is not None or getattr(ns, "cubic", None) is not None:
-            raise UsageError("--vacuum excludes --fock/--cubic")
-        state = psi_in
-        params = {"state": "vacuum", "grid": _grid_params(grid)}
-        _reject_unknown(config, "wigner")
+def _wigner(v, texts) -> Output:
+    if v.vacuum:
+        if v.fock is not None or v.cubic is not None or v.ym is not None:
+            raise ValueError("--vacuum excludes --fock/--cubic/--ym")
+        state = make_vacuum(v.grid)
+        params = {"state": "vacuum"}
     else:
-        resource, cubic_cfg = _parse_resource(ns, config)
-        ym_flag = _resolve(ns, config, "ym")
-        if cubic_cfg is not None:
-            y_m = cubic_cfg.y_m if ym_flag is None else _float(ym_flag, "--ym")
-        else:
-            y_m = 0.0 if ym_flag is None else _float(ym_flag, "--ym")
-        _reject_unknown(config, "wigner")
-        state = collapse(psi_in, resource, y_m).psi_out
-        params = {"resource": repr(resource), "ym": _fmt(y_m), "grid": _grid_params(grid)}
-    params["stride"] = str(stride)
+        resource, _, y_m = _resource(v)
+        state = collapse(make_vacuum(v.grid), resource, y_m).psi_out
+        params = {"resource": repr(resource), "ym": _fmt(y_m)}
+    params["stride"] = str(v.stride)
+    x_axis, y_axis = default_wigner_axes(v.grid, v.stride)
+    if v.paxis is not None:
+        y_axis = Grid(*v.paxis)
+        params["paxis"] = texts["paxis"]
 
-    pts = grid.points[::stride]
-    x_axis = Grid(float(pts[0]), float(pts[-1]), len(pts))
-    if paxis_spec is not None:
-        lo, hi, count = _triple(paxis_spec, "--paxis")
-        y_axis = Grid(lo, hi, count)
-        params["paxis"] = paxis_spec
-    else:
-        y_axis = x_axis
-
-    grid_w = wigner(state, x_axis, y_axis)
-    xs, ys = np.meshgrid(grid_w.x_axis.points, grid_w.y_axis.points, indexing="ij")
-    _write_csv(
-        out + ".csv",
-        ["catgate wigner: phase-space quasi-probability, long format",
-         "columns: x, y, W"],
-        {"x": xs.ravel(), "y": ys.ravel(), "W": grid_w.values.ravel()},
-    )
-    norm = grid_w.normalization()
+    w = wigner(state, x_axis, y_axis)
+    norm = w.normalization()
     extra = {
-        "x_axis": _grid_params(grid_w.x_axis),
-        "y_axis": _grid_params(grid_w.y_axis),
+        "x_axis": _grid_params(w.x_axis),
+        "y_axis": _grid_params(w.y_axis),
         "normalization": norm,
         "normalization_residual": norm - 1.0,
-        "imag_residue": grid_w.imag_residue,
-        "min_value": float(grid_w.values.min()),
-        "max_value": float(grid_w.values.max()),
+        "imag_residue": w.imag_residue,
+        "min_value": float(w.values.min()),
+        "max_value": float(w.values.max()),
     }
-    _sidecar(out + ".csv", "wigner", params, extra)
-    print(f"wrote {out}.csv (normalization={norm:.6f}, min={extra['min_value']:.4f})")
-    return 0
+    table = _wigner_table(w, "phase-space quasi-probability, long format", extra)
+    note = f"normalization={norm:.6f}, min={extra['min_value']:.4f}"
+    return Output(params, [(".csv", table)], note)
 
 
-def cmd_scan_probability(ns) -> int:
-    config = _load_config(ns.config, "scan probability")
-    grid = _resolve_grid(ns, config)
-    ns_fock = _resolve(ns, config, "fock")
-    if ns_fock is None:
-        raise UsageError("scan probability requires --fock N or --fock LO..HI")
-    orders = _int_range(ns_fock, "--fock")
-    step = _float(_resolve(ns, config, "step", "0.05"), "--step")
-    window_spec = _resolve(ns, config, "window")
-    out = _resolve(ns, config, "out", "scan_probability")
-    _reject_unknown(config, "scan probability")
-
-    psi_in = make_vacuum(grid)
-    cols_n, cols_y, cols_p = [], [], []
-    integrals = {}
-    for n in orders:
-        if window_spec is not None:
-            lo, hi = _pair(window_spec, "--window")
-        else:
-            half = 12.0 + math.sqrt(2 * n + 1)
-            lo, hi = -half, half
-        ys = np.arange(lo, hi + step / 2, step)
-        curve = probability_scan(psi_in, FockResource(n), ys)
-        cols_n.append(np.full(len(ys), n, dtype=float))
-        cols_y.append(curve[:, 0])
-        cols_p.append(curve[:, 1])
+def _scan_probability(v, texts) -> Output:
+    psi_in = make_vacuum(v.grid)
+    curves, integrals = [], {}
+    for n in v.fock:
+        half = 12.0 + math.sqrt(2 * n + 1)
+        lo, hi = v.window if v.window is not None else (-half, half)
+        curve = probability_scan(psi_in, FockResource(n), np.arange(lo, hi + v.step / 2, v.step))
+        curves.append(np.column_stack([np.full(len(curve), n), curve]))
         integrals[str(n)] = float(np.trapezoid(curve[:, 1], curve[:, 0]))
-    params = {"fock": ns_fock, "step": _fmt(step), "grid": _grid_params(grid)}
-    _write_csv(
-        out + ".csv",
-        ["catgate scan probability: homodyne outcome density for Fock resources",
-         "columns: n, ym, P"],
-        {"n": np.concatenate(cols_n), "ym": np.concatenate(cols_y), "P": np.concatenate(cols_p)},
-    )
-    _sidecar(out + ".csv", "scan probability", params, {"integrals": integrals})
-    print(f"wrote {out}.csv (integrals: {integrals})")
-    return 0
+    rows = np.concatenate(curves)
+    table = Table("homodyne outcome density for Fock resources",
+                  {"n": rows[:, 0], "ym": rows[:, 1], "P": rows[:, 2]}, {"integrals": integrals})
+    params = {"fock": texts["fock"], "step": _fmt(v.step)}
+    return Output(params, [(".csv", table)], f"integrals: {integrals}")
 
 
-def cmd_scan_cohfid(ns) -> int:
-    config = _load_config(ns.config, "scan cohfid")
-    grid = _resolve_grid(ns, config)
-    ns_fock = _resolve(ns, config, "fock")
-    if ns_fock is None:
-        raise UsageError("scan cohfid requires --fock N or --fock LO..HI")
-    orders = _int_range(ns_fock, "--fock")
-    step = _float(_resolve(ns, config, "step", "0.05"), "--step")
-    out = _resolve(ns, config, "out", "scan_cohfid")
-    _reject_unknown(config, "scan cohfid")
-
-    psi_in = make_vacuum(grid)
-    cols_n, cols_y, cols_f = [], [], []
-    for n in orders:
-        y_top = 0.98 * math.sqrt(2 * n + 1)
-        ys = np.arange(0.0, y_top, step)
-        for y_m in ys:
-            result = collapse(psi_in, FockResource(n), float(y_m))
-            cols_n.append(float(n))
-            cols_y.append(float(y_m))
-            cols_f.append(1.0 - fidelity_coh(result.psi_out, n, float(y_m)))
-    params = {"fock": ns_fock, "step": _fmt(step), "grid": _grid_params(grid)}
-    _write_csv(
-        out + ".csv",
-        ["catgate scan cohfid: infidelity vs outcome, best-phase reference",
-         "columns: n, ym, infidelity_coh"],
-        {"n": np.array(cols_n), "ym": np.array(cols_y), "infidelity_coh": np.array(cols_f)},
-    )
-    _sidecar(out + ".csv", "scan cohfid", params)
-    print(f"wrote {out}.csv ({len(cols_y)} rows)")
-    return 0
+def _scan_cohfid(v, texts) -> Output:
+    psi_in = make_vacuum(v.grid)
+    rows = []
+    for n in v.fock:
+        for y_m in np.arange(0.0, 0.98 * math.sqrt(2 * n + 1), v.step).tolist():
+            psi_out = collapse(psi_in, FockResource(n), y_m).psi_out
+            rows.append((n, y_m, 1.0 - fidelity_coh(psi_out, n, y_m)))
+    n_col, y_col, f_col = zip(*rows)
+    table = Table("infidelity vs outcome, best-phase reference",
+                  {"n": n_col, "ym": y_col, "infidelity_coh": f_col})
+    params = {"fock": texts["fock"], "step": _fmt(v.step)}
+    return Output(params, [(".csv", table)], f"{len(rows)} rows")
 
 
-def cmd_scan_catfid(ns) -> int:
-    config = _load_config(ns.config, "scan catfid")
-    grid = _resolve_grid(ns, config)
-    n = _int(_resolve(ns, config, "fock", "5"), "--fock")
-    window_spec = _resolve(ns, config, "window", "0,3")
-    step = _float(_resolve(ns, config, "step", "0.05"), "--step")
-    out = _resolve(ns, config, "out", "scan_catfid")
-    _reject_unknown(config, "scan catfid")
-
-    lo, hi = _pair(window_spec, "--window")
-    psi_in = make_vacuum(grid)
-    ys = np.arange(lo, hi + step / 2, step)
-    infs = np.array(
-        [1.0 - fidelity_cat(collapse(psi_in, FockResource(n), float(y)).psi_out, n) for y in ys]
-    )
-    params = {"fock": str(n), "window": window_spec, "step": _fmt(step), "grid": _grid_params(grid)}
-    _write_csv(
-        out + ".csv",
-        ["catgate scan catfid: infidelity vs outcome, fixed even/odd cat reference",
-         "columns: ym, infidelity_cat"],
-        {"ym": ys, "infidelity_cat": infs},
-    )
-    _sidecar(out + ".csv", "scan catfid", params)
-    print(f"wrote {out}.csv ({len(ys)} rows)")
-    return 0
+def _scan_catfid(v, texts) -> Output:
+    psi_in = make_vacuum(v.grid)
+    lo, hi = v.window
+    ys = np.arange(lo, hi + v.step / 2, v.step)
+    infs = [1.0 - fidelity_cat(collapse(psi_in, FockResource(v.fock), float(y)).psi_out, v.fock)
+            for y in ys]
+    table = Table("infidelity vs outcome, fixed even/odd cat reference",
+                  {"ym": ys, "infidelity_cat": infs})
+    params = {"fock": str(v.fock), "window": texts["window"], "step": _fmt(v.step)}
+    return Output(params, [(".csv", table)], f"{len(ys)} rows")
 
 
-def cmd_scan_mixfid(ns) -> int:
-    config = _load_config(ns.config, "scan mixfid")
-    grid = _resolve_grid(ns, config)
-    n = _int(_resolve(ns, config, "fock", "5"), "--fock")
-    d_spec = _resolve(ns, config, "d", "0..2")
-    points = _int(_resolve(ns, config, "points", "11"), "--points")
-    quadrature = _int(_resolve(ns, config, "quadrature", "64"), "--quadrature")
-    out = _resolve(ns, config, "out", "scan_mixfid")
-    _reject_unknown(config, "scan mixfid")
-
-    lo, hi = _span(d_spec, "--d")
-    psi_in = make_vacuum(grid)
-    ds = np.linspace(lo, hi, points)
-    rows_d, rows_p, rows_f = [], [], []
-    for d in ds:
-        width = max(float(d), 1e-6)  # d = 0 is taken in the limit sense
-        f_mix, p_mix = fidelity_mix(n, AcceptanceWindow(width, quadrature), psi_in)
-        rows_d.append(float(d))
-        rows_p.append(p_mix)
-        rows_f.append(1.0 - f_mix)
-    params = {"fock": str(n), "d": d_spec, "points": str(points),
-              "quadrature": str(quadrature), "grid": _grid_params(grid)}
-    _write_csv(
-        out + ".csv",
-        ["catgate scan mixfid: acceptance-window width vs mixed-state infidelity",
-         "columns: d, P_mix, infidelity_mix"],
-        {"d": np.array(rows_d), "P_mix": np.array(rows_p), "infidelity_mix": np.array(rows_f)},
-    )
-    _sidecar(out + ".csv", "scan mixfid", params)
-    print(f"wrote {out}.csv ({points} rows)")
-    return 0
-
-
-def cmd_scan_squeeze(ns) -> int:
-    config = _load_config(ns.config, "scan squeeze")
-    grid = _resolve_grid(ns, config)
-    gamma_spec = _resolve(ns, config, "gamma")
-    ym_spec = _resolve(ns, config, "ym")
-    if gamma_spec is None or ym_spec is None:
-        raise UsageError("scan squeeze requires --gamma and --ym")
-    gamma = _float(gamma_spec, "--gamma")
-    y_m = _float(ym_spec, "--ym")
-    srange = _resolve(ns, config, "srange", f"{MIN_SQUEEZING},1.0,39")
-    out = _resolve(ns, config, "out", "scan_squeeze")
-    _reject_unknown(config, "scan squeeze")
-
-    lo, hi, count = _triple(srange, "--srange")
-    scan = squeezing_scan(gamma, y_m, np.linspace(lo, hi, count), grid)
-    params = {"gamma": _fmt(gamma), "ym": _fmt(y_m), "srange": srange, "grid": _grid_params(grid)}
-    _write_csv(
-        out + ".csv",
-        ["catgate scan squeeze: probability and cat infidelity vs ancilla squeezing",
-         "columns: s, inverse_s, squeezing_db, P, infidelity_cat"],
-        {
-            "s": scan.s,
-            "inverse_s": scan.inverse_s,
-            "squeezing_db": np.array([squeezing_db(float(v)) for v in scan.s]),
-            "P": scan.probability,
-            "infidelity_cat": scan.infidelity,
-        },
-    )
-    _sidecar(out + ".csv", "scan squeeze", params)
-    print(f"wrote {out}.csv ({count} rows)")
-    return 0
-
-
-def cmd_match_ladder(ns) -> int:
-    config = _load_config(ns.config, "match ladder")
-    k_max = _int(_resolve(ns, config, "kmax", "9"), "--kmax")
-    s = _float(_resolve(ns, config, "s", str(MIN_SQUEEZING)), "--s")
-    scan_spec = _resolve(ns, config, "scan")
-    out = _resolve(ns, config, "out", "match_ladder")
-    _reject_unknown(config, "match ladder")
-
-    kwargs = {}
-    if scan_spec is not None:
-        parts = scan_spec.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"--scan: expected 'lo,hi,step', got {scan_spec!r}")
-        kwargs = {
-            "scan_start": _float(parts[0], "--scan"),
-            "scan_stop": _float(parts[1], "--scan"),
-            "scan_step": _float(parts[2], "--scan"),
-        }
-    entries = odd_cat_ladder(k_max, s=s, **kwargs)
-    params = {"kmax": str(k_max), "s": _fmt(s)}
-    if scan_spec is not None:
-        params["scan"] = scan_spec
-    _write_csv(
-        out + ".csv",
-        ["catgate match ladder: odd-cat operating points along the matched-spacing line",
-         "columns: entry, ym, gamma"],
-        {
-            "entry": np.arange(1, len(entries) + 1, dtype=float),
-            "ym": np.array([e[0] for e in entries]),
-            "gamma": np.array([e[1] for e in entries]),
-        },
-    )
-    _sidecar(out + ".csv", "match ladder", params)
-    _write_json(out + ".json", {
-        "entries": [{"entry": i + 1, "ym": e[0], "gamma": e[1]} for i, e in enumerate(entries)],
-        "parameters": params,
-        "version": __version__,
+def _scan_mixfid(v, texts) -> Output:
+    psi_in = make_vacuum(v.grid)
+    ds = np.linspace(*v.d, v.points)
+    # d = 0 is taken in the limit sense
+    mixes = [fidelity_mix(v.fock, AcceptanceWindow(max(float(d), 1e-6), v.quadrature), psi_in)
+             for d in ds]
+    table = Table("acceptance-window width vs mixed-state infidelity", {
+        "d": ds,
+        "P_mix": [p_mix for _, p_mix in mixes],
+        "infidelity_mix": [1.0 - f_mix for f_mix, _ in mixes],
     })
-    print(f"wrote {out}.csv, {out}.json ({len(entries)} entries)")
-    return 0
+    params = {"fock": str(v.fock), "d": texts["d"], "points": str(v.points),
+              "quadrature": str(v.quadrature)}
+    return Output(params, [(".csv", table)], f"{v.points} rows")
 
 
-def cmd_match_squeeze(ns) -> int:
-    config = _load_config(ns.config, "match squeeze")
-    grid = _resolve_grid(ns, config)
-    gamma_spec = _resolve(ns, config, "gamma")
-    ym_spec = _resolve(ns, config, "ym")
-    if gamma_spec is None or ym_spec is None:
-        raise UsageError("match squeeze requires --gamma and --ym")
-    gamma = _float(gamma_spec, "--gamma")
-    y_m = _float(ym_spec, "--ym")
-    prob = _resolve(ns, config, "probability")
-    infid = _resolve(ns, config, "infidelity")
-    if (prob is None) == (infid is None):
-        raise UsageError("exactly one of --probability or --infidelity is required")
-    if prob is not None:
-        target, value = "probability", _float(prob, "--probability")
-    else:
-        target, value = "infidelity", _float(infid, "--infidelity")
-    out = _resolve(ns, config, "out", "match_squeeze")
-    _reject_unknown(config, "match squeeze")
+def _scan_squeeze(v, texts) -> Output:
+    lo, hi, count = v.srange
+    scan = squeezing_scan(v.gamma, v.ym, np.linspace(lo, hi, count), v.grid)
+    table = Table("probability and cat infidelity vs ancilla squeezing", {
+        "s": scan.s,
+        "inverse_s": scan.inverse_s,
+        "squeezing_db": [squeezing_db(s) for s in scan.s.tolist()],
+        "P": scan.probability,
+        "infidelity_cat": scan.infidelity,
+    })
+    params = {"gamma": _fmt(v.gamma), "ym": _fmt(v.ym), "srange": texts["srange"]}
+    return Output(params, [(".csv", table)], f"{count} rows")
 
-    report = fit_squeezing(gamma, y_m, target, value, grid=grid)
+
+def _match_ladder(v, texts) -> Output:
+    params = {"kmax": str(v.kmax), "s": _fmt(v.s)}
+    scan = {}
+    if v.scan is not None:
+        scan = dict(zip(("scan_start", "scan_stop", "scan_step"), v.scan))
+        params["scan"] = texts["scan"]
+    entries = odd_cat_ladder(v.kmax, s=v.s, **scan)
+    y_col, gamma_col = zip(*entries)
+    table = Table("odd-cat operating points along the matched-spacing line",
+                  {"entry": range(1, len(entries) + 1), "ym": y_col, "gamma": gamma_col})
+    summary = {"entries": [{"entry": i + 1, "ym": y_m, "gamma": gamma}
+                           for i, (y_m, gamma) in enumerate(entries)]}
+    return Output(params, [(".csv", table), (".json", summary)], f"{len(entries)} entries")
+
+
+def _match_squeeze(v, texts) -> Output:
+    _exactly_one(v, "probability", "infidelity")
+    target = "probability" if v.probability is not None else "infidelity"
+    value = getattr(v, target)
+    report = fit_squeezing(v.gamma, v.ym, target, value, grid=v.grid)
     if not report.converged:
         raise ConvergenceError(
-            f"fit did not converge: achieved "
-            f"{report.achieved_probability if target == 'probability' else report.achieved_infidelity:.6g} "
+            f"fit did not converge: achieved {getattr(report, f'achieved_{target}'):.6g} "
             f"vs target {value} (tolerance {report.tolerance})"
         )
-    payload = {
+    fitted = report.fitted
+    summary = {
         "target": {"kind": report.target_kind, "value": report.target_value},
-        "fitted": {"gamma": report.fitted.gamma, "ym": report.fitted.y_m, "s": report.fitted.s,
-                   "squeezing_db": squeezing_db(report.fitted.s)},
+        "fitted": {"gamma": fitted.gamma, "ym": fitted.y_m, "s": fitted.s,
+                   "squeezing_db": squeezing_db(fitted.s)},
         "achieved": {"probability": report.achieved_probability,
                      "infidelity": report.achieved_infidelity},
         "iterations": report.iterations,
         "converged": report.converged,
-        "parameters": {"gamma": _fmt(gamma), "ym": _fmt(y_m), "grid": _grid_params(grid)},
-        "version": __version__,
     }
-    _write_json(out + ".json", payload)
-    print(f"wrote {out}.json (s={report.fitted.s:.4f})")
-    return 0
+    params = {"gamma": _fmt(v.gamma), "ym": _fmt(v.ym)}
+    return Output(params, [(".json", summary)], f"s={fitted.s:.4f}")
 
 
-def cmd_match_compare(ns) -> int:
-    config = _load_config(ns.config, "match compare")
-    grid = _resolve_grid(ns, config)
-    n = _int(_resolve(ns, config, "fock", "5"), "--fock")
-    entry_spec = _resolve(ns, config, "entry")
-    cubic_spec = _resolve(ns, config, "cubic")
-    with_wigner = _bool(_resolve(ns, config, "wigner", False), "--wigner")
-    out = _resolve(ns, config, "out", "match_compare")
-    _reject_unknown(config, "match compare")
-    if (entry_spec is None) == (cubic_spec is None):
-        raise UsageError("exactly one of --entry or --cubic is required")
-
-    if cubic_spec is not None:
-        cfg = cubic_spec if isinstance(cubic_spec, CubicGateConfig) else _cubic_spec(cubic_spec)
-        params = {"fock": str(n), "cubic": f"{cfg.gamma},{cfg.y_m},{cfg.s}",
-                  "grid": _grid_params(grid)}
+def _match_compare(v, texts) -> Output:
+    _exactly_one(v, "entry", "cubic")
+    if v.cubic is not None:
+        cfg = v.cubic
+        params = {"fock": str(v.fock), "cubic": f"{cfg.gamma},{cfg.y_m},{cfg.s}"}
     else:
-        entry = _int(entry_spec, "--entry")
-        ladder = odd_cat_ladder(entry)
-        y_m, gamma = ladder[entry - 1][0], ladder[entry - 1][1]
+        y_m, gamma = odd_cat_ladder(v.entry)[v.entry - 1]
         # equal success probability: fit s so the cubic gate matches the
         # Fock gate's own density at its optimal outcome
-        target_p = collapse(make_vacuum(grid), FockResource(n), 0.0).norm_N
-        report = fit_squeezing(gamma, y_m, "probability", target_p, grid=grid, reference_n=n)
+        target_p = collapse(make_vacuum(v.grid), FockResource(v.fock), 0.0).norm_N
+        report = fit_squeezing(gamma, y_m, "probability", target_p, grid=v.grid, reference_n=v.fock)
         cfg = report.fitted
-        params = {"fock": str(n), "entry": str(entry), "grid": _grid_params(grid)}
+        params = {"fock": str(v.fock), "entry": str(v.entry)}
 
-    comparison = compare_gates(n, cfg, grid=grid, include_wigner=with_wigner)
-    payload = {
-        "fock": {
-            "label": comparison.fock.label,
-            "P": comparison.fock.probability,
-            "infidelity_cat": comparison.fock.infidelity,
-            "copy_spacing": comparison.fock.copy_spacing,
-        },
-        "cubic": {
-            "label": comparison.cubic.label,
-            "P": comparison.cubic.probability,
-            "infidelity_cat": comparison.cubic.infidelity,
-            "copy_spacing": None if math.isnan(comparison.cubic.copy_spacing)
-            else comparison.cubic.copy_spacing,
-        },
-        "infidelity_ratio": comparison.infidelity_ratio,
-        "parameters": params,
-        "version": __version__,
+    comparison = compare_gates(v.fock, cfg, grid=v.grid, include_wigner=v.wigner)
+    sides = {"fock": comparison.fock, "cubic": comparison.cubic}
+    summary = {
+        tag: {
+            "label": side.label,
+            "P": side.probability,
+            "infidelity_cat": side.infidelity,
+            "copy_spacing": None if math.isnan(side.copy_spacing) else side.copy_spacing,
+        }
+        for tag, side in sides.items()
     }
-    _write_json(out + ".json", payload)
-    written = [out + ".json"]
-    if with_wigner:
-        for side, tag in ((comparison.fock, "fock"), (comparison.cubic, "cubic")):
-            w = side.wigner
-            xs, ys = np.meshgrid(w.x_axis.points, w.y_axis.points, indexing="ij")
-            path = f"{out}_{tag}_wigner.csv"
-            _write_csv(path,
-                       [f"catgate match compare: wigner grid for the {tag} side",
-                        "columns: x, y, W"],
-                       {"x": xs.ravel(), "y": ys.ravel(), "W": w.values.ravel()})
-            _sidecar(path, "match compare", params, {"side": tag,
-                                                     "normalization": w.normalization()})
-            written.append(path)
-    print(f"wrote {', '.join(written)}")
-    return 0
+    summary["infidelity_ratio"] = comparison.infidelity_ratio
+    files = [(".json", summary)]
+    if v.wigner:
+        for tag, side in sides.items():
+            extra = {"side": tag, "normalization": side.wigner.normalization()}
+            table = _wigner_table(side.wigner, f"wigner grid for the {tag} side", extra)
+            files.append((f"_{tag}_wigner.csv", table))
+    return Output(params, files)
+
+
+# ---------------------------------------------------------------- the table
+
+FOCK = Param("--fock", _int, None, "Fock resource photon number")
+FOCK_RANGE = Param("--fock", _int_range, None, "photon number or range 'lo..hi'")
+FOCK_5 = Param("--fock", _int, "5", "photon number (default 5)")
+CUBIC = Param("--cubic", _cubic_spec, None, "cubic resource 'gamma,ym,s'")
+STEP = Param("--step", _positive_float, "0.05", "outcome step (default 0.05)")
+GAMMA = Param("--gamma", _float, None, "cubic nonlinearity")
+YM = Param("--ym", _float, None, "homodyne outcome")
+
+COMMANDS = (
+    Command(("collapse",), "collapse the vacuum by one homodyne outcome", (
+        FOCK,
+        CUBIC,
+        replace(YM, help="homodyne outcome (default 0, or the --cubic ym)"),
+    ), _collapse),
+    Command(("wigner",), "phase-space grid of an output state", (
+        Param("--vacuum", _bool, "false", "plain vacuum state"),
+        FOCK,
+        CUBIC,
+        replace(YM, help="homodyne outcome (default 0)"),
+        Param("--stride", _positive_int, "8", "x-axis stride over the grid (default 8)"),
+        Param("--paxis", _triple, None, "momentum axis 'lo,hi,count' (default: same as x)"),
+    ), _wigner),
+    Command(("scan", "probability"), "outcome density curves", (
+        FOCK_RANGE,
+        STEP,
+        Param("--window", _pair, None, "outcome window 'lo,hi' (default per-n)"),
+    ), _scan_probability, required=("fock",)),
+    Command(("scan", "cohfid"), "best-phase infidelity vs outcome", (
+        FOCK_RANGE,
+        STEP,
+    ), _scan_cohfid, required=("fock",)),
+    Command(("scan", "catfid"), "fixed-cat infidelity vs outcome", (
+        FOCK_5,
+        Param("--window", _pair, "0,3", "outcome window 'lo,hi' (default 0,3)"),
+        STEP,
+    ), _scan_catfid),
+    Command(("scan", "mixfid"), "acceptance-window fidelity trade-off", (
+        FOCK_5,
+        Param("--d", _span, "0..2", "window-width span 'lo..hi' (default 0..2)"),
+        Param("--points", _positive_int, "11", "number of widths (default 11)"),
+        Param("--quadrature", _int, str(AcceptanceWindow.n_quadrature),
+              f"Gauss-Legendre nodes (default {AcceptanceWindow.n_quadrature})"),
+    ), _scan_mixfid),
+    Command(("scan", "squeeze"), "probability/infidelity vs squeezing", (
+        GAMMA,
+        YM,
+        Param("--srange", _triple, f"{MIN_SQUEEZING},1.0,39",
+              f"squeezing scan 'lo,hi,count' (default {MIN_SQUEEZING},1,39)"),
+    ), _scan_squeeze, required=("gamma", "ym")),
+    Command(("match", "ladder"), "odd-cat operating points on the matched line", (
+        Param("--kmax", _int, "9", "number of entries (default 9)"),
+        Param("--s", _float, str(MIN_SQUEEZING),
+              f"ancilla squeezing during the search (default {MIN_SQUEEZING})"),
+        Param("--scan", _scan_range, None, "scan override 'lo,hi,step'"),
+    ), _match_ladder, uses_grid=False),
+    Command(("match", "squeeze"), "fit squeezing to a target", (
+        GAMMA,
+        YM,
+        Param("--probability", _float, None, "probability-density target"),
+        Param("--infidelity", _float, None, "cat-infidelity target"),
+    ), _match_squeeze, required=("gamma", "ym")),
+    Command(("match", "compare"), "Fock vs cubic side-by-side report", (
+        Param("--fock", _int, "5", "Fock photon number (default 5)"),
+        Param("--entry", _int, None, "ladder entry to compare against (fits s for equal P)"),
+        Param("--cubic", _cubic_spec, None, "explicit cubic config 'gamma,ym,s'"),
+        Param("--wigner", _bool, "false", "also write both wigner grids"),
+    ), _match_compare),
+)
+
+GROUPS = {"scan": "curve emission", "match": "parameter matching"}
 
 
 # ---------------------------------------------------------------- wiring
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid", help="grid override 'xmin,xmax,n'")
-    sub.add_argument("--out", help="output path prefix")
-    sub.add_argument("--config", help="INI-style config file; flags win over file values")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -661,104 +590,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("collapse", help="collapse the vacuum by one homodyne outcome")
-    p.add_argument("--fock", help="Fock resource photon number")
-    p.add_argument("--cubic", help="cubic resource 'gamma,ym,s'")
-    p.add_argument("--ym", help="homodyne outcome (default 0, or the --cubic ym)")
-    _add_common(p)
-    p.set_defaults(func=cmd_collapse)
-
-    p = commands.add_parser("wigner", help="phase-space grid of an output state")
-    p.add_argument("--vacuum", action="store_true", default=None, help="plain vacuum state")
-    p.add_argument("--fock", help="Fock resource photon number")
-    p.add_argument("--cubic", help="cubic resource 'gamma,ym,s'")
-    p.add_argument("--ym", help="homodyne outcome (default 0)")
-    p.add_argument("--stride", help="x-axis stride over the grid (default 8)")
-    p.add_argument("--paxis", help="momentum axis 'lo,hi,count' (default: same as x)")
-    _add_common(p)
-    p.set_defaults(func=cmd_wigner)
-
-    scan = commands.add_parser("scan", help="curve emission").add_subparsers(
-        dest="scan_command", required=True)
-
-    p = scan.add_parser("probability", help="outcome density curves")
-    p.add_argument("--fock", help="photon number or range 'lo..hi'")
-    p.add_argument("--step", help="outcome step (default 0.05)")
-    p.add_argument("--window", help="outcome window 'lo,hi' (default per-n)")
-    _add_common(p)
-    p.set_defaults(func=cmd_scan_probability)
-
-    p = scan.add_parser("cohfid", help="best-phase infidelity vs outcome")
-    p.add_argument("--fock", help="photon number or range 'lo..hi'")
-    p.add_argument("--step", help="outcome step (default 0.05)")
-    _add_common(p)
-    p.set_defaults(func=cmd_scan_cohfid)
-
-    p = scan.add_parser("catfid", help="fixed-cat infidelity vs outcome")
-    p.add_argument("--fock", help="photon number (default 5)")
-    p.add_argument("--window", help="outcome window 'lo,hi' (default 0,3)")
-    p.add_argument("--step", help="outcome step (default 0.05)")
-    _add_common(p)
-    p.set_defaults(func=cmd_scan_catfid)
-
-    p = scan.add_parser("mixfid", help="acceptance-window fidelity trade-off")
-    p.add_argument("--fock", help="photon number (default 5)")
-    p.add_argument("--d", help="window-width span 'lo..hi' (default 0..2)")
-    p.add_argument("--points", help="number of widths (default 11)")
-    p.add_argument("--quadrature", help="Gauss-Legendre nodes (default 64)")
-    _add_common(p)
-    p.set_defaults(func=cmd_scan_mixfid)
-
-    p = scan.add_parser("squeeze", help="probability/infidelity vs squeezing")
-    p.add_argument("--gamma", help="cubic nonlinearity")
-    p.add_argument("--ym", help="homodyne outcome")
-    p.add_argument("--srange", help="squeezing scan 'lo,hi,count' (default 0.05,1,39)")
-    _add_common(p)
-    p.set_defaults(func=cmd_scan_squeeze)
-
-    match = commands.add_parser("match", help="parameter matching").add_subparsers(
-        dest="match_command", required=True)
-
-    p = match.add_parser("ladder", help="odd-cat operating points on the matched line")
-    p.add_argument("--kmax", help="number of entries (default 9)")
-    p.add_argument("--s", help="ancilla squeezing during the search (default 0.05)")
-    p.add_argument("--scan", help="scan override 'lo,hi,step'")
-    _add_common(p)
-    p.set_defaults(func=cmd_match_ladder)
-
-    p = match.add_parser("squeeze", help="fit squeezing to a target")
-    p.add_argument("--gamma", help="cubic nonlinearity")
-    p.add_argument("--ym", help="homodyne outcome")
-    p.add_argument("--probability", help="probability-density target")
-    p.add_argument("--infidelity", help="cat-infidelity target")
-    _add_common(p)
-    p.set_defaults(func=cmd_match_squeeze)
-
-    p = match.add_parser("compare", help="Fock vs cubic side-by-side report")
-    p.add_argument("--fock", help="Fock photon number (default 5)")
-    p.add_argument("--entry", help="ladder entry to compare against (fits s for equal P)")
-    p.add_argument("--cubic", help="explicit cubic config 'gamma,ym,s'")
-    p.add_argument("--wigner", action="store_true", default=None,
-                   help="also write both wigner grids")
-    _add_common(p)
-    p.set_defaults(func=cmd_match_compare)
-
+    parents = {(): commands}
+    for command in COMMANDS:
+        group = command.path[:-1]
+        if group not in parents:
+            parents[group] = commands.add_parser(group[0], help=GROUPS[group[0]]).add_subparsers(
+                dest=f"{group[0]}_command", required=True)
+        sub = parents[group].add_parser(command.path[-1], help=command.help)
+        for p in command.params + (GRID, OUT):
+            switch = {"action": "store_true", "default": None} if p.parse is _bool else {}
+            sub.add_argument(p.flag, help=p.help, **switch)
+        sub.add_argument("--config", help="INI-style config file; flags win over file values")
+        sub.set_defaults(spec=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FitRangeError, ValueError, LinearizationDomainError, CatGateError) as exc:
-        if isinstance(exc, ConvergenceError):
-            print(f"error: not converged: {exc}", file=sys.stderr)
-            return 3
+        values, texts = _resolve(ns.spec, ns)
+        _write(ns.spec, values, ns.spec.compute(values, texts))
+        return 0
+    except ConvergenceError as exc:
+        print(f"error: not converged: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, CatGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

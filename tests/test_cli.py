@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,30 @@ def test_impossible_cubic_outcome_reports_zero_probability(capsys):
     assert "finite" not in message
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["scan", "probability", "--fock", "1", "--step", "0"], "--step"),
+        (["scan", "cohfid", "--fock", "1", "--step", "0"], "--step"),
+        (["scan", "catfid", "--step", "0"], "--step"),
+        (["scan", "probability", "--fock", "1", "--step", "-0.1"], "--step"),
+        (["scan", "catfid", "--window", "3,0"], "--window"),
+        (["scan", "mixfid", "--points", "0"], "--points"),
+        (["scan", "squeeze", "--gamma", "0.075", "--ym", "2.486", "--srange", "0.1,0.2,0"],
+         "--srange"),
+        (["wigner", "--vacuum", "--stride", "-8"], "--stride"),
+        (["collapse", "--fock", "1", "--ym", "nan"], "--ym"),
+        (["match", "ladder", "--kmax", "1", "--scan", "0.9,1.3,-0.05"], "--scan"),
+    ],
+)
+def test_bad_step_count_and_number_values_are_usage_errors(argv, flag, capsys, in_tmp):
+    # steps and counts must be positive and every number finite; each is
+    # rejected, naming its flag, before anything is computed or written
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert list(in_tmp.iterdir()) == []
+
+
 def test_malformed_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["collapse", "--bogus"])
@@ -90,6 +115,7 @@ def test_wigner_cubic_negativity():
 
 def test_wigner_vacuum_excludes_resources():
     assert main(["wigner", "--vacuum", "--fock", "5"]) == 2
+    assert main(["wigner", "--vacuum", "--ym", "3"]) == 2
 
 
 def test_wigner_ym_override_for_cubic():
@@ -205,6 +231,14 @@ def test_config_file_unknown_key(tmp_path):
     assert main(["collapse", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text", ["fock = 0\n", "[collapse]\nfock = 0\nfock = 1\n"])
+def test_malformed_config_file_is_a_usage_error(text, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["collapse", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file '{cfg}': ")
+
+
 def test_grid_environment_override(monkeypatch):
     monkeypatch.setenv("CATGATE_GRID", "-8,8,1024")
     assert main(["collapse", "--fock", "0", "--out", "envgrid"]) == 0
@@ -217,3 +251,35 @@ def test_grid_environment_override(monkeypatch):
 
 def test_io_error_exit_code():
     assert main(["collapse", "--fock", "0", "--out", "missing_dir/out"]) == 4
+
+
+# Each subcommand's flags, in help order, and config keys that make a valid run.
+SURFACE = {
+    "collapse": (["--fock", "--cubic", "--ym"], "fock = 0"),
+    "wigner": (["--vacuum", "--fock", "--cubic", "--ym", "--stride", "--paxis"], "vacuum = yes"),
+    "scan probability": (["--fock", "--step", "--window"], "fock = 1"),
+    "scan cohfid": (["--fock", "--step"], "fock = 1"),
+    "scan catfid": (["--fock", "--window", "--step"], ""),
+    "scan mixfid": (["--fock", "--d", "--points", "--quadrature"], ""),
+    "scan squeeze": (["--gamma", "--ym", "--srange"], "gamma = 0.075\nym = 2.486"),
+    "match ladder": (["--kmax", "--s", "--scan"], "kmax = 1"),
+    "match squeeze": (["--gamma", "--ym", "--probability", "--infidelity"],
+                      "gamma = 0.075\nym = 2.486\nprobability = 0.098"),
+    "match compare": (["--fock", "--entry", "--cubic", "--wigner"], "fock = 0\ncubic = 0,0,1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_cli_surface_is_pinned(command, capsys, in_tmp):
+    flags, keys = SURFACE[command]
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^  (?:-h, )?(--[a-z]+)", capsys.readouterr().out, re.M)
+    assert listed == ["--help", *flags, "--grid", "--out", "--config"]
+
+    config = in_tmp / "run.ini"
+    config.write_text(f"[{command}]\n{keys}\nwidgets = 3\n")
+    assert main(command.split() + ["--config", str(config)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert list(in_tmp.iterdir()) == [config]
