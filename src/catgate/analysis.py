@@ -11,9 +11,15 @@ import numpy as np
 
 from . import gate
 from .errors import GridSupportError
-from .numerics import Grid, WaveFunction, default_grid, overlap
+from .numerics import Grid, WaveFunction, _offset_dft, default_grid, overlap
 from .semiclassical import reference_cat
 from .states import FockResource, make_vacuum
+
+
+#: Size of one block of Wigner rows, as a complex array of the chirp-z FFT
+#: length.  A block's temporaries hold about four such arrays; 2 MiB blocks
+#: were the fastest of 0.5 to 16 MiB on the default 513 x 513 axes.
+_WIGNER_BLOCK_BYTES = 2 * 2 ** 20
 
 
 @dataclass
@@ -21,7 +27,9 @@ class WignerGrid:
     """Real phase-space quasi-probability on an (x, y) product grid.
 
     ``imag_residue`` records the largest imaginary part discarded when the
-    transform was truncated to its real part.
+    complex transform was truncated to its real part.  W is real in exact
+    arithmetic, so this is the chirp-z FFT's roundoff, about 1e-13 for a
+    normalized state.
     """
 
     x_axis: Grid
@@ -64,10 +72,15 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
     """Wigner function W(x, y) = (1/pi) integral dz conj(psi)(x+z) psi(x-z)
     exp(2 i y z).
 
-    The z integral runs over the full symmetric lattice of grid offsets (the
-    state vanishes at the window edge, so the trapezoid sum is spectrally
-    accurate); each x row is one vectorized oscillatory quadrature against the
-    requested y axis.
+    The z integral runs over the full symmetric lattice of grid offsets
+    z = k h, |k| < N (the state vanishes at the window edge, so the trapezoid
+    sum is spectrally accurate).  Since exp(2 i y z) = exp(-i y (-2z)), each
+    x row is an offset DFT of its 2N-1 products at the points -2z, which the
+    chirp-z transform ``numerics._offset_dft`` evaluates on any y axis, on or
+    off the lattice.  Rows go through it in blocks of a fixed byte size, one
+    batched FFT pass per block, so the working memory is a few MiB whatever
+    the axis sizes (until a single row outgrows the block).  The values
+    agree with the direct sum to FFT roundoff, about 1e-13.
     """
     grid = psi.grid
     if x_axis is None or y_axis is None:
@@ -75,18 +88,24 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
         x_axis = x_axis or xa
         y_axis = y_axis or ya
     idx = _axis_indices(grid, x_axis)
-    n = grid.n_points
-    offsets = np.arange(-(n - 1), n)
+    n, h = grid.n_points, grid.spacing
     padded = np.zeros(3 * n, dtype=np.complex128)
     padded[n:2 * n] = psi.values
-    kernel = np.exp(2j * np.outer(offsets * grid.spacing, y_axis.points))
-    values = np.empty((len(idx), y_axis.n_points))
+    # window i + 1 of the padded state is psi(x_i + z) for z = -(n-1)h ..
+    # (n-1)h, and reversed it is psi(x_i - z)
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, 2 * n - 1)
+    m = y_axis.n_points
+    block = max(1, _WIGNER_BLOCK_BYTES // (16 * (2 * n + m)))
+    values = np.empty((len(idx), m))
     imag_residue = 0.0
-    for row, i in enumerate(idx):
-        products = np.conj(padded[n + i + offsets]) * padded[n + i - offsets]
-        transform = (products @ kernel) * (grid.spacing / np.pi)
+    for start in range(0, len(idx), block):
+        plus = shifted[idx[start:start + block] + 1]
+        products = np.conj(plus) * plus[:, ::-1]
+        transform = _offset_dft(products, 2.0 * (n - 1) * h, -2.0 * h,
+                                y_axis.x_min, y_axis.spacing, m)
+        transform *= h / np.pi
         imag_residue = max(imag_residue, float(np.max(np.abs(transform.imag))))
-        values[row] = transform.real
+        values[start:start + block] = transform.real
     return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values, imag_residue=imag_residue)
 
 

@@ -40,6 +40,7 @@ from .errors import CatGateError, ConvergenceError, LinearizationDomainError
 from .gate import collapse, probability_scan
 from .matching import compare_gates, fit_squeezing, odd_cat_ladder
 from .numerics import MIN_SQUEEZING, Grid, default_grid
+from .semiclassical import REFERENCE_N
 from .states import FockResource, make_vacuum
 
 GRID_ENV_VAR = "CATGATE_GRID"
@@ -314,7 +315,8 @@ def _collapse(v, texts) -> Output:
     resource, cubic, y_m = _resource(v)
     result = collapse(make_vacuum(v.grid), resource, y_m)
     params = {"resource": repr(resource), "ym": _fmt(y_m)}
-    fidelities = {"cat": fidelity_cat(result.psi_out, 5 if cubic is not None else resource.n)}
+    reference_n = REFERENCE_N if cubic is not None else resource.n
+    fidelities = {"cat": fidelity_cat(result.psi_out, reference_n)}
     if cubic is None:
         try:
             fidelities["coh"] = fidelity_coh(result.psi_out, resource.n, y_m)
@@ -374,6 +376,8 @@ def _scan_probability(v, texts) -> Output:
     table = Table("homodyne outcome density for Fock resources",
                   {"n": rows[:, 0], "ym": rows[:, 1], "P": rows[:, 2]}, {"integrals": integrals})
     params = {"fock": texts["fock"], "step": _fmt(v.step)}
+    if v.window is not None:
+        params["window"] = texts["window"]
     return Output(params, [(".csv", table)], f"integrals: {integrals}")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import gate
 from .analysis import fidelity
 from .numerics import Grid, WaveFunction, default_grid
-from .semiclassical import reference_cat
+from .semiclassical import REFERENCE_N, reference_cat
 from .states import CubicPhaseResource, make_vacuum
 
 
@@ -72,7 +72,7 @@ def squeezing_scan(
     y_m: float,
     s_values,
     grid: Grid | None = None,
-    reference_n: int = 5,
+    reference_n: int = REFERENCE_N,
 ) -> SqueezingScan:
     """Scan the squeezing factor at fixed (gamma, y_m), recording P(y_m) and
     the infidelity against the odd/even cat produced by the Fock gate with

@@ -15,11 +15,11 @@ from .analysis import WignerGrid, fidelity, fidelity_cat, wigner
 from .cubic import CubicGateConfig, cubic_collapse
 from .errors import ConvergenceError, FitRangeError
 from .numerics import MIN_SQUEEZING, Grid, default_grid, oscillatory_fourier_factor
-from .semiclassical import reference_cat
+from .semiclassical import REFERENCE_N, reference_cat
 from .states import FockResource, make_vacuum
 
 
-def matched_outcome_ratio(reference_n: int = 5) -> float:
+def matched_outcome_ratio(reference_n: int = REFERENCE_N) -> float:
     """Ratio y_m / gamma that keeps the cubic-gate copy spacing equal to the
     Fock-gate spacing sqrt(2n+1):  sqrt(y_m/(3 gamma)) = sqrt(2n+1) gives
     y_m = 3 (2n+1) gamma."""
@@ -40,7 +40,7 @@ def _node_residual(y_m: float, s: float, ratio: float) -> float:
 def odd_cat_ladder(
     k_max: int,
     s: float = MIN_SQUEEZING,
-    reference_n: int = 5,
+    reference_n: int = REFERENCE_N,
     scan_start: float = 0.5,
     scan_stop: float = 13.0,
     scan_step: float = 0.05,
@@ -118,7 +118,7 @@ def fit_squeezing(
     scan_points: int = 39,
     s_tol: float = 1e-3,
     grid: Grid | None = None,
-    reference_n: int = 5,
+    reference_n: int = REFERENCE_N,
     target_tolerance: float | None = None,
 ) -> MatchReport:
     """Bisection on the squeezing factor so the cubic gate meets a probability

@@ -148,12 +148,17 @@ def hermite_function(n: int, grid: Grid) -> WaveFunction:
 
 
 def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int) -> np.ndarray:
-    """Evaluate ``X_j = sum_n f_n exp(-i y_j x_n)`` for ``x_n = x0 + n h`` and
-    ``y_j = y0 + j dy`` via Bluestein's chirp factorization:
+    """Evaluate ``X_j = sum_n f_n exp(-i y_j x_n)`` along the last axis of f,
+    for ``x_n = x0 + n h`` and ``y_j = y0 + j dy``, ``j = 0 .. m-1``, via
+    Bluestein's chirp factorization:
     ``y_j x_n = y_j x0 + y0 h n + dy h (j^2 + n^2 - (j-n)^2)/2``.
-    Exact up to FFT roundoff for any grid offsets and spacings.
+
+    Every leading index of f is an independent transform, all done in one
+    batched FFT pass; the result has f's leading shape and a last axis of
+    length m.  Exact up to FFT roundoff for any offsets and spacings, of
+    either sign.
     """
-    n = len(f)
+    n = f.shape[-1]
     a = dy * h
     k = np.arange(n, dtype=np.float64)
     g = f * np.exp(-1j * ((y0 * h) * k + 0.5 * a * k * k))
@@ -164,7 +169,9 @@ def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int
     kernel[:m] = chirp[:m]
     if n > 1:
         kernel[-(n - 1):] = chirp[1:n][::-1]
-    out = _fft.ifft(_fft.fft(g, nfft) * _fft.fft(kernel))[:m]
+    spectrum = _fft.fft(g, nfft, axis=-1)
+    spectrum *= _fft.fft(kernel)
+    out = _fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :m]
     j = np.arange(m, dtype=np.float64)
     out *= np.exp(-1j * (0.5 * a * j * j + (y0 + dy * j) * x0))
     return out

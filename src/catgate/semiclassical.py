@@ -24,6 +24,11 @@ from .errors import LinearizationDomainError
 from .numerics import Grid, WaveFunction
 from .states import CatParams, Parity, make_cat
 
+#: Photon number of the Fock-gate cat that the cubic-resource gate is graded
+#: against and matched to: the reference of its fidelities, its matched
+#: outcome ratio and its odd-cat ladder.
+REFERENCE_N = 5
+
 #: Relative width of the degenerate band around a vanishing discriminant.
 _DEGENERACY_RTOL = 64 * np.finfo(float).eps
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from catgate import (
     AcceptanceWindow,
     CatParams,
+    CubicGateConfig,
     FockResource,
     Grid,
     WaveFunction,
     collapse,
+    cubic_collapse,
     default_grid,
     fidelity,
     fidelity_cat,
@@ -79,6 +82,55 @@ def test_wigner_axis_errors():
         wigner(VACUUM, x_axis=Grid(-20.0, 20.0, 16))
     with pytest.raises(GridSupportError):
         wigner(VACUUM, x_axis=Grid(-1.0, 1.0, 17))  # nodes off the grid lattice
+
+
+def _direct_wigner(psi, x_axis, y_axis):
+    """Reference direct sum: each x row's 2N-1 offset products against a
+    dense (2N-1) x M exp(2 i y z) kernel.  Returns (values, imag_residue)."""
+    grid = psi.grid
+    n, h = grid.n_points, grid.spacing
+    idx = np.rint((x_axis.points - grid.x_min) / h).astype(int)
+    offsets = np.arange(-(n - 1), n)
+    padded = np.zeros(3 * n, dtype=np.complex128)
+    padded[n:2 * n] = psi.values
+    kernel = np.exp(2j * np.outer(offsets * h, y_axis.points))
+    values = np.empty((len(idx), y_axis.n_points))
+    imag_residue = 0.0
+    for row, i in enumerate(idx):
+        products = np.conj(padded[n + i + offsets]) * padded[n + i - offsets]
+        transform = (products @ kernel) * (h / np.pi)
+        imag_residue = max(imag_residue, float(np.max(np.abs(transform.imag))))
+        values[row] = transform.real
+    return values, imag_residue
+
+
+@pytest.mark.parametrize("case", ["vacuum", "fock5_ym2", "cubic_02b_axis"])
+def test_wigner_matches_direct_sum(case):
+    if case == "vacuum":
+        psi, y_axis = VACUUM, None
+    elif case == "fock5_ym2":
+        psi, y_axis = collapse(VACUUM, FockResource(5), 2.0).psi_out, Grid(-6.0, 6.0, 385)
+    else:
+        # the 02b axis: its nodes are off the default momentum lattice
+        psi = cubic_collapse(VACUUM, CubicGateConfig(0.334, 11.012, 0.241)).psi_out
+        y_axis = Grid(2.5, 4.0, 601)
+    w = wigner(psi, y_axis=y_axis)
+    values, direct_residue = _direct_wigner(psi, w.x_axis, w.y_axis)
+    assert direct_residue <= 1e-12
+    assert np.max(np.abs(w.values - values)) <= 1e-12
+    assert w.imag_residue <= 1e-12
+
+
+def test_wigner_memory_does_not_grow_with_momentum_axis():
+    # a dense (2N-1) x M kernel alone would be 256 MiB here; the result
+    # itself is 513 x 2049 doubles, 8 MiB
+    tracemalloc.start()
+    try:
+        wigner(VACUUM, y_axis=Grid(-16.0, 16.0, 2049))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_wigner_custom_momentum_axis():

@@ -135,6 +135,18 @@ def test_scan_probability_completeness():
     assert set(table) == {"n", "ym", "P"}
 
 
+def test_scan_probability_echoes_window():
+    echoed = []
+    for out, window in (("narrow", "-1,1"), ("wide", "-2,2")):
+        args = ["scan", "probability", "--fock", "1", "--step", "0.5", f"--window={window}",
+                "--out", out]
+        assert main(args) == 0
+        params = json.loads(open(f"{out}.csv.meta.json").read())["parameters"]
+        assert params["window"] == window
+        echoed.append(params)
+    assert echoed[0] != echoed[1]
+
+
 def test_scan_mixfid_monotone():
     args = ["scan", "mixfid", "--fock", "5", "--d", "0..1.4", "--points", "8", "--out", "sm"]
     assert main(args) == 0
