@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .analysis import AcceptanceWindow, WignerGrid, default_wigner_axes
 from .analysis import fidelity_cat, fidelity_coh, fidelity_mix, wigner
-from .cubic import CubicGateConfig, squeezing_db, squeezing_scan
+from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import CatGateError, ConvergenceError, LinearizationDomainError
 from .gate import collapse, probability_scan
 from .matching import compare_gates, fit_squeezing, odd_cat_ladder
@@ -188,9 +188,6 @@ class Command:
     params: tuple[Param, ...]
     compute: Callable[[SimpleNamespace, dict], Output]
     required: tuple[str, ...] = ()
-    # match ladder accepts --grid but has no use for it: it reads no `grid`
-    # key and no CATGATE_GRID, and echoes no grid
-    uses_grid: bool = True
 
     @property
     def name(self) -> str:
@@ -227,8 +224,7 @@ def _resolve(command: Command, ns: argparse.Namespace) -> tuple[SimpleNamespace,
     """Each option's text (flag, config file, environment, default), then its
     parsed value.  Returns the values and the texts, which some echoes keep."""
     config = _load_config(ns.config, command.name)
-    grid = (GRID,) if command.uses_grid else ()
-    options = command.params + grid + (replace(OUT, default="_".join(command.path)),)
+    options = command.params + (replace(OUT, default="_".join(command.path)),)
     unknown = sorted(set(config) - {p.key for p in options})
     if unknown:
         raise ValueError(f"unknown config keys in [{command.name}]: {unknown}")
@@ -277,7 +273,7 @@ def _write_json(path: str, payload: dict) -> None:
 def _write(command: Command, v: SimpleNamespace, output: Output) -> None:
     """Every file of one command, each echoing the parameters (with the grid
     where the command takes one) and the version; then the stdout line."""
-    if command.uses_grid:
+    if GRID in command.params:
         output.params["grid"] = _grid_params(v.grid)
     echo = {"parameters": output.params, "version": __version__}
     written = []
@@ -482,10 +478,12 @@ def _match_compare(v, texts) -> Output:
         cfg = v.cubic
         params = {"fock": str(v.fock), "cubic": f"{cfg.gamma},{cfg.y_m},{cfg.s}"}
     else:
-        y_m, gamma = odd_cat_ladder(v.entry)[v.entry - 1]
+        if v.fock % 2 == 0:
+            raise ValueError(f"--entry: the ladder holds odd cats; --fock {v.fock} is even")
         # equal success probability: fit s so the cubic gate matches the
         # Fock gate's own density at its optimal outcome
         target_p = collapse(make_vacuum(v.grid), FockResource(v.fock), 0.0).norm_N
+        y_m, gamma = odd_cat_ladder(v.entry, reference_n=v.fock)[v.entry - 1]
         report = fit_squeezing(gamma, y_m, "probability", target_p, grid=v.grid, reference_n=v.fock)
         cfg = report.fitted
         params = {"fock": str(v.fock), "entry": str(v.entry)}
@@ -526,6 +524,7 @@ COMMANDS = (
         FOCK,
         CUBIC,
         replace(YM, help="homodyne outcome (default 0, or the --cubic ym)"),
+        GRID,
     ), _collapse),
     Command(("wigner",), "phase-space grid of an output state", (
         Param("--vacuum", _bool, "false", "plain vacuum state"),
@@ -534,20 +533,24 @@ COMMANDS = (
         replace(YM, help="homodyne outcome (default 0)"),
         Param("--stride", _positive_int, "8", "x-axis stride over the grid (default 8)"),
         Param("--paxis", _triple, None, "momentum axis 'lo,hi,count' (default: same as x)"),
+        GRID,
     ), _wigner),
     Command(("scan", "probability"), "outcome density curves", (
         FOCK_RANGE,
         STEP,
         Param("--window", _pair, None, "outcome window 'lo,hi' (default per-n)"),
+        GRID,
     ), _scan_probability, required=("fock",)),
     Command(("scan", "cohfid"), "best-phase infidelity vs outcome", (
         FOCK_RANGE,
         STEP,
+        GRID,
     ), _scan_cohfid, required=("fock",)),
     Command(("scan", "catfid"), "fixed-cat infidelity vs outcome", (
         FOCK_5,
         Param("--window", _pair, "0,3", "outcome window 'lo,hi' (default 0,3)"),
         STEP,
+        GRID,
     ), _scan_catfid),
     Command(("scan", "mixfid"), "acceptance-window fidelity trade-off", (
         FOCK_5,
@@ -555,30 +558,34 @@ COMMANDS = (
         Param("--points", _positive_int, "11", "number of widths (default 11)"),
         Param("--quadrature", _int, str(AcceptanceWindow.n_quadrature),
               f"Gauss-Legendre nodes (default {AcceptanceWindow.n_quadrature})"),
+        GRID,
     ), _scan_mixfid),
     Command(("scan", "squeeze"), "probability/infidelity vs squeezing", (
         GAMMA,
         YM,
-        Param("--srange", _triple, f"{MIN_SQUEEZING},1.0,39",
-              f"squeezing scan 'lo,hi,count' (default {MIN_SQUEEZING},1,39)"),
+        Param("--srange", _triple, ",".join(map(str, SQUEEZING_SWEEP)),
+              "squeezing scan 'lo,hi,count' (default {},{},{})".format(*SQUEEZING_SWEEP)),
+        GRID,
     ), _scan_squeeze, required=("gamma", "ym")),
     Command(("match", "ladder"), "odd-cat operating points on the matched line", (
         Param("--kmax", _int, "9", "number of entries (default 9)"),
         Param("--s", _float, str(MIN_SQUEEZING),
               f"ancilla squeezing during the search (default {MIN_SQUEEZING})"),
         Param("--scan", _scan_range, None, "scan override 'lo,hi,step'"),
-    ), _match_ladder, uses_grid=False),
+    ), _match_ladder),
     Command(("match", "squeeze"), "fit squeezing to a target", (
         GAMMA,
         YM,
         Param("--probability", _float, None, "probability-density target"),
         Param("--infidelity", _float, None, "cat-infidelity target"),
+        GRID,
     ), _match_squeeze, required=("gamma", "ym")),
     Command(("match", "compare"), "Fock vs cubic side-by-side report", (
         Param("--fock", _int, "5", "Fock photon number (default 5)"),
         Param("--entry", _int, None, "ladder entry to compare against (fits s for equal P)"),
         Param("--cubic", _cubic_spec, None, "explicit cubic config 'gamma,ym,s'"),
         Param("--wigner", _bool, "false", "also write both wigner grids"),
+        GRID,
     ), _match_compare),
 )
 
@@ -601,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
             parents[group] = commands.add_parser(group[0], help=GROUPS[group[0]]).add_subparsers(
                 dest=f"{group[0]}_command", required=True)
         sub = parents[group].add_parser(command.path[-1], help=command.help)
-        for p in command.params + (GRID, OUT):
+        for p in command.params + (OUT,):
             switch = {"action": "store_true", "default": None} if p.parse is _bool else {}
             sub.add_argument(p.flag, help=p.help, **switch)
         sub.add_argument("--config", help="INI-style config file; flags win over file values")

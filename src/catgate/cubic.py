@@ -11,9 +11,12 @@ import numpy as np
 
 from . import gate
 from .analysis import fidelity
-from .numerics import Grid, WaveFunction, default_grid
+from .numerics import MIN_SQUEEZING, Grid, WaveFunction, default_grid, validate_cubic_params
 from .semiclassical import REFERENCE_N, reference_cat
 from .states import CubicPhaseResource, make_vacuum
+
+#: The squeezing sweep 'lo, hi, count' of the fits and of ``scan squeeze``.
+SQUEEZING_SWEEP = (MIN_SQUEEZING, 1.0, 39)
 
 
 @dataclass(frozen=True)
@@ -26,7 +29,7 @@ class CubicGateConfig:
     s: float
 
     def __post_init__(self) -> None:
-        CubicPhaseResource(self.gamma, self.s)  # range validation
+        validate_cubic_params(self.gamma, self.s)
         if self.y_m < 0:
             raise ValueError("cubic gate outcomes use the y_m >= 0 convention")
 
@@ -44,6 +47,13 @@ class CubicGateConfig:
 
 def cubic_collapse(psi_in: WaveFunction, cfg: CubicGateConfig) -> gate.CollapseResult:
     return gate.collapse(psi_in, cfg.resource, cfg.y_m)
+
+
+def cubic_point(psi_in: WaveFunction, cfg: CubicGateConfig,
+                reference: WaveFunction) -> tuple[gate.CollapseResult, float]:
+    """The collapse at ``cfg`` and its infidelity against ``reference``."""
+    result = cubic_collapse(psi_in, cfg)
+    return result, 1.0 - fidelity(result.psi_out, reference)
 
 
 def squeezing_db(s: float) -> float:
@@ -72,20 +82,19 @@ def squeezing_scan(
     y_m: float,
     s_values,
     grid: Grid | None = None,
-    reference_n: int = REFERENCE_N,
 ) -> SqueezingScan:
     """Scan the squeezing factor at fixed (gamma, y_m), recording P(y_m) and
     the infidelity against the odd/even cat produced by the Fock gate with
-    ``reference_n`` photons at y_m = 0."""
+    ``REFERENCE_N`` photons at y_m = 0."""
     grid = grid or default_grid()
     psi_in = make_vacuum(grid)
-    reference = reference_cat(reference_n, 0.0, grid)
+    reference = reference_cat(REFERENCE_N, 0.0, grid)
     s_values = np.asarray(s_values, dtype=np.float64)
     probability = np.empty_like(s_values)
     infidelity = np.empty_like(s_values)
     for i, s in enumerate(s_values):
-        result = cubic_collapse(psi_in, CubicGateConfig(gamma, y_m, float(s)))
+        cfg = CubicGateConfig(gamma, y_m, float(s))
+        result, infidelity[i] = cubic_point(psi_in, cfg, reference)
         probability[i] = result.norm_N
-        infidelity[i] = 1.0 - fidelity(result.psi_out, reference)
     return SqueezingScan(gamma=gamma, y_m=y_m, s=s_values,
                          probability=probability, infidelity=infidelity)

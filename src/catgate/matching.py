@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import gate
-from .analysis import WignerGrid, fidelity, fidelity_cat, wigner
-from .cubic import CubicGateConfig, cubic_collapse
+from .analysis import WignerGrid, fidelity, wigner
+from .cubic import SQUEEZING_SWEEP, CubicGateConfig, cubic_point
 from .errors import ConvergenceError, FitRangeError
 from .numerics import MIN_SQUEEZING, Grid, default_grid, oscillatory_fourier_factor
 from .semiclassical import REFERENCE_N, reference_cat
@@ -26,6 +27,37 @@ def matched_outcome_ratio(reference_n: int = REFERENCE_N) -> float:
     return 3.0 * (2 * reference_n + 1)
 
 
+#: How close a fit must come to its target to count as converged, per target kind.
+_TARGET_TOLERANCE = {"probability": 1e-3, "infidelity": 1e-4}
+
+
+def _roots(f, nodes, tol: float):
+    """The roots of ``f`` along the scan ``nodes``, in order, each with the
+    bisection steps it took.  Lazy: no node past the last root taken is
+    evaluated.  A node where ``f`` is exactly 0 is a root; a sign change between
+    consecutive nodes is bisected to a bracket of width ``tol``, or 200 steps."""
+    x_prev, f_prev = None, 0.0
+    for x in nodes:
+        f_x = f(x)
+        if f_x == 0.0:
+            yield x, 0
+        elif np.sign(f_x) * np.sign(f_prev) < 0:
+            lo, hi, f_lo = x_prev, x, f_prev
+            iterations = 0
+            while hi - lo > tol and iterations < 200:
+                mid = 0.5 * (lo + hi)
+                f_mid = f(mid)
+                if f_mid == 0.0:
+                    lo = hi = mid
+                elif np.sign(f_mid) == np.sign(f_lo):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+                iterations += 1
+            yield 0.5 * (lo + hi), iterations
+        x_prev, f_prev = x, f_x
+
+
 def _node_residual(y_m: float, s: float, ratio: float) -> float:
     """Collapsed ancilla factor at the output symmetry point x = 0.
 
@@ -37,6 +69,14 @@ def _node_residual(y_m: float, s: float, ratio: float) -> float:
     return complex(oscillatory_fourier_factor(y_m / ratio, s, y_m)).real
 
 
+def _scan(start: float, stop: float, step: float, limit: float):
+    """start, start + step, ... up to ``stop`` and at most ``limit``."""
+    y = start
+    while y <= stop + 1e-12 and y <= limit:
+        yield y
+        y += step
+
+
 def odd_cat_ladder(
     k_max: int,
     s: float = MIN_SQUEEZING,
@@ -44,48 +84,23 @@ def odd_cat_ladder(
     scan_start: float = 0.5,
     scan_stop: float = 13.0,
     scan_step: float = 0.05,
-    refine_tol: float = 1e-4,
 ) -> list[tuple[float, float]]:
     """Successive cubic-gate operating points (y_m, gamma) along the
     matched-spacing line y_m = 3(2n+1) gamma that produce an odd cat.
 
-    Scans the line for sign changes of the node residual and refines each
-    root by bisection to ``refine_tol`` in y_m.  Entries are returned in
-    increasing y_m order.
+    Scans the line for sign changes of the node residual, up to ``scan_stop``
+    and no further than gamma = 1, and refines each root by bisection to a
+    y_m bracket of 1e-4.  Entries are returned in increasing y_m order.
     """
     if not 1 <= k_max <= 9:
         raise ValueError(f"k_max must be in [1, 9], got {k_max}")
     ratio = matched_outcome_ratio(reference_n)
-    roots: list[float] = []
-    y_prev = scan_start
-    r_prev = _node_residual(y_prev, s, ratio)
-    y = y_prev + scan_step
-    while y <= scan_stop + 1e-12 and len(roots) < k_max:
-        r = _node_residual(y, s, ratio)
-        if r_prev == 0.0:
-            roots.append(y_prev)
-        elif np.sign(r) != np.sign(r_prev) and r != 0.0:
-            lo, hi, r_lo = y_prev, y, r_prev
-            iterations = 0
-            while hi - lo > refine_tol and iterations < 200:
-                mid = 0.5 * (lo + hi)
-                r_mid = _node_residual(mid, s, ratio)
-                if r_mid == 0.0:
-                    lo = hi = mid
-                elif np.sign(r_mid) == np.sign(r_lo):
-                    lo, r_lo = mid, r_mid
-                else:
-                    hi = mid
-                iterations += 1
-            roots.append(0.5 * (lo + hi))
-        y_prev, r_prev = y, r
-        y += scan_step
+    nodes = _scan(scan_start, scan_stop, scan_step, ratio)
+    roots = list(islice(_roots(lambda y: _node_residual(y, s, ratio), nodes, 1e-4), k_max))
     if len(roots) < k_max:
-        raise ConvergenceError(
-            f"found only {len(roots)} odd-cat points in [{scan_start}, {scan_stop}], "
-            f"needed {k_max}"
-        )
-    return [(y_k, y_k / ratio) for y_k in roots]
+        raise ConvergenceError(f"found only {len(roots)} odd-cat points in "
+                               f"[{scan_start}, {min(scan_stop, ratio)}], needed {k_max}")
+    return [(y_k, y_k / ratio) for y_k, _ in roots]
 
 
 @dataclass
@@ -102,89 +117,55 @@ class MatchReport:
     tolerance: float
 
 
-def _curve_value(gamma, y_m, s, kind, psi_in, reference):
-    result = cubic_collapse(psi_in, CubicGateConfig(gamma, y_m, s))
-    if kind == "probability":
-        return result.norm_N, result
-    return 1.0 - fidelity(result.psi_out, reference), result
-
-
 def fit_squeezing(
     gamma: float,
     y_m: float,
     target: str,
     value: float,
-    s_range: tuple[float, float] = (MIN_SQUEEZING, 1.0),
-    scan_points: int = 39,
-    s_tol: float = 1e-3,
     grid: Grid | None = None,
     reference_n: int = REFERENCE_N,
-    target_tolerance: float | None = None,
 ) -> MatchReport:
     """Bisection on the squeezing factor so the cubic gate meets a probability
     or infidelity target at fixed (gamma, y_m).
 
-    The curve is scanned on ``scan_points`` nodes; the first bracket where it
-    crosses the target (scanning from strong squeezing upward) is refined by
-    bisection to ``s_tol``.  Deterministic: repeated runs return identical s.
+    The ``SQUEEZING_SWEEP`` nodes are scanned from strong squeezing upward and
+    the first bracket where the curve crosses the target is bisected to a
+    width of 1e-3.  Deterministic: repeated runs return identical s.
     """
-    if target not in ("probability", "infidelity"):
+    if target not in _TARGET_TOLERANCE:
         raise ValueError(f"target must be 'probability' or 'infidelity', got {target!r}")
-    if target_tolerance is None:
-        target_tolerance = 1e-3 if target == "probability" else 1e-4
     grid = grid or default_grid()
     psi_in = make_vacuum(grid)
     reference = reference_cat(reference_n, 0.0, grid)
+    curve: list[float] = []  # every value evaluated, for the out-of-range message
 
-    s_nodes = np.linspace(s_range[0], s_range[1], scan_points)
-    curve = np.array(
-        [_curve_value(gamma, y_m, float(s), target, psi_in, reference)[0] for s in s_nodes]
-    )
-    residual = curve - value
-    bracket = None
-    for i in range(len(s_nodes) - 1):
-        if residual[i] == 0.0:
-            bracket = (s_nodes[i], s_nodes[i])
-            break
-        if residual[i] * residual[i + 1] <= 0.0:
-            bracket = (s_nodes[i], s_nodes[i + 1])
-            break
-    if bracket is None:
+    def point(s: float) -> tuple[CubicGateConfig, dict[str, float]]:
+        cfg = CubicGateConfig(gamma, y_m, float(s))
+        result, infidelity = cubic_point(psi_in, cfg, reference)
+        return cfg, {"probability": result.norm_N, "infidelity": infidelity}
+
+    def residual(s: float) -> float:
+        curve.append(point(s)[1][target])
+        return curve[-1] - value
+
+    lo, hi, count = SQUEEZING_SWEEP
+    root = next(_roots(residual, np.linspace(lo, hi, count), 1e-3), None)
+    if root is None:
         raise FitRangeError(
-            f"{target} target {value} not reached on s in "
-            f"[{s_range[0]}, {s_range[1]}] (curve spans "
-            f"[{curve.min():.4g}, {curve.max():.4g}])"
+            f"{target} target {value} not reached on s in [{lo}, {hi}] "
+            f"(curve spans [{min(curve):.4g}, {max(curve):.4g}])"
         )
-
-    lo, hi = bracket
-    r_lo = float(_curve_value(gamma, y_m, float(lo), target, psi_in, reference)[0] - value)
-    iterations = 0
-    while hi - lo > s_tol:
-        mid = 0.5 * (lo + hi)
-        r_mid = float(_curve_value(gamma, y_m, float(mid), target, psi_in, reference)[0] - value)
-        if r_mid == 0.0:
-            lo = hi = mid
-        elif np.sign(r_mid) == np.sign(r_lo):
-            lo, r_lo = mid, r_mid
-        else:
-            hi = mid
-        iterations += 1
-
-    s_fit = 0.5 * (lo + hi)
-    fitted = CubicGateConfig(gamma, y_m, float(s_fit))
-    result = cubic_collapse(psi_in, fitted)
-    achieved_p = result.norm_N
-    achieved_inf = 1.0 - fidelity(result.psi_out, reference)
-    achieved = achieved_p if target == "probability" else achieved_inf
+    s_fit, iterations = root
+    fitted, achieved = point(s_fit)
     return MatchReport(
         target_kind=target,
         target_value=value,
         fitted=fitted,
-        achieved_probability=achieved_p,
-        achieved_infidelity=achieved_inf,
+        achieved_probability=achieved["probability"],
+        achieved_infidelity=achieved["infidelity"],
         iterations=iterations,
-        converged=abs(achieved - value) <= target_tolerance,
-        tolerance=target_tolerance,
+        converged=abs(achieved[target] - value) <= _TARGET_TOLERANCE[target],
+        tolerance=_TARGET_TOLERANCE[target],
     )
 
 
@@ -219,22 +200,22 @@ def compare_gates(
     at ``cfg``, both graded against the same even/odd cat reference."""
     grid = grid or default_grid()
     psi_in = make_vacuum(grid)
+    reference = reference_cat(n, 0.0, grid)
 
     fock_result = gate.collapse(psi_in, FockResource(n), 0.0)
     fock_side = GateSideReport(
         label=f"fock n={n} y_m=0",
         probability=fock_result.norm_N,
-        infidelity=1.0 - fidelity_cat(fock_result.psi_out, n),
+        infidelity=1.0 - fidelity(fock_result.psi_out, reference),
         copy_spacing=math.sqrt(2 * n + 1),
         wigner=wigner(fock_result.psi_out) if include_wigner else None,
     )
 
-    cubic_result = cubic_collapse(psi_in, cfg)
-    reference = reference_cat(n, 0.0, grid)
+    cubic_result, cubic_infidelity = cubic_point(psi_in, cfg, reference)
     cubic_side = GateSideReport(
         label=f"cubic gamma={cfg.gamma} y_m={cfg.y_m} s={cfg.s}",
         probability=cubic_result.norm_N,
-        infidelity=1.0 - fidelity(cubic_result.psi_out, reference),
+        infidelity=cubic_infidelity,
         copy_spacing=cfg.copy_spacing(),
         wigner=wigner(cubic_result.psi_out) if include_wigner else None,
     )

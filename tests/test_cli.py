@@ -208,6 +208,33 @@ def test_match_ladder_nonconvergence_exit_code():
     assert main(args) == 3
 
 
+def test_match_ladder_takes_no_grid(monkeypatch, capsys):
+    # the ladder search builds no state: no --grid flag, and CATGATE_GRID is not read
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "ladder", "--kmax", "1", "--grid=-8,8,1024"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid=-8,8,1024" in capsys.readouterr().err
+    monkeypatch.setenv("CATGATE_GRID", "not,a,grid")
+    assert main(["match", "ladder", "--kmax", "1", "--scan", "0.9,1.3,0.05", "--out", "ml"]) == 0
+    assert "grid" not in json.loads(open("ml.json").read())["parameters"]
+
+
+def test_match_compare_entry_follows_fock():
+    # the ladder entry is taken on the --fock line y_m = 3(2n+1) gamma, so both
+    # gates have the copy spacing sqrt(2n+1)
+    assert main(["match", "compare", "--fock", "3", "--entry", "1", "--out", "m3"]) == 0
+    report = json.loads(open("m3.json").read())
+    assert report["fock"]["copy_spacing"] == pytest.approx(math.sqrt(7.0), abs=1e-12)
+    assert report["cubic"]["copy_spacing"] == pytest.approx(math.sqrt(7.0), abs=1e-9)
+
+
+def test_match_compare_entry_rejects_even_fock(capsys, in_tmp):
+    # the ladder holds odd cats; an even --fock would grade one against an even cat
+    assert main(["match", "compare", "--fock", "4", "--entry", "1", "--out", "m4"]) == 2
+    assert capsys.readouterr().err.startswith("error: --entry: ")
+    assert list(in_tmp.iterdir()) == []
+
+
 def test_match_compare_entry_mode():
     # entry mode locates the odd-cat point, then fits s for equal success
     # probability with the Fock gate
@@ -267,17 +294,19 @@ def test_io_error_exit_code():
 
 # Each subcommand's flags, in help order, and config keys that make a valid run.
 SURFACE = {
-    "collapse": (["--fock", "--cubic", "--ym"], "fock = 0"),
-    "wigner": (["--vacuum", "--fock", "--cubic", "--ym", "--stride", "--paxis"], "vacuum = yes"),
-    "scan probability": (["--fock", "--step", "--window"], "fock = 1"),
-    "scan cohfid": (["--fock", "--step"], "fock = 1"),
-    "scan catfid": (["--fock", "--window", "--step"], ""),
-    "scan mixfid": (["--fock", "--d", "--points", "--quadrature"], ""),
-    "scan squeeze": (["--gamma", "--ym", "--srange"], "gamma = 0.075\nym = 2.486"),
+    "collapse": (["--fock", "--cubic", "--ym", "--grid"], "fock = 0"),
+    "wigner": (["--vacuum", "--fock", "--cubic", "--ym", "--stride", "--paxis", "--grid"],
+               "vacuum = yes"),
+    "scan probability": (["--fock", "--step", "--window", "--grid"], "fock = 1"),
+    "scan cohfid": (["--fock", "--step", "--grid"], "fock = 1"),
+    "scan catfid": (["--fock", "--window", "--step", "--grid"], ""),
+    "scan mixfid": (["--fock", "--d", "--points", "--quadrature", "--grid"], ""),
+    "scan squeeze": (["--gamma", "--ym", "--srange", "--grid"], "gamma = 0.075\nym = 2.486"),
     "match ladder": (["--kmax", "--s", "--scan"], "kmax = 1"),
-    "match squeeze": (["--gamma", "--ym", "--probability", "--infidelity"],
+    "match squeeze": (["--gamma", "--ym", "--probability", "--infidelity", "--grid"],
                       "gamma = 0.075\nym = 2.486\nprobability = 0.098"),
-    "match compare": (["--fock", "--entry", "--cubic", "--wigner"], "fock = 0\ncubic = 0,0,1"),
+    "match compare": (["--fock", "--entry", "--cubic", "--wigner", "--grid"],
+                      "fock = 0\ncubic = 0,0,1"),
 }
 
 
@@ -288,7 +317,7 @@ def test_cli_surface_is_pinned(command, capsys, in_tmp):
         main(command.split() + ["--help"])
     assert exc.value.code == 0
     listed = re.findall(r"^  (?:-h, )?(--[a-z]+)", capsys.readouterr().out, re.M)
-    assert listed == ["--help", *flags, "--grid", "--out", "--config"]
+    assert listed == ["--help", *flags, "--out", "--config"]
 
     config = in_tmp / "run.ini"
     config.write_text(f"[{command}]\n{keys}\nwidgets = 3\n")

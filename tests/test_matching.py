@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import pytest
 
@@ -14,6 +15,7 @@ from catgate import (
     odd_cat_phase_offset,
 )
 from catgate.errors import ConvergenceError, FitRangeError
+from catgate.matching import _roots
 
 GRID = default_grid()
 VACUUM = make_vacuum(GRID)
@@ -58,10 +60,63 @@ def test_ladder_determinism():
 def test_ladder_errors():
     with pytest.raises(ConvergenceError):
         odd_cat_ladder(1, scan_start=0.5, scan_stop=0.9, scan_step=0.05)
+    # a stop below the start scans nothing
+    with pytest.raises(ConvergenceError):
+        odd_cat_ladder(1, scan_start=1.3, scan_stop=0.9, scan_step=0.05)
+    # the scan ends at gamma = 1, y_m = 3(2n+1) = 9 for n = 1, short of 13
+    with pytest.raises(ConvergenceError, match=r"in \[0\.5, 9\.0\]"):
+        odd_cat_ladder(9, reference_n=1)
     with pytest.raises(ValueError):
         odd_cat_ladder(0)
     with pytest.raises(ValueError):
         odd_cat_ladder(10)
+
+
+def _counted(f):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return counted, calls
+
+
+def test_roots_stop_at_the_kth_root():
+    # roots at 1.5 and 3.7 between the integer nodes; the first bisection
+    # lands on 1.5 exactly, the second takes four steps to a width of 1/16
+    f, calls = _counted(lambda x: (x - 1.5) * (x - 3.7))
+    assert next(_roots(f, range(10), 0.1)) == (1.5, 1)
+    assert calls == [0, 1, 2, 1.5]
+    f, calls = _counted(lambda x: (x - 1.5) * (x - 3.7))
+    assert list(islice(_roots(f, range(10), 0.1), 2)) == [(1.5, 1), (3.71875, 4)]
+    assert calls == [0, 1, 2, 1.5, 3, 4, 3.5, 3.75, 3.625, 3.6875]
+
+
+def test_roots_take_an_exact_zero_node():
+    f, calls = _counted(lambda x: x - 3.0)
+    assert list(_roots(f, range(10), 0.1)) == [(3, 0)]
+    assert calls == list(range(10))
+
+
+def test_roots_need_a_sign_change():
+    f, calls = _counted(lambda x: (x - 4.5) ** 2 + 1.0)
+    assert list(_roots(f, range(10), 0.1)) == []
+    assert calls == list(range(10))
+
+
+@pytest.mark.parametrize(
+    "gamma,y_m,target,value,s_fit",
+    [(0.075, 2.486, "probability", 0.098, 0.169140625),
+     (0.334, 11.012, "infidelity", 0.005, 0.266015625)],
+)
+def test_fit_squeezing_pinned_values(gamma, y_m, target, value, s_fit):
+    # the values of a scan over the whole sweep; stopping at the first bracket
+    # must not move them
+    report = fit_squeezing(gamma, y_m, target, value)
+    assert report.fitted.s == pytest.approx(s_fit, abs=1e-12)
+    assert report.iterations == 5
+    assert report.converged
 
 
 def test_fit_squeezing_probability_target():
