@@ -30,7 +30,13 @@ from .errors import (
     NyquistError,
     ZeroProbabilityError,
 )
-from .gate import CollapseResult, collapse, probability_density, probability_scan
+from .gate import (
+    CollapseResult,
+    collapse,
+    probability_density,
+    probability_scan,
+    spectral_outcomes,
+)
 from .matching import (
     GateComparison,
     GateSideReport,
@@ -126,6 +132,7 @@ __all__ = [
     "probability_density",
     "probability_scan",
     "reference_cat",
+    "spectral_outcomes",
     "squeezing_db",
     "squeezing_scan",
     "wigner",

@@ -4,6 +4,7 @@ even/odd cat reference, and the acceptance-window-averaged mixture)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,6 +144,15 @@ class AcceptanceWindow:
             raise ValueError("n_quadrature must be at least 8")
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1], read-only since every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def fidelity_mix(
     n: int,
     window: AcceptanceWindow,
@@ -154,7 +164,8 @@ def fidelity_mix(
         F_mix = (1/P_mix) integral P(y) F_cat(y) dy,
         P_mix = integral P(y) dy,
 
-    both by Gauss-Legendre quadrature with ``window.n_quadrature`` nodes.
+    both by Gauss-Legendre quadrature with ``window.n_quadrature`` nodes, at
+    which ``gate.spectral_outcomes`` evaluates P and F_cat in one pass.
     Returns (F_mix, P_mix).
     """
     if window.d > 2.0 * math.sqrt(2 * n + 1):
@@ -164,16 +175,10 @@ def fidelity_mix(
     if psi_in is None:
         psi_in = make_vacuum(default_grid())
     reference = reference_cat(n, 0.0, psi_in.grid)
-    nodes, weights = np.polynomial.legendre.leggauss(window.n_quadrature)
-    ys = 0.5 * window.d * nodes
+    nodes, weights = _gauss_legendre(window.n_quadrature)
     ws = 0.5 * window.d * weights
-    resource = FockResource(n)
-    densities = np.empty_like(ys)
-    fidelities = np.empty_like(ys)
-    for i, y_m in enumerate(ys):
-        result = gate.collapse(psi_in, resource, float(y_m))
-        densities[i] = result.norm_N
-        fidelities[i] = fidelity(result.psi_out, reference)
+    densities, fidelities = gate.spectral_outcomes(psi_in, FockResource(n), 0.5 * window.d * nodes,
+                                                   reference)
     p_mix = float(np.sum(ws * densities))
     f_mix = float(np.sum(ws * densities * fidelities) / p_mix)
     return f_mix, p_mix

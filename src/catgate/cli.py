@@ -37,10 +37,10 @@ from .analysis import AcceptanceWindow, WignerGrid, default_wigner_axes
 from .analysis import fidelity_cat, fidelity_coh, fidelity_mix, wigner
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import CatGateError, ConvergenceError, LinearizationDomainError
-from .gate import collapse, probability_scan
-from .matching import compare_gates, fit_squeezing, odd_cat_ladder
+from .gate import collapse, probability_scan, spectral_outcomes
+from .matching import compare_gates, fit_squeezing, ladder_entries, odd_cat_ladder
 from .numerics import MIN_SQUEEZING, Grid, default_grid
-from .semiclassical import REFERENCE_N
+from .semiclassical import REFERENCE_N, reference_cat
 from .states import FockResource, make_vacuum
 
 GRID_ENV_VAR = "CATGATE_GRID"
@@ -79,6 +79,10 @@ def _positive(parse: Callable, kind: str) -> Callable:
 
 _positive_float = _positive(_float, "number")
 _positive_int = _positive(_int, "integer")
+
+
+def _ladder_entry(text: str) -> int:
+    return ladder_entries(_int(text))
 
 
 def _bool(value) -> bool:
@@ -159,8 +163,9 @@ class Param:
 
 @dataclass
 class Table:
-    """One CSV file: its title, its columns (name -> 1-D numbers) and what
-    its ``.meta.json`` sidecar adds to the echo."""
+    """One CSV file: its title, its columns (name -> 1-D numbers, or two
+    axes and a 2-D grid over them) and what its ``.meta.json`` sidecar adds
+    to the echo."""
 
     title: str
     columns: dict
@@ -256,12 +261,23 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: str, title: str, columns: dict) -> None:
+    """One CSV table.  A table whose last column is 2-D is a grid in long
+    format, one row per cell: its first two columns are the axes and
+    ``W[i, j]`` belongs to ``(x_i, y_j)``."""
     names = list(columns)
-    values = [np.atleast_1d(np.asarray(columns[c], dtype=float)).tolist() for c in names]
-    row = ",".join(["%.12g"] * len(names)) + "\n"
+    values = [np.asarray(columns[c], dtype=float) for c in names]
     with open(path, "w") as fh:
         fh.write(f"# {title}\n# columns: {', '.join(names)}\n{','.join(names)}\n")
-        fh.writelines(row % cells for cells in zip(*values))
+        if values[-1].ndim == 2:
+            x, y, w = values
+            # every x row is one template: x between the pieces, then W by one %
+            pieces = [""] + [f",{_fmt(y_j)},%.12g\n" for y_j in y.tolist()]
+            fh.writelines(_fmt(x_i).join(pieces) % tuple(w_i)
+                          for x_i, w_i in zip(x.tolist(), w.tolist()))
+        else:
+            row = ",".join(["%.12g"] * len(names)) + "\n"
+            cells = zip(*(np.atleast_1d(v).tolist() for v in values))
+            fh.writelines(row % cell for cell in cells)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -291,8 +307,7 @@ def _write(command: Command, v: SimpleNamespace, output: Output) -> None:
 
 def _wigner_table(w: WignerGrid, title: str, extra: dict) -> Table:
     """The long-format (x, y, W) table of one Wigner grid."""
-    xs, ys = np.meshgrid(w.x_axis.points, w.y_axis.points, indexing="ij")
-    return Table(title, {"x": xs.ravel(), "y": ys.ravel(), "W": w.values.ravel()}, extra)
+    return Table(title, {"x": w.x_axis.points, "y": w.y_axis.points, "W": w.values}, extra)
 
 
 # ---------------------------------------------------------------- commands
@@ -395,10 +410,10 @@ def _scan_catfid(v, texts) -> Output:
     psi_in = make_vacuum(v.grid)
     lo, hi = v.window
     ys = np.arange(lo, hi + v.step / 2, v.step)
-    infs = [1.0 - fidelity_cat(collapse(psi_in, FockResource(v.fock), float(y)).psi_out, v.fock)
-            for y in ys]
+    reference = reference_cat(v.fock, 0.0, v.grid)
+    _, fidelities = spectral_outcomes(psi_in, FockResource(v.fock), ys, reference)
     table = Table("infidelity vs outcome, fixed even/odd cat reference",
-                  {"ym": ys, "infidelity_cat": infs})
+                  {"ym": ys, "infidelity_cat": 1.0 - fidelities})
     params = {"fock": str(v.fock), "window": texts["window"], "step": _fmt(v.step)}
     return Output(params, [(".csv", table)], f"{len(ys)} rows")
 
@@ -568,7 +583,7 @@ COMMANDS = (
         GRID,
     ), _scan_squeeze, required=("gamma", "ym")),
     Command(("match", "ladder"), "odd-cat operating points on the matched line", (
-        Param("--kmax", _int, "9", "number of entries (default 9)"),
+        Param("--kmax", _ladder_entry, "9", "number of entries (default 9)"),
         Param("--s", _float, str(MIN_SQUEEZING),
               f"ancilla squeezing during the search (default {MIN_SQUEEZING})"),
         Param("--scan", _scan_range, None, "scan override 'lo,hi,step'"),
@@ -582,7 +597,8 @@ COMMANDS = (
     ), _match_squeeze, required=("gamma", "ym")),
     Command(("match", "compare"), "Fock vs cubic side-by-side report", (
         Param("--fock", _int, "5", "Fock photon number (default 5)"),
-        Param("--entry", _int, None, "ladder entry to compare against (fits s for equal P)"),
+        Param("--entry", _ladder_entry, None,
+              "ladder entry to compare against (fits s for equal P)"),
         Param("--cubic", _cubic_spec, None, "explicit cubic config 'gamma,ym,s'"),
         Param("--wigner", _bool, "false", "also write both wigner grids"),
         GRID,

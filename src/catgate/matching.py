@@ -24,7 +24,7 @@ def matched_outcome_ratio(reference_n: int = REFERENCE_N) -> float:
     """Ratio y_m / gamma that keeps the cubic-gate copy spacing equal to the
     Fock-gate spacing sqrt(2n+1):  sqrt(y_m/(3 gamma)) = sqrt(2n+1) gives
     y_m = 3 (2n+1) gamma."""
-    return 3.0 * (2 * reference_n + 1)
+    return 3.0 * (2 * FockResource(reference_n).n + 1)
 
 
 #: How close a fit must come to its target to count as converged, per target kind.
@@ -56,6 +56,17 @@ def _roots(f, nodes, tol: float):
                 iterations += 1
             yield 0.5 * (lo + hi), iterations
         x_prev, f_prev = x, f_x
+
+
+#: Odd-cat operating points the ladder search can list.
+LADDER_ENTRIES = 9
+
+
+def ladder_entries(count: int) -> int:
+    """``count`` if the ladder has that many entries, else ValueError."""
+    if not 1 <= count <= LADDER_ENTRIES:
+        raise ValueError(f"the ladder has entries 1 to {LADDER_ENTRIES}, got {count}")
+    return count
 
 
 def _node_residual(y_m: float, s: float, ratio: float) -> float:
@@ -92,8 +103,7 @@ def odd_cat_ladder(
     and no further than gamma = 1, and refines each root by bisection to a
     y_m bracket of 1e-4.  Entries are returned in increasing y_m order.
     """
-    if not 1 <= k_max <= 9:
-        raise ValueError(f"k_max must be in [1, 9], got {k_max}")
+    ladder_entries(k_max)
     ratio = matched_outcome_ratio(reference_n)
     nodes = _scan(scan_start, scan_stop, scan_step, ratio)
     roots = list(islice(_roots(lambda y: _node_residual(y, s, ratio), nodes, 1e-4), k_max))

@@ -18,8 +18,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy import fft as _fft
-from scipy import special as _special
 
 from .errors import GridMismatchError, GridSupportError, NyquistError
 
@@ -147,6 +145,20 @@ def hermite_function(n: int, grid: Grid) -> WaveFunction:
     return psi.normalized()
 
 
+def next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer (no prime factor above 11) not below n: the
+    transform lengths the FFT handles fastest."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int) -> np.ndarray:
     """Evaluate ``X_j = sum_n f_n exp(-i y_j x_n)`` along the last axis of f,
     for ``x_n = x0 + n h`` and ``y_j = y0 + j dy``, ``j = 0 .. m-1``, via
@@ -162,16 +174,16 @@ def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int
     a = dy * h
     k = np.arange(n, dtype=np.float64)
     g = f * np.exp(-1j * ((y0 * h) * k + 0.5 * a * k * k))
-    nfft = _fft.next_fast_len(n + m - 1, real=False)
+    nfft = next_fast_len(n + m - 1)
     kk = np.arange(max(n, m), dtype=np.float64)
     chirp = np.exp(0.5j * a * kk * kk)
     kernel = np.zeros(nfft, dtype=np.complex128)
     kernel[:m] = chirp[:m]
     if n > 1:
         kernel[-(n - 1):] = chirp[1:n][::-1]
-    spectrum = _fft.fft(g, nfft, axis=-1)
-    spectrum *= _fft.fft(kernel)
-    out = _fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :m]
+    spectrum = np.fft.fft(g, nfft, axis=-1)
+    spectrum *= np.fft.fft(kernel)
+    out = np.fft.ifft(spectrum, axis=-1)[..., :m]
     j = np.arange(m, dtype=np.float64)
     out *= np.exp(-1j * (0.5 * a * j * j + (y0 + dy * j) * x0))
     return out
@@ -213,6 +225,8 @@ def _airy_factor(gamma: float, s: float, y: np.ndarray) -> np.ndarray:
     gamma so small that z overflows, z is +inf and every point takes the
     large-z branch.
     """
+    from scipy import special  # only the cubic resource needs Airy functions
+
     norm = (s * s / np.pi) ** 0.25
     with np.errstate(divide="ignore", over="ignore"):
         cube = np.float64(3.0 * gamma) ** (1.0 / 3.0)
@@ -229,14 +243,14 @@ def _airy_factor(gamma: float, s: float, y: np.ndarray) -> np.ndarray:
     far = zd > AIRY_ASYMPTOTIC_Z
     # Ai(z) exp(2/3 z^(3/2)) = (1 - 5/(48 z^(3/2)) + ...) / (2 sqrt(pi) z^(1/4))
     values[far] *= norm / (s * np.sqrt(w[far])) * (1.0 - 5.0 / 48.0 * zd[far] ** -1.5)
-    values[~far] *= airy_scale * _special.airye(zd[~far])[0]
+    values[~far] *= airy_scale * special.airye(zd[~far])[0]
     out[decaying] = values
 
     oscillating = np.flatnonzero(~decaying)
     scale = np.exp(growth * (1.0 - 1.5 * u[oscillating]))
     keep = scale > 0.0
     live = oscillating[keep]
-    out[live] = airy_scale * scale[keep] * _special.airy(z[live])[0]
+    out[live] = airy_scale * scale[keep] * special.airy(z[live])[0]
     return out
 
 

@@ -104,16 +104,10 @@ def make_cat(params: CatParams, grid: Grid) -> WaveFunction:
     form carries a global factor i.  Normalization is fixed on the grid.
     """
     grid.require_coverage(-6.0, 6.0, "cat state")
+    sign = 1.0 if params.parity == "even" else -1.0
+    if 1.0 + sign * math.cos(2 * params.theta) * math.exp(-params.p_plus ** 2) < 1e-15:
+        raise ValueError("degenerate cat parameters: the two copies cancel")
     x = grid.points
     arg = params.theta + params.p_plus * x
-    envelope = np.exp(-x ** 2 / 2.0)
-    sign = 1.0 if params.parity == "even" else -1.0
-    denom = 1.0 + sign * math.cos(2 * params.theta) * math.exp(-params.p_plus ** 2)
-    if denom < 1e-15:
-        raise ValueError("degenerate cat parameters: the two copies cancel")
-    if params.parity == "even":
-        values = (math.sqrt(2.0) / np.pi ** 0.25) * np.cos(arg) * envelope / math.sqrt(denom)
-        values = values.astype(np.complex128)
-    else:
-        values = 1j * (math.sqrt(2.0) / np.pi ** 0.25) * np.sin(arg) * envelope / math.sqrt(denom)
-    return WaveFunction(grid, values).normalized()
+    copies = np.cos(arg) if params.parity == "even" else 1j * np.sin(arg)
+    return WaveFunction(grid, copies * np.exp(-x ** 2 / 2.0)).normalized()

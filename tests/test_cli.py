@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from catgate.cli import main
+from catgate.cli import _write_csv, main
 
 
 def read_csv(path):
@@ -147,6 +147,18 @@ def test_scan_probability_echoes_window():
     assert echoed[0] != echoed[1]
 
 
+def test_grid_table_is_the_long_format():
+    # a grid table (two axes and W over them) writes the bytes of the (x, y, W)
+    # columns it stands for
+    x = np.array([-1.5, -0.0, 1.0 / 3.0, 1e22])
+    y = np.array([-2.0, 0.25, 1e-300, 123456789012345.0, 3.0])
+    w = np.random.default_rng(0).normal(size=(4, 5)) * 10.0 ** np.arange(-6, 4, 2)
+    _write_csv("grid.csv", "title", {"x": x, "y": y, "W": w})
+    xs, ys = np.meshgrid(x, y, indexing="ij")
+    _write_csv("long.csv", "title", {"x": xs.ravel(), "y": ys.ravel(), "W": w.ravel()})
+    assert open("grid.csv").read() == open("long.csv").read()
+
+
 def test_scan_mixfid_monotone():
     args = ["scan", "mixfid", "--fock", "5", "--d", "0..1.4", "--points", "8", "--out", "sm"]
     assert main(args) == 0
@@ -232,6 +244,16 @@ def test_match_compare_entry_rejects_even_fock(capsys, in_tmp):
     # the ladder holds odd cats; an even --fock would grade one against an even cat
     assert main(["match", "compare", "--fock", "4", "--entry", "1", "--out", "m4"]) == 2
     assert capsys.readouterr().err.startswith("error: --entry: ")
+    assert list(in_tmp.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["match", "compare", "--entry", "10"], "--entry"),
+    (["match", "ladder", "--kmax", "10"], "--kmax"),
+])
+def test_ladder_entry_range_names_its_flag(args, flag, capsys, in_tmp):
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {flag}: the ladder has entries 1 to 9, got 10\n"
     assert list(in_tmp.iterdir()) == []
 
 

@@ -1,27 +1,38 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catgate import (
+    CubicPhaseResource,
     FockResource,
     Grid,
+    WaveFunction,
     collapse,
     default_grid,
+    fidelity,
     fourier_transform,
     hermite_values,
     make_fock,
     make_vacuum,
     probability_density,
     probability_scan,
+    reference_cat,
 )
-from catgate.errors import ZeroProbabilityError
+from catgate.errors import GridMismatchError, NyquistError, ZeroProbabilityError
+from catgate.gate import spectral_outcomes
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
 VACUUM = make_vacuum(GRID)
+# a displaced, squeezed and momentum-kicked input: off-centre, complex, asymmetric
+KICKED = WaveFunction(
+    GRID, np.exp(-(GRID.points - 0.7) ** 2 / (2 * 0.6 ** 2) + 1.3j * GRID.points)
+).normalized()
+CAT5 = reference_cat(5, 0.0, GRID)
 
 
 def analytic_vacuum_density(y_m):
@@ -158,3 +169,88 @@ def test_zero_probability_outcome_raises():
 def test_unsupported_resource_type_raises():
     with pytest.raises(TypeError):
         collapse(VACUUM, "not a resource", 0.0)
+
+
+# ---------------------------------------------------------------- spectral outcomes
+
+def assert_spectral_matches_direct(psi_in, resource, ys):
+    """Spectral P and F_cat against ``collapse`` (the direct oracle) at each y."""
+    densities, fidelities = spectral_outcomes(psi_in, resource, ys, CAT5)
+    for y_m, p, f in zip(ys, densities, fidelities):
+        result = collapse(psi_in, resource, float(y_m))
+        assert abs(p - result.norm_N) <= 1e-12
+        # F = |A|^2 / P: the sums' roundoff in A is absolute, so weigh by P
+        assert abs(f - fidelity(result.psi_out, CAT5)) * result.norm_N <= 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(0, 10), kicked=st.booleans(),
+       u=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+@example(n=0, kicked=False, u=[0.0, 0.0, 0.0])  # a repeated outcome is no axis
+def test_spectral_fock_outcomes_match_direct(n, kicked, u):
+    half = math.sqrt(2 * n + 1) + 1.5
+    assert_spectral_matches_direct(KICKED if kicked else VACUUM, FockResource(n),
+                                   half * np.array(u))
+
+
+@settings(max_examples=12, deadline=None)
+@given(gamma=st.floats(0.0, 1.0), s=st.floats(0.05, 1.0), kicked=st.booleans(),
+       u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+@example(gamma=1.0, s=0.05, kicked=True, u=[0.0, 0.5, 1.0])  # the widest outcome support
+def test_spectral_cubic_outcomes_match_direct(gamma, s, kicked, u):
+    # outcomes across the semiclassical bulk y ~ 3 gamma x^2, |x| <~ 1/s
+    ys = -1.5 + (3.0 + 3.0 * gamma / s ** 2) * np.array(u)
+    assert_spectral_matches_direct(KICKED if kicked else VACUUM, CubicPhaseResource(gamma, s), ys)
+
+
+def test_spectral_uniform_axis_agrees_with_node_sums():
+    ys = np.arange(-6.0, 6.0 + 1e-9, 0.05)
+    order = np.random.default_rng(0).permutation(ys.size)  # not an axis: direct sums
+    p_axis, f_axis = spectral_outcomes(KICKED, FockResource(4), ys, CAT5)
+    p_nodes, f_nodes = spectral_outcomes(KICKED, FockResource(4), ys[order], CAT5)
+    assert np.max(np.abs(p_axis[order] - p_nodes)) < 1e-13
+    assert np.max(np.abs(f_axis[order] - f_nodes) * p_nodes) < 1e-13
+
+
+def test_spectral_window_edge_guard():
+    # on 64 points the vacuum's characteristic function is still 1e-4 at pi/h,
+    # so the integrand has not decayed inside the grid's k window
+    coarse = Grid(-16.0, 16.0, 64)
+    with pytest.raises(NyquistError, match="Nyquist limit"):
+        probability_scan(make_vacuum(coarse), FockResource(0), [0.0, 0.5])
+
+
+def test_spectral_density_outside_support_and_never_negative():
+    ys = np.arange(-40.0, 40.0 + 1e-9, 0.01)
+    densities = probability_scan(VACUUM, FockResource(5), ys)[:, 1]
+    assert np.all(densities >= 0.0)
+    assert np.max(densities[np.abs(ys) > 20.0]) < 1e-12
+    assert np.all(probability_scan(VACUUM, FockResource(5), [-1e6, 1e6])[:, 1] == 0.0)
+
+
+def test_spectral_reference_must_share_the_grid():
+    with pytest.raises(GridMismatchError):
+        spectral_outcomes(VACUUM, FockResource(5), [0.0], reference_cat(5, 0.0, ODD_GRID))
+
+
+def test_spectral_fidelity_at_impossible_outcome_raises():
+    densities, _ = spectral_outcomes(VACUUM, FockResource(0), [0.0, 40.0])
+    assert densities[1] == 0.0
+    with pytest.raises(ZeroProbabilityError, match="y_m=40.0"):
+        spectral_outcomes(VACUUM, FockResource(0), [0.0, 40.0], CAT5)
+
+
+@pytest.mark.parametrize("count,spacing", [(400_000, "axis"), (40_000, "nodes")])
+def test_spectral_memory_does_not_grow_with_outcomes(count, spacing):
+    # one chirp-z pass over 400k outcomes would hold arrays of 6 MiB each, and
+    # one outcome-by-lattice matrix for 40k nodes about 250 MiB
+    ys = np.linspace(-6.0, 6.0, count)
+    if spacing == "nodes":
+        ys[1::2] += 1e-3
+    tracemalloc.start()
+    try:
+        spectral_outcomes(VACUUM, FockResource(5), ys, CAT5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * ys.nbytes < 16 * 2 ** 20  # less the two result columns

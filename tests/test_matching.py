@@ -70,6 +70,9 @@ def test_ladder_errors():
         odd_cat_ladder(0)
     with pytest.raises(ValueError):
         odd_cat_ladder(10)
+    # the reference photon number follows the Fock range rule
+    with pytest.raises(ValueError, match=r"Fock resource supports n in \[0, 64\], got -1"):
+        odd_cat_ladder(1, reference_n=-1)
 
 
 def _counted(f):

@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.special import airy
 
 from catgate import (
@@ -20,6 +23,7 @@ from catgate import (
     overlap,
 )
 from catgate.errors import GridMismatchError, GridSupportError, NyquistError
+from catgate.numerics import next_fast_len
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
@@ -172,6 +176,23 @@ def test_nyquist_violation_raises():
     with pytest.raises(NyquistError):
         fourier_transform(vac, max_wavenumber=1.1 * limit)
     fourier_transform(vac, max_wavenumber=0.5 * limit)
+
+
+def test_next_fast_len_matches_scipy():
+    # the complex-FFT lengths: 11-smooth, as scipy's next_fast_len(n, real=False)
+    sizes = [*range(1, 5000), 8191, 10237, 12000, 16385, 59999]
+    assert [next_fast_len(n) for n in sizes] == [scipy_next_fast_len(n, real=False) for n in sizes]
+
+
+def test_fock_runs_import_no_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from catgate.cli import main\n"
+        f"assert main(['collapse', '--fock', '5', '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_asymmetric_grid_rejected():
