@@ -57,7 +57,6 @@ from .numerics import (
     overlap,
 )
 from .semiclassical import (
-    LinearizedCat,
     MappingResult,
     PhasePoint,
     added_factor,
@@ -94,7 +93,6 @@ __all__ = [
     "GridMismatchError",
     "GridSupportError",
     "LinearizationDomainError",
-    "LinearizedCat",
     "MappingResult",
     "MatchReport",
     "NyquistError",

@@ -11,9 +11,9 @@ import numpy as np
 
 from . import gate
 from .analysis import fidelity
-from .numerics import MIN_SQUEEZING, Grid, WaveFunction, default_grid, validate_cubic_params
+from .numerics import MIN_SQUEEZING, Grid, WaveFunction, default_grid
 from .semiclassical import REFERENCE_N, reference_cat
-from .states import CubicPhaseResource, make_vacuum
+from .states import CubicPhaseResource, Resource, make_vacuum
 
 #: The squeezing sweep 'lo, hi, count' of the fits and of ``scan squeeze``.
 SQUEEZING_SWEEP = (MIN_SQUEEZING, 1.0, 39)
@@ -29,7 +29,7 @@ class CubicGateConfig:
     s: float
 
     def __post_init__(self) -> None:
-        validate_cubic_params(self.gamma, self.s)
+        CubicPhaseResource(self.gamma, self.s)  # range validation
         if self.y_m < 0:
             raise ValueError("cubic gate outcomes use the y_m >= 0 convention")
 
@@ -49,10 +49,11 @@ def cubic_collapse(psi_in: WaveFunction, cfg: CubicGateConfig) -> gate.CollapseR
     return gate.collapse(psi_in, cfg.resource, cfg.y_m)
 
 
-def cubic_point(psi_in: WaveFunction, cfg: CubicGateConfig,
+def cubic_point(psi_in: WaveFunction, resource: Resource, y_m: float,
                 reference: WaveFunction) -> tuple[gate.CollapseResult, float]:
-    """The collapse at ``cfg`` and its infidelity against ``reference``."""
-    result = cubic_collapse(psi_in, cfg)
+    """One operating point of either gate: the collapse by ``resource`` at the
+    outcome ``y_m`` and its infidelity against ``reference``."""
+    result = gate.collapse(psi_in, resource, y_m)
     return result, 1.0 - fidelity(result.psi_out, reference)
 
 
@@ -94,7 +95,7 @@ def squeezing_scan(
     infidelity = np.empty_like(s_values)
     for i, s in enumerate(s_values):
         cfg = CubicGateConfig(gamma, y_m, float(s))
-        result, infidelity[i] = cubic_point(psi_in, cfg, reference)
+        result, infidelity[i] = cubic_point(psi_in, cfg.resource, cfg.y_m, reference)
         probability[i] = result.norm_N
     return SqueezingScan(gamma=gamma, y_m=y_m, s=s_values,
                          probability=probability, infidelity=infidelity)

@@ -24,13 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NyquistError, ZeroProbabilityError
-from .numerics import (
-    WaveFunction,
-    _offset_dft,
-    hermite_values,
-    oscillatory_fourier_factor,
-)
-from .states import CubicPhaseResource, FockResource, ResourceSpec
+from .numerics import WaveFunction, _offset_dft
+from .states import Resource, require_resource
 
 #: Below this squared norm an outcome is treated as impossible; the collapsed
 #: state (and any fidelity) is undefined there.
@@ -62,26 +57,13 @@ class CollapseResult:
     psi_out: WaveFunction
     norm_N: float
     y_m: float
-    resource: ResourceSpec
+    resource: Resource
 
 
-def _resource_momentum_factor(resource: ResourceSpec, y: np.ndarray) -> np.ndarray:
-    """[F psi_res](y) for the supported resources.
-
-    Both are closed forms: a Fock ancilla is its own Fourier transform up to
-    (-i)^n, and the cubic phase state's factor is an Airy function.
-    """
-    if isinstance(resource, FockResource):
-        return (-1j) ** resource.n * hermite_values(resource.n, y)
-    if isinstance(resource, CubicPhaseResource):
-        return np.asarray(oscillatory_fourier_factor(resource.gamma, resource.s, y))
-    raise TypeError(f"unsupported resource {resource!r}")
-
-
-def collapse(psi_in: WaveFunction, resource: ResourceSpec, y_m: float) -> CollapseResult:
+def collapse(psi_in: WaveFunction, resource: Resource, y_m: float) -> CollapseResult:
     """Collapse the target state by a homodyne outcome y_m on the ancilla."""
     grid = psi_in.grid
-    factor = _resource_momentum_factor(resource, y_m - grid.points)
+    factor = require_resource(resource).momentum_factor(y_m - grid.points)
     unnormalized = psi_in.values * factor
     norm_n = float(np.trapezoid(np.abs(unnormalized) ** 2, dx=grid.spacing))
     if norm_n < MIN_COLLAPSE_NORM:
@@ -92,67 +74,13 @@ def collapse(psi_in: WaveFunction, resource: ResourceSpec, y_m: float) -> Collap
     return CollapseResult(psi_out=psi_out, norm_N=norm_n, y_m=y_m, resource=resource)
 
 
-def probability_density(psi_in: WaveFunction, resource: ResourceSpec, y_m: float) -> float:
+def probability_density(psi_in: WaveFunction, resource: Resource, y_m: float) -> float:
     """Probability density of the outcome y_m,
     ``integral dx |psi_in(x)|^2 |[F psi_res](y_m - x)|^2``."""
     grid = psi_in.grid
-    factor = _resource_momentum_factor(resource, y_m - grid.points)
+    factor = require_resource(resource).momentum_factor(y_m - grid.points)
     integrand = np.abs(psi_in.values) ** 2 * np.abs(factor) ** 2
     return float(np.trapezoid(integrand, dx=grid.spacing))
-
-
-def _laguerre_function(n: int, x: np.ndarray) -> np.ndarray:
-    """exp(-x/2) L_n(x) by the three-term Laguerre recurrence, run on the
-    damped functions so that it stays finite where L_n alone overflows."""
-    prev = np.exp(-x / 2.0)
-    if n == 0:
-        return prev
-    cur = (1.0 - x) * prev
-    for j in range(1, n):
-        prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
-    return cur
-
-
-def _resource_transforms(resource: ResourceSpec, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The resource's characteristic function chi_res(k) = <exp(i k p)> =
-    integral dx conj(psi_res)(x) psi_res(x + k), and its wavefunction
-    psi_res(k), both in closed form.
-
-    Fock: chi_res = exp(-k^2/4) L_n(k^2/2), psi_res the Hermite function.
-    Cubic: (x + k)^3 - x^3 is quadratic in x, so chi_res is the Gaussian
-    integral (s^2/pi)^(1/2) (pi/a)^(1/2) exp(b^2/(4a) + c) with
-    a = s^2 - 3 i gamma k, b = -s^2 k + 3 i gamma k^2 = -k a and
-    c = -s^2 k^2/2 + i gamma k^3, which is
-    (s^2/a)^(1/2) exp(-s^2 k^2/4 + i gamma k^3/4).
-    """
-    if isinstance(resource, FockResource):
-        return (_laguerre_function(resource.n, 0.5 * k * k).astype(np.complex128),
-                hermite_values(resource.n, k).astype(np.complex128))
-    if isinstance(resource, CubicPhaseResource):
-        gamma, s2 = resource.gamma, resource.s ** 2
-        cube = gamma * k ** 3
-        chi = np.sqrt(s2 / (s2 - 3j * gamma * k)) * np.exp(-0.25 * s2 * k * k + 0.25j * cube)
-        psi = (s2 / np.pi) ** 0.25 * np.exp(-0.5 * s2 * k * k + 1j * cube)
-        return chi, psi
-    raise TypeError(f"unsupported resource {resource!r}")
-
-
-def _resource_support(resource: ResourceSpec) -> tuple[float, float]:
-    """Interval of u outside which |[F psi_res](u)| is below ``_SPECTRAL_TOL``
-    of its peak, in closed form.
-
-    Fock: the Hermite function's turning point sqrt(2n+1) plus the n = 0
-    Gaussian edge sqrt(2 L), L = -ln(tol).  Cubic: the semiclassical momentum
-    3 gamma x^2 at the coordinate edge x = sqrt(2 L)/s (the tests' window
-    27 gamma/s^2 + 8 is the same edge at x = 3/s), widened on both sides by
-    the Gaussian edge and the decay length (1.5 L sqrt(3 gamma))^(2/3) of Ai.
-    """
-    edge = math.sqrt(2.0 * _SPECTRAL_LOG)
-    if isinstance(resource, FockResource):
-        half = math.sqrt(2 * resource.n + 1) + edge
-        return -half, half
-    margin = edge + (1.5 * _SPECTRAL_LOG * math.sqrt(3.0 * resource.gamma)) ** (2.0 / 3.0)
-    return -margin, 3.0 * resource.gamma * (edge / resource.s) ** 2 + margin
 
 
 def _chirp_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int) -> np.ndarray:
@@ -185,7 +113,7 @@ def _lattice_sums(terms: np.ndarray, k: np.ndarray, ys: np.ndarray) -> np.ndarra
 
 def _spectral_terms(
     psi_in: WaveFunction,
-    resource: ResourceSpec,
+    resource: Resource,
     reference: WaveFunction | None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """The lattice k, the terms of the outcome sums on it (row 0 for P, row 1
@@ -195,7 +123,7 @@ def _spectral_terms(
     h = grid.spacing
     amplitude = np.abs(psi_in.values)
     live = np.flatnonzero(amplitude > _SPECTRAL_TOL * amplitude.max())
-    u_lo, u_hi = _resource_support(resource)
+    u_lo, u_hi = require_resource(resource).support(_SPECTRAL_LOG)
     support = (grid.points[live[0]] + u_lo, grid.points[live[-1]] + u_hi)
     dk = 2.0 * math.pi / (support[1] - support[0])
 
@@ -212,7 +140,7 @@ def _spectral_terms(
 
     def integrands(transforms: np.ndarray, k: np.ndarray) -> np.ndarray:
         """chi_in chi_res and g psi_res at k, from the rows' transforms there."""
-        chi_res, psi_res = _resource_transforms(resource, k)
+        chi_res, psi_res = resource.transforms(k)
         transforms[0] *= chi_res
         if reference is not None:
             transforms[1] *= psi_res
@@ -244,7 +172,7 @@ def _spectral_terms(
 
 def spectral_outcomes(
     psi_in: WaveFunction,
-    resource: ResourceSpec,
+    resource: Resource,
     y_values,
     reference: WaveFunction | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -261,13 +189,13 @@ def spectral_outcomes(
     g(t) = integral conj(reference) psi_in exp(i x t) dx, both trapezoid sums
     on the grid (one chirp-z transform for both), and the fidelity is
     |A|^2 / P.  chi_res and psi_res are closed forms
-    (``_resource_transforms``).
+    (``Resource.transforms``).
 
     Numerical choices, all derived:
 
     * the lattice k_j = j dk has dk = 2 pi / span, and the period ``span`` is
       the outcome support: the input's measured support plus the resource's
-      closed-form one (``_resource_support``).  Outcomes outside it get
+      closed-form one (``Resource.support``).  Outcomes outside it get
       P = 0: there P is below the amplitude tolerance squared;
     * the window |k| <= K is where both integrands fall below
       ``_SPECTRAL_TOL`` of their bound, the 1-norm of what is transformed,
@@ -308,7 +236,7 @@ def spectral_outcomes(
     return probability, fidelity
 
 
-def probability_scan(psi_in: WaveFunction, resource: ResourceSpec, y_values) -> np.ndarray:
+def probability_scan(psi_in: WaveFunction, resource: Resource, y_values) -> np.ndarray:
     """Probability density over a set of outcomes, by ``spectral_outcomes``.
 
     Returns an array of shape (len(y_values), 2) with columns (y_m, P).

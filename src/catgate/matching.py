@@ -11,8 +11,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import gate
-from .analysis import WignerGrid, fidelity, wigner
+from .analysis import WignerGrid, wigner
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, cubic_point
 from .errors import ConvergenceError, FitRangeError
 from .numerics import MIN_SQUEEZING, Grid, default_grid, oscillatory_fourier_factor
@@ -151,7 +150,7 @@ def fit_squeezing(
 
     def point(s: float) -> tuple[CubicGateConfig, dict[str, float]]:
         cfg = CubicGateConfig(gamma, y_m, float(s))
-        result, infidelity = cubic_point(psi_in, cfg, reference)
+        result, infidelity = cubic_point(psi_in, cfg.resource, cfg.y_m, reference)
         return cfg, {"probability": result.norm_N, "infidelity": infidelity}
 
     def residual(s: float) -> float:
@@ -212,21 +211,13 @@ def compare_gates(
     psi_in = make_vacuum(grid)
     reference = reference_cat(n, 0.0, grid)
 
-    fock_result = gate.collapse(psi_in, FockResource(n), 0.0)
-    fock_side = GateSideReport(
-        label=f"fock n={n} y_m=0",
-        probability=fock_result.norm_N,
-        infidelity=1.0 - fidelity(fock_result.psi_out, reference),
-        copy_spacing=math.sqrt(2 * n + 1),
-        wigner=wigner(fock_result.psi_out) if include_wigner else None,
-    )
-
-    cubic_result, cubic_infidelity = cubic_point(psi_in, cfg, reference)
-    cubic_side = GateSideReport(
-        label=f"cubic gamma={cfg.gamma} y_m={cfg.y_m} s={cfg.s}",
-        probability=cubic_result.norm_N,
-        infidelity=cubic_infidelity,
-        copy_spacing=cfg.copy_spacing(),
-        wigner=wigner(cubic_result.psi_out) if include_wigner else None,
-    )
-    return GateComparison(fock=fock_side, cubic=cubic_side)
+    sides = []
+    for label, resource, y_m, copy_spacing in (
+        (f"fock n={n} y_m=0", FockResource(n), 0.0, math.sqrt(2 * n + 1)),
+        (f"cubic gamma={cfg.gamma} y_m={cfg.y_m} s={cfg.s}", cfg.resource, cfg.y_m,
+         cfg.copy_spacing()),
+    ):
+        result, infidelity = cubic_point(psi_in, resource, y_m, reference)
+        sides.append(GateSideReport(label, result.norm_N, infidelity, copy_spacing,
+                                    wigner(result.psi_out) if include_wigner else None))
+    return GateComparison(*sides)

@@ -107,17 +107,9 @@ def added_factor(n: int, y_m: float, x, epsilon: float = 1e-3):
     return values, valid
 
 
-@dataclass(frozen=True)
-class LinearizedCat:
-    """Cat parameters from the linear Taylor term of the copy phase."""
-
-    theta: float
-    p_plus: float
-    parity: Parity
-
-
-def linearize(n: int, y_m: float) -> LinearizedCat:
-    """Expand phi around the input's center: theta = phi(n, -y_m/sqrt(2n+1)),
+def linearize(n: int, y_m: float) -> CatParams:
+    """Cat parameters from the linear Taylor term of the copy phase, expanded
+    around the input's center: theta = phi(n, -y_m/sqrt(2n+1)),
     p_plus = sqrt(2n + 1 - y_m^2)."""
     if y_m ** 2 >= 2 * n + 1:
         raise LinearizationDomainError(
@@ -126,13 +118,12 @@ def linearize(n: int, y_m: float) -> LinearizedCat:
     theta = float(phase_function(n, -y_m / math.sqrt(2 * n + 1)))
     p_plus = math.sqrt(2 * n + 1 - y_m ** 2)
     parity: Parity = "even" if n % 2 == 0 else "odd"
-    return LinearizedCat(theta=theta, p_plus=p_plus, parity=parity)
+    return CatParams(p_plus=p_plus, theta=theta, parity=parity)
 
 
 def reference_cat(n: int, y_m: float, grid: Grid) -> WaveFunction:
     """The coherent-superposition target the exact output is compared to."""
-    lin = linearize(n, y_m)
-    return make_cat(CatParams(lin.p_plus, lin.theta, lin.parity), grid)
+    return make_cat(linearize(n, y_m), grid)
 
 
 def odd_cat_phase_offset(psi: WaveFunction, p_plus: float) -> float:

@@ -1,11 +1,12 @@
-"""Constructors for the physical states used by the gates: vacuum, Fock,
-cubic phase states, and displaced-coherent-superposition (cat) references."""
+"""The physical states used by the gates: the two ancilla resources with the
+closed forms the gate reads them through, and constructors for vacuum, Fock,
+cubic phase states and displaced-coherent-superposition (cat) references."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Literal
 
 import numpy as np
 
@@ -14,15 +15,48 @@ from .numerics import (
     MAX_HERMITE_ORDER,
     Grid,
     WaveFunction,
+    _laguerre_function,
     hermite_function,
+    hermite_values,
+    oscillatory_fourier_factor,
     validate_cubic_params,
 )
 
 Parity = Literal["even", "odd"]
 
 
+class Resource:
+    """An ancilla state of the gate.  A resource is known to the gate only
+    through three closed forms:
+
+    * ``momentum_factor(y)``, the amplitude [F psi_res](y) that multiplies the
+      input in the collapse;
+    * ``transforms(k)``, its characteristic function chi_res(k) =
+      <exp(i k p)> = integral dx conj(psi_res)(x) psi_res(x + k) and its
+      wavefunction psi_res(k), for the outcome sums of ``spectral_outcomes``;
+    * ``support(log_tol)``, the interval of u outside which |[F psi_res](u)|
+      is below exp(-log_tol) of its peak.
+    """
+
+    def momentum_factor(self, y: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def transforms(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def support(self, log_tol: float) -> tuple[float, float]:
+        raise NotImplementedError
+
+
+def require_resource(resource) -> Resource:
+    """``resource`` itself if it is a gate resource, else TypeError."""
+    if not isinstance(resource, Resource):
+        raise TypeError(f"unsupported resource {resource!r}")
+    return resource
+
+
 @dataclass(frozen=True)
-class FockResource:
+class FockResource(Resource):
     """Ancilla prepared in the number state |n>."""
 
     n: int
@@ -33,9 +67,24 @@ class FockResource:
                 f"Fock resource supports n in [0, {MAX_HERMITE_ORDER}], got {self.n}"
             )
 
+    def momentum_factor(self, y: np.ndarray) -> np.ndarray:
+        """|n> is its own Fourier transform up to (-i)^n."""
+        return (-1j) ** self.n * hermite_values(self.n, y)
+
+    def transforms(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """chi_res = exp(-k^2/4) L_n(k^2/2); psi_res is the Hermite function."""
+        return (_laguerre_function(self.n, 0.5 * k * k).astype(np.complex128),
+                hermite_values(self.n, k).astype(np.complex128))
+
+    def support(self, log_tol: float) -> tuple[float, float]:
+        """The Hermite function's turning point sqrt(2n+1) plus the n = 0
+        Gaussian edge sqrt(2 log_tol)."""
+        half = math.sqrt(2 * self.n + 1) + math.sqrt(2.0 * log_tol)
+        return -half, half
+
 
 @dataclass(frozen=True)
-class CubicPhaseResource:
+class CubicPhaseResource(Resource):
     """Ancilla prepared as a momentum-squeezed vacuum (factor s) evolved under
     a cubic Hamiltonian of strength gamma."""
 
@@ -45,8 +94,30 @@ class CubicPhaseResource:
     def __post_init__(self) -> None:
         validate_cubic_params(self.gamma, self.s)
 
+    def momentum_factor(self, y: np.ndarray) -> np.ndarray:
+        """An Airy function (``oscillatory_fourier_factor``)."""
+        return np.asarray(oscillatory_fourier_factor(self.gamma, self.s, y))
 
-ResourceSpec = Union[FockResource, CubicPhaseResource]
+    def transforms(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x + k)^3 - x^3 is quadratic in x, so chi_res is the Gaussian
+        integral (s^2/pi)^(1/2) (pi/a)^(1/2) exp(b^2/(4a) + c) with
+        a = s^2 - 3 i gamma k, b = -s^2 k + 3 i gamma k^2 = -k a and
+        c = -s^2 k^2/2 + i gamma k^3, which is
+        (s^2/a)^(1/2) exp(-s^2 k^2/4 + i gamma k^3/4)."""
+        gamma, s2 = self.gamma, self.s ** 2
+        cube = gamma * k ** 3
+        chi = np.sqrt(s2 / (s2 - 3j * gamma * k)) * np.exp(-0.25 * s2 * k * k + 0.25j * cube)
+        psi = (s2 / np.pi) ** 0.25 * np.exp(-0.5 * s2 * k * k + 1j * cube)
+        return chi, psi
+
+    def support(self, log_tol: float) -> tuple[float, float]:
+        """The semiclassical momentum 3 gamma x^2 at the coordinate edge
+        x = sqrt(2 log_tol)/s (the tests' window 27 gamma/s^2 + 8 is the same
+        edge at x = 3/s), widened on both sides by the Gaussian edge and the
+        decay length (1.5 log_tol sqrt(3 gamma))^(2/3) of Ai."""
+        edge = math.sqrt(2.0 * log_tol)
+        margin = edge + (1.5 * log_tol * math.sqrt(3.0 * self.gamma)) ** (2.0 / 3.0)
+        return -margin, 3.0 * self.gamma * (edge / self.s) ** 2 + margin
 
 
 @dataclass(frozen=True)
@@ -66,10 +137,9 @@ class CatParams:
 
 
 def make_vacuum(grid: Grid) -> WaveFunction:
-    """Ground state psi(x) = pi^(-1/4) exp(-x^2/2)."""
+    """Ground state psi(x) = pi^(-1/4) exp(-x^2/2), normalized on the grid."""
     grid.require_coverage(-6.0, 6.0, "vacuum state")
-    values = np.pi ** -0.25 * np.exp(-grid.points ** 2 / 2.0)
-    return WaveFunction(grid, values.astype(np.complex128)).normalized()
+    return WaveFunction(grid, np.exp(-grid.points ** 2 / 2.0)).normalized()
 
 
 def make_fock(n: int, grid: Grid) -> WaveFunction:
@@ -81,7 +151,7 @@ def make_cubic_phase(gamma: float, s: float, grid: Grid) -> WaveFunction:
 
     The grid must hold the wide coordinate distribution (sigma = 1/(s sqrt 2))
     and resolve the cubic phase oscillation; otherwise the sampled state would
-    alias.
+    alias.  Normalization is fixed on the grid.
     """
     CubicPhaseResource(gamma, s)  # range validation
     half_support = 6.0 / s
@@ -93,8 +163,7 @@ def make_cubic_phase(gamma: float, s: float, grid: Grid) -> WaveFunction:
             f"(needs <= {np.pi / (4.0 * max_slope):.2e})"
         )
     x = grid.points
-    values = (s ** 2 / np.pi) ** 0.25 * np.exp(-s ** 2 * x ** 2 / 2.0 + 1j * gamma * x ** 3)
-    return WaveFunction(grid, values).normalized()
+    return WaveFunction(grid, np.exp(-s ** 2 * x ** 2 / 2.0 + 1j * gamma * x ** 3)).normalized()
 
 
 def make_cat(params: CatParams, grid: Grid) -> WaveFunction:

@@ -16,6 +16,7 @@ from catgate import (
     squeezing_db,
     squeezing_scan,
 )
+from catgate.cubic import cubic_point
 from catgate.states import CubicPhaseResource
 
 GRID = default_grid()
@@ -61,6 +62,15 @@ def test_fidelity_matched_configuration():
     assert result.norm_N == pytest.approx(0.022, abs=3e-3)
     infidelity = 1.0 - fidelity(result.psi_out, ODD_CAT)
     assert infidelity == pytest.approx(0.005, abs=2e-3)
+
+
+@pytest.mark.parametrize("resource, y_m", [(FockResource(5), 0.0), (MATCH_P.resource, MATCH_P.y_m)],
+                         ids=["fock", "cubic"])
+def test_cubic_point_grades_either_gate(resource, y_m):
+    result, infidelity = cubic_point(VACUUM, resource, y_m, ODD_CAT)
+    direct = collapse(VACUUM, resource, y_m)
+    assert result.norm_N == direct.norm_N
+    assert infidelity == 1.0 - fidelity(direct.psi_out, ODD_CAT)
 
 
 def test_squeezing_scan_hits_matched_point():

@@ -166,9 +166,16 @@ def test_zero_probability_outcome_raises():
         collapse(VACUUM, FockResource(0), 40.0)
 
 
-def test_unsupported_resource_type_raises():
-    with pytest.raises(TypeError):
-        collapse(VACUUM, "not a resource", 0.0)
+@pytest.mark.parametrize("evaluate", [
+    lambda resource: collapse(VACUUM, resource, 0.0),
+    lambda resource: probability_density(VACUUM, resource, 0.0),
+    lambda resource: probability_scan(VACUUM, resource, [0.0]),
+    lambda resource: spectral_outcomes(VACUUM, resource, [0.0]),
+], ids=["collapse", "probability_density", "probability_scan", "spectral_outcomes"])
+def test_unsupported_resource_type_raises(evaluate):
+    """Every entry point of the gate refuses a non-resource with one error."""
+    with pytest.raises(TypeError, match="unsupported resource"):
+        evaluate("x")
 
 
 # ---------------------------------------------------------------- spectral outcomes

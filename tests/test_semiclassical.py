@@ -156,6 +156,7 @@ def test_added_factor_reconstructs_exact_output():
 
 def test_linearize_anchor_values():
     lin = linearize(5, 0.0)
+    assert lin == CatParams(math.sqrt(11.0), 0.0, "odd")
     assert lin.theta == 0.0
     assert abs(lin.p_plus - math.sqrt(11.0)) < 1e-12
     assert lin.parity == "odd"
