@@ -98,14 +98,16 @@ def _chirp_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int)
     return out
 
 
-def _lattice_sums(terms: np.ndarray, k: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _lattice_sums(terms: np.ndarray, k: np.ndarray, dk: float, ys: np.ndarray) -> np.ndarray:
     """``sum_j terms[:, j] exp(-i k_j y)`` at every outcome y of ys, for the
-    uniform lattice k.  Outcomes on a uniform axis (to roundoff) go through
-    ``_chirp_dft``; others are direct sums, a fixed-byte block at a time."""
+    lattice k_j = k_0 + j dk.  Outcomes on a uniform axis (to roundoff) go
+    through ``_chirp_dft``, which takes the step dk itself: k_1 - k_0 carries
+    the roundoff of k_0, and the transform multiplies that error by j y.  Other
+    outcomes are direct sums, a fixed-byte block at a time."""
     step = (ys[-1] - ys[0]) / max(ys.size - 1, 1)
     axis = ys[0] + step * np.arange(ys.size)
     if step != 0.0 and np.max(np.abs(ys - axis)) <= 16 * np.finfo(float).eps * np.max(np.abs(ys)):
-        return _chirp_dft(terms, k[0], k[1] - k[0], ys[0], step, ys.size)
+        return _chirp_dft(terms, k[0], dk, ys[0], step, ys.size)
     block = max(1, _OUTCOME_BLOCK_BYTES // (16 * k.size))
     return np.concatenate([terms @ np.exp(-1j * np.outer(k, ys[i:i + block]))
                            for i in range(0, ys.size, block)], axis=1)
@@ -115,9 +117,9 @@ def _spectral_terms(
     psi_in: WaveFunction,
     resource: Resource,
     reference: WaveFunction | None,
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """The lattice k, the terms of the outcome sums on it (row 0 for P, row 1
-    for A with a reference) and the outcome support (see
+) -> tuple[np.ndarray, float, np.ndarray, tuple[float, float]]:
+    """The lattice k and its step, the terms of the outcome sums on it (row 0
+    for P, row 1 for A with a reference) and the outcome support (see
     ``spectral_outcomes``)."""
     grid = psi_in.grid
     h = grid.spacing
@@ -167,7 +169,7 @@ def _spectral_terms(
     terms = integrands(_chirp_dft(rows, x0, h, half * dk, -dk, k.size), k)
     terms[0] *= dk / (2.0 * math.pi)
     terms[1:] *= dk / math.sqrt(2.0 * math.pi)
-    return k, terms, support
+    return k, dk, terms, support
 
 
 def spectral_outcomes(
@@ -215,7 +217,7 @@ def spectral_outcomes(
     y_values = np.asarray(y_values, dtype=np.float64)
     if y_values.ndim != 1:
         raise ValueError("y_values must be a 1-D set of outcomes")
-    k, terms, (y_lo, y_hi) = _spectral_terms(psi_in, resource, reference)
+    k, dk, terms, (y_lo, y_hi) = _spectral_terms(psi_in, resource, reference)
     # the sums' roundoff stays below 1e-13 of sum |terms| on the default grid
     floor = 1e-12 * float(np.sum(np.abs(terms[0])))
     probability = np.zeros(y_values.size)
@@ -223,7 +225,7 @@ def spectral_outcomes(
     block = max(_OUTCOME_BLOCK_BYTES // (16 * len(terms)), k.size)
     for start in range(0, y_values.size, block):
         ys = y_values[start:start + block]
-        sums = _lattice_sums(terms, k, ys)
+        sums = _lattice_sums(terms, k, dk, ys)
         p = np.where((ys >= y_lo) & (ys <= y_hi), np.maximum(sums[0].real, 0.0), 0.0)
         probability[start:start + block] = p
         if reference is not None:

@@ -204,6 +204,7 @@ def test_spectral_fock_outcomes_match_direct(n, kicked, u):
 @given(gamma=st.floats(0.0, 1.0), s=st.floats(0.05, 1.0), kicked=st.booleans(),
        u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 @example(gamma=1.0, s=0.05, kicked=True, u=[0.0, 0.5, 1.0])  # the widest outcome support
+@example(gamma=1.0, s=0.25, kicked=False, u=[0.0, 1.0])  # a 2-outcome axis over 15k k points
 def test_spectral_cubic_outcomes_match_direct(gamma, s, kicked, u):
     # outcomes across the semiclassical bulk y ~ 3 gamma x^2, |x| <~ 1/s
     ys = -1.5 + (3.0 + 3.0 * gamma / s ** 2) * np.array(u)
