@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Compare two output trees of the experiment scripts, file by file.
+
+    python scripts/compare_outputs.py OLD NEW
+
+Lists the files that are byte-identical in both trees.  For every other file
+it prints the largest absolute difference of each CSV column (``#`` comment
+lines skipped) or of each JSON value, by its key path; values that are not
+numbers and differ, and columns or keys found on one side only, read inf.
+Exits 0 when every file is byte-identical, else 1.
+"""
+
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+
+def leaves(node, key: str = "") -> dict:
+    """JSON key path -> [value], for every value that is no object or list."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {k: v for sub, item in items for k, v in leaves(item, f"{key}.{sub}").items()}
+    return {key or ".": [node]}
+
+
+def values(path: Path) -> dict:
+    """CSV column name, or JSON key path, -> its values."""
+    if path.suffix == ".json":
+        return leaves(json.loads(path.read_text()))
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    header, *rows = list(csv.reader(lines)) or [[]]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def largest(a: list, b: list) -> float:
+    """Largest |b - a| over paired values."""
+    if len(a) != len(b):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x != y:
+            try:
+                worst = max(worst, abs(float(y) - float(x)))
+            except (TypeError, ValueError):
+                return math.inf
+    return worst
+
+
+def main(old: str, new: str) -> int:
+    old, new = Path(old), Path(new)
+    names = sorted({p.relative_to(root) for root in (old, new)
+                    for p in root.rglob("*") if p.is_file()})
+    same = [n for n in names if (old / n).is_file() and (new / n).is_file()
+            and (old / n).read_bytes() == (new / n).read_bytes()]
+    print(f"byte-identical: {len(same)} of {len(names)} files")
+    for name in same:
+        print(f"  {name}")
+    for name in (n for n in names if n not in same):
+        if not ((old / name).is_file() and (new / name).is_file()):
+            print(f"{name}: only in {old if (old / name).is_file() else new}")
+            continue
+        a, b = values(old / name), values(new / name)
+        print(f"{name}:")
+        for key in sorted(a.keys() | b.keys()):
+            worst = largest(a[key], b[key]) if key in a and key in b else math.inf
+            print(f"  {key}  {worst:.3g}")
+    return 0 if len(same) == len(names) else 1
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(*sys.argv[1:]))

@@ -30,7 +30,8 @@ class WignerGrid:
     ``imag_residue`` records the largest imaginary part discarded when the
     complex transform was truncated to its real part.  W is real in exact
     arithmetic, so this is the chirp-z FFT's roundoff, about 1e-13 for a
-    normalized state.
+    normalized state.  The transform runs on the state's support only: rows
+    whose x lies outside it are exactly 0 and add nothing to the residue.
     """
 
     x_axis: Grid
@@ -73,15 +74,19 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
     """Wigner function W(x, y) = (1/pi) integral dz conj(psi)(x+z) psi(x-z)
     exp(2 i y z).
 
-    The z integral runs over the full symmetric lattice of grid offsets
-    z = k h, |k| < N (the state vanishes at the window edge, so the trapezoid
-    sum is spectrally accurate).  Since exp(2 i y z) = exp(-i y (-2z)), each
-    x row is an offset DFT of its 2N-1 products at the points -2z, which the
-    chirp-z transform ``numerics._offset_dft`` evaluates on any y axis, on or
-    off the lattice.  Rows go through it in blocks of a fixed byte size, one
-    batched FFT pass per block, so the working memory is a few MiB whatever
-    the axis sizes (until a single row outgrows the block).  The values
-    agree with the direct sum to FFT roundoff, about 1e-13.
+    The z integral runs over the state's support (``WaveFunction.support``,
+    L nodes), outside which psi is below ``SUPPORT_TOL`` of its peak and is
+    taken as 0: the symmetric lattice of offsets z = k h, |k| < L (the state
+    vanishes at the support's edge, so the trapezoid sum is spectrally
+    accurate).  A row whose x lies outside the support has no nonzero
+    product and is exactly 0 without a transform.  Since
+    exp(2 i y z) = exp(-i y (-2z)), every other x row is an offset DFT of its
+    2L-1 products at the points -2z, which the chirp-z transform
+    ``numerics._offset_dft`` evaluates on any y axis, on or off the lattice.
+    Rows go through it in blocks of a fixed byte size, one batched FFT pass
+    per block, so the working memory is a few MiB whatever the axis sizes
+    (until a single row outgrows the block).  The values agree with the
+    direct sum over the full grid to FFT roundoff, about 1e-13.
     """
     grid = psi.grid
     if x_axis is None or y_axis is None:
@@ -89,24 +94,28 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
         x_axis = x_axis or xa
         y_axis = y_axis or ya
     idx = _axis_indices(grid, x_axis)
-    n, h = grid.n_points, grid.spacing
+    live = psi.support()
+    n, h, m = live.stop - live.start, grid.spacing, y_axis.n_points
+    values = np.zeros((len(idx), m))
+    rows = np.flatnonzero((idx >= live.start) & (idx < live.stop))
+    if rows.size == 0:
+        return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values)
     padded = np.zeros(3 * n, dtype=np.complex128)
-    padded[n:2 * n] = psi.values
-    # window i + 1 of the padded state is psi(x_i + z) for z = -(n-1)h ..
-    # (n-1)h, and reversed it is psi(x_i - z)
+    padded[n:2 * n] = psi.values[live]
+    # window i + 1 of the padded support is psi(x_i + z) for z = -(n-1)h ..
+    # (n-1)h, i counted from the support's start, and reversed it is psi(x_i - z)
     shifted = np.lib.stride_tricks.sliding_window_view(padded, 2 * n - 1)
-    m = y_axis.n_points
     block = max(1, _WIGNER_BLOCK_BYTES // (16 * (2 * n + m)))
-    values = np.empty((len(idx), m))
     imag_residue = 0.0
-    for start in range(0, len(idx), block):
-        plus = shifted[idx[start:start + block] + 1]
+    for start in range(0, rows.size, block):
+        chunk = rows[start:start + block]
+        plus = shifted[idx[chunk] - live.start + 1]
         products = np.conj(plus) * plus[:, ::-1]
         transform = _offset_dft(products, 2.0 * (n - 1) * h, -2.0 * h,
                                 y_axis.x_min, y_axis.spacing, m)
         transform *= h / np.pi
         imag_residue = max(imag_residue, float(np.max(np.abs(transform.imag))))
-        values[start:start + block] = transform.real
+        values[chunk] = transform.real
     return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values, imag_residue=imag_residue)
 
 

@@ -9,11 +9,14 @@ where the second factor is the momentum-representation amplitude of the
 resource state.  Its squared norm before normalization is the probability
 density of observing y_m.
 
-``collapse`` and ``probability_density`` evaluate one outcome directly on the
-grid; they are the oracle.  ``spectral_outcomes`` evaluates a whole set of
-outcomes at once: on a fixed input both P(y) and the overlap with a fixed
-reference are convolutions in y, which it sums over a k lattice from the
-resource's closed-form characteristic function and wavefunction.
+``collapse`` evaluates one outcome directly, on the input's support
+(``WaveFunction.support``): outside it psi_in is below ``SUPPORT_TOL`` of its
+peak, psi_out is exactly 0 there, and the resource factor is not evaluated.
+``probability_density`` evaluates one outcome on the full grid; it is the
+untrimmed oracle.  ``spectral_outcomes`` evaluates a whole set of outcomes at
+once: on a fixed input both P(y) and the overlap with a fixed reference are
+convolutions in y, which it sums over a k lattice from the resource's
+closed-form characteristic function and wavefunction.
 """
 
 from __future__ import annotations
@@ -24,17 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NyquistError, ZeroProbabilityError
-from .numerics import WaveFunction, _offset_dft
+from .numerics import SUPPORT_TOL, WaveFunction, _offset_dft
 from .states import Resource, require_resource
 
 #: Below this squared norm an outcome is treated as impossible; the collapsed
 #: state (and any fidelity) is undefined there.
 MIN_COLLAPSE_NORM = 1e-300
 
-#: Amplitudes below this fraction of their peak count as zero in
-#: ``spectral_outcomes``: they bound the outcome support and the k window.
-_SPECTRAL_TOL = 1e-15
-_SPECTRAL_LOG = -math.log(_SPECTRAL_TOL)
+#: ``SUPPORT_TOL`` as a decay exponent, for the resources' outcome supports.
+_SUPPORT_LOG = -math.log(SUPPORT_TOL)
 
 #: Size of one block of outcomes times lattice points, as complex numbers, in
 #: ``spectral_outcomes``; a block's temporaries hold a few such arrays.
@@ -61,10 +62,15 @@ class CollapseResult:
 
 
 def collapse(psi_in: WaveFunction, resource: Resource, y_m: float) -> CollapseResult:
-    """Collapse the target state by a homodyne outcome y_m on the ancilla."""
+    """Collapse the target state by a homodyne outcome y_m on the ancilla.
+    The resource factor is evaluated on the input's support only."""
     grid = psi_in.grid
-    factor = require_resource(resource).momentum_factor(y_m - grid.points)
-    unnormalized = psi_in.values * factor
+    resource = require_resource(resource)
+    live = psi_in.support()
+    unnormalized = np.zeros(grid.n_points, dtype=np.complex128)
+    if live.stop > live.start:
+        factor = resource.momentum_factor(y_m - grid.points[live])
+        unnormalized[live] = psi_in.values[live] * factor
     norm_n = float(np.trapezoid(np.abs(unnormalized) ** 2, dx=grid.spacing))
     if norm_n < MIN_COLLAPSE_NORM:
         raise ZeroProbabilityError(
@@ -76,7 +82,8 @@ def collapse(psi_in: WaveFunction, resource: Resource, y_m: float) -> CollapseRe
 
 def probability_density(psi_in: WaveFunction, resource: Resource, y_m: float) -> float:
     """Probability density of the outcome y_m,
-    ``integral dx |psi_in(x)|^2 |[F psi_res](y_m - x)|^2``."""
+    ``integral dx |psi_in(x)|^2 |[F psi_res](y_m - x)|^2``, on the full grid:
+    the untrimmed oracle of ``collapse``'s norm."""
     grid = psi_in.grid
     factor = require_resource(resource).momentum_factor(y_m - grid.points)
     integrand = np.abs(psi_in.values) ** 2 * np.abs(factor) ** 2
@@ -123,21 +130,20 @@ def _spectral_terms(
     ``spectral_outcomes``)."""
     grid = psi_in.grid
     h = grid.spacing
-    amplitude = np.abs(psi_in.values)
-    live = np.flatnonzero(amplitude > _SPECTRAL_TOL * amplitude.max())
-    u_lo, u_hi = require_resource(resource).support(_SPECTRAL_LOG)
-    support = (grid.points[live[0]] + u_lo, grid.points[live[-1]] + u_hi)
+    live = psi_in.support()
+    x0 = grid.points[live.start]
+    u_lo, u_hi = require_resource(resource).support(_SUPPORT_LOG)
+    support = (x0 + u_lo, grid.points[live.stop - 1] + u_hi)
     dk = 2.0 * math.pi / (support[1] - support[0])
 
-    rows = [amplitude ** 2]
+    rows = [np.abs(psi_in.values) ** 2]
     if reference is not None:
         if reference.grid != grid:
             raise GridMismatchError("the reference must live on the input's grid")
         rows.append(np.conj(reference.values) * psi_in.values)
     rows = np.array(rows, dtype=np.complex128) * h
     rows[:, [0, -1]] *= 0.5  # trapezoid end points
-    x0 = grid.points[live[0]]
-    rows = rows[:, live[0]:live[-1] + 1]  # nothing outside the input's support
+    rows = rows[:, live]  # nothing outside the input's support
     n = rows.shape[1]
 
     def integrands(transforms: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -157,12 +163,12 @@ def _spectral_terms(
     size /= np.sum(np.abs(rows), axis=1, keepdims=True)
     # at -pi/h itself the two aliases of chi_in can cancel, so look one node in too
     edge = float(np.max(size[:, [0, 1, -1]]))
-    if edge > _SPECTRAL_TOL:
+    if edge > SUPPORT_TOL:
         raise NyquistError(
             f"spectral outcome integrand is {edge:.2e} of its bound at the grid's "
             f"Nyquist limit {nyquist:.3g}; the grid is too coarse for {resource!r}"
         )
-    window = np.max(np.abs(k_grid[np.any(size > _SPECTRAL_TOL, axis=0)])) + 2.0 * nyquist / n
+    window = np.max(np.abs(k_grid[np.any(size > SUPPORT_TOL, axis=0)])) + 2.0 * nyquist / n
     half = math.ceil(window / dk)
     k = dk * np.arange(-half, half + 1)
     # the transforms at k = -(half dk - j dk)
@@ -200,7 +206,7 @@ def spectral_outcomes(
       closed-form one (``Resource.support``).  Outcomes outside it get
       P = 0: there P is below the amplitude tolerance squared;
     * the window |k| <= K is where both integrands fall below
-      ``_SPECTRAL_TOL`` of their bound, the 1-norm of what is transformed,
+      ``SUPPORT_TOL`` of their bound, the 1-norm of what is transformed,
       read off the grid's own FFT lattice, which ends at the Nyquist limit
       pi/h.  An integrand that has not decayed there aliases in the direct
       sum as well, and raises ``NyquistError``;

@@ -30,6 +30,11 @@ MIN_SQUEEZING = 0.05
 #: from about 1.26e6); the two-term large-z series is exact to ~1e-20 there.
 AIRY_ASYMPTOTIC_Z = 1e6
 
+#: Amplitudes below this fraction of their peak count as zero: they bound a
+#: state's support (``WaveFunction.support``), and with it the work of the
+#: collapse, the Wigner transform and the spectral outcome sums.
+SUPPORT_TOL = 1e-15
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -93,6 +98,13 @@ class WaveFunction:
         if not np.all(np.isfinite(values)):
             raise ValueError("wavefunction amplitudes must be finite")
         self.values = values
+
+    def support(self) -> slice:
+        """Index slice from the first to the last node where |psi| exceeds
+        ``SUPPORT_TOL`` of its peak; empty for a zero state."""
+        amplitude = np.abs(self.values)
+        live = np.flatnonzero(amplitude > SUPPORT_TOL * amplitude.max())
+        return slice(int(live[0]), int(live[-1]) + 1) if live.size else slice(0, 0)
 
     def squared_norm(self) -> float:
         return float(np.trapezoid(np.abs(self.values) ** 2, dx=self.grid.spacing))

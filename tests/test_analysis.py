@@ -121,6 +121,23 @@ def test_wigner_matches_direct_sum(case):
     assert w.imag_residue <= 1e-12
 
 
+def test_zero_state_wigner_is_zero():
+    w = wigner(WaveFunction(GRID, np.zeros(GRID.n_points)))
+    assert w.values.shape == (512, 512)
+    assert not np.any(w.values) and w.imag_residue == 0.0
+
+
+def test_wigner_rows_outside_the_support_are_exactly_zero():
+    # the default x axis spans the whole grid, the vacuum's support |x| < 8.3
+    w = wigner(VACUUM)
+    live = VACUUM.support()
+    x = w.x_axis.points
+    outside = (x < GRID.points[live.start]) | (x > GRID.points[live.stop - 1])
+    assert np.count_nonzero(outside) == 246
+    assert not np.any(w.values[outside])
+    assert np.all(np.any(w.values[~outside], axis=1))
+
+
 def test_wigner_memory_does_not_grow_with_momentum_axis():
     # a dense (2N-1) x M kernel alone would be 256 MiB here; the result
     # itself is 513 x 2049 doubles, 8 MiB

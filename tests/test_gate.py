@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catgate import (
@@ -23,6 +23,7 @@ from catgate import (
     reference_cat,
 )
 from catgate.errors import GridMismatchError, NyquistError, ZeroProbabilityError
+from catgate import states
 from catgate.gate import spectral_outcomes
 
 GRID = default_grid()
@@ -164,6 +165,54 @@ def test_closed_form_factor_equals_transform_path():
 def test_zero_probability_outcome_raises():
     with pytest.raises(ZeroProbabilityError):
         collapse(VACUUM, FockResource(0), 40.0)
+
+
+@pytest.mark.parametrize("resource", [FockResource(5), CubicPhaseResource(0.3, 0.5)])
+def test_zero_state_collapse_raises_zero_probability(resource):
+    # an empty support leaves nothing to evaluate, and the norm is still 0
+    with pytest.raises(ZeroProbabilityError):
+        collapse(WaveFunction(GRID, np.zeros(GRID.n_points)), resource, 0.0)
+
+
+# ---------------------------------------------------------------- support trimming
+
+RESOURCES = st.one_of(
+    st.builds(FockResource, st.integers(0, 10)),
+    st.builds(CubicPhaseResource, st.floats(0.0, 1.0), st.floats(0.05, 1.0)),
+)
+
+
+def outcome_in_bulk(resource, u):
+    """An outcome across the resource's bulk for u in [0, 1]: |y| up to 1.5
+    past the Hermite turning point, or y ~ 3 gamma x^2 for |x| <~ 1/s."""
+    if isinstance(resource, FockResource):
+        return (math.sqrt(2 * resource.n + 1) + 1.5) * (2.0 * u - 1.0)
+    return -1.5 + (3.0 + 3.0 * resource.gamma / resource.s ** 2) * u
+
+
+@settings(max_examples=30, deadline=None)
+@given(resource=RESOURCES, kicked=st.booleans(), u=st.floats(0.0, 1.0))
+@example(resource=CubicPhaseResource(1.0, 0.05), kicked=True, u=0.5)
+@example(resource=FockResource(10), kicked=False, u=1.0)
+def test_collapse_on_the_support_matches_the_full_grid(resource, kicked, u):
+    psi_in = KICKED if kicked else VACUUM
+    y_m = outcome_in_bulk(resource, u)
+    p = probability_density(psi_in, resource, y_m)
+    assume(p > 1e-12)
+    result = collapse(psi_in, resource, y_m)
+    assert abs(result.norm_N - p) <= 1e-13 * p
+    live = psi_in.support()
+    assert not np.any(result.psi_out.values[:live.start])
+    assert not np.any(result.psi_out.values[live.stop:])
+
+
+def test_collapse_evaluates_the_resource_on_the_support_only(monkeypatch):
+    points = []
+    original = states.oscillatory_fourier_factor
+    monkeypatch.setattr(states, "oscillatory_fourier_factor",
+                        lambda *a: points.append(np.size(a[2])) or original(*a))
+    collapse(VACUUM, CubicPhaseResource(0.334, 0.241), 11.012)
+    assert points == [2128]  # the vacuum's support, of 4096 grid points
 
 
 @pytest.mark.parametrize("evaluate", [

@@ -23,7 +23,7 @@ from catgate import (
     overlap,
 )
 from catgate.errors import GridMismatchError, GridSupportError, NyquistError
-from catgate.numerics import next_fast_len
+from catgate.numerics import SUPPORT_TOL, next_fast_len
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
@@ -57,6 +57,18 @@ def test_wavefunction_validation():
     bad[0] = np.nan
     with pytest.raises(ValueError):
         WaveFunction(GRID, bad)
+
+
+def test_support_is_where_the_amplitude_exceeds_the_tolerance():
+    vacuum = make_vacuum(GRID)
+    live = vacuum.support()
+    assert (live.start, live.stop) == (984, 3112)  # 2128 of the 4096 nodes
+    amplitude = np.abs(vacuum.values)
+    threshold = SUPPORT_TOL * amplitude.max()
+    assert amplitude[live.start] > threshold >= amplitude[live.start - 1]
+    assert amplitude[live.stop - 1] > threshold >= amplitude[live.stop]
+    assert WaveFunction(GRID, np.zeros(GRID.n_points)).support() == slice(0, 0)
+    assert WaveFunction(GRID, np.ones(GRID.n_points)).support() == slice(0, GRID.n_points)
 
 
 # ---------------------------------------------------------------- hermite functions

@@ -23,3 +23,30 @@ def test_failing_step_stops_the_script_with_its_exit_code(name, extra, tmp_path,
         load_script(name).run(str(tmp_path), *extra)
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []  # no later step ran
+
+
+def write_tree(root, cell="0.25", number="0.1"):
+    root.mkdir()
+    (root / "w.csv").write_text(f"# catgate wigner\nx,W\n0,0.5\n1,{cell}\n")
+    (root / "w.json").write_text(f'{{"P": {number}, "parameters": {{"ym": "0"}}}}')
+
+
+def test_compare_outputs_lists_identical_trees(tmp_path, capsys):
+    write_tree(tmp_path / "old")
+    write_tree(tmp_path / "new")
+    assert load_script("compare_outputs").main(tmp_path / "old", tmp_path / "new") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "byte-identical: 2 of 2 files", "  w.csv", "  w.json"]
+
+
+@pytest.mark.parametrize("changed, lines", [
+    ({"cell": "0.2500001"}, ["w.csv:", "  W  1e-07", "  x  0"]),
+    ({"number": "0.1003"}, ["w.json:", "  .P  0.0003", "  .parameters.ym  0"]),
+])
+def test_compare_outputs_reports_the_largest_difference(tmp_path, capsys, changed, lines):
+    write_tree(tmp_path / "old")
+    write_tree(tmp_path / "new", **changed)
+    assert load_script("compare_outputs").main(tmp_path / "old", tmp_path / "new") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "byte-identical: 1 of 2 files"
+    assert out[2:] == lines
