@@ -131,6 +131,10 @@ def _spectral_terms(
     grid = psi_in.grid
     h = grid.spacing
     live = psi_in.support()
+    if live.stop == live.start:
+        raise ZeroProbabilityError(
+            f"a zero input state has vanishing probability density for {resource!r}"
+        )
     x0 = grid.points[live.start]
     u_lo, u_hi = require_resource(resource).support(_SUPPORT_LOG)
     support = (x0 + u_lo, grid.points[live.stop - 1] + u_hi)
@@ -215,8 +219,8 @@ def spectral_outcomes(
       other block is a direct sum over the window, in fixed-byte pieces.
 
     The values agree with ``probability_density`` and ``collapse`` to
-    roundoff, about 1e-13.  P is never negative.  A fidelity asked for at an
-    outcome whose P is at the sums' roundoff floor raises
+    roundoff, about 1e-13.  P is never negative.  A zero input, or a fidelity
+    asked for at an outcome whose P is at the sums' roundoff floor, raises
     ``ZeroProbabilityError``, as ``collapse`` does.  Returns (P, fidelity),
     the latter None without a reference.
     """

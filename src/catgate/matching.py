@@ -14,7 +14,14 @@ import numpy as np
 from .analysis import WignerGrid, wigner
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, cubic_point
 from .errors import ConvergenceError, FitRangeError
-from .numerics import MIN_SQUEEZING, Grid, default_grid, oscillatory_fourier_factor
+from .numerics import (
+    MIN_SQUEEZING,
+    Grid,
+    _airy_ai,
+    _airy_argument,
+    default_grid,
+    validate_cubic_params,
+)
 from .semiclassical import REFERENCE_N, reference_cat
 from .states import FockResource, make_vacuum
 
@@ -69,14 +76,18 @@ def ladder_entries(count: int) -> int:
 
 
 def _node_residual(y_m: float, s: float, ratio: float) -> float:
-    """Collapsed ancilla factor at the output symmetry point x = 0.
+    """The sign and the zeros of the collapsed ancilla factor at the output
+    symmetry point x = 0.
 
     For a centered vacuum input the output is an odd cat exactly when this
     amplitude vanishes: the two copies then interfere with a node at x = 0.
-    The closed-form factor is real (the integrand's imaginary part is odd),
-    so the sign changes between consecutive odd-cat points.
+    The closed-form factor is a positive prefactor times Ai(z) (see
+    ``oscillatory_fourier_factor``), and the root search reads only signs and
+    exact zeros, so Ai(z) of the factor's own z stands in for it.
     """
-    return complex(oscillatory_fourier_factor(y_m / ratio, s, y_m)).real
+    gamma = y_m / ratio
+    validate_cubic_params(gamma, s)
+    return float(_airy_ai(np.array([_airy_argument(gamma, s, y_m)]))[0])
 
 
 def _scan(start: float, stop: float, step: float, limit: float):

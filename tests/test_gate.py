@@ -174,6 +174,13 @@ def test_zero_state_collapse_raises_zero_probability(resource):
         collapse(WaveFunction(GRID, np.zeros(GRID.n_points)), resource, 0.0)
 
 
+@pytest.mark.parametrize("scan", [spectral_outcomes, probability_scan],
+                         ids=["spectral_outcomes", "probability_scan"])
+def test_zero_state_scans_raise_zero_probability(scan):
+    with pytest.raises(ZeroProbabilityError):
+        scan(WaveFunction(GRID, np.zeros(GRID.n_points)), FockResource(1), [0.0])
+
+
 # ---------------------------------------------------------------- support trimming
 
 RESOURCES = st.one_of(

@@ -1,6 +1,7 @@
 import math
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from catgate import (
@@ -13,9 +14,10 @@ from catgate import (
     matched_outcome_ratio,
     odd_cat_ladder,
     odd_cat_phase_offset,
+    oscillatory_fourier_factor,
 )
 from catgate.errors import ConvergenceError, FitRangeError
-from catgate.matching import _roots
+from catgate.matching import _node_residual, _roots, _scan
 
 GRID = default_grid()
 VACUUM = make_vacuum(GRID)
@@ -37,6 +39,24 @@ def test_ladder_first_two_entries():
         assert abs(y_m - y_ref) < 0.02
         assert abs(gamma - g_ref) < 0.002
         assert gamma == pytest.approx(y_m / 33.0, abs=1e-12)
+
+
+def test_ladder_nine_entries_are_pinned():
+    # y_m of `match ladder --kmax 9`; gamma is y_m / 33
+    pinned = [1.0779785156250006, 2.492138671875, 3.9108886718749947, 5.33081054687499,
+              6.7511230468749845, 8.171533203124984, 9.592138671875002, 11.012744140625024,
+              12.433447265625041]
+    assert odd_cat_ladder(9) == [(y_m, y_m / 33.0) for y_m in pinned]
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3, 1.0])
+def test_node_residual_has_the_sign_and_zeros_of_the_factor(s):
+    # the residual is Ai(z) alone; the factor is a positive prefactor times it
+    ratio = matched_outcome_ratio(5)
+    for y_m in _scan(0.5, 13.0, 0.05, ratio):
+        residual = _node_residual(y_m, s, ratio)
+        factor = oscillatory_fourier_factor(y_m / ratio, s, y_m).real
+        assert np.sign(residual) == np.sign(factor)  # so also zero where it is
 
 
 def test_ladder_entries_realize_odd_cats():

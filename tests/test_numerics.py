@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len as scipy_next_fast_len
-from scipy.special import airy
+from scipy.special import airy, airye
 
 from catgate import (
     Grid,
@@ -23,7 +23,7 @@ from catgate import (
     overlap,
 )
 from catgate.errors import GridMismatchError, GridSupportError, NyquistError
-from catgate.numerics import SUPPORT_TOL, next_fast_len
+from catgate.numerics import SUPPORT_TOL, _airy_ai, next_fast_len
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
@@ -200,8 +200,24 @@ def test_fock_runs_import_no_scipy(tmp_path):
     code = (
         "import sys\n"
         "from catgate.cli import main\n"
+        "from catgate.numerics import _airy_tables\n"
         f"assert main(['collapse', '--fock', '5', '--out', {str(tmp_path / 'c')!r}]) == 0\n"
         "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))\n"
+        "print(_airy_tables.cache_info().currsize)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # no scipy, and no Airy set-up either
+    assert out.stdout.splitlines()[-2:] == ["[]", "0"]
+
+
+def test_no_run_imports_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from catgate.cli import main\n"
+        f"assert main(['collapse', '--cubic', '0.075,2.486,0.171', '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        f"assert main(['match', 'ladder', '--kmax', '2', '--out', {str(tmp_path / 'l')!r}]) == 0\n"
+        f"assert main(['collapse', '--fock', '5', '--out', {str(tmp_path / 'f')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
@@ -236,6 +252,43 @@ def test_coherent_state_overlap():
 def test_overlap_grid_mismatch():
     with pytest.raises(GridMismatchError):
         overlap(make_vacuum(GRID), make_vacuum(ODD_GRID))
+
+
+# ---------------------------------------------------------------- Airy kernel
+
+def test_airy_kernel_matches_mpmath():
+    # dense over the arguments the cubic factor meets, and on both sides of
+    # each regime edge |z| = 2; relative on z > 0, where the kernel returns
+    # Ai(z) exp((2/3) z^(3/2)), and relative to the envelope sqrt(Ai^2 + Bi^2)
+    # on z <= 0, where Ai has zeros
+    mpmath.mp.dps = 30
+    edges = [edge + d for edge in (-2.0, 2.0) for d in (-1e-12, 0.0, 1e-12)]
+    zs = np.r_[np.linspace(-60.0, 40.0, 2001), edges]
+    values = _airy_ai(zs)
+    for z, value in zip(zs, values):
+        zm = mpmath.mpf(float(z))
+        ai = mpmath.airyai(zm)
+        if z > 0:
+            exact = ai * mpmath.exp(2 * zm ** mpmath.mpf(1.5) / 3)
+            error = abs(value - exact) / exact
+        else:
+            error = abs(value - ai) / mpmath.sqrt(ai ** 2 + mpmath.airybi(zm) ** 2)
+        assert error < 2e-13, z
+
+
+def test_airy_kernel_matches_scipy():
+    rng = np.random.default_rng(7)
+    zs = rng.uniform(-1e3, 1e6, 100_000)
+    values = _airy_ai(zs)
+    up = zs > 0
+    scaled = airye(zs[up])[0]
+    assert np.max(np.abs(values[up] - scaled) / scaled) < 2e-13
+    ai, _, bi, _ = airy(zs[~up])
+    # on z <= 0 both evaluate cos and sin of zeta = (2/3)|z|^(3/2), each to a
+    # few ulps of zeta
+    zeta = (2.0 / 3.0) * np.abs(zs[~up]) ** 1.5
+    bound = np.hypot(ai, bi) * (2e-13 + 4.0 * np.finfo(float).eps * zeta)
+    assert np.all(np.abs(values[~up] - ai) <= bound)
 
 
 # ---------------------------------------------------------------- oscillatory factor
