@@ -4,9 +4,12 @@
     python scripts/compare_outputs.py OLD NEW
 
 Lists the files that are byte-identical in both trees.  For every other file
-it prints the largest absolute difference of each CSV column (``#`` comment
-lines skipped) or of each JSON value, by its key path; values that are not
-numbers and differ, and columns or keys found on one side only, read inf.
+it prints the largest absolute difference |b - a| of each CSV column (``#``
+comment lines skipped) or of each JSON value, by its key path, and beside it
+the largest relative one, |b - a| / |a| over the pairs with a != 0, so that a
+loss in a column's small values shows next to its bound in absolute terms.
+Values that are not numbers and differ, and columns or keys found on one side
+only, read inf.
 Exits 0 when every file is byte-identical, else 1.
 """
 
@@ -34,18 +37,21 @@ def values(path: Path) -> dict:
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
-def largest(a: list, b: list) -> float:
-    """Largest |b - a| over paired values."""
+def largest(a: list, b: list) -> tuple[float, float]:
+    """Largest |b - a| and largest |b - a| / |a| (a != 0) over paired values."""
     if len(a) != len(b):
-        return math.inf
-    worst = 0.0
+        return math.inf, math.inf
+    worst = relative = 0.0
     for x, y in zip(a, b):
         if x != y:
             try:
-                worst = max(worst, abs(float(y) - float(x)))
+                x, y = float(x), float(y)
             except (TypeError, ValueError):
-                return math.inf
-    return worst
+                return math.inf, math.inf
+            worst = max(worst, abs(y - x))
+            if x != 0.0:
+                relative = max(relative, abs(y - x) / abs(x))
+    return worst, relative
 
 
 def main(old: str, new: str) -> int:
@@ -64,8 +70,9 @@ def main(old: str, new: str) -> int:
         a, b = values(old / name), values(new / name)
         print(f"{name}:")
         for key in sorted(a.keys() | b.keys()):
-            worst = largest(a[key], b[key]) if key in a and key in b else math.inf
-            print(f"  {key}  {worst:.3g}")
+            worst, relative = (largest(a[key], b[key]) if key in a and key in b
+                               else (math.inf, math.inf))
+            print(f"  {key}  {worst:.3g}  relative {relative:.3g}")
     return 0 if len(same) == len(names) else 1
 
 

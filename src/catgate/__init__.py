@@ -19,7 +19,7 @@ from .analysis import (
     fidelity_mix,
     wigner,
 )
-from .cubic import CubicGateConfig, SqueezingScan, cubic_collapse, squeezing_db, squeezing_scan
+from .cubic import CubicGateConfig, SqueezingScan, squeezing_db, squeezing_scan
 from .errors import (
     CatGateError,
     ConvergenceError,
@@ -33,9 +33,9 @@ from .errors import (
 from .gate import (
     CollapseResult,
     collapse,
+    grade_outcomes,
     probability_density,
     probability_scan,
-    spectral_outcomes,
 )
 from .matching import (
     GateComparison,
@@ -104,7 +104,6 @@ __all__ = [
     "added_factor",
     "collapse",
     "compare_gates",
-    "cubic_collapse",
     "cubic_mapping",
     "default_grid",
     "fidelity",
@@ -114,6 +113,7 @@ __all__ = [
     "fit_squeezing",
     "fock_mapping",
     "fourier_transform",
+    "grade_outcomes",
     "hermite_function",
     "hermite_values",
     "linearize",
@@ -130,7 +130,6 @@ __all__ = [
     "probability_density",
     "probability_scan",
     "reference_cat",
-    "spectral_outcomes",
     "squeezing_db",
     "squeezing_scan",
     "wigner",

@@ -174,7 +174,7 @@ def fidelity_mix(
         P_mix = integral P(y) dy,
 
     both by Gauss-Legendre quadrature with ``window.n_quadrature`` nodes, at
-    which ``gate.spectral_outcomes`` evaluates P and F_cat in one pass.
+    which ``gate.grade_outcomes`` evaluates P and F_cat in one pass.
     Returns (F_mix, P_mix).
     """
     if window.d > 2.0 * math.sqrt(2 * n + 1):
@@ -186,8 +186,8 @@ def fidelity_mix(
     reference = reference_cat(n, 0.0, psi_in.grid)
     nodes, weights = _gauss_legendre(window.n_quadrature)
     ws = 0.5 * window.d * weights
-    densities, fidelities = gate.spectral_outcomes(psi_in, FockResource(n), 0.5 * window.d * nodes,
-                                                   reference)
+    densities, fidelities = gate.grade_outcomes(psi_in, FockResource(n), 0.5 * window.d * nodes,
+                                                reference)
     p_mix = float(np.sum(ws * densities))
     f_mix = float(np.sum(ws * densities * fidelities) / p_mix)
     return f_mix, p_mix

@@ -37,7 +37,7 @@ from .analysis import AcceptanceWindow, WignerGrid, default_wigner_axes
 from .analysis import fidelity_cat, fidelity_coh, fidelity_mix, wigner
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import CatGateError, ConvergenceError, LinearizationDomainError
-from .gate import collapse, probability_scan, spectral_outcomes
+from .gate import collapse, grade_outcomes, probability_scan
 from .matching import compare_gates, fit_squeezing, ladder_entries, odd_cat_ladder
 from .numerics import MIN_SQUEEZING, Grid, default_grid
 from .semiclassical import REFERENCE_N, reference_cat
@@ -411,7 +411,7 @@ def _scan_catfid(v, texts) -> Output:
     lo, hi = v.window
     ys = np.arange(lo, hi + v.step / 2, v.step)
     reference = reference_cat(v.fock, 0.0, v.grid)
-    _, fidelities = spectral_outcomes(psi_in, FockResource(v.fock), ys, reference)
+    _, fidelities = grade_outcomes(psi_in, FockResource(v.fock), ys, reference)
     table = Table("infidelity vs outcome, fixed even/odd cat reference",
                   {"ym": ys, "infidelity_cat": 1.0 - fidelities})
     params = {"fock": str(v.fock), "window": texts["window"], "step": _fmt(v.step)}
@@ -497,7 +497,7 @@ def _match_compare(v, texts) -> Output:
             raise ValueError(f"--entry: the ladder holds odd cats; --fock {v.fock} is even")
         # equal success probability: fit s so the cubic gate matches the
         # Fock gate's own density at its optimal outcome
-        target_p = collapse(make_vacuum(v.grid), FockResource(v.fock), 0.0).norm_N
+        target_p = float(grade_outcomes(make_vacuum(v.grid), FockResource(v.fock), [0.0])[0][0])
         y_m, gamma = odd_cat_ladder(v.entry, reference_n=v.fock)[v.entry - 1]
         report = fit_squeezing(gamma, y_m, "probability", target_p, grid=v.grid, reference_n=v.fock)
         cfg = report.fitted

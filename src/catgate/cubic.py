@@ -1,5 +1,5 @@
-"""Cubic-phase-state branch of the gate: collapse with the cubic resource and
-the squeezing-dependent probability/fidelity diagnostics used to compare it
+"""Cubic-phase-state branch of the gate: its operating points and the
+squeezing-dependent probability/fidelity diagnostics used to compare it
 against the Fock-state gate."""
 
 from __future__ import annotations
@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gate
-from .analysis import fidelity
-from .numerics import MIN_SQUEEZING, Grid, WaveFunction, default_grid
+from .numerics import MIN_SQUEEZING, Grid, default_grid
 from .semiclassical import REFERENCE_N, reference_cat
-from .states import CubicPhaseResource, Resource, make_vacuum
+from .states import CubicPhaseResource, make_vacuum
 
 #: The squeezing sweep 'lo, hi, count' of the fits and of ``scan squeeze``.
 SQUEEZING_SWEEP = (MIN_SQUEEZING, 1.0, 39)
@@ -43,18 +42,6 @@ class CubicGateConfig:
         if self.gamma == 0.0:
             return math.nan
         return math.sqrt(self.y_m / (3.0 * self.gamma))
-
-
-def cubic_collapse(psi_in: WaveFunction, cfg: CubicGateConfig) -> gate.CollapseResult:
-    return gate.collapse(psi_in, cfg.resource, cfg.y_m)
-
-
-def cubic_point(psi_in: WaveFunction, resource: Resource, y_m: float,
-                reference: WaveFunction) -> tuple[gate.CollapseResult, float]:
-    """One operating point of either gate: the collapse by ``resource`` at the
-    outcome ``y_m`` and its infidelity against ``reference``."""
-    result = gate.collapse(psi_in, resource, y_m)
-    return result, 1.0 - fidelity(result.psi_out, reference)
 
 
 def squeezing_db(s: float) -> float:
@@ -95,7 +82,7 @@ def squeezing_scan(
     infidelity = np.empty_like(s_values)
     for i, s in enumerate(s_values):
         cfg = CubicGateConfig(gamma, y_m, float(s))
-        result, infidelity[i] = cubic_point(psi_in, cfg.resource, cfg.y_m, reference)
-        probability[i] = result.norm_N
+        p, f = gate.grade_outcomes(psi_in, cfg.resource, [cfg.y_m], reference)
+        probability[i], infidelity[i] = p[0], 1.0 - f[0]
     return SqueezingScan(gamma=gamma, y_m=y_m, s=s_values,
                          probability=probability, infidelity=infidelity)

@@ -12,8 +12,9 @@ from itertools import islice
 import numpy as np
 
 from .analysis import WignerGrid, wigner
-from .cubic import SQUEEZING_SWEEP, CubicGateConfig, cubic_point
+from .cubic import SQUEEZING_SWEEP, CubicGateConfig
 from .errors import ConvergenceError, FitRangeError
+from .gate import collapse, grade_outcomes
 from .numerics import (
     MIN_SQUEEZING,
     Grid,
@@ -161,8 +162,8 @@ def fit_squeezing(
 
     def point(s: float) -> tuple[CubicGateConfig, dict[str, float]]:
         cfg = CubicGateConfig(gamma, y_m, float(s))
-        result, infidelity = cubic_point(psi_in, cfg.resource, cfg.y_m, reference)
-        return cfg, {"probability": result.norm_N, "infidelity": infidelity}
+        p, f = grade_outcomes(psi_in, cfg.resource, [cfg.y_m], reference)
+        return cfg, {"probability": float(p[0]), "infidelity": 1.0 - float(f[0])}
 
     def residual(s: float) -> float:
         curve.append(point(s)[1][target])
@@ -217,7 +218,8 @@ def compare_gates(
     include_wigner: bool = False,
 ) -> GateComparison:
     """Side-by-side report of the Fock gate at (n, y_m = 0) and the cubic gate
-    at ``cfg``, both graded against the same even/odd cat reference."""
+    at ``cfg``, both graded against the same even/odd cat reference.  Only
+    ``include_wigner`` builds the collapsed states."""
     grid = grid or default_grid()
     psi_in = make_vacuum(grid)
     reference = reference_cat(n, 0.0, grid)
@@ -228,7 +230,7 @@ def compare_gates(
         (f"cubic gamma={cfg.gamma} y_m={cfg.y_m} s={cfg.s}", cfg.resource, cfg.y_m,
          cfg.copy_spacing()),
     ):
-        result, infidelity = cubic_point(psi_in, resource, y_m, reference)
-        sides.append(GateSideReport(label, result.norm_N, infidelity, copy_spacing,
-                                    wigner(result.psi_out) if include_wigner else None))
+        p, f = grade_outcomes(psi_in, resource, [y_m], reference)
+        state = wigner(collapse(psi_in, resource, y_m).psi_out) if include_wigner else None
+        sides.append(GateSideReport(label, float(p[0]), 1.0 - float(f[0]), copy_spacing, state))
     return GateComparison(*sides)

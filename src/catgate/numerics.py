@@ -1,6 +1,6 @@
-"""Shared numerical kernels: grids, wavefunctions, Hermite and Laguerre
-functions, Fourier transforms in the continuum convention, and the closed-form
-Airy factor of the cubic-phase ancilla.
+"""Shared numerical kernels: grids, wavefunctions, Hermite functions, Fourier
+transforms in the continuum convention, and the closed-form Airy factor of
+the cubic-phase ancilla.
 
 The Airy function of a real argument is evaluated here in numpy
 (``_airy_ai``): its Maclaurin series for |z| <= 2, and beyond that a 40-node
@@ -47,7 +47,7 @@ _AIRY_NODES = 40
 
 #: Amplitudes below this fraction of their peak count as zero: they bound a
 #: state's support (``WaveFunction.support``), and with it the work of the
-#: collapse, the Wigner transform and the spectral outcome sums.
+#: collapse, the Wigner transform and the outcome grader.
 SUPPORT_TOL = 1e-15
 
 
@@ -159,18 +159,6 @@ def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
     prev, cur = h0, h1
     for k in range(1, n):
         prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
-    return cur
-
-
-def _laguerre_function(n: int, x: np.ndarray) -> np.ndarray:
-    """exp(-x/2) L_n(x) by the three-term Laguerre recurrence, run on the
-    damped functions so that it stays finite where L_n alone overflows."""
-    prev = np.exp(-x / 2.0)
-    if n == 0:
-        return prev
-    cur = (1.0 - x) * prev
-    for j in range(1, n):
-        prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
     return cur
 
 

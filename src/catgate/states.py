@@ -15,7 +15,6 @@ from .numerics import (
     MAX_HERMITE_ORDER,
     Grid,
     WaveFunction,
-    _laguerre_function,
     hermite_function,
     hermite_values,
     oscillatory_fourier_factor,
@@ -27,24 +26,19 @@ Parity = Literal["even", "odd"]
 
 class Resource:
     """An ancilla state of the gate.  A resource is known to the gate only
-    through three closed forms:
+    through two closed forms:
 
     * ``momentum_factor(y)``, the amplitude [F psi_res](y) that multiplies the
       input in the collapse;
-    * ``transforms(k)``, its characteristic function chi_res(k) =
-      <exp(i k p)> = integral dx conj(psi_res)(x) psi_res(x + k) and its
-      wavefunction psi_res(k), for the outcome sums of ``spectral_outcomes``;
-    * ``support(log_tol)``, the interval of u outside which |[F psi_res](u)|
-      is below exp(-log_tol) of its peak.
+    * ``band(log_tol)``, the half-width of F's spectrum, which is psi_res
+      itself: |psi_res(t)| is below exp(-log_tol) of its peak for |t| beyond
+      it.  ``grade_outcomes`` derives its summation step from it.
     """
 
     def momentum_factor(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def transforms(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def support(self, log_tol: float) -> tuple[float, float]:
+    def band(self, log_tol: float) -> float:
         raise NotImplementedError
 
 
@@ -71,16 +65,10 @@ class FockResource(Resource):
         """|n> is its own Fourier transform up to (-i)^n."""
         return (-1j) ** self.n * hermite_values(self.n, y)
 
-    def transforms(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """chi_res = exp(-k^2/4) L_n(k^2/2); psi_res is the Hermite function."""
-        return (_laguerre_function(self.n, 0.5 * k * k).astype(np.complex128),
-                hermite_values(self.n, k).astype(np.complex128))
-
-    def support(self, log_tol: float) -> tuple[float, float]:
+    def band(self, log_tol: float) -> float:
         """The Hermite function's turning point sqrt(2n+1) plus the n = 0
         Gaussian edge sqrt(2 log_tol)."""
-        half = math.sqrt(2 * self.n + 1) + math.sqrt(2.0 * log_tol)
-        return -half, half
+        return math.sqrt(2 * self.n + 1) + math.sqrt(2.0 * log_tol)
 
 
 @dataclass(frozen=True)
@@ -98,26 +86,10 @@ class CubicPhaseResource(Resource):
         """An Airy function (``oscillatory_fourier_factor``)."""
         return np.asarray(oscillatory_fourier_factor(self.gamma, self.s, y))
 
-    def transforms(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x + k)^3 - x^3 is quadratic in x, so chi_res is the Gaussian
-        integral (s^2/pi)^(1/2) (pi/a)^(1/2) exp(b^2/(4a) + c) with
-        a = s^2 - 3 i gamma k, b = -s^2 k + 3 i gamma k^2 = -k a and
-        c = -s^2 k^2/2 + i gamma k^3, which is
-        (s^2/a)^(1/2) exp(-s^2 k^2/4 + i gamma k^3/4)."""
-        gamma, s2 = self.gamma, self.s ** 2
-        cube = gamma * k ** 3
-        chi = np.sqrt(s2 / (s2 - 3j * gamma * k)) * np.exp(-0.25 * s2 * k * k + 0.25j * cube)
-        psi = (s2 / np.pi) ** 0.25 * np.exp(-0.5 * s2 * k * k + 1j * cube)
-        return chi, psi
-
-    def support(self, log_tol: float) -> tuple[float, float]:
-        """The semiclassical momentum 3 gamma x^2 at the coordinate edge
-        x = sqrt(2 log_tol)/s (the tests' window 27 gamma/s^2 + 8 is the same
-        edge at x = 3/s), widened on both sides by the Gaussian edge and the
-        decay length (1.5 log_tol sqrt(3 gamma))^(2/3) of Ai."""
-        edge = math.sqrt(2.0 * log_tol)
-        margin = edge + (1.5 * log_tol * math.sqrt(3.0 * self.gamma)) ** (2.0 / 3.0)
-        return -margin, 3.0 * self.gamma * (edge / self.s) ** 2 + margin
+    def band(self, log_tol: float) -> float:
+        """|psi_res| is the Gaussian (s^2/pi)^(1/4) exp(-s^2 t^2/2), which
+        falls to exp(-log_tol) of its peak at t = sqrt(2 log_tol)/s."""
+        return math.sqrt(2.0 * log_tol) / self.s
 
 
 @dataclass(frozen=True)

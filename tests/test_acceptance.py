@@ -18,7 +18,6 @@ from catgate import (
     FockResource,
     Grid,
     collapse,
-    cubic_collapse,
     default_grid,
     fidelity_cat,
     fidelity_coh,
@@ -176,8 +175,8 @@ def test_criterion_08_wigner_invariants():
     states = {
         "vacuum": VACUUM,
         "fock5": collapse(VACUUM, FockResource(5), 0.0).psi_out,
-        "cubicP": cubic_collapse(VACUUM, MATCH_P).psi_out,
-        "cubicF": cubic_collapse(VACUUM, MATCH_F).psi_out,
+        "cubicP": collapse(VACUUM, MATCH_P.resource, MATCH_P.y_m).psi_out,
+        "cubicF": collapse(VACUUM, MATCH_F.resource, MATCH_F.y_m).psi_out,
     }
     ok = True
     details = []
@@ -215,7 +214,8 @@ def test_criterion_09_semiclassical_consistency():
 
 
 def test_criterion_10_degenerate_reductions():
-    cubic = cubic_collapse(VACUUM, CubicGateConfig(0.0, 0.0, 1.0))
+    cfg = CubicGateConfig(0.0, 0.0, 1.0)
+    cubic = collapse(VACUUM, cfg.resource, cfg.y_m)
     fock = collapse(VACUUM, FockResource(0), 0.0)
     pointwise = float(np.max(np.abs(cubic.psi_out.values - fock.psi_out.values)))
     f_mix, _ = fidelity_mix(5, AcceptanceWindow(1e-6), VACUUM)

@@ -14,7 +14,6 @@ from catgate import (
     Grid,
     WaveFunction,
     collapse,
-    cubic_collapse,
     default_grid,
     fidelity,
     fidelity_cat,
@@ -112,7 +111,8 @@ def test_wigner_matches_direct_sum(case):
         psi, y_axis = collapse(VACUUM, FockResource(5), 2.0).psi_out, Grid(-6.0, 6.0, 385)
     else:
         # the 02b axis: its nodes are off the default momentum lattice
-        psi = cubic_collapse(VACUUM, CubicGateConfig(0.334, 11.012, 0.241)).psi_out
+        cfg = CubicGateConfig(0.334, 11.012, 0.241)
+        psi = collapse(VACUUM, cfg.resource, cfg.y_m).psi_out
         y_axis = Grid(2.5, 4.0, 601)
     w = wigner(psi, y_axis=y_axis)
     values, direct_residue = _direct_wigner(psi, w.x_axis, w.y_axis)

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from catgate import FockResource, analysis, cli, cubic, gate, make_vacuum, matching
 from catgate.cli import _write_csv, main
+from catgate.numerics import default_grid
 
 
 def read_csv(path):
@@ -133,6 +135,20 @@ def test_scan_probability_completeness():
         assert meta["integrals"][n] == pytest.approx(1.0, abs=1e-3)
     table = read_csv("sp.csv")
     assert set(table) == {"n", "ym", "P"}
+
+
+@pytest.mark.parametrize("n", [1, 5, 10])
+def test_scan_probability_tails_match_the_direct_density(n):
+    # every printed P, down to 1e-20, is the density to its printed digits
+    assert main(["scan", "probability", "--fock", str(n), "--out", "tails"]) == 0
+    table = read_csv("tails.csv")
+    half = 12.0 + math.sqrt(2 * n + 1)  # the default window, at the default step
+    ys = np.arange(-half, half + 0.025, 0.05)
+    assert np.max(np.abs(table["ym"] - ys)) < 1e-9
+    vacuum = make_vacuum(default_grid())
+    direct = np.array([gate.probability_density(vacuum, FockResource(n), y) for y in ys])
+    tail = direct > 1e-20
+    assert np.max(np.abs(table["P"][tail] - direct[tail]) / direct[tail]) <= 1e-11
 
 
 def test_scan_probability_echoes_window():
@@ -265,6 +281,20 @@ def test_match_compare_entry_mode():
     report = json.loads(open("me.json").read())
     assert report["fock"]["P"] == pytest.approx(report["cubic"]["P"], abs=2e-3)
     assert 15.0 < report["infidelity_ratio"] < 25.0
+
+
+@pytest.mark.parametrize("extra, states", [([], 0), (["--wigner"], 2)], ids=["graded", "wigner"])
+def test_match_compare_entry_collapses_only_the_written_states(monkeypatch, extra, states):
+    # the fit target, the fit and both sides are graded without a state; only
+    # the Wigner grids need the collapsed states
+    calls = []
+    original = gate.collapse
+    for module in (gate, analysis, cubic, matching, cli):
+        if hasattr(module, "collapse"):
+            monkeypatch.setattr(module, "collapse",
+                                lambda *a: calls.append(a) or original(*a))
+    assert main(["match", "compare", "--fock", "5", "--entry", "2", "--out", "mc"] + extra) == 0
+    assert len(calls) == states
 
 
 def test_match_compare_degenerate():

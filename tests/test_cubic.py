@@ -7,7 +7,6 @@ from catgate import (
     CubicGateConfig,
     FockResource,
     collapse,
-    cubic_collapse,
     default_grid,
     fidelity,
     make_vacuum,
@@ -16,7 +15,6 @@ from catgate import (
     squeezing_db,
     squeezing_scan,
 )
-from catgate.cubic import cubic_point
 from catgate.states import CubicPhaseResource
 
 GRID = default_grid()
@@ -44,33 +42,25 @@ def test_copy_spacing():
 
 
 def test_degenerate_reduction_to_fock_zero():
-    cubic = cubic_collapse(VACUUM, CubicGateConfig(0.0, 0.0, 1.0))
+    cfg = CubicGateConfig(0.0, 0.0, 1.0)
+    cubic = collapse(VACUUM, cfg.resource, cfg.y_m)
     fock = collapse(VACUUM, FockResource(0), 0.0)
     assert np.max(np.abs(cubic.psi_out.values - fock.psi_out.values)) < 1e-6
     assert cubic.norm_N == pytest.approx(fock.norm_N, abs=1e-9)
 
 
 def test_probability_matched_configuration():
-    result = cubic_collapse(VACUUM, MATCH_P)
+    result = collapse(VACUUM, MATCH_P.resource, MATCH_P.y_m)
     assert result.norm_N == pytest.approx(0.098, abs=3e-3)
     infidelity = 1.0 - fidelity(result.psi_out, ODD_CAT)
     assert infidelity == pytest.approx(0.098, abs=5e-3)
 
 
 def test_fidelity_matched_configuration():
-    result = cubic_collapse(VACUUM, MATCH_F)
+    result = collapse(VACUUM, MATCH_F.resource, MATCH_F.y_m)
     assert result.norm_N == pytest.approx(0.022, abs=3e-3)
     infidelity = 1.0 - fidelity(result.psi_out, ODD_CAT)
     assert infidelity == pytest.approx(0.005, abs=2e-3)
-
-
-@pytest.mark.parametrize("resource, y_m", [(FockResource(5), 0.0), (MATCH_P.resource, MATCH_P.y_m)],
-                         ids=["fock", "cubic"])
-def test_cubic_point_grades_either_gate(resource, y_m):
-    result, infidelity = cubic_point(VACUUM, resource, y_m, ODD_CAT)
-    direct = collapse(VACUUM, resource, y_m)
-    assert result.norm_N == direct.norm_N
-    assert infidelity == 1.0 - fidelity(direct.psi_out, ODD_CAT)
 
 
 def test_squeezing_scan_hits_matched_point():

@@ -6,8 +6,8 @@ import pytest
 
 from catgate import (
     CubicGateConfig,
+    collapse,
     compare_gates,
-    cubic_collapse,
     default_grid,
     fit_squeezing,
     make_vacuum,
@@ -64,7 +64,8 @@ def test_ladder_entries_realize_odd_cats():
     # interference node sits at the origin (phase offset ~ 0)
     entries = odd_cat_ladder(2)
     for y_m, gamma in entries:
-        result = cubic_collapse(VACUUM, CubicGateConfig(gamma, y_m, 0.05))
+        cfg = CubicGateConfig(gamma, y_m, 0.05)
+        result = collapse(VACUUM, cfg.resource, cfg.y_m)
         theta = odd_cat_phase_offset(result.psi_out, math.sqrt(11.0))
         assert abs(theta) < 0.05
 
@@ -149,7 +150,7 @@ def test_fit_squeezing_probability_target():
     assert abs(report.fitted.s - 0.171) < 0.01
     assert abs(report.achieved_probability - 0.098) < 1e-3
     # achieved values recomputed from scratch agree with the stored ones
-    check = cubic_collapse(VACUUM, report.fitted)
+    check = collapse(VACUUM, report.fitted.resource, report.fitted.y_m)
     assert abs(check.norm_N - report.achieved_probability) < 1e-10
 
 

@@ -40,8 +40,9 @@ def test_compare_outputs_lists_identical_trees(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("changed, lines", [
-    ({"cell": "0.2500001"}, ["w.csv:", "  W  1e-07", "  x  0"]),
-    ({"number": "0.1003"}, ["w.json:", "  .P  0.0003", "  .parameters.ym  0"]),
+    ({"cell": "0.2500001"}, ["w.csv:", "  W  1e-07  relative 4e-07", "  x  0  relative 0"]),
+    ({"number": "0.1003"},
+     ["w.json:", "  .P  0.0003  relative 0.003", "  .parameters.ym  0  relative 0"]),
 ])
 def test_compare_outputs_reports_the_largest_difference(tmp_path, capsys, changed, lines):
     write_tree(tmp_path / "old")
@@ -50,3 +51,14 @@ def test_compare_outputs_reports_the_largest_difference(tmp_path, capsys, change
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "byte-identical: 1 of 2 files"
     assert out[2:] == lines
+
+
+def test_compare_outputs_shows_a_tail_loss_in_relative_terms(tmp_path, capsys):
+    # a value off by 100% but tiny in absolute terms
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old" / "p.csv").write_text("y,P\n0,0.4\n9,1e-20\n")
+    (tmp_path / "new" / "p.csv").write_text("y,P\n0,0.4\n9,2e-20\n")
+    assert load_script("compare_outputs").main(tmp_path / "old", tmp_path / "new") == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "  P  1e-20  relative 1", "  y  0  relative 0"]

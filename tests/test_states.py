@@ -18,6 +18,7 @@ from catgate import (
     overlap,
 )
 from catgate.errors import GridSupportError, NyquistError
+from catgate.numerics import SUPPORT_TOL, hermite_values
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
@@ -81,6 +82,29 @@ def test_fock_zero_crossings():
 def test_cubic_zero_gamma_unit_s_is_vacuum():
     psi = make_cubic_phase(0.0, 1.0, GRID)
     assert np.max(np.abs(psi.values - make_vacuum(GRID).values)) < 1e-12
+
+
+def cubic_phase_amplitude(gamma, s, t):
+    """psi_res of the cubic resource, as ``make_cubic_phase`` samples it."""
+    return (s ** 2 / np.pi) ** 0.25 * np.exp(-s ** 2 * t ** 2 / 2.0 + 1j * gamma * t ** 3)
+
+
+@pytest.mark.parametrize("resource", [
+    *[FockResource(n) for n in (0, 5, 10)],
+    *[CubicPhaseResource(gamma, s) for gamma in (0.0, 1.0) for s in (0.05, 1.0)],
+], ids=repr)
+def test_resource_band_bounds_the_spectrum(resource):
+    # F's spectrum is psi_res itself; beyond the band it is below the tolerance
+    def amplitude(t):
+        if isinstance(resource, FockResource):
+            return hermite_values(resource.n, t)
+        return cubic_phase_amplitude(resource.gamma, resource.s, t)
+
+    band = resource.band(-math.log(SUPPORT_TOL))
+    peak = np.max(np.abs(amplitude(np.linspace(-band, band, 20001))))
+    outside = np.linspace(band, 3.0 * band, 20001)[1:]
+    for t in (outside, -outside):
+        assert np.max(np.abs(amplitude(t))) < SUPPORT_TOL * peak
 
 
 def test_cubic_modulus_is_gaussian():

@@ -22,7 +22,7 @@ TRACED = {
     "semiclassical": ("linearize", "reference_cat"),
     "gate": ("collapse", "probability_density", "probability_scan"),
     "analysis": ("wigner", "fidelity", "fidelity_coh", "fidelity_cat", "fidelity_mix"),
-    "cubic": ("cubic_collapse", "squeezing_scan"),
+    "cubic": ("squeezing_scan",),
     "matching": ("odd_cat_ladder", "fit_squeezing", "compare_gates"),
     "cli": ("main",),
 }
