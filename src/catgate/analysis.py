@@ -12,15 +12,10 @@ import numpy as np
 
 from . import gate
 from .errors import GridSupportError
-from .numerics import Grid, WaveFunction, _offset_dft, default_grid, overlap
+from .numerics import BLOCK_BYTES, SUPPORT_LOG, Grid, WaveFunction, _offset_dft
+from .numerics import default_grid, overlap
 from .semiclassical import reference_cat
 from .states import FockResource, make_vacuum
-
-
-#: Size of one block of Wigner rows, as a complex array of the chirp-z FFT
-#: length.  A block's temporaries hold about four such arrays; 2 MiB blocks
-#: were the fastest of 0.5 to 16 MiB on the default 513 x 513 axes.
-_WIGNER_BLOCK_BYTES = 2 * 2 ** 20
 
 
 @dataclass
@@ -105,7 +100,7 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
     # window i + 1 of the padded support is psi(x_i + z) for z = -(n-1)h ..
     # (n-1)h, i counted from the support's start, and reversed it is psi(x_i - z)
     shifted = np.lib.stride_tricks.sliding_window_view(padded, 2 * n - 1)
-    block = max(1, _WIGNER_BLOCK_BYTES // (16 * (2 * n + m)))
+    block = max(1, BLOCK_BYTES // (16 * (2 * n + m)))
     imag_residue = 0.0
     for start in range(0, rows.size, block):
         chunk = rows[start:start + block]
@@ -140,22 +135,20 @@ def fidelity_cat(psi_out: WaveFunction, n: int) -> float:
 
 @dataclass(frozen=True)
 class AcceptanceWindow:
-    """Window of accepted outcomes [-d/2, d/2] and the quadrature order used
-    to average over it."""
+    """Window of accepted outcomes [-d/2, d/2]; ``fidelity_mix`` derives the
+    order of its quadrature from the width and the resource."""
 
     d: float
-    n_quadrature: int = 64
 
     def __post_init__(self) -> None:
         if self.d <= 0:
             raise ValueError("window width d must be positive")
-        if self.n_quadrature < 8:
-            raise ValueError("n_quadrature must be at least 8")
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1], read-only since every caller shares them."""
+    """Nodes and weights on [-1, 1], read-only since every caller shares them;
+    ``fidelity_mix``'s window check keeps the orders, and the cache, below 250."""
     rule = np.polynomial.legendre.leggauss(order)
     for array in rule:
         array.setflags(write=False)
@@ -173,9 +166,15 @@ def fidelity_mix(
         F_mix = (1/P_mix) integral P(y) F_cat(y) dy,
         P_mix = integral P(y) dy,
 
-    both by Gauss-Legendre quadrature with ``window.n_quadrature`` nodes, at
-    which ``gate.grade_outcomes`` evaluates P and F_cat in one pass.
-    Returns (F_mix, P_mix).
+    both by one Gauss-Legendre rule, at whose nodes ``gate.grade_outcomes``
+    evaluates P and F_cat in one pass.  P(y) = (|psi_in|^2 * |F|^2)(y) and
+    A(y) = (conj(ref) psi_in * F)(y) are convolutions with the resource
+    factor F, whose spectrum is psi_res, so P and |A|^2 = P F_cat have a band
+    of at most 2 B_F in y, B_F = ``FockResource(n).band(SUPPORT_LOG)``,
+    whatever the input.  An N-node Gauss-Legendre rule is exact to degree
+    2N - 1, and converges once 2N exceeds that band times the half-width d/2
+    (Trefethen, SIAM Rev. 50 (2008) 67), so N = ceil(B_F d / 2) + 16; up to
+    n = 64, 5 of the 16 extra nodes sufficed for 1e-13.  Returns (F_mix, P_mix).
     """
     if window.d > 2.0 * math.sqrt(2 * n + 1):
         raise ValueError(
@@ -183,11 +182,13 @@ def fidelity_mix(
         )
     if psi_in is None:
         psi_in = make_vacuum(default_grid())
+    resource = FockResource(n)
     reference = reference_cat(n, 0.0, psi_in.grid)
-    nodes, weights = _gauss_legendre(window.n_quadrature)
-    ws = 0.5 * window.d * weights
-    densities, fidelities = gate.grade_outcomes(psi_in, FockResource(n), 0.5 * window.d * nodes,
-                                                reference)
+    half = 0.5 * window.d
+    order = math.ceil(resource.band(SUPPORT_LOG) * half) + 16
+    nodes, weights = _gauss_legendre(order)
+    ws = half * weights
+    densities, fidelities = gate.grade_outcomes(psi_in, resource, half * nodes, reference)
     p_mix = float(np.sum(ws * densities))
     f_mix = float(np.sum(ws * densities * fidelities) / p_mix)
     return f_mix, p_mix

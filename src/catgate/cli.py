@@ -422,15 +422,13 @@ def _scan_mixfid(v, texts) -> Output:
     psi_in = make_vacuum(v.grid)
     ds = np.linspace(*v.d, v.points)
     # d = 0 is taken in the limit sense
-    mixes = [fidelity_mix(v.fock, AcceptanceWindow(max(float(d), 1e-6), v.quadrature), psi_in)
-             for d in ds]
+    mixes = [fidelity_mix(v.fock, AcceptanceWindow(max(float(d), 1e-6)), psi_in) for d in ds]
     table = Table("acceptance-window width vs mixed-state infidelity", {
         "d": ds,
         "P_mix": [p_mix for _, p_mix in mixes],
         "infidelity_mix": [1.0 - f_mix for f_mix, _ in mixes],
     })
-    params = {"fock": str(v.fock), "d": texts["d"], "points": str(v.points),
-              "quadrature": str(v.quadrature)}
+    params = {"fock": str(v.fock), "d": texts["d"], "points": str(v.points)}
     return Output(params, [(".csv", table)], f"{v.points} rows")
 
 
@@ -571,8 +569,6 @@ COMMANDS = (
         FOCK_5,
         Param("--d", _span, "0..2", "window-width span 'lo..hi' (default 0..2)"),
         Param("--points", _positive_int, "11", "number of widths (default 11)"),
-        Param("--quadrature", _int, str(AcceptanceWindow.n_quadrature),
-              f"Gauss-Legendre nodes (default {AcceptanceWindow.n_quadrature})"),
         GRID,
     ), _scan_mixfid),
     Command(("scan", "squeeze"), "probability/infidelity vs squeezing", (

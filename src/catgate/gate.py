@@ -29,19 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NyquistError, ZeroProbabilityError
-from .numerics import SUPPORT_TOL, WaveFunction
+from .numerics import BLOCK_BYTES, SUPPORT_LOG, SUPPORT_TOL, WaveFunction
 from .states import Resource, require_resource
 
 #: Below this squared norm an outcome is treated as impossible; the collapsed
 #: state (and any fidelity) is undefined there.
 MIN_COLLAPSE_NORM = 1e-300
-
-#: ``SUPPORT_TOL`` as a decay exponent, for the resources' bands.
-_SUPPORT_LOG = -math.log(SUPPORT_TOL)
-
-#: Size of one block of outcomes times summation nodes, as complex numbers,
-#: in ``grade_outcomes``; a block's temporaries hold a few such arrays.
-_OUTCOME_BLOCK_BYTES = 2 * 2 ** 20
 
 
 @dataclass
@@ -156,14 +149,14 @@ def grade_outcomes(
         )
     # the rows' edge lies within one lattice step past their last node above it
     band = np.max(np.abs(k_grid[np.any(size > SUPPORT_TOL, axis=0)])) + 2.0 * math.pi / (n * h)
-    band += 2.0 * resource.band(_SUPPORT_LOG)
+    band += 2.0 * resource.band(SUPPORT_LOG)
     stride = max(1, int(2.0 * math.pi / (h * band)))
     x = grid.points[live][::stride]
     weights = rows[:, ::stride] * stride
 
     probability = np.empty(y_values.size)
     fidelity = None if reference is None else np.empty(y_values.size)
-    block = max(1, _OUTCOME_BLOCK_BYTES // (16 * x.size))
+    block = max(1, BLOCK_BYTES // (16 * x.size))
     for start in range(0, y_values.size, block):
         ys = y_values[start:start + block]
         u = ys[:, None] - x

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial, hermite, hermite_e
 
 from catgate import (
     AcceptanceWindow,
@@ -23,14 +24,21 @@ from catgate import (
     make_cat,
     make_vacuum,
     probability_density,
+    reference_cat,
     wigner,
 )
+from catgate.analysis import default_wigner_axes
 from catgate.errors import GridSupportError, LinearizationDomainError
+from catgate.gate import grade_outcomes
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
 VACUUM = make_vacuum(GRID)
 ODD_VACUUM = make_vacuum(ODD_GRID)
+# the displaced, squeezed and momentum-kicked input of test_gate
+KICKED = WaveFunction(
+    GRID, np.exp(-(GRID.points - 0.7) ** 2 / (2 * 0.6 ** 2) + 1.3j * GRID.points)
+).normalized()
 
 
 # ---------------------------------------------------------------- wigner
@@ -214,13 +222,45 @@ def test_fixed_reference_degrades_faster_than_best_phase():
         assert fidelity_cat(out, 5) < 0.01
 
 
+def fock5_lobe_peak():
+    """The peak of W(0, p) for the n = 5, y_m = 0 output of a vacuum input,
+    psi ~ H5(x) exp(-x^2), in closed form.  psi is real and odd, so
+    W(0, p) ~ -integral H5(z)^2 exp(-2 z^2) cos(2 p z) dz, and term by term
+    integral z^(2m) exp(-2 z^2 + 2 i p z) dz
+        = sqrt(pi/2) (-1/4)^m He_2m(p) exp(-p^2/2),
+    so W(0, p) ~ -r(p) exp(-p^2/2) for a polynomial r, with its extrema at the
+    roots of r' - p r."""
+    h5 = Polynomial(hermite.herm2poly([0] * 5 + [1]))
+    even = (h5 * h5).coef[::2]
+    series = np.zeros(2 * even.size - 1)
+    series[::2] = even * (-0.25) ** np.arange(even.size)
+    r = Polynomial(hermite_e.herme2poly(series))
+    roots = (r.deriv() - Polynomial([0.0, 1.0]) * r).roots()
+    [peak] = [z.real for z in roots if abs(z.imag) < 1e-9 and 3.0 < z.real < 3.5]
+    return peak
+
+
+def test_fock5_lobe_peak_matches_the_closed_form():
+    # criterion 02b's measured value, independent of the grid and the
+    # transform: 3.244403 is the peak of W(0, p) at 30-digit mpmath
+    peak = fock5_lobe_peak()
+    assert abs(peak - 3.244403) <= 5e-6
+    out = collapse(ODD_VACUUM, FockResource(5), 0.0).psi_out
+    x_axis, _ = default_wigner_axes(ODD_GRID)
+    i0 = x_axis.n_points // 2
+    assert x_axis.points[i0] == 0.0
+    y_axis = Grid(3.2, 3.3, 201)
+    row = wigner(out, x_axis, y_axis).values[i0]
+    j = int(np.argmax(row))
+    vertex = 0.5 * (row[j - 1] - row[j + 1]) / (row[j - 1] - 2.0 * row[j] + row[j + 1])
+    assert abs(y_axis.points[j] + vertex * y_axis.spacing - peak) <= 1e-7
+
+
 # ---------------------------------------------------------------- acceptance window
 
 def test_window_validation():
     with pytest.raises(ValueError):
         AcceptanceWindow(0.0)
-    with pytest.raises(ValueError):
-        AcceptanceWindow(1.0, 4)
     with pytest.raises(ValueError):
         fidelity_mix(5, AcceptanceWindow(2.1 * math.sqrt(11.0)), VACUUM)
 
@@ -247,8 +287,25 @@ def test_mix_infidelity_grows_with_window():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_mix_quadrature_self_check():
-    f64, p64 = fidelity_mix(5, AcceptanceWindow(1.0, 64), VACUUM)
-    f128, p128 = fidelity_mix(5, AcceptanceWindow(1.0, 128), VACUUM)
-    assert abs(f64 - f128) < 1e-6
-    assert abs(p64 - p128) < 1e-6
+def widest_window(n):
+    return 2.0 * math.sqrt(2 * n + 1)
+
+
+@pytest.mark.parametrize("n, d", [
+    (5, 2.0),
+    (22, widest_window(22)),
+    (30, widest_window(30)),
+    (64, widest_window(64) * (1.0 - 1e-12)),
+], ids=["n5-d2", "n22-widest", "n30-widest", "n64-widest"])
+@pytest.mark.parametrize("kicked", [False, True], ids=["vacuum", "kicked"])
+def test_mix_matches_a_512_node_rule(kicked, n, d):
+    # from n = 22 on, the widest window needs more than 64 nodes
+    psi_in = KICKED if kicked else VACUUM
+    nodes, weights = np.polynomial.legendre.leggauss(512)
+    densities, fidelities = grade_outcomes(psi_in, FockResource(n), 0.5 * d * nodes,
+                                           reference_cat(n, 0.0, GRID))
+    p_rule = 0.5 * d * float(np.sum(weights * densities))
+    f_rule = 0.5 * d * float(np.sum(weights * densities * fidelities)) / p_rule
+    f_mix, p_mix = fidelity_mix(n, AcceptanceWindow(d), psi_in)
+    assert abs(f_mix - f_rule) <= 1e-12
+    assert abs(p_mix - p_rule) <= 1e-12

@@ -352,7 +352,7 @@ SURFACE = {
     "scan probability": (["--fock", "--step", "--window", "--grid"], "fock = 1"),
     "scan cohfid": (["--fock", "--step", "--grid"], "fock = 1"),
     "scan catfid": (["--fock", "--window", "--step", "--grid"], ""),
-    "scan mixfid": (["--fock", "--d", "--points", "--quadrature", "--grid"], ""),
+    "scan mixfid": (["--fock", "--d", "--points", "--grid"], ""),
     "scan squeeze": (["--gamma", "--ym", "--srange", "--grid"], "gamma = 0.075\nym = 2.486"),
     "match ladder": (["--kmax", "--s", "--scan"], "kmax = 1"),
     "match squeeze": (["--gamma", "--ym", "--probability", "--infidelity", "--grid"],

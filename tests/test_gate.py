@@ -25,7 +25,7 @@ from catgate import (
 from catgate.errors import GridMismatchError, NyquistError, ZeroProbabilityError
 from catgate import states
 from catgate.gate import grade_outcomes
-from catgate.numerics import SUPPORT_TOL
+from catgate.numerics import SUPPORT_LOG
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
@@ -275,7 +275,7 @@ def test_spectral_cubic_outcomes_match_direct(gamma, s, kicked, u):
     resource = CubicPhaseResource(gamma, s)
     v = float(np.max(np.abs(ys))) + 8.0  # past the inputs' support |x| < 8
     k = min(math.sqrt(v / (3.0 * gamma)) if gamma else math.inf,
-            resource.band(-math.log(SUPPORT_TOL)))
+            resource.band(SUPPORT_LOG))
     assert_spectral_matches_direct(KICKED if kicked else VACUUM, resource, ys,
                                    np.finfo(float).eps * v * k)
 

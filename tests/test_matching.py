@@ -6,6 +6,7 @@ import pytest
 
 from catgate import (
     CubicGateConfig,
+    CubicPhaseResource,
     collapse,
     compare_gates,
     default_grid,
@@ -15,8 +16,11 @@ from catgate import (
     odd_cat_ladder,
     odd_cat_phase_offset,
     oscillatory_fourier_factor,
+    reference_cat,
 )
+from catgate.cubic import SQUEEZING_SWEEP
 from catgate.errors import ConvergenceError, FitRangeError
+from catgate.gate import grade_outcomes
 from catgate.matching import _node_residual, _roots, _scan
 
 GRID = default_grid()
@@ -141,6 +145,38 @@ def test_fit_squeezing_pinned_values(gamma, y_m, target, value, s_fit):
     assert report.fitted.s == pytest.approx(s_fit, abs=1e-12)
     assert report.iterations == 5
     assert report.converged
+
+
+@pytest.mark.parametrize("gamma, y_m, target, value, bracket, s_cross", [
+    (0.075, 2.486, "probability", 0.098, (0.15, 0.175), 0.169285),
+    (0.334, 11.012, "infidelity", 0.005, (0.25, 0.275), 0.266306),
+], ids=["06a", "06b"])
+def test_fit_squeezing_brackets_the_graded_crossing(gamma, y_m, target, value, bracket, s_cross):
+    # criteria 06a and 06b off the sweep grid: the graded curve, bisected to
+    # 1e-9 in s, crosses its target at s_cross, and the fit's last bracket
+    # holds that crossing
+    reference = reference_cat(5, 0.0, GRID)
+
+    def residual(s):
+        p, f = grade_outcomes(VACUUM, CubicPhaseResource(gamma, s), [y_m], reference)
+        return (p[0] if target == "probability" else 1.0 - f[0]) - value
+
+    lo, hi = bracket
+    r_lo = residual(lo)
+    assert r_lo * residual(hi) < 0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        r_mid = residual(mid)
+        if r_mid * r_lo > 0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi = mid
+    crossing = 0.5 * (lo + hi)
+    assert abs(crossing - s_cross) <= 5e-5
+    report = fit_squeezing(gamma, y_m, target, value)
+    s_min, s_max, count = SQUEEZING_SWEEP
+    half_bracket = (s_max - s_min) / (count - 1) / 2 ** (report.iterations + 1)
+    assert abs(report.fitted.s - crossing) <= half_bracket
 
 
 def test_fit_squeezing_probability_target():

@@ -276,6 +276,21 @@ def test_airy_kernel_matches_mpmath():
         assert error < 2e-13, z
 
 
+def test_airy_kernel_matches_mpmath_far_out():
+    # the arguments the cubic factor meets at large outcomes, down to
+    # z = -1000; there the kernel evaluates cos and sin of zeta =
+    # (2/3)|z|^(3/2), each to a few ulps of zeta, as in the scipy comparison
+    mpmath.mp.dps = 30
+    zs = np.linspace(-1000.0, -60.0, 301)
+    values = _airy_ai(zs)
+    for z, value in zip(zs, values):
+        zm = mpmath.mpf(float(z))
+        ai = mpmath.airyai(zm)
+        envelope = mpmath.sqrt(ai ** 2 + mpmath.airybi(zm) ** 2)
+        zeta = (2.0 / 3.0) * abs(z) ** 1.5
+        assert abs(value - ai) <= envelope * (2e-13 + 4.0 * np.finfo(float).eps * zeta), z
+
+
 def test_airy_kernel_matches_scipy():
     rng = np.random.default_rng(7)
     zs = rng.uniform(-1e3, 1e6, 100_000)
