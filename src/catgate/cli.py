@@ -5,8 +5,8 @@ for single operating points, ``scan`` for curves (probability, fidelities,
 acceptance-window averages, squeezing sweeps), and ``match`` for the
 parameter-matching searches.  All outputs are CSV files with ``#`` comment
 headers plus JSON summaries; every CSV carries a ``.meta.json`` sidecar with
-the full parameter echo.  Deterministic: rerunning a command reproduces the
-output byte for byte.
+the parameter echo, which reruns the command as a ``--config`` section.
+Deterministic: rerunning a command reproduces the output byte for byte.
 
 ``COMMANDS`` is the one table of subcommands, their typed options and compute
 functions; the argument parser, the option resolver and the file writer are
@@ -85,14 +85,12 @@ def _ladder_entry(text: str) -> int:
     return ladder_entries(_int(text))
 
 
-def _bool(value) -> bool:
-    """A switch's True, or config-file text such as 'yes' or 'off'."""
-    if isinstance(value, bool):
-        return value
+def _bool(text: str) -> bool:
+    """A switch's 'true', or config-file text such as 'yes' or 'off'."""
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
-        raise ValueError(f"expected a boolean, got {value!r}") from None
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 def _fields(form: str, *parsers: Callable, into: Callable | None = None) -> Callable:
@@ -147,8 +145,9 @@ def _span(text: str) -> tuple[float, float]:
 @dataclass(frozen=True)
 class Param:
     """One option: ``--key`` on the command line, ``key = ...`` in the
-    command's config-file section.  ``default`` is text, parsed like a flag.
-    An option parsed by ``_bool`` is a switch on the command line."""
+    command's config-file section.  ``default`` is text, parsed like a flag,
+    and the help shows it.  An option parsed by ``_bool`` is a switch on the
+    command line, whose text is 'true'."""
 
     flag: str
     parse: Callable
@@ -174,11 +173,11 @@ class Table:
 
 @dataclass
 class Output:
-    """What one command computed: the parameter echo, then its files in the
-    order they are written and announced, each a suffix of the ``--out``
-    prefix with a Table or a JSON summary dict, then a note for stdout."""
+    """What one command computed: its files in the order they are written and
+    announced, each a suffix of the ``--out`` prefix with a Table or a JSON
+    summary dict, then a note for stdout.  ``_write`` adds the parameter
+    echo from the command's options."""
 
-    params: dict[str, str]
     files: list[tuple[str, Table | dict]]
     note: str = ""
 
@@ -186,12 +185,13 @@ class Output:
 @dataclass(frozen=True)
 class Command:
     """One subcommand: path, help, own options, compute function
-    ``(values, texts) -> Output`` and the options it cannot do without."""
+    ``values -> Output`` and the options it cannot do without.  The options
+    are also what every output file echoes."""
 
     path: tuple[str, ...]
     help: str
     params: tuple[Param, ...]
-    compute: Callable[[SimpleNamespace, dict], Output]
+    compute: Callable[[SimpleNamespace], Output]
     required: tuple[str, ...] = ()
 
     @property
@@ -227,7 +227,8 @@ def _load_config(path: str | None, section: str) -> dict[str, str]:
 
 def _resolve(command: Command, ns: argparse.Namespace) -> tuple[SimpleNamespace, dict]:
     """Each option's text (flag, config file, environment, default), then its
-    parsed value.  Returns the values and the texts, which some echoes keep."""
+    parsed value.  Returns the values, for the compute function, and the
+    texts, for ``_write`` to echo."""
     config = _load_config(ns.config, command.name)
     options = command.params + (replace(OUT, default="_".join(command.path)),)
     unknown = sorted(set(config) - {p.key for p in options})
@@ -286,12 +287,16 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write(command: Command, v: SimpleNamespace, output: Output) -> None:
-    """Every file of one command, each echoing the parameters (with the grid
-    where the command takes one) and the version; then the stdout line."""
+def _write(command: Command, v: SimpleNamespace, texts: dict, output: Output) -> None:
+    """Every file of one command, each echoing the version and the
+    parameters: every option's resolved text under its config key, the grid
+    as the grid it parsed to, and neither ``--out`` nor ``--config``, so that
+    the parameters rerun the command as its config section.  Then the stdout
+    line."""
+    params = {p.key: texts[p.key] for p in command.params if texts[p.key] is not None}
     if GRID in command.params:
-        output.params["grid"] = _grid_params(v.grid)
-    echo = {"parameters": output.params, "version": __version__}
+        params["grid"] = _grid_params(v.grid)
+    echo = {"parameters": params, "version": __version__}
     written = []
     for suffix, content in output.files:
         path = v.out + suffix
@@ -322,10 +327,9 @@ def _resource(v: SimpleNamespace):
     return resource, cubic, y_m
 
 
-def _collapse(v, texts) -> Output:
+def _collapse(v) -> Output:
     resource, cubic, y_m = _resource(v)
     result = collapse(make_vacuum(v.grid), resource, y_m)
-    params = {"resource": repr(resource), "ym": _fmt(y_m)}
     reference_n = REFERENCE_N if cubic is not None else resource.n
     fidelities = {"cat": fidelity_cat(result.psi_out, reference_n)}
     if cubic is None:
@@ -335,28 +339,24 @@ def _collapse(v, texts) -> Output:
             pass
     psi = result.psi_out.values
     table = Table(
-        f"output wavefunction, resource={params['resource']}, ym={params['ym']}",
+        f"output wavefunction, resource={resource!r}, ym={_fmt(y_m)}",
         {"x": v.grid.points, "re": psi.real, "im": psi.imag, "abs2": np.abs(psi) ** 2},
     )
     summary = {"y_m": y_m, "norm_N": result.norm_N, "P": result.norm_N, "fidelities": fidelities}
-    return Output(params, [(".csv", table), (".json", summary)], f"P={result.norm_N:.6g}")
+    return Output([(".csv", table), (".json", summary)], f"P={result.norm_N:.6g}")
 
 
-def _wigner(v, texts) -> Output:
+def _wigner(v) -> Output:
     if v.vacuum:
         if v.fock is not None or v.cubic is not None or v.ym is not None:
             raise ValueError("--vacuum excludes --fock/--cubic/--ym")
         state = make_vacuum(v.grid)
-        params = {"state": "vacuum"}
     else:
         resource, _, y_m = _resource(v)
         state = collapse(make_vacuum(v.grid), resource, y_m).psi_out
-        params = {"resource": repr(resource), "ym": _fmt(y_m)}
-    params["stride"] = str(v.stride)
     x_axis, y_axis = default_wigner_axes(v.grid, v.stride)
     if v.paxis is not None:
         y_axis = Grid(*v.paxis)
-        params["paxis"] = texts["paxis"]
 
     w = wigner(state, x_axis, y_axis)
     norm = w.normalization()
@@ -371,10 +371,10 @@ def _wigner(v, texts) -> Output:
     }
     table = _wigner_table(w, "phase-space quasi-probability, long format", extra)
     note = f"normalization={norm:.6f}, min={extra['min_value']:.4f}"
-    return Output(params, [(".csv", table)], note)
+    return Output([(".csv", table)], note)
 
 
-def _scan_probability(v, texts) -> Output:
+def _scan_probability(v) -> Output:
     psi_in = make_vacuum(v.grid)
     curves, integrals = [], {}
     for n in v.fock:
@@ -386,13 +386,10 @@ def _scan_probability(v, texts) -> Output:
     rows = np.concatenate(curves)
     table = Table("homodyne outcome density for Fock resources",
                   {"n": rows[:, 0], "ym": rows[:, 1], "P": rows[:, 2]}, {"integrals": integrals})
-    params = {"fock": texts["fock"], "step": _fmt(v.step)}
-    if v.window is not None:
-        params["window"] = texts["window"]
-    return Output(params, [(".csv", table)], f"integrals: {integrals}")
+    return Output([(".csv", table)], f"integrals: {integrals}")
 
 
-def _scan_cohfid(v, texts) -> Output:
+def _scan_cohfid(v) -> Output:
     psi_in = make_vacuum(v.grid)
     rows = []
     for n in v.fock:
@@ -402,11 +399,10 @@ def _scan_cohfid(v, texts) -> Output:
     n_col, y_col, f_col = zip(*rows)
     table = Table("infidelity vs outcome, best-phase reference",
                   {"n": n_col, "ym": y_col, "infidelity_coh": f_col})
-    params = {"fock": texts["fock"], "step": _fmt(v.step)}
-    return Output(params, [(".csv", table)], f"{len(rows)} rows")
+    return Output([(".csv", table)], f"{len(rows)} rows")
 
 
-def _scan_catfid(v, texts) -> Output:
+def _scan_catfid(v) -> Output:
     psi_in = make_vacuum(v.grid)
     lo, hi = v.window
     ys = np.arange(lo, hi + v.step / 2, v.step)
@@ -414,11 +410,10 @@ def _scan_catfid(v, texts) -> Output:
     _, fidelities = grade_outcomes(psi_in, FockResource(v.fock), ys, reference)
     table = Table("infidelity vs outcome, fixed even/odd cat reference",
                   {"ym": ys, "infidelity_cat": 1.0 - fidelities})
-    params = {"fock": str(v.fock), "window": texts["window"], "step": _fmt(v.step)}
-    return Output(params, [(".csv", table)], f"{len(ys)} rows")
+    return Output([(".csv", table)], f"{len(ys)} rows")
 
 
-def _scan_mixfid(v, texts) -> Output:
+def _scan_mixfid(v) -> Output:
     psi_in = make_vacuum(v.grid)
     ds = np.linspace(*v.d, v.points)
     # d = 0 is taken in the limit sense
@@ -428,11 +423,10 @@ def _scan_mixfid(v, texts) -> Output:
         "P_mix": [p_mix for _, p_mix in mixes],
         "infidelity_mix": [1.0 - f_mix for f_mix, _ in mixes],
     })
-    params = {"fock": str(v.fock), "d": texts["d"], "points": str(v.points)}
-    return Output(params, [(".csv", table)], f"{v.points} rows")
+    return Output([(".csv", table)], f"{v.points} rows")
 
 
-def _scan_squeeze(v, texts) -> Output:
+def _scan_squeeze(v) -> Output:
     lo, hi, count = v.srange
     scan = squeezing_scan(v.gamma, v.ym, np.linspace(lo, hi, count), v.grid)
     table = Table("probability and cat infidelity vs ancilla squeezing", {
@@ -442,26 +436,23 @@ def _scan_squeeze(v, texts) -> Output:
         "P": scan.probability,
         "infidelity_cat": scan.infidelity,
     })
-    params = {"gamma": _fmt(v.gamma), "ym": _fmt(v.ym), "srange": texts["srange"]}
-    return Output(params, [(".csv", table)], f"{count} rows")
+    return Output([(".csv", table)], f"{count} rows")
 
 
-def _match_ladder(v, texts) -> Output:
-    params = {"kmax": str(v.kmax), "s": _fmt(v.s)}
+def _match_ladder(v) -> Output:
     scan = {}
     if v.scan is not None:
         scan = dict(zip(("scan_start", "scan_stop", "scan_step"), v.scan))
-        params["scan"] = texts["scan"]
     entries = odd_cat_ladder(v.kmax, s=v.s, **scan)
     y_col, gamma_col = zip(*entries)
     table = Table("odd-cat operating points along the matched-spacing line",
                   {"entry": range(1, len(entries) + 1), "ym": y_col, "gamma": gamma_col})
     summary = {"entries": [{"entry": i + 1, "ym": y_m, "gamma": gamma}
                            for i, (y_m, gamma) in enumerate(entries)]}
-    return Output(params, [(".csv", table), (".json", summary)], f"{len(entries)} entries")
+    return Output([(".csv", table), (".json", summary)], f"{len(entries)} entries")
 
 
-def _match_squeeze(v, texts) -> Output:
+def _match_squeeze(v) -> Output:
     _exactly_one(v, "probability", "infidelity")
     target = "probability" if v.probability is not None else "infidelity"
     value = getattr(v, target)
@@ -481,16 +472,13 @@ def _match_squeeze(v, texts) -> Output:
         "iterations": report.iterations,
         "converged": report.converged,
     }
-    params = {"gamma": _fmt(v.gamma), "ym": _fmt(v.ym)}
-    return Output(params, [(".json", summary)], f"s={fitted.s:.4f}")
+    return Output([(".json", summary)], f"s={fitted.s:.4f}")
 
 
-def _match_compare(v, texts) -> Output:
+def _match_compare(v) -> Output:
     _exactly_one(v, "entry", "cubic")
-    if v.cubic is not None:
-        cfg = v.cubic
-        params = {"fock": str(v.fock), "cubic": f"{cfg.gamma},{cfg.y_m},{cfg.s}"}
-    else:
+    cfg = v.cubic
+    if cfg is None:
         if v.fock % 2 == 0:
             raise ValueError(f"--entry: the ladder holds odd cats; --fock {v.fock} is even")
         # equal success probability: fit s so the cubic gate matches the
@@ -499,7 +487,6 @@ def _match_compare(v, texts) -> Output:
         y_m, gamma = odd_cat_ladder(v.entry, reference_n=v.fock)[v.entry - 1]
         report = fit_squeezing(gamma, y_m, "probability", target_p, grid=v.grid, reference_n=v.fock)
         cfg = report.fitted
-        params = {"fock": str(v.fock), "entry": str(v.entry)}
 
     comparison = compare_gates(v.fock, cfg, grid=v.grid, include_wigner=v.wigner)
     sides = {"fock": comparison.fock, "cubic": comparison.cubic}
@@ -519,16 +506,16 @@ def _match_compare(v, texts) -> Output:
             extra = {"side": tag, "normalization": side.wigner.normalization()}
             table = _wigner_table(side.wigner, f"wigner grid for the {tag} side", extra)
             files.append((f"_{tag}_wigner.csv", table))
-    return Output(params, files)
+    return Output(files)
 
 
 # ---------------------------------------------------------------- the table
 
 FOCK = Param("--fock", _int, None, "Fock resource photon number")
 FOCK_RANGE = Param("--fock", _int_range, None, "photon number or range 'lo..hi'")
-FOCK_5 = Param("--fock", _int, "5", "photon number (default 5)")
+FOCK_5 = Param("--fock", _int, "5", "photon number")
 CUBIC = Param("--cubic", _cubic_spec, None, "cubic resource 'gamma,ym,s'")
-STEP = Param("--step", _positive_float, "0.05", "outcome step (default 0.05)")
+STEP = Param("--step", _positive_float, "0.05", "outcome step")
 GAMMA = Param("--gamma", _float, None, "cubic nonlinearity")
 YM = Param("--ym", _float, None, "homodyne outcome")
 
@@ -544,7 +531,7 @@ COMMANDS = (
         FOCK,
         CUBIC,
         replace(YM, help="homodyne outcome (default 0)"),
-        Param("--stride", _positive_int, "8", "x-axis stride over the grid (default 8)"),
+        Param("--stride", _positive_int, "8", "x-axis stride over the grid"),
         Param("--paxis", _triple, None, "momentum axis 'lo,hi,count' (default: same as x)"),
         GRID,
     ), _wigner),
@@ -561,27 +548,26 @@ COMMANDS = (
     ), _scan_cohfid, required=("fock",)),
     Command(("scan", "catfid"), "fixed-cat infidelity vs outcome", (
         FOCK_5,
-        Param("--window", _pair, "0,3", "outcome window 'lo,hi' (default 0,3)"),
+        Param("--window", _pair, "0,3", "outcome window 'lo,hi'"),
         STEP,
         GRID,
     ), _scan_catfid),
     Command(("scan", "mixfid"), "acceptance-window fidelity trade-off", (
         FOCK_5,
-        Param("--d", _span, "0..2", "window-width span 'lo..hi' (default 0..2)"),
-        Param("--points", _positive_int, "11", "number of widths (default 11)"),
+        Param("--d", _span, "0..2", "window-width span 'lo..hi'"),
+        Param("--points", _positive_int, "11", "number of widths"),
         GRID,
     ), _scan_mixfid),
     Command(("scan", "squeeze"), "probability/infidelity vs squeezing", (
         GAMMA,
         YM,
         Param("--srange", _triple, ",".join(map(str, SQUEEZING_SWEEP)),
-              "squeezing scan 'lo,hi,count' (default {},{},{})".format(*SQUEEZING_SWEEP)),
+              "squeezing scan 'lo,hi,count'"),
         GRID,
     ), _scan_squeeze, required=("gamma", "ym")),
     Command(("match", "ladder"), "odd-cat operating points on the matched line", (
-        Param("--kmax", _ladder_entry, "9", "number of entries (default 9)"),
-        Param("--s", _float, str(MIN_SQUEEZING),
-              f"ancilla squeezing during the search (default {MIN_SQUEEZING})"),
+        Param("--kmax", _ladder_entry, "9", "number of entries"),
+        Param("--s", _float, str(MIN_SQUEEZING), "ancilla squeezing during the search"),
         Param("--scan", _scan_range, None, "scan override 'lo,hi,step'"),
     ), _match_ladder),
     Command(("match", "squeeze"), "fit squeezing to a target", (
@@ -592,7 +578,7 @@ COMMANDS = (
         GRID,
     ), _match_squeeze, required=("gamma", "ym")),
     Command(("match", "compare"), "Fock vs cubic side-by-side report", (
-        Param("--fock", _int, "5", "Fock photon number (default 5)"),
+        FOCK_5,
         Param("--entry", _ladder_entry, None,
               "ladder entry to compare against (fits s for equal P)"),
         Param("--cubic", _cubic_spec, None, "explicit cubic config 'gamma,ym,s'"),
@@ -621,8 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
                 dest=f"{group[0]}_command", required=True)
         sub = parents[group].add_parser(command.path[-1], help=command.help)
         for p in command.params + (OUT,):
-            switch = {"action": "store_true", "default": None} if p.parse is _bool else {}
-            sub.add_argument(p.flag, help=p.help, **switch)
+            switch = {"action": "store_const", "const": "true"} if p.parse is _bool else {}
+            default = "" if p.default is None else f" (default {p.default})"
+            sub.add_argument(p.flag, help=p.help + default, **switch)
         sub.add_argument("--config", help="INI-style config file; flags win over file values")
         sub.set_defaults(spec=command)
     return parser
@@ -632,7 +619,7 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         values, texts = _resolve(ns.spec, ns)
-        _write(ns.spec, values, ns.spec.compute(values, texts))
+        _write(ns.spec, values, texts, ns.spec.compute(values))
         return 0
     except ConvergenceError as exc:
         print(f"error: not converged: {exc}", file=sys.stderr)

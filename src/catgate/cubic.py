@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gate
-from .numerics import MIN_SQUEEZING, Grid, default_grid
+from .numerics import MIN_SQUEEZING, Grid, default_grid, validate_cubic_params
 from .semiclassical import REFERENCE_N, reference_cat
 from .states import CubicPhaseResource, make_vacuum
 
@@ -28,7 +28,7 @@ class CubicGateConfig:
     s: float
 
     def __post_init__(self) -> None:
-        CubicPhaseResource(self.gamma, self.s)  # range validation
+        validate_cubic_params(self.gamma, self.s)
         if self.y_m < 0:
             raise ValueError("cubic gate outcomes use the y_m >= 0 convention")
 

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GridMismatchError, GridSupportError, NyquistError
+from .errors import GridMismatchError, GridSupportError
 
 MAX_HERMITE_ORDER = 64
 
@@ -225,23 +225,16 @@ def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int
     return out
 
 
-def fourier_transform(psi: WaveFunction, max_wavenumber: float | None = None) -> WaveFunction:
+def fourier_transform(psi: WaveFunction) -> WaveFunction:
     """Continuum Fourier transform ``[F psi](y)`` sampled on psi's own grid.
 
-    The grid must be symmetric about zero.  ``max_wavenumber`` is the caller's
-    declared fastest local phase slope of psi; when given, the grid must
-    resolve it (Nyquist).  Parseval holds to ~1e-12 for states whose momentum
-    content fits inside the grid window.
+    The grid must be symmetric about zero.  Parseval holds to ~1e-12 for
+    states whose momentum content fits inside the grid window.
     """
     grid = psi.grid
     if not grid.is_symmetric:
         raise ValueError("fourier_transform requires a grid symmetric about 0")
     dx = grid.spacing
-    if max_wavenumber is not None and abs(max_wavenumber) > np.pi / dx:
-        raise NyquistError(
-            f"declared wavenumber {max_wavenumber:.3g} exceeds the grid "
-            f"Nyquist limit {np.pi / dx:.3g}"
-        )
     out = _offset_dft(psi.values, grid.x_min, dx, grid.x_min, dx, grid.n_points)
     return WaveFunction(grid, out * dx / math.sqrt(2.0 * math.pi))
 

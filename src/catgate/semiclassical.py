@@ -32,6 +32,10 @@ REFERENCE_N = 5
 #: Relative width of the degenerate band around a vanishing discriminant.
 _DEGENERACY_RTOL = 64 * np.finfo(float).eps
 
+#: Distance in z from the turning points |z| = 1 inside which
+#: ``added_factor`` flags its points invalid.
+_TURNING_MARGIN = 1e-3
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -86,21 +90,21 @@ def phase_function(n: int, z) -> np.ndarray:
     return 0.5 * (2 * n + 1) * (z * np.sqrt(1.0 - z ** 2) + np.arcsin(z))
 
 
-def added_factor(n: int, y_m: float, x, epsilon: float = 1e-3):
+def added_factor(n: int, y_m: float, x):
     """Superposition of the two semiclassical copy factors,
 
         (1 - z^2)^(-1/4) [exp(i phi) + (-1)^n exp(-i phi)],
 
     with the 1/|delta_p| branch weights folded into the prefactor, defined up
     to one overall constant.  Valid only away from the turning points: points
-    with |z| >= 1 - epsilon are flagged invalid and get value 0.
+    with |z| >= 1 - ``_TURNING_MARGIN`` are flagged invalid and get value 0.
 
     Returns (values, valid_mask).
     """
     x = np.asarray(x, dtype=np.float64)
     z = (x - y_m) / math.sqrt(2 * n + 1)
-    valid = np.abs(z) < 1.0 - epsilon
-    z_safe = np.clip(z, -1.0 + epsilon, 1.0 - epsilon)
+    valid = np.abs(z) < 1.0 - _TURNING_MARGIN
+    z_safe = np.clip(z, -1.0 + _TURNING_MARGIN, 1.0 - _TURNING_MARGIN)
     phi = phase_function(n, z_safe)
     values = (1.0 - z_safe ** 2) ** -0.25 * (np.exp(1j * phi) + (-1) ** n * np.exp(-1j * phi))
     values = np.where(valid, values, 0.0 + 0.0j)

@@ -125,7 +125,7 @@ def make_cubic_phase(gamma: float, s: float, grid: Grid) -> WaveFunction:
     and resolve the cubic phase oscillation; otherwise the sampled state would
     alias.  Normalization is fixed on the grid.
     """
-    CubicPhaseResource(gamma, s)  # range validation
+    validate_cubic_params(gamma, s)
     half_support = 6.0 / s
     grid.require_coverage(-half_support, half_support, f"cubic phase state s={s}")
     max_slope = 3.0 * gamma * max(grid.x_min ** 2, grid.x_max ** 2)

@@ -376,3 +376,22 @@ def test_cli_surface_is_pinned(command, capsys, in_tmp):
     assert main(command.split() + ["--config", str(config)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
     assert list(in_tmp.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_parameter_echo_reruns_the_command(command, in_tmp):
+    # the first output's parameters, fed back as the command's config section,
+    # rerun it to byte-identical files
+    config = in_tmp / "run.ini"
+    config.write_text(f"[{command}]\n{SURFACE[command][1]}\n")
+    assert main(command.split() + ["--config", str(config), "--out", "first"]) == 0
+    first = sorted(path.name for path in in_tmp.glob("first*"))
+    meta = json.loads((in_tmp / next(n for n in first if n.endswith(".json"))).read_text())
+    echo = in_tmp / "echo.ini"
+    echo.write_text(f"[{command}]\n"
+                    + "".join(f"{key} = {text}\n" for key, text in meta["parameters"].items()))
+    assert main(command.split() + ["--config", str(echo), "--out", "second"]) == 0
+    second = sorted(path.name for path in in_tmp.glob("second*"))
+    assert second == [name.replace("first", "second", 1) for name in first]
+    for a, b in zip(first, second):
+        assert (in_tmp / a).read_bytes() == (in_tmp / b).read_bytes(), a

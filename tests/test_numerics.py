@@ -22,7 +22,7 @@ from catgate import (
     oscillatory_fourier_factor,
     overlap,
 )
-from catgate.errors import GridMismatchError, GridSupportError, NyquistError
+from catgate.errors import GridMismatchError, GridSupportError
 from catgate.numerics import SUPPORT_TOL, _airy_ai, next_fast_len
 
 GRID = default_grid()
@@ -180,14 +180,6 @@ def test_fourth_power_is_identity():
         for _ in range(4):
             out = fourier_transform(out)
         assert np.max(np.abs(out.values - psi.values)) < 1e-6
-
-
-def test_nyquist_violation_raises():
-    vac = make_vacuum(GRID)
-    limit = np.pi / GRID.spacing
-    with pytest.raises(NyquistError):
-        fourier_transform(vac, max_wavenumber=1.1 * limit)
-    fourier_transform(vac, max_wavenumber=0.5 * limit)
 
 
 def test_next_fast_len_matches_scipy():
