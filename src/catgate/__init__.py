@@ -57,6 +57,7 @@ from .numerics import (
     overlap,
 )
 from .semiclassical import (
+    BestPhaseCat,
     MappingResult,
     PhasePoint,
     added_factor,
@@ -79,6 +80,7 @@ from .states import (
 
 __all__ = [
     "AcceptanceWindow",
+    "BestPhaseCat",
     "CatGateError",
     "CatParams",
     "CollapseResult",

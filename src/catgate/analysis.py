@@ -123,7 +123,10 @@ def fidelity(a: WaveFunction, b: WaveFunction) -> float:
 
 def fidelity_coh(psi_out: WaveFunction, n: int, y_m: float) -> float:
     """Fidelity against the linearized reference whose phase theta tracks the
-    measurement outcome (the best-matching coherent superposition)."""
+    measurement outcome (the best-matching coherent superposition), for one
+    collapsed state.  It is the oracle of the batched path,
+    ``gate.grade_outcomes`` with a ``BestPhaseCat`` reference, which grades a
+    whole outcome scan without collapsing."""
     return fidelity(psi_out, reference_cat(n, y_m, psi_out.grid))
 
 

@@ -14,8 +14,8 @@ derived from it.  An option comes from its flag, else the command's section
 of the ``--config`` file, else (the grid only) the environment variable
 ``CATGATE_GRID`` ("xmin,xmax,n"), else its default.
 
-Exit codes: 0 success, 2 usage/config error, 3 numerical non-convergence,
-4 I/O error.
+Exit codes: 0 success, 2 usage/config error (an axis too large for memory
+among them), 3 numerical non-convergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import CatGateError, ConvergenceError, LinearizationDomainError
 from .gate import collapse, grade_outcomes, probability_scan
 from .matching import compare_gates, fit_squeezing, ladder_entries, odd_cat_ladder
 from .numerics import MIN_SQUEEZING, Grid, default_grid
-from .semiclassical import REFERENCE_N, reference_cat
+from .semiclassical import REFERENCE_N, BestPhaseCat, reference_cat
 from .states import FockResource, make_vacuum
 
 GRID_ENV_VAR = "CATGATE_GRID"
@@ -391,15 +391,15 @@ def _scan_probability(v) -> Output:
 
 def _scan_cohfid(v) -> Output:
     psi_in = make_vacuum(v.grid)
-    rows = []
+    columns = []
     for n in v.fock:
-        for y_m in np.arange(0.0, 0.98 * math.sqrt(2 * n + 1), v.step).tolist():
-            psi_out = collapse(psi_in, FockResource(n), y_m).psi_out
-            rows.append((n, y_m, 1.0 - fidelity_coh(psi_out, n, y_m)))
-    n_col, y_col, f_col = zip(*rows)
+        ys = np.arange(0.0, 0.98 * math.sqrt(2 * n + 1), v.step)
+        _, fidelities = grade_outcomes(psi_in, FockResource(n), ys, BestPhaseCat(n))
+        columns.append((np.full(ys.size, n), ys, 1.0 - fidelities))
+    n_col, y_col, f_col = map(np.concatenate, zip(*columns))
     table = Table("infidelity vs outcome, best-phase reference",
                   {"n": n_col, "ym": y_col, "infidelity_coh": f_col})
-    return Output([(".csv", table)], f"{len(rows)} rows")
+    return Output([(".csv", table)], f"{len(n_col)} rows")
 
 
 def _scan_catfid(v) -> Output:
@@ -626,6 +626,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, CatGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory, choose smaller axes: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)

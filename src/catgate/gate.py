@@ -17,8 +17,9 @@ untrimmed oracle.  ``grade_outcomes`` evaluates P(y) and the fidelity with a
 fixed reference for a whole set of outcomes without building a state: both
 are trapezoid sums over every stride-th support node, the stride derived from
 the integrands' closed-form band.  It is the one grader of every operating
-point.  ``collapse`` is left to the states that are written out, and to
-the best-phase fidelity scan, whose reference changes with the outcome.
+point, the best-phase fidelity scan included: its reference, the
+linearized cat of the outcome, is evaluated in closed form on the same
+strided nodes.  ``collapse`` is left to the states that are written out.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .errors import GridMismatchError, NyquistError, ZeroProbabilityError
 from .numerics import BLOCK_BYTES, SUPPORT_LOG, SUPPORT_TOL, WaveFunction
+from .semiclassical import BestPhaseCat
 from .states import Resource, require_resource
 
 #: Below this squared norm an outcome is treated as impossible; the collapsed
@@ -84,7 +86,7 @@ def grade_outcomes(
     psi_in: WaveFunction,
     resource: Resource,
     y_values,
-    reference: WaveFunction | None = None,
+    reference: WaveFunction | BestPhaseCat | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Probability density P(y) over a set of outcomes, and with a
     ``reference`` the fidelity |<reference|psi_out(y)>|^2 = |A(y)|^2 / P(y),
@@ -106,6 +108,14 @@ def grade_outcomes(
     alias in any grid sum and raise ``NyquistError``.  Outcomes go through in
     blocks of a fixed byte size, so memory does not grow with their number.
 
+    The ``reference`` is a fixed state, or a ``BestPhaseCat``, whose cat
+    changes with the outcome (the best-phase fidelity).  Its overlap row is
+    then the outcome-free envelope times psi_in, whose FFT band is widened
+    by the largest copy spacing p_plus of the outcomes; the cat's modulation
+    is evaluated in closed form on the strided nodes, block by block, and is
+    normalized in closed form.  An outcome outside the cat domain raises
+    ``LinearizationDomainError`` before any grading.
+
     P agrees with ``probability_density`` and ``collapse`` to about 1e-13
     relative wherever it exceeds 1e-20; below that the input's support, cut
     at ``SUPPORT_TOL`` of its peak amplitude, limits the accuracy.  P is never
@@ -125,10 +135,15 @@ def grade_outcomes(
             f"a zero input state has vanishing probability density for {resource!r}"
         )
     h = grid.spacing
-    rows = [np.abs(psi_in.values) ** 2]
-    if reference is not None:
+    rows, shifts = [np.abs(psi_in.values) ** 2], [0.0]
+    tracking = isinstance(reference, BestPhaseCat)
+    if tracking:
+        shifts.append(reference.band(y_values))
+        rows.append(reference.envelope(grid.points) * psi_in.values)
+    elif reference is not None:
         if reference.grid != grid:
             raise GridMismatchError("the reference must live on the input's grid")
+        shifts.append(0.0)
         rows.append(np.conj(reference.values) * psi_in.values)
     rows = np.array(rows, dtype=np.complex128) * h
     rows[:, [0, -1]] *= 0.5  # trapezoid end points
@@ -147,8 +162,11 @@ def grade_outcomes(
             f"outcome integrand is {edge:.2e} of its bound at the grid's Nyquist "
             f"limit {math.pi / h:.3g}; the grid is too coarse for {resource!r}"
         )
-    # the rows' edge lies within one lattice step past their last node above it
-    band = np.max(np.abs(k_grid[np.any(size > SUPPORT_TOL, axis=0)])) + 2.0 * math.pi / (n * h)
+    # the rows' edge lies within one lattice step past their last node above
+    # it; a best-phase row's modulation shifts its spectrum by up to p_plus
+    band = max(np.max(np.abs(k_grid[above]), initial=0.0) + shift
+               for above, shift in zip(size > SUPPORT_TOL, shifts))
+    band += 2.0 * math.pi / (n * h)
     band += 2.0 * resource.band(SUPPORT_LOG)
     stride = max(1, int(2.0 * math.pi / (h * band)))
     x = grid.points[live][::stride]
@@ -171,7 +189,10 @@ def grade_outcomes(
                 raise ZeroProbabilityError(
                     f"outcome y_m={y_m} has vanishing probability density for {resource!r}"
                 )
-            overlap = np.einsum("ij,j->i", factor, weights[1])
+            if tracking:
+                overlap = np.einsum("ij,ij,j->i", factor, reference.modulation(ys, x), weights[1])
+            else:
+                overlap = np.einsum("ij,j->i", factor, weights[1])
             fidelity[start:start + block] = np.minimum(np.abs(overlap) ** 2 / p, 1.0)
     return probability, fidelity
 

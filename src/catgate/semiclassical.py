@@ -115,19 +115,70 @@ def linearize(n: int, y_m: float) -> CatParams:
     """Cat parameters from the linear Taylor term of the copy phase, expanded
     around the input's center: theta = phi(n, -y_m/sqrt(2n+1)),
     p_plus = sqrt(2n + 1 - y_m^2)."""
-    if y_m ** 2 >= 2 * n + 1:
-        raise LinearizationDomainError(
-            f"outcome y_m={y_m} outside the cat domain y_m^2 < {2 * n + 1}"
-        )
-    theta = float(phase_function(n, -y_m / math.sqrt(2 * n + 1)))
-    p_plus = math.sqrt(2 * n + 1 - y_m ** 2)
+    theta, p_plus = BestPhaseCat(n).parameters(y_m)
     parity: Parity = "even" if n % 2 == 0 else "odd"
-    return CatParams(p_plus=p_plus, theta=theta, parity=parity)
+    return CatParams(p_plus=float(p_plus), theta=float(theta), parity=parity)
 
 
 def reference_cat(n: int, y_m: float, grid: Grid) -> WaveFunction:
     """The coherent-superposition target the exact output is compared to."""
     return make_cat(linearize(n, y_m), grid)
+
+
+@dataclass(frozen=True)
+class BestPhaseCat:
+    """The best-phase reference of the n-photon Fock gate, a cat that changes
+    with the outcome: at outcome y it is the cat of ``linearize(n, y)``,
+
+        cat_y(x) = c(theta(y) + p_plus(y) x) exp(-x^2/2) / sqrt(N(y)),
+
+    c = cos for even n and sin for odd n (``make_cat``'s global factor i
+    dropped), with the closed-form norm
+    N(y) = (sqrt(pi)/2) (1 +- cos(2 theta) exp(-p_plus^2)).  ``reference_cat``
+    builds one of these on a grid; ``gate.grade_outcomes`` grades against the
+    whole family at once, as the outcome-free ``envelope`` exp(-x^2/2) times
+    the ``modulation`` c(...) / sqrt(N), whose spectrum is the two lines
+    +-p_plus(y).
+    """
+
+    n: int
+
+    def parameters(self, y_m) -> tuple[np.ndarray, np.ndarray]:
+        """theta and p_plus at each outcome; LinearizationDomainError unless
+        every outcome lies in the cat domain y_m^2 < 2n + 1."""
+        y_m = np.asarray(y_m, dtype=np.float64)
+        outside = y_m ** 2 >= 2 * self.n + 1
+        if np.any(outside):
+            raise LinearizationDomainError(
+                f"outcome y_m={y_m[outside].flat[0]} outside the cat domain "
+                f"y_m^2 < {2 * self.n + 1}"
+            )
+        theta = phase_function(self.n, -y_m / math.sqrt(2 * self.n + 1))
+        return theta, np.sqrt(2 * self.n + 1 - y_m ** 2)
+
+    def band(self, y_values) -> float:
+        """The largest p_plus over the outcomes, the half-width of the
+        modulations' spectra; checks the domain of every outcome."""
+        y = np.asarray(y_values, dtype=np.float64)
+        if y.size == 0:
+            return 0.0
+        y_abs = np.abs(y)
+        _, p_plus = self.parameters(y[[np.argmax(y_abs), np.argmin(y_abs)]])
+        return float(p_plus[1])
+
+    @staticmethod
+    def envelope(x: np.ndarray) -> np.ndarray:
+        return np.exp(-x ** 2 / 2.0)
+
+    def modulation(self, y_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """c(theta(y) + p_plus(y) x) / sqrt(N(y)), one row per outcome."""
+        theta, p_plus = self.parameters(y_values)
+        sign = 1.0 if self.n % 2 == 0 else -1.0
+        norm = 0.5 * math.sqrt(math.pi) * (1.0 + sign * np.cos(2.0 * theta) * np.exp(-p_plus ** 2))
+        rows = theta[:, None] + p_plus[:, None] * x
+        rows = np.cos(rows, out=rows) if sign > 0 else np.sin(rows, out=rows)
+        rows /= np.sqrt(norm)[:, None]
+        return rows
 
 
 def odd_cat_phase_offset(psi: WaveFunction, p_plus: float) -> float:

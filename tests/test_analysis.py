@@ -9,6 +9,7 @@ from numpy.polynomial import Polynomial, hermite, hermite_e
 
 from catgate import (
     AcceptanceWindow,
+    BestPhaseCat,
     CatParams,
     CubicGateConfig,
     FockResource,
@@ -27,6 +28,7 @@ from catgate import (
     reference_cat,
     wigner,
 )
+from catgate import states
 from catgate.analysis import default_wigner_axes
 from catgate.errors import GridSupportError, LinearizationDomainError
 from catgate.gate import grade_outcomes
@@ -204,6 +206,41 @@ def test_fidelity_coh_domain_error():
     result = collapse(VACUUM, FockResource(5), 0.0)
     with pytest.raises(LinearizationDomainError):
         fidelity_coh(result.psi_out, 5, 4.0)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_best_phase_grader_matches_collapse_and_fidelity_coh(n):
+    # the outcomes of scan cohfid, the last one included; both parities
+    ys = np.arange(0.0, 0.98 * math.sqrt(2 * n + 1), 0.05)
+    _, batched = grade_outcomes(VACUUM, FockResource(n), ys, BestPhaseCat(n))
+    for y_m, f in zip(ys.tolist(), batched):
+        result = collapse(VACUUM, FockResource(n), y_m)
+        assert abs(f - fidelity_coh(result.psi_out, n, y_m)) <= 1e-12
+
+
+def test_best_phase_grader_takes_any_input():
+    # a kicked input is complex and narrower than the cat: the cat's norm
+    # must not be cut to the input's support
+    ys = np.array([-1.7, -0.3, 0.0, 0.9, 2.2])
+    _, batched = grade_outcomes(KICKED, FockResource(4), ys, BestPhaseCat(4))
+    for y_m, f in zip(ys.tolist(), batched):
+        result = collapse(KICKED, FockResource(4), y_m)
+        assert abs(f - fidelity_coh(result.psi_out, 4, y_m)) <= 1e-12
+
+
+def test_best_phase_grader_at_zero_outcome_is_the_cat_fidelity():
+    _, [f] = grade_outcomes(VACUUM, FockResource(5), [0.0], BestPhaseCat(5))
+    result = collapse(VACUUM, FockResource(5), 0.0)
+    assert f == pytest.approx(fidelity_cat(result.psi_out, 5), abs=1e-14)
+
+
+@pytest.mark.parametrize("n, ys, bad", [(5, [0.0, 1.0, -4.0], "-4.0"), (0, [0.5, 1.0], "1.0")])
+def test_best_phase_domain_error_comes_before_any_grading(monkeypatch, n, ys, bad):
+    calls = []
+    monkeypatch.setattr(states, "hermite_values", lambda *a: calls.append(a))
+    with pytest.raises(LinearizationDomainError, match=f"y_m={bad} "):
+        grade_outcomes(VACUUM, FockResource(n), ys, BestPhaseCat(n))
+    assert calls == []
 
 
 def test_cat_fidelity_even_in_outcome():

@@ -192,6 +192,22 @@ def test_scan_squeeze_matched_row():
     assert table["P"][row] == pytest.approx(0.098, abs=3e-3)
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["scan", "catfid", "--fock", "5"], "grade_outcomes"),
+    (["scan", "probability", "--fock", "1"], "probability_scan"),
+    (["wigner", "--fock", "5"], "wigner"),
+])
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys, argv, name):
+    # an axis too large for memory, e.g. --step 1e-10 (224 GiB), without
+    # allocating it: the compute function raises as numpy would
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 224. GiB for an array")
+    monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory, choose smaller axes: Unable to allocate 224. GiB for an array"]
+
+
 def test_scan_cohfid_small():
     assert main(["scan", "cohfid", "--fock", "1", "--step", "0.4", "--out", "sc"]) == 0
     table = read_csv("sc.csv")

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catgate import (
+    BestPhaseCat,
     CubicPhaseResource,
     FockResource,
     Grid,
@@ -334,6 +335,18 @@ def test_spectral_memory_does_not_grow_with_outcomes(count, spacing):
     tracemalloc.start()
     try:
         grade_outcomes(VACUUM, FockResource(5), ys, CAT5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * ys.nbytes < 16 * 2 ** 20  # less the two result columns
+
+
+def test_best_phase_memory_does_not_grow_with_outcomes():
+    # the cats of 400k outcomes on the grader's ~107 nodes would hold 340 MiB
+    ys = np.linspace(-3.0, 3.0, 400_000)
+    tracemalloc.start()
+    try:
+        grade_outcomes(VACUUM, FockResource(5), ys, BestPhaseCat(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
