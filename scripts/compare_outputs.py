@@ -10,12 +10,14 @@ the largest relative one, |b - a| / |a| over the pairs with a != 0, so that a
 loss in a column's small values shows next to its bound in absolute terms.
 Values that are not numbers and differ, and columns or keys found on one side
 only, read inf.
-Exits 0 when every file is byte-identical, else 1.
+Exits 0 when every file is byte-identical, else 1, also when the reader of
+its output stops early (``| head``).
 """
 
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -60,6 +62,15 @@ def main(old: str, new: str) -> int:
                     for p in root.rglob("*") if p.is_file()})
     same = [n for n in names if (old / n).is_file() and (new / n).is_file()
             and (old / n).read_bytes() == (new / n).read_bytes()]
+    try:
+        report(old, new, names, same)
+    except BrokenPipeError:
+        pass  # the reader has gone; the verdict stands
+    return 0 if len(same) == len(names) else 1
+
+
+def report(old: Path, new: Path, names: list, same: list) -> None:
+    """The identical files, then the largest differences of every other one."""
     print(f"byte-identical: {len(same)} of {len(names)} files")
     for name in same:
         print(f"  {name}")
@@ -73,10 +84,15 @@ def main(old: str, new: str) -> int:
             worst, relative = (largest(a[key], b[key]) if key in a and key in b
                                else (math.inf, math.inf))
             print(f"  {key}  {worst:.3g}  relative {relative:.3g}")
-    return 0 if len(same) == len(names) else 1
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit(__doc__)
-    sys.exit(main(*sys.argv[1:]))
+    code = main(*sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # drop what is still buffered, so that the exit's own flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

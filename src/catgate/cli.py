@@ -318,21 +318,21 @@ def _wigner_table(w: WignerGrid, title: str, extra: dict) -> Table:
 # ---------------------------------------------------------------- commands
 
 def _resource(v: SimpleNamespace):
-    """The --fock or --cubic resource, the cubic operating point (or None),
-    and the outcome: --ym, else the cubic point's, else 0."""
+    """The --fock or --cubic resource and the outcome: --ym, else the cubic
+    point's, else 0.  A --ym replaces the cubic point's y_m, under its rules."""
     _exactly_one(v, "fock", "cubic")
-    cubic = v.cubic
-    resource = FockResource(v.fock) if cubic is None else cubic.resource
-    y_m = v.ym if v.ym is not None else (cubic.y_m if cubic is not None else 0.0)
-    return resource, cubic, y_m
+    if v.cubic is None:
+        return FockResource(v.fock), 0.0 if v.ym is None else v.ym
+    cubic = v.cubic if v.ym is None else replace(v.cubic, y_m=v.ym)
+    return cubic.resource, cubic.y_m
 
 
 def _collapse(v) -> Output:
-    resource, cubic, y_m = _resource(v)
+    resource, y_m = _resource(v)
     result = collapse(make_vacuum(v.grid), resource, y_m)
-    reference_n = REFERENCE_N if cubic is not None else resource.n
-    fidelities = {"cat": fidelity_cat(result.psi_out, reference_n)}
-    if cubic is None:
+    fock = isinstance(resource, FockResource)
+    fidelities = {"cat": fidelity_cat(result.psi_out, resource.n if fock else REFERENCE_N)}
+    if fock:
         try:
             fidelities["coh"] = fidelity_coh(result.psi_out, resource.n, y_m)
         except LinearizationDomainError:
@@ -352,7 +352,7 @@ def _wigner(v) -> Output:
             raise ValueError("--vacuum excludes --fock/--cubic/--ym")
         state = make_vacuum(v.grid)
     else:
-        resource, _, y_m = _resource(v)
+        resource, y_m = _resource(v)
         state = collapse(make_vacuum(v.grid), resource, y_m).psi_out
     x_axis, y_axis = default_wigner_axes(v.grid, v.stride)
     if v.paxis is not None:
@@ -464,7 +464,7 @@ def _match_squeeze(v) -> Output:
         )
     fitted = report.fitted
     summary = {
-        "target": {"kind": report.target_kind, "value": report.target_value},
+        "target": {"kind": target, "value": value},
         "fitted": {"gamma": fitted.gamma, "ym": fitted.y_m, "s": fitted.s,
                    "squeezing_db": squeezing_db(fitted.s)},
         "achieved": {"probability": report.achieved_probability,

@@ -54,8 +54,6 @@ class SqueezingScan:
     """Probability density and cat infidelity versus the squeezing factor at
     fixed (gamma, y_m)."""
 
-    gamma: float
-    y_m: float
     s: np.ndarray
     probability: np.ndarray
     infidelity: np.ndarray
@@ -84,5 +82,4 @@ def squeezing_scan(
         cfg = CubicGateConfig(gamma, y_m, float(s))
         p, f = gate.grade_outcomes(psi_in, cfg.resource, [cfg.y_m], reference)
         probability[i], infidelity[i] = p[0], 1.0 - f[0]
-    return SqueezingScan(gamma=gamma, y_m=y_m, s=s_values,
-                         probability=probability, infidelity=infidelity)
+    return SqueezingScan(s=s_values, probability=probability, infidelity=infidelity)

@@ -41,16 +41,20 @@ MIN_COLLAPSE_NORM = 1e-300
 
 @dataclass
 class CollapseResult:
-    """Normalized output state plus the measurement bookkeeping.
-
-    ``norm_N`` is the squared norm of the unnormalized collapsed state and
-    equals the probability density of the outcome ``y_m``.
-    """
+    """Normalized output state, and ``norm_N``, the squared norm of the
+    unnormalized collapsed state: the probability density of its outcome."""
 
     psi_out: WaveFunction
     norm_N: float
-    y_m: float
-    resource: Resource
+
+
+def _finite_outcomes(y_values) -> np.ndarray:
+    """The outcomes as floats; ValueError naming the first that is not finite."""
+    y_values = np.asarray(y_values, dtype=np.float64)
+    bad = ~np.isfinite(y_values)
+    if np.any(bad):
+        raise ValueError(f"outcome y_m={y_values[bad].flat[0]} is not finite")
+    return y_values
 
 
 def collapse(psi_in: WaveFunction, resource: Resource, y_m: float) -> CollapseResult:
@@ -58,6 +62,7 @@ def collapse(psi_in: WaveFunction, resource: Resource, y_m: float) -> CollapseRe
     The resource factor is evaluated on the input's support only."""
     grid = psi_in.grid
     resource = require_resource(resource)
+    _finite_outcomes(y_m)
     live = psi_in.support()
     unnormalized = np.zeros(grid.n_points, dtype=np.complex128)
     if live.stop > live.start:
@@ -69,7 +74,7 @@ def collapse(psi_in: WaveFunction, resource: Resource, y_m: float) -> CollapseRe
             f"outcome y_m={y_m} has vanishing probability density for {resource!r}"
         )
     psi_out = WaveFunction(grid, unnormalized / math.sqrt(norm_n))
-    return CollapseResult(psi_out=psi_out, norm_N=norm_n, y_m=y_m, resource=resource)
+    return CollapseResult(psi_out=psi_out, norm_N=norm_n)
 
 
 def probability_density(psi_in: WaveFunction, resource: Resource, y_m: float) -> float:
@@ -77,6 +82,7 @@ def probability_density(psi_in: WaveFunction, resource: Resource, y_m: float) ->
     ``integral dx |psi_in(x)|^2 |[F psi_res](y_m - x)|^2``, on the full grid:
     the untrimmed oracle of ``collapse``'s norm."""
     grid = psi_in.grid
+    _finite_outcomes(y_m)
     factor = require_resource(resource).momentum_factor(y_m - grid.points)
     integrand = np.abs(psi_in.values) ** 2 * np.abs(factor) ** 2
     return float(np.trapezoid(integrand, dx=grid.spacing))
@@ -126,7 +132,7 @@ def grade_outcomes(
     """
     grid = psi_in.grid
     resource = require_resource(resource)
-    y_values = np.asarray(y_values, dtype=np.float64)
+    y_values = _finite_outcomes(y_values)
     if y_values.ndim != 1:
         raise ValueError("y_values must be a 1-D set of outcomes")
     live = psi_in.support()

@@ -22,6 +22,7 @@ from .numerics import (
     _airy_argument,
     default_grid,
     validate_cubic_params,
+    validate_fock_order,
 )
 from .semiclassical import REFERENCE_N, reference_cat
 from .states import FockResource, make_vacuum
@@ -31,7 +32,8 @@ def matched_outcome_ratio(reference_n: int = REFERENCE_N) -> float:
     """Ratio y_m / gamma that keeps the cubic-gate copy spacing equal to the
     Fock-gate spacing sqrt(2n+1):  sqrt(y_m/(3 gamma)) = sqrt(2n+1) gives
     y_m = 3 (2n+1) gamma."""
-    return 3.0 * (2 * FockResource(reference_n).n + 1)
+    validate_fock_order(reference_n)
+    return 3.0 * (2 * reference_n + 1)
 
 
 #: How close a fit must come to its target to count as converged, per target kind.
@@ -128,8 +130,6 @@ def odd_cat_ladder(
 class MatchReport:
     """Result of fitting the ancilla squeezing against a target value."""
 
-    target_kind: str
-    target_value: float
     fitted: CubicGateConfig
     achieved_probability: float
     achieved_infidelity: float
@@ -179,8 +179,6 @@ def fit_squeezing(
     s_fit, iterations = root
     fitted, achieved = point(s_fit)
     return MatchReport(
-        target_kind=target,
-        target_value=value,
         fitted=fitted,
         achieved_probability=achieved["probability"],
         achieved_infidelity=achieved["infidelity"],

@@ -156,8 +156,10 @@ def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
 
     Uses the recurrence on the normalized functions themselves,
     ``psi_{k+1} = x sqrt(2/(k+1)) psi_k - sqrt(k/(k+1)) psi_{k-1}``,
-    which stays bounded where the raw polynomials overflow.
+    which stays bounded where the raw polynomials overflow.  An order that
+    ``validate_fock_order`` refuses is a ValueError.
     """
+    validate_fock_order(n)
     x = np.asarray(x, dtype=np.float64)
     h0 = np.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
     if n == 0:
@@ -173,8 +175,7 @@ def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
 
 def hermite_function(n: int, grid: Grid) -> WaveFunction:
     """Number-state wavefunction |n> on a grid, unit norm."""
-    if not 0 <= n <= MAX_HERMITE_ORDER:
-        raise ValueError(f"hermite order must be in [0, {MAX_HERMITE_ORDER}], got {n}")
+    validate_fock_order(n)
     support = math.sqrt(2 * n + 1) + 5.0
     grid.require_coverage(-support, support, f"hermite function n={n}")
     psi = WaveFunction(grid, hermite_values(n, grid.points).astype(np.complex128))
@@ -237,6 +238,12 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     dx = grid.spacing
     out = _offset_dft(psi.values, grid.x_min, dx, grid.x_min, dx, grid.n_points)
     return WaveFunction(grid, out * dx / math.sqrt(2.0 * math.pi))
+
+
+def validate_fock_order(n: int) -> None:
+    """Range check shared by every Fock entry point, the Hermite kernel included."""
+    if not 0 <= n <= MAX_HERMITE_ORDER:
+        raise ValueError(f"Fock resource supports n in [0, {MAX_HERMITE_ORDER}], got {n}")
 
 
 def validate_cubic_params(gamma: float, s: float) -> None:

@@ -145,9 +145,9 @@ class BestPhaseCat:
 
     def parameters(self, y_m) -> tuple[np.ndarray, np.ndarray]:
         """theta and p_plus at each outcome; LinearizationDomainError unless
-        every outcome lies in the cat domain y_m^2 < 2n + 1."""
+        every outcome lies in the cat domain y_m^2 < 2n + 1; NaN lies outside."""
         y_m = np.asarray(y_m, dtype=np.float64)
-        outside = y_m ** 2 >= 2 * self.n + 1
+        outside = ~(y_m ** 2 < 2 * self.n + 1)
         if np.any(outside):
             raise LinearizationDomainError(
                 f"outcome y_m={y_m[outside].flat[0]} outside the cat domain "

@@ -12,13 +12,13 @@ import numpy as np
 
 from .errors import NyquistError
 from .numerics import (
-    MAX_HERMITE_ORDER,
     Grid,
     WaveFunction,
     hermite_function,
     hermite_values,
     oscillatory_fourier_factor,
     validate_cubic_params,
+    validate_fock_order,
 )
 
 Parity = Literal["even", "odd"]
@@ -56,10 +56,7 @@ class FockResource(Resource):
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_HERMITE_ORDER:
-            raise ValueError(
-                f"Fock resource supports n in [0, {MAX_HERMITE_ORDER}], got {self.n}"
-            )
+        validate_fock_order(self.n)
 
     def momentum_factor(self, y: np.ndarray) -> np.ndarray:
         """|n> is its own Fourier transform up to (-i)^n."""

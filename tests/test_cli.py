@@ -128,6 +128,16 @@ def test_wigner_ym_override_for_cubic():
     assert meta["parameters"]["ym"] == "0.5"
 
 
+@pytest.mark.parametrize("command", ["collapse", "wigner"])
+@pytest.mark.parametrize("point", [["--cubic", "0.3,-1,0.5"], ["--cubic", "0.3,1,0.5", "--ym", "-1"]],
+                         ids=["cubic", "ym_override"])
+def test_negative_cubic_outcome_is_refused_however_it_is_given(command, point, capsys, in_tmp):
+    # --ym replaces the cubic point's outcome, so it meets the same y_m >= 0 check
+    assert main([command, *point]) == 2
+    assert "y_m >= 0 convention" in capsys.readouterr().err
+    assert list(in_tmp.iterdir()) == []
+
+
 def test_scan_probability_completeness():
     assert main(["scan", "probability", "--fock", "1..2", "--out", "sp"]) == 0
     meta = json.loads(open("sp.csv.meta.json").read())

@@ -183,6 +183,21 @@ def test_zero_state_scans_raise_zero_probability(scan):
         scan(WaveFunction(GRID, np.zeros(GRID.n_points)), FockResource(1), [0.0])
 
 
+@pytest.mark.parametrize("y_m", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("resource", [FockResource(5), CubicPhaseResource(0.3, 0.5)],
+                         ids=["fock", "cubic"])
+@pytest.mark.parametrize("evaluate", [
+    lambda resource, y_m: collapse(VACUUM, resource, y_m),
+    lambda resource, y_m: probability_density(VACUUM, resource, y_m),
+    lambda resource, y_m: grade_outcomes(VACUUM, resource, [0.0, y_m], BestPhaseCat(5)),
+], ids=["collapse", "probability_density", "grade_outcomes"])
+def test_non_finite_outcome_is_a_value_error(evaluate, resource, y_m):
+    """Every gate entry point names a non-finite outcome, where it used to give
+    a NaN or zero density, a NaN fidelity or a misleading amplitude error."""
+    with pytest.raises(ValueError, match=f"outcome y_m={y_m} is not finite"):
+        evaluate(resource, y_m)
+
+
 # ---------------------------------------------------------------- support trimming
 
 RESOURCES = st.one_of(

@@ -11,6 +11,7 @@ from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.special import airy, airye
 
 from catgate import (
+    FockResource,
     Grid,
     WaveFunction,
     default_grid,
@@ -19,6 +20,7 @@ from catgate import (
     hermite_values,
     make_cubic_phase,
     make_vacuum,
+    odd_cat_ladder,
     oscillatory_fourier_factor,
     overlap,
 )
@@ -123,6 +125,20 @@ def test_hermite_support_and_order_errors():
         hermite_function(-1, GRID)
     psi = hermite_function(64, Grid(-22.0, 22.0, 8192))
     assert psi.squared_norm() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [-1, -7, 65])
+@pytest.mark.parametrize("build", [
+    lambda n: hermite_values(n, GRID.points),
+    lambda n: hermite_function(n, Grid(-24.0, 24.0, 4096)),
+    lambda n: FockResource(n),
+    lambda n: odd_cat_ladder(1, reference_n=n),
+], ids=["hermite_values", "hermite_function", "FockResource", "odd_cat_ladder"])
+def test_fock_order_has_one_rule(build, n):
+    # the exported kernel checks the order too, so that no negative order can
+    # pass for psi_1; every path refuses with the one message
+    with pytest.raises(ValueError, match=rf"^Fock resource supports n in \[0, 64\], got {n}$"):
+        build(n)
 
 
 def test_hermite_values_stable_at_high_order():

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,36 @@ def test_compare_outputs_shows_a_tail_loss_in_relative_terms(tmp_path, capsys):
     assert load_script("compare_outputs").main(tmp_path / "old", tmp_path / "new") == 1
     assert capsys.readouterr().out.splitlines()[2:] == [
         "  P  1e-20  relative 1", "  y  0  relative 0"]
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_compare_outputs_keeps_its_verdict_when_stdout_closes(tmp_path, monkeypatch):
+    write_tree(tmp_path / "old")
+    write_tree(tmp_path / "new")
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert load_script("compare_outputs").main(tmp_path / "old", tmp_path / "new") == 0
+
+
+def test_compare_outputs_script_exits_quietly_into_a_closed_pipe(tmp_path):
+    # `compare_outputs.py OLD NEW | head -1`: output the reader never takes is
+    # dropped, and the exit code is still the comparison's own
+    write_tree(tmp_path / "old")
+    write_tree(tmp_path / "new")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, str(SCRIPTS / "compare_outputs.py"),
+                               str(tmp_path / "old"), str(tmp_path / "new")],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")

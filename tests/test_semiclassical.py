@@ -172,6 +172,8 @@ def test_linearize_boundary_and_domain():
         linearize(5, math.sqrt(11.0))
     with pytest.raises(LinearizationDomainError):
         linearize(5, 4.0)
+    with pytest.raises(LinearizationDomainError, match="y_m=nan"):
+        linearize(5, math.nan)
 
 
 def test_linearize_matches_finite_difference_slope():
