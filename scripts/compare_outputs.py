@@ -8,8 +8,10 @@ it prints the largest absolute difference |b - a| of each CSV column (``#``
 comment lines skipped) or of each JSON value, by its key path, and beside it
 the largest relative one, |b - a| / |a| over the pairs with a != 0, so that a
 loss in a column's small values shows next to its bound in absolute terms.
-Values that are not numbers and differ, and columns or keys found on one side
-only, read inf.
+Last comes the scaled one, the largest |b - a| over the column's largest |a|:
+roundoff in a column of values and tails (a Wigner table) reads small there
+even where its near-zero cells make the relative one large.  Values that are
+not numbers and differ, and columns or keys found on one side only, read inf.
 Exits 0 when every file is byte-identical, else 1, also when the reader of
 its output stops early (``| head``).
 """
@@ -39,21 +41,27 @@ def values(path: Path) -> dict:
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
-def largest(a: list, b: list) -> tuple[float, float]:
-    """Largest |b - a| and largest |b - a| / |a| (a != 0) over paired values."""
+def largest(a: list, b: list) -> tuple[float, float, float]:
+    """Largest |b - a|, largest |b - a| / |a| (a != 0) over paired values, and
+    largest |b - a| over the largest |a|."""
     if len(a) != len(b):
-        return math.inf, math.inf
-    worst = relative = 0.0
+        return math.inf, math.inf, math.inf
+    worst = relative = peak = 0.0
     for x, y in zip(a, b):
         if x != y:
             try:
                 x, y = float(x), float(y)
             except (TypeError, ValueError):
-                return math.inf, math.inf
+                return math.inf, math.inf, math.inf
             worst = max(worst, abs(y - x))
             if x != 0.0:
                 relative = max(relative, abs(y - x) / abs(x))
-    return worst, relative
+        try:
+            peak = max(peak, abs(float(x)))
+        except (TypeError, ValueError):
+            pass  # an equal value that is no number
+    scaled = worst / peak if peak else (math.inf if worst else 0.0)
+    return worst, relative, scaled
 
 
 def main(old: str, new: str) -> int:
@@ -81,9 +89,9 @@ def report(old: Path, new: Path, names: list, same: list) -> None:
         a, b = values(old / name), values(new / name)
         print(f"{name}:")
         for key in sorted(a.keys() | b.keys()):
-            worst, relative = (largest(a[key], b[key]) if key in a and key in b
-                               else (math.inf, math.inf))
-            print(f"  {key}  {worst:.3g}  relative {relative:.3g}")
+            worst, relative, scaled = (largest(a[key], b[key]) if key in a and key in b
+                                       else (math.inf, math.inf, math.inf))
+            print(f"  {key}  {worst:.3g}  relative {relative:.3g}  scaled {scaled:.3g}")
 
 
 if __name__ == "__main__":

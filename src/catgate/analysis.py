@@ -24,7 +24,7 @@ class WignerGrid:
 
     ``imag_residue`` records the largest imaginary part discarded when the
     complex transform was truncated to its real part.  W is real in exact
-    arithmetic, so this is the chirp-z FFT's roundoff, about 1e-13 for a
+    arithmetic, so this is the chirp-z FFT's roundoff, about 1e-14 for a
     normalized state.  The transform runs on the state's support only: rows
     whose x lies outside it are exactly 0 and add nothing to the residue.
     """
@@ -71,17 +71,20 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
 
     The z integral runs over the state's support (``WaveFunction.support``,
     L nodes), outside which psi is below ``SUPPORT_TOL`` of its peak and is
-    taken as 0: the symmetric lattice of offsets z = k h, |k| < L (the state
-    vanishes at the support's edge, so the trapezoid sum is spectrally
-    accurate).  A row whose x lies outside the support has no nonzero
-    product and is exactly 0 without a transform.  Since
-    exp(2 i y z) = exp(-i y (-2z)), every other x row is an offset DFT of its
-    2L-1 products at the points -2z, which the chirp-z transform
-    ``numerics._offset_dft`` evaluates on any y axis, on or off the lattice.
-    Rows go through it in blocks of a fixed byte size, one batched FFT pass
-    per block, so the working memory is a few MiB whatever the axis sizes
-    (until a single row outgrows the block).  The values agree with the
-    direct sum over the full grid to FFT roundoff, about 1e-13.
+    taken as 0: the symmetric lattice of offsets z = k h (the state vanishes
+    at the support's edge, so the trapezoid sum is spectrally accurate).  A
+    row whose x lies outside the support has no nonzero product and is
+    exactly 0 without a transform.  The row at support node i (counted from
+    0) has products only for |k| <= min(i, L-1-i), its reach: beyond it
+    x + z or x - z leaves the support.  Since exp(2 i y z) = exp(-i y (-2z)),
+    every other x row is an offset DFT of the 2K+1 products at the points
+    -2z, |k| <= K, which the chirp-z transform ``numerics._offset_dft``
+    evaluates on any y axis, on or off the lattice.  Rows go through it
+    sorted by reach, in blocks of a fixed byte size, one batched FFT pass per
+    block whose K is its largest reach, so the working memory is a few MiB
+    whatever the axis sizes (until a single row outgrows the block).  The
+    values agree with the direct sum over the full grid to FFT roundoff,
+    about 1e-13.
     """
     grid = psi.grid
     if x_axis is None or y_axis is None:
@@ -97,20 +100,25 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
         return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values)
     padded = np.zeros(3 * n, dtype=np.complex128)
     padded[n:2 * n] = psi.values[live]
-    # window i + 1 of the padded support is psi(x_i + z) for z = -(n-1)h ..
-    # (n-1)h, i counted from the support's start, and reversed it is psi(x_i - z)
-    shifted = np.lib.stride_tricks.sliding_window_view(padded, 2 * n - 1)
+    # row i of the support (i counted from its start) has products only for
+    # |z| <= reach * h; sorted by reach, a block's rows share a short lattice
+    offset = idx[rows] - live.start
+    reach = np.minimum(offset, n - 1 - offset)
+    order = np.argsort(reach, kind="stable")
+    rows, offset, reach = rows[order], offset[order], reach[order]
     block = max(1, BLOCK_BYTES // (16 * (2 * n + m)))
     imag_residue = 0.0
     for start in range(0, rows.size, block):
-        chunk = rows[start:start + block]
-        plus = shifted[idx[chunk] - live.start + 1]
+        chunk = slice(start, start + block)
+        k = int(reach[chunk][-1])
+        # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z)
+        plus = padded[(n - k + offset[chunk])[:, None] + np.arange(2 * k + 1)]
         products = np.conj(plus) * plus[:, ::-1]
-        transform = _offset_dft(products, 2.0 * (n - 1) * h, -2.0 * h,
+        transform = _offset_dft(products, 2.0 * k * h, -2.0 * h,
                                 y_axis.x_min, y_axis.spacing, m)
         transform *= h / np.pi
         imag_residue = max(imag_residue, float(np.max(np.abs(transform.imag))))
-        values[chunk] = transform.real
+        values[rows[chunk]] = transform.real
     return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values, imag_residue=imag_residue)
 
 

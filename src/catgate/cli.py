@@ -271,10 +271,14 @@ def _write_csv(path: str, title: str, columns: dict) -> None:
         fh.write(f"# {title}\n# columns: {', '.join(names)}\n{','.join(names)}\n")
         if values[-1].ndim == 2:
             x, y, w = values
-            # every x row is one template: x between the pieces, then W by one %
+            # every x row is one template: x between the pieces, then W by one %;
+            # a row of +0.0 only is its text already ("%.12g" % -0.0 is "-0")
             pieces = [""] + [f",{_fmt(y_j)},%.12g\n" for y_j in y.tolist()]
-            fh.writelines(_fmt(x_i).join(pieces) % tuple(w_i)
-                          for x_i, w_i in zip(x.tolist(), w.tolist()))
+            zero_pieces = [""] + [piece % 0.0 for piece in pieces[1:]]
+            zero = ~np.any((w != 0.0) | np.signbit(w), axis=1)
+            fh.writelines(_fmt(x_i).join(zero_pieces) if zero_i
+                          else _fmt(x_i).join(pieces) % tuple(w_i)
+                          for x_i, w_i, zero_i in zip(x.tolist(), w.tolist(), zero.tolist()))
         else:
             row = ",".join(["%.12g"] * len(names)) + "\n"
             cells = zip(*(np.atleast_1d(v).tolist() for v in values))
@@ -416,8 +420,16 @@ def _scan_catfid(v) -> Output:
 def _scan_mixfid(v) -> Output:
     psi_in = make_vacuum(v.grid)
     ds = np.linspace(*v.d, v.points)
-    # d = 0 is taken in the limit sense
-    mixes = [fidelity_mix(v.fock, AcceptanceWindow(max(float(d), 1e-6)), psi_in) for d in ds]
+
+    def mix(d: float) -> tuple[float, float]:
+        if d != 0.0:
+            return fidelity_mix(v.fock, AcceptanceWindow(d), psi_in)
+        # the d -> 0 limit: no probability, and the cat fidelity at y = 0
+        reference = reference_cat(v.fock, 0.0, v.grid)
+        _, fidelities = grade_outcomes(psi_in, FockResource(v.fock), np.zeros(1), reference)
+        return float(fidelities[0]), 0.0
+
+    mixes = [mix(d) for d in ds.tolist()]
     table = Table("acceptance-window width vs mixed-state infidelity", {
         "d": ds,
         "P_mix": [p_mix for _, p_mix in mixes],

@@ -56,7 +56,7 @@ SUPPORT_LOG = -math.log(SUPPORT_TOL)
 #: Size of one block of work, as complex numbers, in the batched transforms
 #: of ``analysis.wigner`` and the outcome sums of ``gate.grade_outcomes``; a
 #: block's temporaries hold a few such arrays.  2 MiB blocks were the fastest
-#: of 0.5 to 16 MiB on the default 513 x 513 Wigner axes.
+#: of 0.5 to 16 MiB on the default 512 x 512 Wigner axes.
 BLOCK_BYTES = 2 * 2 ** 20
 
 

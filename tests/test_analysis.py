@@ -113,22 +113,43 @@ def _direct_wigner(psi, x_axis, y_axis):
     return values, imag_residue
 
 
-@pytest.mark.parametrize("case", ["vacuum", "fock5_ym2", "cubic_02b_axis"])
+def _node_axis(start, count):
+    """x axis of ``count`` consecutive nodes of GRID from node ``start``."""
+    return Grid(float(GRID.points[start]), float(GRID.points[start + count - 1]), count)
+
+
+@pytest.mark.parametrize("case", ["vacuum", "fock5_ym2", "cubic_02b_axis",
+                                  "vacuum_edges", "cubic_02b_edges", "compact_edges"])
 def test_wigner_matches_direct_sum(case):
-    if case == "vacuum":
-        psi, y_axis = VACUUM, None
+    y_axis = None
+    if case.startswith("vacuum"):
+        psi = VACUUM
+    elif case == "compact_edges":
+        # 40 random complex amplitudes: the short-reach rows are not tails
+        values = np.zeros(GRID.n_points, dtype=complex)
+        values[2000:2040] = np.random.default_rng(0).normal(size=(40, 2)) @ [1.0, 1j]
+        psi = WaveFunction(GRID, values)
     elif case == "fock5_ym2":
         psi, y_axis = collapse(VACUUM, FockResource(5), 2.0).psi_out, Grid(-6.0, 6.0, 385)
     else:
-        # the 02b axis: its nodes are off the default momentum lattice
+        # the 02b state, whose support is asymmetric
         cfg = CubicGateConfig(0.334, 11.012, 0.241)
         psi = collapse(VACUUM, cfg.resource, cfg.y_m).psi_out
-        y_axis = Grid(2.5, 4.0, 601)
-    w = wigner(psi, y_axis=y_axis)
-    values, direct_residue = _direct_wigner(psi, w.x_axis, w.y_axis)
-    assert direct_residue <= 1e-12
-    assert np.max(np.abs(w.values - values)) <= 1e-12
-    assert w.imag_residue <= 1e-12
+        if case == "cubic_02b_axis":
+            # the 02b axis: its nodes are off the default momentum lattice
+            y_axis = Grid(2.5, 4.0, 601)
+    x_axes = [None]
+    if case.endswith("_edges"):
+        # stride-1 axes over the first and the last 16 support nodes and two
+        # nodes outside: rows of reach 0, 1, 2, ... from either end, and none
+        live = psi.support()
+        x_axes = [_node_axis(live.start - 2, 18), _node_axis(live.stop - 16, 18)]
+    for x_axis in x_axes:
+        w = wigner(psi, x_axis, y_axis)
+        values, direct_residue = _direct_wigner(psi, w.x_axis, w.y_axis)
+        assert direct_residue <= 1e-12
+        assert np.max(np.abs(w.values - values)) <= 1e-12
+        assert w.imag_residue <= 1e-12
 
 
 def test_zero_state_wigner_is_zero():
@@ -150,7 +171,7 @@ def test_wigner_rows_outside_the_support_are_exactly_zero():
 
 def test_wigner_memory_does_not_grow_with_momentum_axis():
     # a dense (2N-1) x M kernel alone would be 256 MiB here; the result
-    # itself is 513 x 2049 doubles, 8 MiB
+    # itself is 512 x 2049 doubles, 8 MiB
     tracemalloc.start()
     try:
         wigner(VACUUM, y_axis=Grid(-16.0, 16.0, 2049))

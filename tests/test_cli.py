@@ -175,14 +175,18 @@ def test_scan_probability_echoes_window():
 
 def test_grid_table_is_the_long_format():
     # a grid table (two axes and W over them) writes the bytes of the (x, y, W)
-    # columns it stands for
-    x = np.array([-1.5, -0.0, 1.0 / 3.0, 1e22])
+    # columns it stands for, also in rows of +0.0 only, of -0.0 only ("-0"),
+    # of some zeros, and with a NaN
+    x = np.array([-1.5, -0.0, 1.0 / 3.0, 1e22, 0.0, 2.0, 2.5, 3.0])
     y = np.array([-2.0, 0.25, 1e-300, 123456789012345.0, 3.0])
-    w = np.random.default_rng(0).normal(size=(4, 5)) * 10.0 ** np.arange(-6, 4, 2)
+    w = np.random.default_rng(0).normal(size=(8, 5)) * 10.0 ** np.arange(-6, 4, 2)
+    w[4], w[5], w[6, [0, 2, 3]], w[7, 1] = 0.0, -0.0, [0.0, -0.0, 0.0], np.nan
     _write_csv("grid.csv", "title", {"x": x, "y": y, "W": w})
     xs, ys = np.meshgrid(x, y, indexing="ij")
     _write_csv("long.csv", "title", {"x": xs.ravel(), "y": ys.ravel(), "W": w.ravel()})
-    assert open("grid.csv").read() == open("long.csv").read()
+    text = open("grid.csv").read()
+    assert text == open("long.csv").read()
+    assert text.count(",-0\n") == 6 and text.count(",nan\n") == 1
 
 
 def test_scan_mixfid_monotone():
@@ -191,6 +195,19 @@ def test_scan_mixfid_monotone():
     table = read_csv("sm.csv")
     inf = table["infidelity_mix"]
     assert np.all(np.diff(inf) >= -1e-12)
+
+
+def test_scan_mixfid_zero_width_is_the_limit():
+    # d -> 0: no accepted probability, and the cat fidelity at y = 0
+    assert main(["scan", "mixfid", "--fock", "5", "--d", "0..1", "--points", "3",
+                 "--out", "sm"]) == 0
+    assert main(["scan", "catfid", "--fock", "5", "--window", "0,0", "--out", "sf"]) == 0
+    d0, p_mix, infidelity_mix = open("sm.csv").read().splitlines()[3].split(",")
+    y0, infidelity_cat = open("sf.csv").read().splitlines()[3].split(",")
+    assert (d0, p_mix, y0) == ("0", "0", "0")
+    assert infidelity_mix == infidelity_cat
+    # only 0 is a limit: a negative width is refused
+    assert main(["scan", "mixfid", "--fock", "5", "--d=-1..1", "--out", "neg"]) == 2
 
 
 def test_scan_squeeze_matched_row():

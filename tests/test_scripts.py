@@ -43,9 +43,11 @@ def test_compare_outputs_lists_identical_trees(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("changed, lines", [
-    ({"cell": "0.2500001"}, ["w.csv:", "  W  1e-07  relative 4e-07", "  x  0  relative 0"]),
+    ({"cell": "0.2500001"},
+     ["w.csv:", "  W  1e-07  relative 4e-07  scaled 2e-07", "  x  0  relative 0  scaled 0"]),
     ({"number": "0.1003"},
-     ["w.json:", "  .P  0.0003  relative 0.003", "  .parameters.ym  0  relative 0"]),
+     ["w.json:", "  .P  0.0003  relative 0.003  scaled 0.003",
+      "  .parameters.ym  0  relative 0  scaled 0"]),
 ])
 def test_compare_outputs_reports_the_largest_difference(tmp_path, capsys, changed, lines):
     write_tree(tmp_path / "old")
@@ -64,7 +66,22 @@ def test_compare_outputs_shows_a_tail_loss_in_relative_terms(tmp_path, capsys):
     (tmp_path / "new" / "p.csv").write_text("y,P\n0,0.4\n9,2e-20\n")
     assert load_script("compare_outputs").main(tmp_path / "old", tmp_path / "new") == 1
     assert capsys.readouterr().out.splitlines()[2:] == [
-        "  P  1e-20  relative 1", "  y  0  relative 0"]
+        "  P  1e-20  relative 1  scaled 2.5e-20", "  y  0  relative 0  scaled 0"]
+
+
+@pytest.mark.parametrize("old, new, lines", [
+    # roundoff in a table's tail cells: large relative, small against the peak
+    ("x,W\n0,0.3\n1,-2e-17\n2,label\n", "x,W\n0,0.3\n1,1e-17\n2,label\n",
+     ["  W  3e-17  relative 1.5  scaled 1e-16", "  x  0  relative 0  scaled 0"]),
+    ("P\n0\n0\n", "P\n0\n1e-300\n", ["  P  1e-300  relative 0  scaled inf"]),
+])
+def test_compare_outputs_scales_a_difference_by_the_column_peak(tmp_path, capsys,
+                                                                old, new, lines):
+    for side, text in (("old", old), ("new", new)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "w.csv").write_text(text)
+    assert load_script("compare_outputs").main(tmp_path / "old", tmp_path / "new") == 1
+    assert capsys.readouterr().out.splitlines()[2:] == lines
 
 
 class ClosedStdout:
