@@ -58,13 +58,8 @@ from .numerics import (
 )
 from .semiclassical import (
     BestPhaseCat,
-    MappingResult,
-    PhasePoint,
     added_factor,
-    cubic_mapping,
-    fock_mapping,
     linearize,
-    odd_cat_phase_offset,
     phase_function,
     reference_cat,
 )
@@ -95,10 +90,8 @@ __all__ = [
     "GridMismatchError",
     "GridSupportError",
     "LinearizationDomainError",
-    "MappingResult",
     "MatchReport",
     "NyquistError",
-    "PhasePoint",
     "SqueezingScan",
     "WaveFunction",
     "WignerGrid",
@@ -106,14 +99,12 @@ __all__ = [
     "added_factor",
     "collapse",
     "compare_gates",
-    "cubic_mapping",
     "default_grid",
     "fidelity",
     "fidelity_cat",
     "fidelity_coh",
     "fidelity_mix",
     "fit_squeezing",
-    "fock_mapping",
     "fourier_transform",
     "grade_outcomes",
     "hermite_function",
@@ -125,7 +116,6 @@ __all__ = [
     "make_vacuum",
     "matched_outcome_ratio",
     "odd_cat_ladder",
-    "odd_cat_phase_offset",
     "oscillatory_fourier_factor",
     "overlap",
     "phase_function",

@@ -187,13 +187,13 @@ def fidelity_mix(
     (Trefethen, SIAM Rev. 50 (2008) 67), so N = ceil(B_F d / 2) + 16; up to
     n = 64, 5 of the 16 extra nodes sufficed for 1e-13.  Returns (F_mix, P_mix).
     """
-    if window.d > 2.0 * math.sqrt(2 * n + 1):
+    resource = FockResource(n)
+    if window.d > 2.0 * resource.copy_shift(0.0):
         raise ValueError(
             f"window d={window.d} exceeds the cat regime width 2*sqrt(2n+1)"
         )
     if psi_in is None:
         psi_in = make_vacuum(default_grid())
-    resource = FockResource(n)
     reference = reference_cat(n, 0.0, psi_in.grid)
     half = 0.5 * window.d
     order = math.ceil(resource.band(SUPPORT_LOG) * half) + 16

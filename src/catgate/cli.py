@@ -382,7 +382,7 @@ def _scan_probability(v) -> Output:
     psi_in = make_vacuum(v.grid)
     curves, integrals = [], {}
     for n in v.fock:
-        half = 12.0 + math.sqrt(2 * n + 1)
+        half = 12.0 + FockResource(n).copy_shift(0.0)
         lo, hi = v.window if v.window is not None else (-half, half)
         curve = probability_scan(psi_in, FockResource(n), np.arange(lo, hi + v.step / 2, v.step))
         curves.append(np.column_stack([np.full(len(curve), n), curve]))
@@ -397,7 +397,7 @@ def _scan_cohfid(v) -> Output:
     psi_in = make_vacuum(v.grid)
     columns = []
     for n in v.fock:
-        ys = np.arange(0.0, 0.98 * math.sqrt(2 * n + 1), v.step)
+        ys = np.arange(0.0, 0.98 * FockResource(n).copy_shift(0.0), v.step)
         _, fidelities = grade_outcomes(psi_in, FockResource(n), ys, BestPhaseCat(n))
         columns.append((np.full(ys.size, n), ys, 1.0 - fidelities))
     n_col, y_col, f_col = map(np.concatenate, zip(*columns))

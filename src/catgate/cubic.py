@@ -36,13 +36,6 @@ class CubicGateConfig:
     def resource(self) -> CubicPhaseResource:
         return CubicPhaseResource(self.gamma, self.s)
 
-    def copy_spacing(self) -> float:
-        """Semiclassical momentum displacement of each copy,
-        sqrt(y_m / (3 gamma)), for a centered vacuum input."""
-        if self.gamma == 0.0:
-            return math.nan
-        return math.sqrt(self.y_m / (3.0 * self.gamma))
-
 
 def squeezing_db(s: float) -> float:
     """Momentum squeezing of the ancilla in dB; s is an amplitude factor."""

@@ -5,7 +5,6 @@ gate comparison reports."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -22,7 +21,6 @@ from .numerics import (
     _airy_argument,
     default_grid,
     validate_cubic_params,
-    validate_fock_order,
 )
 from .semiclassical import REFERENCE_N, reference_cat
 from .states import FockResource, make_vacuum
@@ -31,9 +29,8 @@ from .states import FockResource, make_vacuum
 def matched_outcome_ratio(reference_n: int = REFERENCE_N) -> float:
     """Ratio y_m / gamma that keeps the cubic-gate copy spacing equal to the
     Fock-gate spacing sqrt(2n+1):  sqrt(y_m/(3 gamma)) = sqrt(2n+1) gives
-    y_m = 3 (2n+1) gamma."""
-    validate_fock_order(reference_n)
-    return 3.0 * (2 * reference_n + 1)
+    y_m = 3 (2n+1) gamma, from the exact integer 2n+1."""
+    return 3.0 * FockResource(reference_n).turning_square
 
 
 #: How close a fit must come to its target to count as converged, per target kind.
@@ -195,7 +192,7 @@ class GateSideReport:
     label: str
     probability: float
     infidelity: float
-    copy_spacing: float
+    copy_spacing: float  # the resource's copy shift for a centered input
     wigner: WignerGrid | None = None
 
 
@@ -223,12 +220,12 @@ def compare_gates(
     reference = reference_cat(n, 0.0, grid)
 
     sides = []
-    for label, resource, y_m, copy_spacing in (
-        (f"fock n={n} y_m=0", FockResource(n), 0.0, math.sqrt(2 * n + 1)),
-        (f"cubic gamma={cfg.gamma} y_m={cfg.y_m} s={cfg.s}", cfg.resource, cfg.y_m,
-         cfg.copy_spacing()),
+    for label, resource, y_m in (
+        (f"fock n={n} y_m=0", FockResource(n), 0.0),
+        (f"cubic gamma={cfg.gamma} y_m={cfg.y_m} s={cfg.s}", cfg.resource, cfg.y_m),
     ):
         p, f = grade_outcomes(psi_in, resource, [y_m], reference)
         state = wigner(collapse(psi_in, resource, y_m).psi_out) if include_wigner else None
-        sides.append(GateSideReport(label, float(p[0]), 1.0 - float(f[0]), copy_spacing, state))
+        sides.append(GateSideReport(label, float(p[0]), 1.0 - float(f[0]),
+                                    float(resource.copy_shift(y_m)), state))
     return GateComparison(*sides)

@@ -38,6 +38,11 @@ MIN_SQUEEZING = 0.05
 #: exp((2/3) z^(3/2)) goes to 0, and their product would be inf * 0.
 AIRY_ASYMPTOTIC_Z = 1e6
 
+#: ``_airy_factor`` caps |y| here, so that no intermediate overflows: beyond
+#: it the factor is an exact 0 for every valid (gamma, s), its exponent below
+#: -(2/3) y^2 / (1 + sqrt(1 + 12 |y|)) on the z > 0 side and -s^2 y / 18 past it.
+_AIRY_ZERO_Y = 1e7
+
 #: ``_airy_ai`` sums the Maclaurin series for |z| up to this edge and uses the
 #: Gauss-Laguerre rule beyond it; the series needs ``_AIRY_TERMS`` terms there
 #: and the rule ``_AIRY_NODES`` nodes, each for about 1e-13.
@@ -157,17 +162,17 @@ def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
     Uses the recurrence on the normalized functions themselves,
     ``psi_{k+1} = x sqrt(2/(k+1)) psi_k - sqrt(k/(k+1)) psi_{k-1}``,
     which stays bounded where the raw polynomials overflow.  An order that
-    ``validate_fock_order`` refuses is a ValueError.
+    ``validate_fock_order`` refuses is a ValueError.  |x| is capped at 40, so
+    that x^2 cannot overflow; exp(-x^2/2), and every psi_k, is an exact 0 there.
     """
     validate_fock_order(n)
     x = np.asarray(x, dtype=np.float64)
+    if x.size and max(-x.min(), x.max()) > 40.0:
+        x = np.clip(x, -40.0, 40.0)
     h0 = np.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
     if n == 0:
         return h0
-    h1 = math.sqrt(2.0) * x * h0
-    if n == 1:
-        return h1
-    prev, cur = h0, h1
+    prev, cur = h0, math.sqrt(2.0) * x * h0
     for k in range(1, n):
         prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
     return cur
@@ -352,6 +357,7 @@ def _airy_factor(gamma: float, s: float, y: np.ndarray) -> np.ndarray:
     gamma so small that z overflows, z is +inf and every point takes the
     large-z branch.
     """
+    y = np.clip(y, -_AIRY_ZERO_Y, _AIRY_ZERO_Y)
     norm = (s * s / np.pi) ** 0.25
     with np.errstate(divide="ignore", over="ignore"):
         airy_scale = norm * math.sqrt(2.0 * math.pi) / np.float64(3.0 * gamma) ** (1.0 / 3.0)

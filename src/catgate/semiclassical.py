@@ -1,13 +1,11 @@
-"""Semiclassical layer: in-out quadrature mappings for both gates, the factor
-the measurement adds to the target wavefunction, its linearization into cat
-parameters (theta, p_plus), and the reference cat construction.
+"""Semiclassical layer: the copy phase the measurement adds to the target
+wavefunction, its linearization into cat parameters (theta, p_plus), and the
+reference cat construction.
 
-For a Fock ancilla the measurement shifts the target momentum by
-
-    +- delta_p(x) = +- sqrt(2n + 1 - (y_m - x)^2),
-
-the two signs being the two "copies" of a cat.  The accumulated phase of each
-copy is the antiderivative of delta_p, written via z = (x - y_m)/sqrt(2n+1) as
+The in-out mapping is each resource's ``copy_shift``: a Fock ancilla shifts
+the target momentum by +- delta_p(x) = +- sqrt(2n + 1 - (y_m - x)^2), the two
+signs being the two "copies" of a cat.  The accumulated phase of each copy is
+the antiderivative of delta_p, written via z = (x - y_m)/sqrt(2n+1) as
 
     phi(n, z) = (2n + 1)/2 * (z sqrt(1 - z^2) + arcsin z).
 """
@@ -16,70 +14,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .errors import LinearizationDomainError
 from .numerics import Grid, WaveFunction
-from .states import CatParams, Parity, make_cat
+from .states import CatParams, FockResource, Parity, make_cat
 
 #: Photon number of the Fock-gate cat that the cubic-resource gate is graded
 #: against and matched to: the reference of its fidelities, its matched
 #: outcome ratio and its odd-cat ladder.
 REFERENCE_N = 5
 
-#: Relative width of the degenerate band around a vanishing discriminant.
-_DEGENERACY_RTOL = 64 * np.finfo(float).eps
-
 #: Distance in z from the turning points |z| = 1 inside which
 #: ``added_factor`` flags its points invalid.
 _TURNING_MARGIN = 1e-3
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point in phase space, convention a = (q + ip)/sqrt(2)."""
-
-    q: float
-    p: float
-
-
-@dataclass(frozen=True)
-class MappingResult:
-    """Output branches of a multivalued in-out mapping: zero branches where
-    the measurement is classically incompatible, one at the degenerate edge,
-    two in the cat regime."""
-
-    branches: Tuple[PhasePoint, ...]
-    degenerate: bool
-
-
-def _branches(q: float, p: float, radicand: float, scale: float) -> MappingResult:
-    if abs(radicand) <= _DEGENERACY_RTOL * scale:
-        return MappingResult((PhasePoint(q, p),), degenerate=True)
-    if radicand < 0:
-        return MappingResult((), degenerate=False)
-    shift = math.sqrt(radicand)
-    return MappingResult((PhasePoint(q, p + shift), PhasePoint(q, p - shift)), degenerate=False)
-
-
-def fock_mapping(n: int, y_m: float, point_in: PhasePoint) -> MappingResult:
-    """Semiclassical in-out mapping for the Fock-resource gate:
-    q_out = q_in, p_out = p_in +- sqrt(2n + 1 - (y_m - q_in)^2)."""
-    radicand = 2 * n + 1 - (y_m - point_in.q) ** 2
-    scale = max(2 * n + 1, (y_m - point_in.q) ** 2)
-    return _branches(point_in.q, point_in.p, radicand, scale)
-
-
-def cubic_mapping(gamma: float, y_m: float, point_in: PhasePoint, p2_in: float = 0.0) -> MappingResult:
-    """Semiclassical in-out mapping for the cubic-phase-resource gate:
-    q_out = q_in, p_out = p_in +- sqrt((y_m - q_in - p2_in)/(3 gamma))."""
-    if gamma <= 0:
-        raise ValueError("cubic mapping requires gamma > 0")
-    radicand = (y_m - point_in.q - p2_in) / (3.0 * gamma)
-    scale = max(abs(y_m), abs(point_in.q), abs(p2_in), 1.0) / (3.0 * gamma)
-    return _branches(point_in.q, point_in.p, radicand, scale)
 
 
 def phase_function(n: int, z) -> np.ndarray:
@@ -87,7 +36,7 @@ def phase_function(n: int, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if np.any(np.abs(z) > 1.0):
         raise ValueError("phase_function is defined for |z| <= 1")
-    return 0.5 * (2 * n + 1) * (z * np.sqrt(1.0 - z ** 2) + np.arcsin(z))
+    return 0.5 * FockResource(n).turning_square * (z * np.sqrt(1.0 - z ** 2) + np.arcsin(z))
 
 
 def added_factor(n: int, y_m: float, x):
@@ -102,7 +51,7 @@ def added_factor(n: int, y_m: float, x):
     Returns (values, valid_mask).
     """
     x = np.asarray(x, dtype=np.float64)
-    z = (x - y_m) / math.sqrt(2 * n + 1)
+    z = (x - y_m) / FockResource(n).copy_shift(0.0)
     valid = np.abs(z) < 1.0 - _TURNING_MARGIN
     z_safe = np.clip(z, -1.0 + _TURNING_MARGIN, 1.0 - _TURNING_MARGIN)
     phi = phase_function(n, z_safe)
@@ -144,17 +93,19 @@ class BestPhaseCat:
     n: int
 
     def parameters(self, y_m) -> tuple[np.ndarray, np.ndarray]:
-        """theta and p_plus at each outcome; LinearizationDomainError unless
-        every outcome lies in the cat domain y_m^2 < 2n + 1; NaN lies outside."""
+        """theta and p_plus, the copy shift, at each outcome; LinearizationDomainError
+        unless every outcome lies in the cat domain y_m^2 < 2n + 1; NaN lies outside."""
+        resource = FockResource(self.n)
         y_m = np.asarray(y_m, dtype=np.float64)
-        outside = ~(y_m ** 2 < 2 * self.n + 1)
+        p_plus = resource.copy_shift(y_m)
+        outside = ~(p_plus > 0)
         if np.any(outside):
             raise LinearizationDomainError(
                 f"outcome y_m={y_m[outside].flat[0]} outside the cat domain "
-                f"y_m^2 < {2 * self.n + 1}"
+                f"y_m^2 < {resource.turning_square}"
             )
-        theta = phase_function(self.n, -y_m / math.sqrt(2 * self.n + 1))
-        return theta, np.sqrt(2 * self.n + 1 - y_m ** 2)
+        theta = phase_function(self.n, -y_m / resource.copy_shift(0.0))
+        return theta, p_plus
 
     def band(self, y_values) -> float:
         """The largest p_plus over the outcomes, the half-width of the
@@ -180,25 +131,3 @@ class BestPhaseCat:
         rows /= np.sqrt(norm)[:, None]
         return rows
 
-
-def odd_cat_phase_offset(psi: WaveFunction, p_plus: float) -> float:
-    """Relative-phase offset of an odd-cat-like state, from the position of
-    the interference node nearest the symmetry point: a state
-    ~ sin(theta + p_plus x) exp(-x^2/2) has its node at x = -theta/p_plus.
-
-    Insensitive to the global phase; meaningful for |theta| < pi/2.
-    """
-    grid = psi.grid
-    window = 0.5 * np.pi / p_plus
-    sel = np.abs(grid.points) <= window
-    idx = np.flatnonzero(sel)
-    dens = np.abs(psi.values[idx]) ** 2
-    j = int(np.argmin(dens))
-    if 0 < j < len(idx) - 1:
-        num = dens[j - 1] - dens[j + 1]
-        den = 2.0 * (dens[j - 1] - 2.0 * dens[j] + dens[j + 1])
-        shift = num / den if den != 0 else 0.0
-    else:
-        shift = 0.0
-    x_node = grid.points[idx[j]] + shift * grid.spacing
-    return -p_plus * float(x_node)

@@ -26,19 +26,26 @@ Parity = Literal["even", "odd"]
 
 class Resource:
     """An ancilla state of the gate.  A resource is known to the gate only
-    through two closed forms:
+    through three closed forms:
 
     * ``momentum_factor(y)``, the amplitude [F psi_res](y) that multiplies the
       input in the collapse;
     * ``band(log_tol)``, the half-width of F's spectrum, which is psi_res
       itself: |psi_res(t)| is below exp(-log_tol) of its peak for |t| beyond
-      it.  ``grade_outcomes`` derives its summation step from it.
+      it.  ``grade_outcomes`` derives its summation step from it;
+    * ``copy_shift(u)``, the semiclassical in-out mapping: at u = y - q
+      (outcome y, target position q) the target momentum becomes
+      p_in +- delta_p(u), the two copies of a cat; of u's shape, NaN where
+      the measurement admits no copy.
     """
 
     def momentum_factor(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def band(self, log_tol: float) -> float:
+        raise NotImplementedError
+
+    def copy_shift(self, u) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -62,10 +69,21 @@ class FockResource(Resource):
         """|n> is its own Fourier transform up to (-i)^n."""
         return (-1j) ** self.n * hermite_values(self.n, y)
 
+    @property
+    def turning_square(self) -> int:
+        """2n + 1, the square of the Hermite function's turning point, exact."""
+        return 2 * self.n + 1
+
     def band(self, log_tol: float) -> float:
         """The Hermite function's turning point sqrt(2n+1) plus the n = 0
         Gaussian edge sqrt(2 log_tol)."""
-        return math.sqrt(2 * self.n + 1) + math.sqrt(2.0 * log_tol)
+        return float(self.copy_shift(0.0)) + math.sqrt(2.0 * log_tol)
+
+    def copy_shift(self, u) -> np.ndarray:
+        """delta_p = sqrt(2n + 1 - u^2), NaN for u^2 > 2n + 1.  |u| is capped
+        at 2 (2n + 1), far outside the turning points, so u^2 cannot overflow."""
+        radicand = self.turning_square - np.minimum(np.abs(u), 2.0 * self.turning_square) ** 2
+        return np.sqrt(np.where(radicand >= 0, radicand, np.nan))
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,17 @@ class CubicPhaseResource(Resource):
         """|psi_res| is the Gaussian (s^2/pi)^(1/4) exp(-s^2 t^2/2), which
         falls to exp(-log_tol) of its peak at t = sqrt(2 log_tol)/s."""
         return math.sqrt(2.0 * log_tol) / self.s
+
+    def copy_shift(self, u) -> np.ndarray:
+        """delta_p = sqrt(u / (3 gamma)), NaN for u < 0, and NaN for every u at
+        gamma = 0, where the cubic gate makes no cat.  A ratio beyond the float
+        range is inf, as in Python's own float division."""
+        u = np.asarray(u, dtype=np.float64)
+        if self.gamma == 0.0:
+            return np.full(u.shape, np.nan)
+        with np.errstate(over="ignore"):
+            ratio = u / (3.0 * self.gamma)
+        return np.sqrt(np.where(ratio >= 0, ratio, np.nan))
 
 
 @dataclass(frozen=True)

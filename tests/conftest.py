@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catgate import Grid, default_grid, make_vacuum
+from catgate import Grid, WaveFunction, default_grid, make_vacuum
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,26 @@ def odd_vacuum(odd_grid):
 
 def pointwise_max_diff(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def odd_cat_phase_offset(psi: WaveFunction, p_plus: float) -> float:
+    """Relative-phase offset of an odd-cat-like state, from the position of
+    the interference node nearest the symmetry point: a state
+    ~ sin(theta + p_plus x) exp(-x^2/2) has its node at x = -theta/p_plus.
+
+    Insensitive to the global phase; meaningful for |theta| < pi/2.
+    """
+    grid = psi.grid
+    window = 0.5 * np.pi / p_plus
+    sel = np.abs(grid.points) <= window
+    idx = np.flatnonzero(sel)
+    dens = np.abs(psi.values[idx]) ** 2
+    j = int(np.argmin(dens))
+    if 0 < j < len(idx) - 1:
+        num = dens[j - 1] - dens[j + 1]
+        den = 2.0 * (dens[j - 1] - 2.0 * dens[j] + dens[j + 1])
+        shift = num / den if den != 0 else 0.0
+    else:
+        shift = 0.0
+    x_node = grid.points[idx[j]] + shift * grid.spacing
+    return -p_plus * float(x_node)

@@ -15,6 +15,7 @@ from catgate import (
     FockResource,
     Grid,
     WaveFunction,
+    added_factor,
     collapse,
     default_grid,
     fidelity,
@@ -298,20 +299,59 @@ def fock5_lobe_peak():
     return peak
 
 
+def x0_row_peak(psi):
+    """The peak of W(0, p) on [3.2, 3.3]: the largest of 201 nodes, refined
+    by a parabola through it and its neighbours."""
+    x_axis, _ = default_wigner_axes(ODD_GRID)
+    i0 = x_axis.n_points // 2
+    assert x_axis.points[i0] == 0.0
+    y_axis = Grid(3.2, 3.3, 201)
+    row = wigner(psi, x_axis, y_axis).values[i0]
+    j = int(np.argmax(row))
+    vertex = 0.5 * (row[j - 1] - row[j + 1]) / (row[j - 1] - 2.0 * row[j] + row[j + 1])
+    return y_axis.points[j] + vertex * y_axis.spacing
+
+
+def lobe_peaks_02b(psi):
+    """Criterion 02b's estimator: the largest node of W over each lobe, on
+    every 8th x node and 601 p nodes, refined by a parabola in p."""
+    pts = ODD_GRID.points[::8]
+    x_axis = Grid(float(pts[0]), float(pts[-1]), len(pts))
+    peaks = []
+    for lo, hi in ((2.5, 4.0), (-4.0, -2.5)):
+        y_axis = Grid(lo, hi, 601)
+        w = wigner(psi, x_axis, y_axis).values
+        i, j = np.unravel_index(np.argmax(w), w.shape)
+        row = w[i]
+        vertex = 0.5 * (row[j - 1] - row[j + 1]) / (row[j - 1] - 2.0 * row[j] + row[j + 1])
+        peaks.append(y_axis.points[j] + vertex * y_axis.spacing)
+    return peaks
+
+
 def test_fock5_lobe_peak_matches_the_closed_form():
     # criterion 02b's measured value, independent of the grid and the
     # transform: 3.244403 is the peak of W(0, p) at 30-digit mpmath
     peak = fock5_lobe_peak()
     assert abs(peak - 3.244403) <= 5e-6
     out = collapse(ODD_VACUUM, FockResource(5), 0.0).psi_out
-    x_axis, _ = default_wigner_axes(ODD_GRID)
-    i0 = x_axis.n_points // 2
-    assert x_axis.points[i0] == 0.0
-    y_axis = Grid(3.2, 3.3, 201)
-    row = wigner(out, x_axis, y_axis).values[i0]
-    j = int(np.argmax(row))
-    vertex = 0.5 * (row[j - 1] - row[j + 1]) / (row[j - 1] - 2.0 * row[j] + row[j + 1])
-    assert abs(y_axis.points[j] + vertex * y_axis.spacing - peak) <= 1e-7
+    assert abs(x0_row_peak(out) - peak) <= 1e-7
+
+
+def test_semiclassical_output_explains_the_lobe_shift():
+    # criterion 02b's reference is the linearized copy shift sqrt(11) = 3.3166,
+    # where an ideal cat's lobe peaks (3.3167).  The paper's own semiclassical
+    # output, the vacuum times both copies with their full phase phi(n, z),
+    # peaks at 3.2361, near the exact 3.2444: the inward shift comes from the
+    # curvature of the copy phase, which the linearized cat drops
+    values, _ = added_factor(5, 0.0, ODD_GRID.points)
+    semiclassical = WaveFunction(ODD_GRID, ODD_VACUUM.values * values).normalized()
+    assert abs(x0_row_peak(semiclassical) - 3.23607) <= 5e-6
+    linearized = reference_cat(5, 0.0, ODD_GRID)
+    exact = collapse(ODD_VACUUM, FockResource(5), 0.0).psi_out
+    for psi, peak in ((linearized, 3.3167), (semiclassical, 3.2361), (exact, 3.2444)):
+        plus, minus = lobe_peaks_02b(psi)
+        assert abs(plus - peak) <= 5e-5 and abs(minus + peak) <= 5e-5
+    assert abs(lobe_peaks_02b(semiclassical)[0] - 3.23607) <= 5e-6
 
 
 # ---------------------------------------------------------------- acceptance window

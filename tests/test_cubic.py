@@ -37,8 +37,9 @@ def test_config_validation():
 
 
 def test_copy_spacing():
-    assert MATCH_P.copy_spacing() == pytest.approx(math.sqrt(2.486 / 0.225), abs=1e-12)
-    assert math.isnan(CubicGateConfig(0.0, 0.0, 1.0).copy_spacing())
+    # the copy spacing of a centered input is the resource's copy shift at y_m
+    assert MATCH_P.resource.copy_shift(MATCH_P.y_m) == math.sqrt(2.486 / (3.0 * 0.075))
+    assert math.isnan(CubicGateConfig(0.0, 0.0, 1.0).resource.copy_shift(0.0))
 
 
 def test_degenerate_reduction_to_fock_zero():

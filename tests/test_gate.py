@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from catgate import (
     probability_scan,
     reference_cat,
 )
-from catgate.errors import GridMismatchError, NyquistError, ZeroProbabilityError
+from catgate.errors import (
+    GridMismatchError,
+    LinearizationDomainError,
+    NyquistError,
+    ZeroProbabilityError,
+)
 from catgate import states
 from catgate.gate import grade_outcomes
 from catgate.numerics import SUPPORT_LOG
@@ -196,6 +202,25 @@ def test_non_finite_outcome_is_a_value_error(evaluate, resource, y_m):
     a NaN or zero density, a NaN fidelity or a misleading amplitude error."""
     with pytest.raises(ValueError, match=f"outcome y_m={y_m} is not finite"):
         evaluate(resource, y_m)
+
+
+@pytest.mark.parametrize("y_m", [sign * 10.0 ** e for e in (10, 100, 200, 300) for sign in (1, -1)])
+@pytest.mark.parametrize("resource", [FockResource(0), FockResource(5), CubicPhaseResource(0.3, 0.5),
+                                      CubicPhaseResource(0.0, 0.5)], ids=repr)
+def test_huge_outcome_is_finite_or_typed_without_warnings(resource, y_m):
+    """Far outside every support the factor is an exact 0; no intermediate on
+    the way there may overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(resource.momentum_factor(np.array([y_m])) == 0.0)
+        assert probability_density(VACUUM, resource, y_m) == 0.0
+        assert np.all(grade_outcomes(VACUUM, resource, [y_m])[0] == 0.0)
+        with pytest.raises(ZeroProbabilityError):
+            grade_outcomes(VACUUM, resource, [y_m], CAT5)
+        with pytest.raises(LinearizationDomainError):
+            grade_outcomes(VACUUM, resource, [y_m], BestPhaseCat(5))
+        with pytest.raises(ZeroProbabilityError):
+            collapse(VACUUM, resource, y_m)
 
 
 # ---------------------------------------------------------------- support trimming

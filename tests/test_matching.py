@@ -14,7 +14,6 @@ from catgate import (
     make_vacuum,
     matched_outcome_ratio,
     odd_cat_ladder,
-    odd_cat_phase_offset,
     oscillatory_fourier_factor,
     reference_cat,
 )
@@ -22,6 +21,7 @@ from catgate.cubic import SQUEEZING_SWEEP
 from catgate.errors import ConvergenceError, FitRangeError
 from catgate.gate import grade_outcomes
 from catgate.matching import _node_residual, _roots, _scan
+from conftest import odd_cat_phase_offset
 
 GRID = default_grid()
 VACUUM = make_vacuum(GRID)

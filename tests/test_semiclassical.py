@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,69 +7,70 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catgate import (
+    BestPhaseCat,
     CatParams,
+    CubicPhaseResource,
     FockResource,
     Grid,
     added_factor,
     collapse,
-    cubic_mapping,
     default_grid,
     fidelity,
-    fock_mapping,
     linearize,
     make_cat,
     make_vacuum,
-    odd_cat_phase_offset,
     phase_function,
     reference_cat,
 )
 from catgate.errors import LinearizationDomainError
-from catgate.semiclassical import PhasePoint
+from conftest import odd_cat_phase_offset
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
-ORIGIN = PhasePoint(0.0, 0.0)
 
 
 # ---------------------------------------------------------------- mappings
+# the in-out mapping p_out = p_in +- delta_p(y - q) is the resources' copy_shift
 
 def test_fock_mapping_two_branches():
-    result = fock_mapping(5, 0.0, ORIGIN)
-    assert len(result.branches) == 2 and not result.degenerate
-    momenta = sorted(b.p for b in result.branches)
-    assert momenta[1] == pytest.approx(math.sqrt(11.0), abs=1e-12)
-    assert momenta[1] == pytest.approx(3.3166, abs=1e-4)
-    assert momenta[0] == -momenta[1]
-    assert all(b.q == 0.0 for b in result.branches)
+    shift = FockResource(5).copy_shift(0.0)
+    assert shift.shape == ()
+    assert shift == math.sqrt(11.0)
+    assert shift == pytest.approx(3.3166, abs=1e-4)
+    shifts = FockResource(5).copy_shift(np.array([-0.5, 0.5]))
+    assert shifts[0] == shifts[1] > 0.0
 
 
 def test_fock_mapping_no_branches():
-    assert fock_mapping(0, 2.0, ORIGIN).branches == ()
+    assert math.isnan(FockResource(0).copy_shift(2.0))
 
 
 def test_fock_mapping_degenerate_edge():
-    result = fock_mapping(5, math.sqrt(11.0), ORIGIN)
-    assert result.degenerate and len(result.branches) == 1
-    assert result.branches[0].p == 0.0
+    # 2n + 1 - u^2 = 0 exactly at n = 4, u = 3; one ulp beyond there is no copy
+    edge = FockResource(4).copy_shift(np.array([-3.0, 3.0, np.nextafter(3.0, 4.0)]))
+    assert edge[0] == edge[1] == 0.0
+    assert math.isnan(edge[2])
 
 
 def test_cubic_mapping_values():
     # direct evaluation of the in-out relation at the two benchmark points
-    r1 = cubic_mapping(0.075, 2.486, ORIGIN, p2_in=0.0)
-    expect1 = math.sqrt(2.486 / (3 * 0.075))
-    assert sorted(b.p for b in r1.branches) == pytest.approx([-expect1, expect1], abs=1e-12)
-    assert expect1 == pytest.approx(3.3240, abs=1e-4)
-
-    r2 = cubic_mapping(0.334, 11.012, ORIGIN, p2_in=0.0)
-    expect2 = math.sqrt(11.012 / (3 * 0.334))
-    assert sorted(b.p for b in r2.branches)[1] == pytest.approx(expect2, abs=1e-12)
-    assert expect2 == pytest.approx(3.3151, abs=1e-4)
+    shift1 = CubicPhaseResource(0.075, 0.171).copy_shift(2.486)
+    assert shift1 == math.sqrt(2.486 / (3.0 * 0.075))
+    assert shift1 == pytest.approx(3.3240, abs=1e-4)
+    shift2 = CubicPhaseResource(0.334, 0.241).copy_shift(np.array([11.012]))
+    assert shift2[0] == math.sqrt(11.012 / (3.0 * 0.334))
+    assert shift2[0] == pytest.approx(3.3151, abs=1e-4)
 
 
 def test_cubic_mapping_empty_and_invalid():
-    assert cubic_mapping(0.075, 0.0, PhasePoint(1.0, 0.0)).branches == ()
-    with pytest.raises(ValueError):
-        cubic_mapping(0.0, 1.0, ORIGIN)
+    # u = y - q < 0 admits no copy; gamma = 0 admits none anywhere; no warning
+    u = np.array([-1.0, 0.0, 1.0, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shifts = CubicPhaseResource(0.075, 0.171).copy_shift(u)
+        flat = CubicPhaseResource(0.0, 1.0).copy_shift(u)
+    assert np.isnan(shifts[[0, 3]]).all() and shifts[1] == 0.0 and shifts[2] > 0.0
+    assert flat.shape == u.shape and np.isnan(flat).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -76,18 +78,13 @@ def test_cubic_mapping_empty_and_invalid():
     n=st.integers(0, 10),
     y_m=st.floats(-6.0, 6.0),
     q=st.floats(-4.0, 4.0),
-    p=st.floats(-4.0, 4.0),
 )
-def test_fock_branch_count_tracks_discriminant(n, y_m, q, p):
+def test_fock_branch_count_tracks_discriminant(n, y_m, q):
     disc = 2 * n + 1 - (y_m - q) ** 2
-    result = fock_mapping(n, y_m, PhasePoint(q, p))
-    if result.degenerate:
-        assert abs(disc) < 1e-10
-    elif disc > 0:
-        assert len(result.branches) == 2
-        assert result.branches[0].p + result.branches[1].p == pytest.approx(2 * p)
-    else:
-        assert result.branches == ()
+    shift = FockResource(n).copy_shift(y_m - q)
+    assert math.isnan(shift) == (disc < 0)
+    if disc >= 0:
+        assert shift == math.sqrt(disc)
 
 
 # ---------------------------------------------------------------- copy phase
@@ -117,10 +114,10 @@ def test_phase_slope_equals_momentum_shift():
 
 def test_mapping_branches_equal_momentum_shift_on_axis():
     n, y_m = 5, 0.3
-    for x in (-1.0, 0.0, 0.7, 2.0):
-        result = fock_mapping(n, y_m, PhasePoint(x, 0.0))
-        expected = math.sqrt(2 * n + 1 - (y_m - x) ** 2)
-        assert sorted(b.p for b in result.branches) == pytest.approx([-expected, expected])
+    x = np.array([-1.0, 0.0, 0.7, 2.0])
+    shifts = FockResource(n).copy_shift(y_m - x)
+    for xi, shift in zip(x, shifts):
+        assert shift == math.sqrt(2 * n + 1 - (y_m - xi) ** 2)
 
 
 def test_added_factor_parity_behaviour():
@@ -174,6 +171,14 @@ def test_linearize_boundary_and_domain():
         linearize(5, 4.0)
     with pytest.raises(LinearizationDomainError, match="y_m=nan"):
         linearize(5, math.nan)
+
+
+@pytest.mark.parametrize("n", [-1, 65])
+def test_best_phase_checks_the_fock_order(n):
+    with pytest.raises(ValueError, match=r"Fock resource supports n in \[0, 64\]"):
+        linearize(n, 0.0)
+    with pytest.raises(ValueError, match=r"Fock resource supports n in \[0, 64\]"):
+        BestPhaseCat(n).parameters([0.0])
 
 
 def test_linearize_matches_finite_difference_slope():
