@@ -35,12 +35,14 @@ class WignerGrid:
     imag_residue: float = 0.0
 
     def normalization(self) -> float:
-        inner = np.trapezoid(self.values, dx=self.y_axis.spacing, axis=1)
-        return float(np.trapezoid(inner, dx=self.x_axis.spacing))
+        return float(np.trapezoid(self.position_marginal(), dx=self.x_axis.spacing))
 
     def position_marginal(self) -> np.ndarray:
-        """integral W dy, one value per x-axis node."""
-        return np.trapezoid(self.values, dx=self.y_axis.spacing, axis=1)
+        """integral W dy, one value per x-axis node, over blocks of rows so
+        that no temporary grows with the table."""
+        rows = max(1, BLOCK_BYTES // (8 * self.y_axis.n_points))
+        return np.concatenate([np.trapezoid(self.values[i:i + rows], dx=self.y_axis.spacing, axis=1)
+                               for i in range(0, len(self.values), rows)])
 
     def momentum_marginal(self) -> np.ndarray:
         """integral W dx, one value per y-axis node."""

@@ -262,25 +262,29 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: str, title: str, columns: dict) -> None:
-    """One CSV table.  A table whose last column is 2-D is a grid in long
-    format, one row per cell: its first two columns are the axes and
-    ``W[i, j]`` belongs to ``(x_i, y_j)``."""
+    """One CSV table, UTF-8 with LF line endings, formatted straight into
+    bytes.  A table whose last column is 2-D is a grid in long format, one
+    row per cell: its first two columns are the axes and ``W[i, j]`` belongs
+    to ``(x_i, y_j)``.  Only one grid row at a time becomes Python floats."""
     names = list(columns)
     values = [np.asarray(columns[c], dtype=float) for c in names]
-    with open(path, "w") as fh:
-        fh.write(f"# {title}\n# columns: {', '.join(names)}\n{','.join(names)}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# {title}\n# columns: {', '.join(names)}\n{','.join(names)}\n".encode())
         if values[-1].ndim == 2:
             x, y, w = values
             # every x row is one template: x between the pieces, then W by one %;
             # a row of +0.0 only is its text already ("%.12g" % -0.0 is "-0")
-            pieces = [""] + [f",{_fmt(y_j)},%.12g\n" for y_j in y.tolist()]
-            zero_pieces = [""] + [piece % 0.0 for piece in pieces[1:]]
-            zero = ~np.any((w != 0.0) | np.signbit(w), axis=1)
-            fh.writelines(_fmt(x_i).join(zero_pieces) if zero_i
-                          else _fmt(x_i).join(pieces) % tuple(w_i)
-                          for x_i, w_i, zero_i in zip(x.tolist(), w.tolist(), zero.tolist()))
+            pieces = [b""] + [b",%.12g,%%.12g\n" % y_j for y_j in y.tolist()]
+            zero_pieces = [b""] + [piece % 0.0 for piece in pieces[1:]]
+            # any() reduces without a table-sized mask; a row of +-0 only is
+            # then checked for -0 on its own
+            live = w.any(axis=1)
+            fh.writelines((b"%.12g" % x_i).join(pieces) % tuple(w_i.tolist())
+                          if live_i or np.signbit(w_i).any()
+                          else (b"%.12g" % x_i).join(zero_pieces)
+                          for x_i, w_i, live_i in zip(x.tolist(), w, live.tolist()))
         else:
-            row = ",".join(["%.12g"] * len(names)) + "\n"
+            row = b",".join([b"%.12g"] * len(names)) + b"\n"
             cells = zip(*(np.atleast_1d(v).tolist() for v in values))
             fh.writelines(row % cell for cell in cells)
 
@@ -507,7 +511,7 @@ def _match_compare(v) -> Output:
             "label": side.label,
             "P": side.probability,
             "infidelity_cat": side.infidelity,
-            "copy_spacing": None if math.isnan(side.copy_spacing) else side.copy_spacing,
+            "copy_spacing": side.copy_spacing if math.isfinite(side.copy_spacing) else None,
         }
         for tag, side in sides.items()
     }

@@ -108,14 +108,16 @@ class CubicPhaseResource(Resource):
 
     def copy_shift(self, u) -> np.ndarray:
         """delta_p = sqrt(u / (3 gamma)), NaN for u < 0, and NaN for every u at
-        gamma = 0, where the cubic gate makes no cat.  A ratio beyond the float
-        range is inf, as in Python's own float division."""
+        gamma = 0, where the cubic gate makes no cat.  Where the ratio is
+        beyond the float range the root is taken as sqrt(u) / sqrt(3 gamma),
+        finite unless delta_p itself is."""
         u = np.asarray(u, dtype=np.float64)
         if self.gamma == 0.0:
             return np.full(u.shape, np.nan)
         with np.errstate(over="ignore"):
             ratio = u / (3.0 * self.gamma)
-        return np.sqrt(np.where(ratio >= 0, ratio, np.nan))
+            split = np.sqrt(np.maximum(u, 0.0)) / math.sqrt(3.0 * self.gamma)
+        return np.where(ratio == np.inf, split, np.sqrt(np.where(ratio >= 0, ratio, np.nan)))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ def odd_vacuum(odd_grid):
     return make_vacuum(odd_grid)
 
 
-def pointwise_max_diff(a, b):
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-
 def odd_cat_phase_offset(psi: WaveFunction, p_plus: float) -> float:
     """Relative-phase offset of an odd-cat-like state, from the position of
     the interference node nearest the symmetry point: a state

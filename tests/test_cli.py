@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +191,53 @@ def test_grid_table_is_the_long_format():
     assert text.count(",-0\n") == 6 and text.count(",nan\n") == 1
 
 
+def test_write_csv_golden_bytes():
+    # the output contract as a literal: 12 significant digits, "-0", "nan",
+    # "inf", exponents as %g writes them, LF line endings; the second grid
+    # row is +0.0 only
+    nan, inf = math.nan, math.inf
+    _write_csv("flat.csv", "flat table", {"a": [0.0, -0.0, nan, inf, -inf],
+                                          "b": [1e22, 1e-300, 1.0 / 3.0, -2.5, 123456789012345.0]})
+    _write_csv("grid.csv", "grid table", {"x": [-0.0, 1.5, 1e22], "y": [0.25, -1e-300],
+                                          "W": [[-0.0, nan], [0.0, 0.0], [inf, 1e22]]})
+    assert open("flat.csv", "rb").read() == (
+        b"# flat table\n# columns: a, b\na,b\n"
+        b"0,1e+22\n-0,1e-300\nnan,0.333333333333\ninf,-2.5\n-inf,1.23456789012e+14\n")
+    assert open("grid.csv", "rb").read() == (
+        b"# grid table\n# columns: x, y, W\nx,y,W\n"
+        b"-0,0.25,-0\n-0,-1e-300,nan\n"
+        b"1.5,0.25,0\n1.5,-1e-300,0\n"
+        b"1e+22,0.25,inf\n1e+22,-1e-300,1e+22\n")
+
+
+def test_write_csv_holds_one_row_at_a_time():
+    # every row live: the writer converts one row to Python floats at a time,
+    # where the whole table as floats is about 32 MiB
+    w = np.random.default_rng(1).uniform(0.5, 1.5, size=(2048, 512))
+    x, y = np.arange(2048.0), np.arange(512.0)
+    tracemalloc.start()
+    try:
+        _write_csv("live.csv", "title", {"x": x, "y": y, "W": w})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_wigner_command_memory_is_the_result_array():
+    # 2048 x 2048 cells: the 32 MiB result, the transform's few MiB, and no
+    # table-sized copy in the writer or the normalization
+    tracemalloc.start()
+    try:
+        code = main(["wigner", "--fock", "5", "--stride", "2", "--out", "w2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    os.remove("w2.csv")  # 157 MB
+    assert peak < 2048 * 2048 * 8 + 12 * 2 ** 20
+
+
 def test_scan_mixfid_monotone():
     args = ["scan", "mixfid", "--fock", "5", "--d", "0..1.4", "--points", "8", "--out", "sm"]
     assert main(args) == 0
@@ -346,6 +395,18 @@ def test_match_compare_degenerate():
     report = json.loads(open("mc.json").read())
     assert report["fock"]["P"] == pytest.approx(report["cubic"]["P"], abs=1e-9)
     assert report["cubic"]["copy_spacing"] is None
+
+
+def test_match_compare_writes_strict_json():
+    # at gamma = 1e-320, y_m / (3 gamma) overflows, but the spacing
+    # sqrt(y_m) / sqrt(3 gamma) = 5.77e159 is finite
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    args = ["match", "compare", "--cubic", "1e-320,1,1", "--out", "mc"]
+    assert main(args) == 0
+    report = json.loads(open("mc.json").read(), parse_constant=refuse)
+    assert report["cubic"]["copy_spacing"] == pytest.approx(1.0 / math.sqrt(3e-320), rel=1e-3)
 
 
 def test_config_file_with_flag_override(tmp_path):

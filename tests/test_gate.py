@@ -25,6 +25,7 @@ from catgate import (
     reference_cat,
 )
 from catgate.errors import (
+    CatGateError,
     GridMismatchError,
     LinearizationDomainError,
     NyquistError,
@@ -221,6 +222,41 @@ def test_huge_outcome_is_finite_or_typed_without_warnings(resource, y_m):
             grade_outcomes(VACUUM, resource, [y_m], BestPhaseCat(5))
         with pytest.raises(ZeroProbabilityError):
             collapse(VACUUM, resource, y_m)
+
+
+BOX_RESOURCES = st.one_of(
+    st.builds(FockResource, st.integers(0, 64)),
+    st.builds(CubicPhaseResource,
+              st.one_of(st.sampled_from([0.0, 5e-324, 1e-320]), st.floats(0.0, 1.0)),
+              st.floats(0.05, 1.0)),
+)
+# |y| log-uniform over [1e-300, 1e300], either sign
+ANY_OUTCOME = st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+                        st.floats(-300.0, 300.0), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(resource=BOX_RESOURCES, y_m=ANY_OUTCOME)
+@example(resource=CubicPhaseResource(5e-324, 0.05), y_m=1e300)
+@example(resource=CubicPhaseResource(1e-320, 1.0), y_m=-1e-300)
+@example(resource=FockResource(64), y_m=-1e300)
+def test_any_outcome_is_finite_or_typed_without_warnings(resource, y_m):
+    """Over the validated box every gate entry point gives a finite result or
+    a typed error, and no intermediate raises a warning."""
+    evaluations = {
+        "collapse": lambda: collapse(VACUUM, resource, y_m).psi_out.values,
+        "probability_density": lambda: probability_density(VACUUM, resource, y_m),
+        "grade_outcomes": lambda: grade_outcomes(VACUUM, resource, [y_m])[0],
+        "grade_outcomes_cat": lambda: np.concatenate(grade_outcomes(VACUUM, resource, [y_m], CAT5)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, evaluate in evaluations.items():
+            try:
+                result = evaluate()
+            except CatGateError:
+                continue
+            assert np.all(np.isfinite(result)), name
 
 
 # ---------------------------------------------------------------- support trimming
