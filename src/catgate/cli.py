@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 from types import SimpleNamespace
 from typing import Callable
 
@@ -608,7 +609,11 @@ GROUPS = {"scan": "curve emission", "match": "parameter matching"}
 
 # ---------------------------------------------------------------- wiring
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``COMMANDS``, built on the first call and shared by every
+    ``main`` call in the process: it holds only the static table, and each
+    parse returns a fresh namespace.  Callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="catgate",
         description="measurement-assisted cat-state gate simulator",

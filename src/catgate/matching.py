@@ -15,6 +15,8 @@ from .cubic import SQUEEZING_SWEEP, CubicGateConfig
 from .errors import ConvergenceError, FitRangeError
 from .gate import collapse, grade_outcomes
 from .numerics import (
+    _AIRY_NODES,
+    BLOCK_BYTES,
     MIN_SQUEEZING,
     Grid,
     _airy_ai,
@@ -37,14 +39,14 @@ def matched_outcome_ratio(reference_n: int = REFERENCE_N) -> float:
 _TARGET_TOLERANCE = {"probability": 1e-3, "infidelity": 1e-4}
 
 
-def _roots(f, nodes, tol: float):
-    """The roots of ``f`` along the scan ``nodes``, in order, each with the
-    bisection steps it took.  Lazy: no node past the last root taken is
-    evaluated.  A node where ``f`` is exactly 0 is a root; a sign change between
+def _roots(f, scan, tol: float):
+    """The roots of ``f`` along ``scan``, lazy ``(x, f(x))`` pairs in
+    increasing x, in order, each with the bisection steps it took.  ``f`` is
+    called only at bisection midpoints, and no pair past the last root taken
+    is drawn.  A node where ``f`` is exactly 0 is a root; a sign change between
     consecutive nodes is bisected to a bracket of width ``tol``, or 200 steps."""
     x_prev, f_prev = None, 0.0
-    for x in nodes:
-        f_x = f(x)
+    for x, f_x in scan:
         if f_x == 0.0:
             yield x, 0
         elif np.sign(f_x) * np.sign(f_prev) < 0:
@@ -75,19 +77,19 @@ def ladder_entries(count: int) -> int:
     return count
 
 
-def _node_residual(y_m: float, s: float, ratio: float) -> float:
+def _node_residual(y_m: np.ndarray, s: float, ratio: float) -> np.ndarray:
     """The sign and the zeros of the collapsed ancilla factor at the output
-    symmetry point x = 0.
+    symmetry point x = 0, for a 1-D array of y_m in one kernel call; each
+    value does not depend on the array it comes in.
 
     For a centered vacuum input the output is an odd cat exactly when this
     amplitude vanishes: the two copies then interfere with a node at x = 0.
     The closed-form factor is a positive prefactor times Ai(z) (see
     ``oscillatory_fourier_factor``), and the root search reads only signs and
-    exact zeros, so Ai(z) of the factor's own z stands in for it.
+    exact zeros, so Ai(z) of the factor's own z stands in for it.  The
+    caller checks (gamma, s).
     """
-    gamma = y_m / ratio
-    validate_cubic_params(gamma, s)
-    return float(_airy_ai(np.array([_airy_argument(gamma, s, y_m)]))[0])
+    return _airy_ai(_airy_argument(y_m / ratio, s, y_m))
 
 
 def _scan(start: float, stop: float, step: float, limit: float):
@@ -96,6 +98,11 @@ def _scan(start: float, stop: float, step: float, limit: float):
     while y <= stop + 1e-12 and y <= limit:
         yield y
         y += step
+
+
+#: Scan nodes per kernel call of the ladder search, whose Airy node sums then
+#: hold ``BLOCK_BYTES`` however fine the scan; the default scan is one block.
+_LADDER_BLOCK = BLOCK_BYTES // (16 * _AIRY_NODES)
 
 
 def odd_cat_ladder(
@@ -111,12 +118,23 @@ def odd_cat_ladder(
 
     Scans the line for sign changes of the node residual, up to ``scan_stop``
     and no further than gamma = 1, and refines each root by bisection to a
-    y_m bracket of 1e-4.  Entries are returned in increasing y_m order.
+    y_m bracket of 1e-4: one kernel call per ``_LADDER_BLOCK`` scan nodes,
+    and one per bisection step.  s and the scan are checked first.  Entries
+    are returned in increasing y_m order.
     """
     ladder_entries(k_max)
     ratio = matched_outcome_ratio(reference_n)
+    if not scan_step > 0:
+        raise ValueError(f"the scan step must be positive, got {scan_step}")
+    validate_cubic_params(min(scan_start / ratio, 1.0), s)  # gamma rises from here to <= 1
     nodes = _scan(scan_start, scan_stop, scan_step, ratio)
-    roots = list(islice(_roots(lambda y: _node_residual(y, s, ratio), nodes, 1e-4), k_max))
+
+    def scan():
+        while (block := np.fromiter(islice(nodes, _LADDER_BLOCK), float)).size:
+            yield from zip(block.tolist(), _node_residual(block, s, ratio).tolist())
+
+    roots = list(islice(_roots(lambda y: _node_residual(np.array([y]), s, ratio)[0],
+                               scan(), 1e-4), k_max))
     if len(roots) < k_max:
         raise ConvergenceError(f"found only {len(roots)} odd-cat points in "
                                f"[{scan_start}, {min(scan_stop, ratio)}], needed {k_max}")
@@ -167,7 +185,8 @@ def fit_squeezing(
         return curve[-1] - value
 
     lo, hi, count = SQUEEZING_SWEEP
-    root = next(_roots(residual, np.linspace(lo, hi, count), 1e-3), None)
+    scan = ((s, residual(s)) for s in np.linspace(lo, hi, count))
+    root = next(_roots(residual, scan, 1e-3), None)
     if root is None:
         raise FitRangeError(
             f"{target} target {value} not reached on s in [{lo}, {hi}] "

@@ -328,6 +328,12 @@ def test_match_ladder_nonconvergence_exit_code():
     assert main(args) == 3
 
 
+def test_match_ladder_checks_s_before_the_scan(capsys):
+    # the scan 14..13 has no node, but --s is still a usage error
+    assert main(["match", "ladder", "--kmax", "1", "--s", "0.01", "--scan", "14,13,0.05"]) == 2
+    assert "squeezing factor s must be in [0.05, 1], got 0.01" in capsys.readouterr().err
+
+
 def test_match_ladder_takes_no_grid(monkeypatch, capsys):
     # the ladder search builds no state: no --grid flag, and CATGATE_GRID is not read
     with pytest.raises(SystemExit) as exc:
@@ -499,3 +505,37 @@ def test_parameter_echo_reruns_the_command(command, in_tmp):
     assert second == [name.replace("first", "second", 1) for name in first]
     for a, b in zip(first, second):
         assert (in_tmp / a).read_bytes() == (in_tmp / b).read_bytes(), a
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    # a switch set in one call is unset in the next
+    cubic = "0.075,2.486,0.171"
+    assert main(["match", "compare", "--cubic", cubic, "--wigner", "--out", "a"]) == 0
+    assert main(["match", "compare", "--cubic", cubic, "--out", "b"]) == 0
+    assert json.loads(open("b.json").read())["parameters"]["wigner"] == "false"
+    assert not os.path.exists("b_fock_wigner.csv")
+    # the environment is read at each call
+    for spec, echo in (("-8,8,1024", "-8.0,8.0,1024"), ("-9,9,512", "-9.0,9.0,512")):
+        monkeypatch.setenv("CATGATE_GRID", spec)
+        assert main(["collapse", "--fock", "0", "--out", "g"]) == 0
+        assert json.loads(open("g.csv.meta.json").read())["parameters"]["grid"] == echo
+    # a usage error leaves the parser fit for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(["collapse", "--fock", "0", "--out", "after"]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_reused_parser_help_is_a_fresh_parsers(command, capsys):
+    texts = []
+    for parser in (cli.build_parser(), cli.build_parser.__wrapped__()):
+        with pytest.raises(SystemExit):
+            parser.parse_args(command.split() + ["--help"])
+        texts.append(capsys.readouterr().out)
+    assert texts[0].startswith(f"usage: catgate {command} ")
+    assert texts[0] == texts[1]

@@ -13,6 +13,7 @@ from catgate import (
     fit_squeezing,
     make_vacuum,
     matched_outcome_ratio,
+    matching,
     odd_cat_ladder,
     oscillatory_fourier_factor,
     reference_cat,
@@ -21,6 +22,7 @@ from catgate.cubic import SQUEEZING_SWEEP
 from catgate.errors import ConvergenceError, FitRangeError
 from catgate.gate import grade_outcomes
 from catgate.matching import _node_residual, _roots, _scan
+from catgate.numerics import _airy_ai
 from conftest import odd_cat_phase_offset
 
 GRID = default_grid()
@@ -57,10 +59,52 @@ def test_ladder_nine_entries_are_pinned():
 def test_node_residual_has_the_sign_and_zeros_of_the_factor(s):
     # the residual is Ai(z) alone; the factor is a positive prefactor times it
     ratio = matched_outcome_ratio(5)
-    for y_m in _scan(0.5, 13.0, 0.05, ratio):
-        residual = _node_residual(y_m, s, ratio)
-        factor = oscillatory_fourier_factor(y_m / ratio, s, y_m).real
-        assert np.sign(residual) == np.sign(factor)  # so also zero where it is
+    nodes = np.fromiter(_scan(0.5, 13.0, 0.05, ratio), float)
+    residuals = _node_residual(nodes, s, ratio)
+    factors = [oscillatory_fourier_factor(y_m / ratio, s, y_m).real for y_m in nodes]
+    assert np.array_equal(np.sign(residuals), np.sign(factors))  # so also zero where it is
+
+
+# the default scan, and one shifted by a fraction of its step as a seed shifts it
+@pytest.mark.parametrize("start", [0.5, 0.5 + 0.05 * 0.37])
+def test_scan_residuals_are_the_one_node_residuals(start):
+    # one kernel call over the whole scan gives each node the bits, zero
+    # signs included, that a call of its own gives it
+    ratio = matched_outcome_ratio(5)
+    nodes = np.fromiter(_scan(start, 13.0, 0.05, ratio), float)
+    batched = _node_residual(nodes, 0.05, ratio)
+    single = np.array([_node_residual(np.array([y_m]), 0.05, ratio)[0] for y_m in nodes])
+    assert np.array_equal(batched, single)
+    assert np.array_equal(np.signbit(batched), np.signbit(single))
+
+
+@pytest.fixture
+def airy_call_sizes(monkeypatch):
+    """The size of every ``_airy_ai`` call the matching layer makes."""
+    sizes = []
+
+    def counted(z):
+        sizes.append(z.size)
+        return _airy_ai(z)
+
+    monkeypatch.setattr(matching, "_airy_ai", counted)
+    return sizes
+
+
+def test_ladder_scans_in_one_kernel_call(airy_call_sizes):
+    # the default scan is one call over all of its nodes; every bisection
+    # step is a one-node call, 9 per root to halve the 0.05 step below 1e-4
+    odd_cat_ladder(2)
+    assert airy_call_sizes == [len(list(_scan(0.5, 13.0, 0.05, 33.0)))] + [1] * (2 * 9)
+
+
+def test_fine_ladder_scan_is_evaluated_in_blocks(airy_call_sizes):
+    # a kernel call holds at most one block of nodes however fine the step:
+    # the first root, near y_m = 1.078, lies in the second block of 1e-4 steps
+    [(y_m, _)] = odd_cat_ladder(1, scan_step=1e-4)
+    assert y_m == pytest.approx(1.0779785156250006, abs=1e-4)
+    assert airy_call_sizes[:2] == [matching._LADDER_BLOCK] * 2
+    assert set(airy_call_sizes[2:]) <= {1}
 
 
 def test_ladder_entries_realize_odd_cats():
@@ -100,6 +144,17 @@ def test_ladder_errors():
         odd_cat_ladder(1, reference_n=-1)
 
 
+def test_ladder_checks_its_values_before_the_scan():
+    # s is checked even for a scan with no node
+    with pytest.raises(ValueError, match=r"squeezing factor s must be in \[0\.05, 1\], got 0\.01"):
+        odd_cat_ladder(1, s=0.01, scan_start=14.0, scan_stop=13.0, scan_step=0.05)
+    # a start below y_m = 0 names gamma at the first node, -0.33 / 33
+    with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\], got -0\.01$"):
+        odd_cat_ladder(1, scan_start=-0.33)
+    with pytest.raises(ValueError, match="the scan step must be positive, got 0"):
+        odd_cat_ladder(1, scan_step=0.0)
+
+
 def _counted(f):
     calls = []
 
@@ -110,26 +165,30 @@ def _counted(f):
     return counted, calls
 
 
+def _pairs(f, nodes):
+    return ((x, f(x)) for x in nodes)
+
+
 def test_roots_stop_at_the_kth_root():
     # roots at 1.5 and 3.7 between the integer nodes; the first bisection
     # lands on 1.5 exactly, the second takes four steps to a width of 1/16
     f, calls = _counted(lambda x: (x - 1.5) * (x - 3.7))
-    assert next(_roots(f, range(10), 0.1)) == (1.5, 1)
+    assert next(_roots(f, _pairs(f, range(10)), 0.1)) == (1.5, 1)
     assert calls == [0, 1, 2, 1.5]
     f, calls = _counted(lambda x: (x - 1.5) * (x - 3.7))
-    assert list(islice(_roots(f, range(10), 0.1), 2)) == [(1.5, 1), (3.71875, 4)]
+    assert list(islice(_roots(f, _pairs(f, range(10)), 0.1), 2)) == [(1.5, 1), (3.71875, 4)]
     assert calls == [0, 1, 2, 1.5, 3, 4, 3.5, 3.75, 3.625, 3.6875]
 
 
 def test_roots_take_an_exact_zero_node():
     f, calls = _counted(lambda x: x - 3.0)
-    assert list(_roots(f, range(10), 0.1)) == [(3, 0)]
+    assert list(_roots(f, _pairs(f, range(10)), 0.1)) == [(3, 0)]
     assert calls == list(range(10))
 
 
 def test_roots_need_a_sign_change():
     f, calls = _counted(lambda x: (x - 4.5) ** 2 + 1.0)
-    assert list(_roots(f, range(10), 0.1)) == []
+    assert list(_roots(f, _pairs(f, range(10)), 0.1)) == []
     assert calls == list(range(10))
 
 
