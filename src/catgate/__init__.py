@@ -11,7 +11,6 @@ picture behind them, and the parameter matching between the two resources.
 __version__ = "0.1.0"
 
 from .analysis import (
-    AcceptanceWindow,
     WignerGrid,
     fidelity,
     fidelity_cat,
@@ -19,7 +18,7 @@ from .analysis import (
     fidelity_mix,
     wigner,
 )
-from .cubic import CubicGateConfig, SqueezingScan, squeezing_db, squeezing_scan
+from .cubic import CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import (
     CatGateError,
     ConvergenceError,
@@ -74,7 +73,6 @@ from .states import (
 )
 
 __all__ = [
-    "AcceptanceWindow",
     "BestPhaseCat",
     "CatGateError",
     "CatParams",
@@ -92,7 +90,6 @@ __all__ = [
     "LinearizationDomainError",
     "MatchReport",
     "NyquistError",
-    "SqueezingScan",
     "WaveFunction",
     "WignerGrid",
     "ZeroProbabilityError",

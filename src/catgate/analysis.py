@@ -12,10 +12,9 @@ import numpy as np
 
 from . import gate
 from .errors import GridSupportError
-from .numerics import BLOCK_BYTES, SUPPORT_LOG, Grid, WaveFunction, _offset_dft
-from .numerics import default_grid, overlap
+from .numerics import BLOCK_BYTES, SUPPORT_LOG, Grid, WaveFunction, _offset_dft, overlap
 from .semiclassical import reference_cat
-from .states import FockResource, make_vacuum
+from .states import FockResource
 
 
 @dataclass
@@ -146,18 +145,6 @@ def fidelity_cat(psi_out: WaveFunction, n: int) -> float:
     return fidelity(psi_out, reference_cat(n, 0.0, psi_out.grid))
 
 
-@dataclass(frozen=True)
-class AcceptanceWindow:
-    """Window of accepted outcomes [-d/2, d/2]; ``fidelity_mix`` derives the
-    order of its quadrature from the width and the resource."""
-
-    d: float
-
-    def __post_init__(self) -> None:
-        if self.d <= 0:
-            raise ValueError("window width d must be positive")
-
-
 @functools.cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], read-only since every caller shares them;
@@ -168,13 +155,9 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def fidelity_mix(
-    n: int,
-    window: AcceptanceWindow,
-    psi_in: WaveFunction | None = None,
-) -> tuple[float, float]:
-    """Average cat fidelity of the mixed state obtained by accepting all
-    outcomes in the window, weighted by their probability density:
+def fidelity_mix(n: int, d: float, psi_in: WaveFunction) -> tuple[float, float]:
+    """Average cat fidelity of the mixed state obtained by accepting every
+    outcome in the window [-d/2, d/2], weighted by its probability density:
 
         F_mix = (1/P_mix) integral P(y) F_cat(y) dy,
         P_mix = integral P(y) dy,
@@ -187,17 +170,23 @@ def fidelity_mix(
     whatever the input.  An N-node Gauss-Legendre rule is exact to degree
     2N - 1, and converges once 2N exceeds that band times the half-width d/2
     (Trefethen, SIAM Rev. 50 (2008) 67), so N = ceil(B_F d / 2) + 16; up to
-    n = 64, 5 of the 16 extra nodes sufficed for 1e-13.  Returns (F_mix, P_mix).
+    n = 64, 5 of the 16 extra nodes sufficed for 1e-13.
+
+    The width d lies in [0, 2 sqrt(2n+1)], the cat regime; anything else,
+    NaN included, is a ValueError.  At d = 0 the result is the d -> 0 limit:
+    no accepted probability, and the cat fidelity of the outcome y = 0.
+    Returns (F_mix, P_mix).
     """
     resource = FockResource(n)
-    if window.d > 2.0 * resource.copy_shift(0.0):
-        raise ValueError(
-            f"window d={window.d} exceeds the cat regime width 2*sqrt(2n+1)"
-        )
-    if psi_in is None:
-        psi_in = make_vacuum(default_grid())
+    limit = 2.0 * resource.copy_shift(0.0)
+    if not 0.0 <= d <= limit:
+        raise ValueError(f"window width d must be in [0, 2*sqrt(2n+1)] = [0, {limit:.6g}], "
+                         f"got {d}")
     reference = reference_cat(n, 0.0, psi_in.grid)
-    half = 0.5 * window.d
+    if d == 0.0:
+        _, fidelities = gate.grade_outcomes(psi_in, resource, np.zeros(1), reference)
+        return float(fidelities[0]), 0.0
+    half = 0.5 * d
     order = math.ceil(resource.band(SUPPORT_LOG) * half) + 16
     nodes, weights = _gauss_legendre(order)
     ws = half * weights

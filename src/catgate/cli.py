@@ -34,13 +34,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import AcceptanceWindow, WignerGrid, default_wigner_axes
+from .analysis import WignerGrid, default_wigner_axes
 from .analysis import fidelity_cat, fidelity_coh, fidelity_mix, wigner
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import CatGateError, ConvergenceError, LinearizationDomainError
 from .gate import collapse, grade_outcomes, probability_scan
 from .matching import compare_gates, fit_squeezing, ladder_entries, odd_cat_ladder
-from .numerics import MIN_SQUEEZING, Grid, default_grid
+from .numerics import MIN_SQUEEZING, Grid, default_grid, validate_fock_order
 from .semiclassical import REFERENCE_N, BestPhaseCat, reference_cat
 from .states import FockResource, make_vacuum
 
@@ -110,6 +110,7 @@ _grid_spec = _fields("xmin,xmax,n", _float, _float, _int, into=Grid)
 _cubic_spec = _fields("gamma,ym,s", _float, _float, _float, into=CubicGateConfig)
 _triple = _fields("lo,hi,count", _float, _float, _positive_int)
 _scan_range = _fields("lo,hi,step", _float, _float, _positive_float)
+_axis_spec = _fields("lo,hi,count", _float, _float, _int, into=Grid)
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -119,15 +120,17 @@ def _pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _int_range(text: str) -> list[int]:
-    """'1..10' or '5' -> list of ints."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = _int(lo), _int(hi)
-        if hi_i < lo_i:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [_int(text)]
+def _fock_range(text: str) -> list[int]:
+    """'1..10' or '5' -> list of Fock orders; both ends, and so every order
+    between them, pass ``validate_fock_order``."""
+    lo, dots, hi = text.partition("..")
+    lo_i = _int(lo)
+    hi_i = _int(hi) if dots else lo_i
+    if hi_i < lo_i:
+        raise ValueError(f"empty range {text!r}")
+    validate_fock_order(lo_i)
+    validate_fock_order(hi_i)
+    return list(range(lo_i, hi_i + 1))
 
 
 def _span(text: str) -> tuple[float, float]:
@@ -356,6 +359,8 @@ def _collapse(v) -> Output:
 
 
 def _wigner(v) -> Output:
+    x_axis, y_axis = default_wigner_axes(v.grid, v.stride)
+    y_axis = v.paxis or y_axis
     if v.vacuum:
         if v.fock is not None or v.cubic is not None or v.ym is not None:
             raise ValueError("--vacuum excludes --fock/--cubic/--ym")
@@ -363,10 +368,6 @@ def _wigner(v) -> Output:
     else:
         resource, y_m = _resource(v)
         state = collapse(make_vacuum(v.grid), resource, y_m).psi_out
-    x_axis, y_axis = default_wigner_axes(v.grid, v.stride)
-    if v.paxis is not None:
-        y_axis = Grid(*v.paxis)
-
     w = wigner(state, x_axis, y_axis)
     norm = w.normalization()
     extra = {
@@ -425,16 +426,7 @@ def _scan_catfid(v) -> Output:
 def _scan_mixfid(v) -> Output:
     psi_in = make_vacuum(v.grid)
     ds = np.linspace(*v.d, v.points)
-
-    def mix(d: float) -> tuple[float, float]:
-        if d != 0.0:
-            return fidelity_mix(v.fock, AcceptanceWindow(d), psi_in)
-        # the d -> 0 limit: no probability, and the cat fidelity at y = 0
-        reference = reference_cat(v.fock, 0.0, v.grid)
-        _, fidelities = grade_outcomes(psi_in, FockResource(v.fock), np.zeros(1), reference)
-        return float(fidelities[0]), 0.0
-
-    mixes = [mix(d) for d in ds.tolist()]
+    mixes = [fidelity_mix(v.fock, d, psi_in) for d in ds.tolist()]
     table = Table("acceptance-window width vs mixed-state infidelity", {
         "d": ds,
         "P_mix": [p_mix for _, p_mix in mixes],
@@ -445,13 +437,14 @@ def _scan_mixfid(v) -> Output:
 
 def _scan_squeeze(v) -> Output:
     lo, hi, count = v.srange
-    scan = squeezing_scan(v.gamma, v.ym, np.linspace(lo, hi, count), v.grid)
+    s = np.linspace(lo, hi, count)
+    probability, infidelity = squeezing_scan(v.gamma, v.ym, s, v.grid)
     table = Table("probability and cat infidelity vs ancilla squeezing", {
-        "s": scan.s,
-        "inverse_s": scan.inverse_s,
-        "squeezing_db": [squeezing_db(s) for s in scan.s.tolist()],
-        "P": scan.probability,
-        "infidelity_cat": scan.infidelity,
+        "s": s,
+        "inverse_s": 1.0 / s,
+        "squeezing_db": [squeezing_db(s_i) for s_i in s.tolist()],
+        "P": probability,
+        "infidelity_cat": infidelity,
     })
     return Output([(".csv", table)], f"{count} rows")
 
@@ -529,7 +522,7 @@ def _match_compare(v) -> Output:
 # ---------------------------------------------------------------- the table
 
 FOCK = Param("--fock", _int, None, "Fock resource photon number")
-FOCK_RANGE = Param("--fock", _int_range, None, "photon number or range 'lo..hi'")
+FOCK_RANGE = Param("--fock", _fock_range, None, "photon number or range 'lo..hi'")
 FOCK_5 = Param("--fock", _int, "5", "photon number")
 CUBIC = Param("--cubic", _cubic_spec, None, "cubic resource 'gamma,ym,s'")
 STEP = Param("--step", _positive_float, "0.05", "outcome step")
@@ -549,7 +542,7 @@ COMMANDS = (
         CUBIC,
         replace(YM, help="homodyne outcome (default 0)"),
         Param("--stride", _positive_int, "8", "x-axis stride over the grid"),
-        Param("--paxis", _triple, None, "momentum axis 'lo,hi,count' (default: same as x)"),
+        Param("--paxis", _axis_spec, None, "momentum axis 'lo,hi,count' (default: same as x)"),
         GRID,
     ), _wigner),
     Command(("scan", "probability"), "outcome density curves", (

@@ -42,37 +42,24 @@ def squeezing_db(s: float) -> float:
     return -20.0 * math.log10(s)
 
 
-@dataclass
-class SqueezingScan:
-    """Probability density and cat infidelity versus the squeezing factor at
-    fixed (gamma, y_m)."""
-
-    s: np.ndarray
-    probability: np.ndarray
-    infidelity: np.ndarray
-
-    @property
-    def inverse_s(self) -> np.ndarray:
-        return 1.0 / self.s
-
-
 def squeezing_scan(
     gamma: float,
     y_m: float,
     s_values,
     grid: Grid | None = None,
-) -> SqueezingScan:
+) -> tuple[np.ndarray, np.ndarray]:
     """Scan the squeezing factor at fixed (gamma, y_m), recording P(y_m) and
     the infidelity against the odd/even cat produced by the Fock gate with
-    ``REFERENCE_N`` photons at y_m = 0."""
+    ``REFERENCE_N`` photons at y_m = 0.  Every operating point is checked
+    before any is graded.  Returns (probability, infidelity), one value per
+    s, in the order given."""
+    configs = [CubicGateConfig(gamma, y_m, float(s)) for s in s_values]
     grid = grid or default_grid()
     psi_in = make_vacuum(grid)
     reference = reference_cat(REFERENCE_N, 0.0, grid)
-    s_values = np.asarray(s_values, dtype=np.float64)
-    probability = np.empty_like(s_values)
-    infidelity = np.empty_like(s_values)
-    for i, s in enumerate(s_values):
-        cfg = CubicGateConfig(gamma, y_m, float(s))
+    probability = np.empty(len(configs))
+    infidelity = np.empty(len(configs))
+    for i, cfg in enumerate(configs):
         p, f = gate.grade_outcomes(psi_in, cfg.resource, [cfg.y_m], reference)
         probability[i], infidelity[i] = p[0], 1.0 - f[0]
-    return SqueezingScan(s=s_values, probability=probability, infidelity=infidelity)
+    return probability, infidelity

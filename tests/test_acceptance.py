@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from catgate import (
-    AcceptanceWindow,
     CubicGateConfig,
     FockResource,
     Grid,
@@ -218,7 +217,7 @@ def test_criterion_10_degenerate_reductions():
     cubic = collapse(VACUUM, cfg.resource, cfg.y_m)
     fock = collapse(VACUUM, FockResource(0), 0.0)
     pointwise = float(np.max(np.abs(cubic.psi_out.values - fock.psi_out.values)))
-    f_mix, _ = fidelity_mix(5, AcceptanceWindow(1e-6), VACUUM)
+    f_mix, _ = fidelity_mix(5, 1e-6, VACUUM)
     f_cat0 = fidelity_cat(collapse(VACUUM, FockResource(5), 0.0).psi_out, 5)
     window_err = abs(f_mix - f_cat0)
     check("10", pointwise < 1e-6 and window_err < 1e-4,

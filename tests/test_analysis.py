@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial, hermite, hermite_e
 
 from catgate import (
-    AcceptanceWindow,
     BestPhaseCat,
     CatParams,
     CubicGateConfig,
@@ -356,15 +355,27 @@ def test_semiclassical_output_explains_the_lobe_shift():
 
 # ---------------------------------------------------------------- acceptance window
 
-def test_window_validation():
-    with pytest.raises(ValueError):
-        AcceptanceWindow(0.0)
-    with pytest.raises(ValueError):
-        fidelity_mix(5, AcceptanceWindow(2.1 * math.sqrt(11.0)), VACUUM)
+@pytest.mark.parametrize("d", [-1e-9, math.nan, 2.1 * math.sqrt(11.0)],
+                         ids=["negative", "nan", "beyond-cat-regime"])
+def test_window_validation(d):
+    with pytest.raises(ValueError, match="window width d must be in"):
+        fidelity_mix(5, d, VACUUM)
+
+
+def test_window_domain_is_closed():
+    # d = 0 is the d -> 0 limit: no probability, and the cat fidelity at y = 0
+    f_mix, p_mix = fidelity_mix(5, 0.0, VACUUM)
+    reference = reference_cat(5, 0.0, GRID)
+    _, fidelities = grade_outcomes(VACUUM, FockResource(5), np.zeros(1), reference)
+    assert p_mix == 0.0
+    assert f_mix == float(fidelities[0])
+    # the widest window, 2 sqrt(2n+1), is accepted as it stands
+    f_mix, p_mix = fidelity_mix(5, 2.0 * FockResource(5).copy_shift(0.0), VACUUM)
+    assert 0.0 < f_mix < 1.0 and 0.0 < p_mix < 1.0
 
 
 def test_mix_fidelity_degenerate_window():
-    f_mix, p_mix = fidelity_mix(5, AcceptanceWindow(1e-6), VACUUM)
+    f_mix, p_mix = fidelity_mix(5, 1e-6, VACUUM)
     f_cat0 = fidelity_cat(collapse(VACUUM, FockResource(5), 0.0).psi_out, 5)
     assert abs(f_mix - f_cat0) < 1e-8
     assert p_mix == pytest.approx(probability_density(VACUUM, FockResource(5), 0.0) * 1e-6, rel=1e-4)
@@ -373,14 +384,14 @@ def test_mix_fidelity_degenerate_window():
 def test_mix_probability_linear_for_small_windows():
     p0 = probability_density(VACUUM, FockResource(5), 0.0)
     for d in (0.1, 0.2):
-        _, p_mix = fidelity_mix(5, AcceptanceWindow(d), VACUUM)
+        _, p_mix = fidelity_mix(5, d, VACUUM)
         assert p_mix == pytest.approx(p0 * d, rel=0.02)
 
 
 def test_mix_infidelity_grows_with_window():
     values = []
     for d in np.linspace(0.2, 1.4, 7):
-        f_mix, _ = fidelity_mix(5, AcceptanceWindow(float(d)), VACUUM)
+        f_mix, _ = fidelity_mix(5, float(d), VACUUM)
         values.append(1.0 - f_mix)
     assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -404,6 +415,6 @@ def test_mix_matches_a_512_node_rule(kicked, n, d):
                                            reference_cat(n, 0.0, GRID))
     p_rule = 0.5 * d * float(np.sum(weights * densities))
     f_rule = 0.5 * d * float(np.sum(weights * densities * fidelities)) / p_rule
-    f_mix, p_mix = fidelity_mix(n, AcceptanceWindow(d), psi_in)
+    f_mix, p_mix = fidelity_mix(n, d, psi_in)
     assert abs(f_mix - f_rule) <= 1e-12
     assert abs(p_mix - p_rule) <= 1e-12

@@ -117,6 +117,21 @@ def test_wigner_cubic_negativity():
     assert meta["normalization"] == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--paxis", "3,1,20"], "--paxis: grid requires x_max > x_min"),
+    (["--paxis", "0,1,5"], "--paxis: grid needs at least 16 points, got 5"),
+    (["--stride", "5000"], "grid needs at least 16 points, got 1"),
+])
+def test_wigner_checks_its_axes_before_the_collapse(monkeypatch, capsys, in_tmp, args, message):
+    calls = []
+    original = cli.collapse
+    monkeypatch.setattr(cli, "collapse", lambda *a: calls.append(a) or original(*a))
+    assert main(["wigner", "--fock", "5"] + args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert list(in_tmp.iterdir()) == []
+
+
 def test_wigner_vacuum_excludes_resources():
     assert main(["wigner", "--vacuum", "--fock", "5"]) == 2
     assert main(["wigner", "--vacuum", "--ym", "3"]) == 2
@@ -266,6 +281,19 @@ def test_scan_squeeze_matched_row():
     table = read_csv("sq.csv")
     row = int(np.flatnonzero(np.isclose(table["s"], 0.171))[0])
     assert table["P"][row] == pytest.approx(0.098, abs=3e-3)
+    assert table["inverse_s"][row] == pytest.approx(1.0 / 0.171)
+
+
+def test_scan_squeeze_checks_every_s_before_grading(monkeypatch, capsys, in_tmp):
+    # 1.5 is the last of the three squeezing factors, and none of them is graded
+    calls = []
+    original = gate.grade_outcomes
+    monkeypatch.setattr(gate, "grade_outcomes", lambda *a: calls.append(a) or original(*a))
+    args = ["scan", "squeeze", "--gamma", "0.075", "--ym", "2.486", "--srange", "0.05,1.5,3"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: squeezing factor s must be in [0.05, 1], got 1.5\n"
+    assert calls == []
+    assert list(in_tmp.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -282,6 +310,20 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys, argv, name):
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: out of memory, choose smaller axes: Unable to allocate 224. GiB for an array"]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("probability", "probability_scan"),
+    ("cohfid", "grade_outcomes"),
+])
+def test_fock_range_is_checked_before_any_curve(monkeypatch, capsys, in_tmp, command, name):
+    calls = []
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or original(*a))
+    assert main(["scan", command, "--fock", "62..65"]) == 2
+    assert capsys.readouterr().err == "error: --fock: Fock resource supports n in [0, 64], got 65\n"
+    assert calls == []
+    assert list(in_tmp.iterdir()) == []
 
 
 def test_scan_cohfid_small():

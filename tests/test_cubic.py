@@ -65,13 +65,13 @@ def test_fidelity_matched_configuration():
 
 
 def test_squeezing_scan_hits_matched_point():
-    scan = squeezing_scan(0.075, 2.486, np.array([0.111, 0.141, 0.171, 0.201]))
-    row = int(np.flatnonzero(scan.s == 0.171)[0])
-    assert scan.probability[row] == pytest.approx(0.098, abs=3e-3)
-    assert scan.infidelity[row] == pytest.approx(0.098, abs=5e-3)
-    assert scan.inverse_s[row] == pytest.approx(1.0 / 0.171)
+    s = np.array([0.111, 0.141, 0.171, 0.201])
+    probability, infidelity = squeezing_scan(0.075, 2.486, s)
+    row = int(np.flatnonzero(s == 0.171)[0])
+    assert probability[row] == pytest.approx(0.098, abs=3e-3)
+    assert infidelity[row] == pytest.approx(0.098, abs=5e-3)
     # probability rises with s through the matched point
-    assert np.all(np.diff(scan.probability) > 0)
+    assert np.all(np.diff(probability) > 0)
 
 
 def test_squeezing_db_convention():

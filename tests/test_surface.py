@@ -1,4 +1,5 @@
-"""The public functions an outside timing wrapper patches by name.
+"""The public surface: the functions an outside timing wrapper patches by
+name, and the package's export list.
 
 The benchmark's ``--trace 1`` mode wraps these functions as attributes of
 their modules and of every catgate module that imported them.  A refactor that
@@ -7,11 +8,13 @@ list is pinned here.  It is a copy, so the benchmark may change its own list
 without touching this test.
 """
 
+import ast
 import importlib
 
 import numpy as np
 import pytest
 
+import catgate
 from catgate import states
 from catgate.states import CubicPhaseResource, FockResource
 
@@ -32,6 +35,22 @@ TRACED = {
                          ids=lambda v: v)
 def test_traced_function_is_public(module, name):
     assert callable(getattr(importlib.import_module(f"catgate.{module}"), name, None))
+
+
+def test_export_list_is_what_the_package_imports():
+    # __all__ names exactly the names __init__.py imports, once each
+    tree = ast.parse(open(catgate.__file__).read())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(catgate.__all__)) == len(catgate.__all__)
+    assert set(catgate.__all__) == imported
+
+
+def test_every_export_resolves():
+    namespace = {}
+    exec("from catgate import *", namespace)
+    for name in catgate.__all__:
+        assert namespace[name] is getattr(catgate, name)
 
 
 @pytest.mark.parametrize("resource, kernel", [
