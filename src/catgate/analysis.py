@@ -155,7 +155,7 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def fidelity_mix(n: int, d: float, psi_in: WaveFunction) -> tuple[float, float]:
+def fidelity_mix(n: int, d: float | np.ndarray, psi_in: WaveFunction) -> tuple:
     """Average cat fidelity of the mixed state obtained by accepting every
     outcome in the window [-d/2, d/2], weighted by its probability density:
 
@@ -172,17 +172,29 @@ def fidelity_mix(n: int, d: float, psi_in: WaveFunction) -> tuple[float, float]:
     (Trefethen, SIAM Rev. 50 (2008) 67), so N = ceil(B_F d / 2) + 16; up to
     n = 64, 5 of the 16 extra nodes sufficed for 1e-13.
 
-    The width d lies in [0, 2 sqrt(2n+1)], the cat regime; anything else,
-    NaN included, is a ValueError.  At d = 0 the result is the d -> 0 limit:
-    no accepted probability, and the cat fidelity of the outcome y = 0.
-    Returns (F_mix, P_mix).
+    d is one width or a 1-D array of widths, each in [0, 2 sqrt(2n+1)], the
+    cat regime.  Every width is checked before any is graded: one outside
+    it, NaN included, is a ValueError that names the first such width.  At
+    d = 0 the result is the d -> 0 limit: no accepted probability, and the
+    cat fidelity of the outcome y = 0.  Returns (F_mix, P_mix): floats for
+    one width, arrays for an array, each width graded on its own.
     """
     resource = FockResource(n)
     limit = 2.0 * resource.copy_shift(0.0)
-    if not 0.0 <= d <= limit:
+    widths = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    outside = widths[~((0.0 <= widths) & (widths <= limit))]
+    if outside.size:
         raise ValueError(f"window width d must be in [0, 2*sqrt(2n+1)] = [0, {limit:.6g}], "
-                         f"got {d}")
+                         f"got {outside[0]}")
     reference = reference_cat(n, 0.0, psi_in.grid)
+    f_mix, p_mix = np.array([_window_mix(psi_in, resource, reference, width)
+                             for width in widths.tolist()]).T
+    return (float(f_mix[0]), float(p_mix[0])) if np.ndim(d) == 0 else (f_mix, p_mix)
+
+
+def _window_mix(psi_in: WaveFunction, resource: FockResource, reference: WaveFunction,
+                d: float) -> tuple[float, float]:
+    """(F_mix, P_mix) of one checked width, for ``fidelity_mix``."""
     if d == 0.0:
         _, fidelities = gate.grade_outcomes(psi_in, resource, np.zeros(1), reference)
         return float(fidelities[0]), 0.0

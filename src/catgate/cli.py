@@ -113,6 +113,11 @@ _scan_range = _fields("lo,hi,step", _float, _float, _positive_float)
 _axis_spec = _fields("lo,hi,count", _float, _float, _int, into=Grid)
 
 
+def _strided_axis(text: str, grid: Grid) -> Grid:
+    """'8' -> the x axis of every 8th node of the grid."""
+    return default_wigner_axes(grid, _positive_int(text))[0]
+
+
 def _pair(text: str) -> tuple[float, float]:
     lo, hi = _fields("lo,hi", _float, _float)(text)
     if hi < lo:
@@ -151,13 +156,15 @@ class Param:
     """One option: ``--key`` on the command line, ``key = ...`` in the
     command's config-file section.  ``default`` is text, parsed like a flag,
     and the help shows it.  An option parsed by ``_bool`` is a switch on the
-    command line, whose text is 'true'."""
+    command line, whose text is 'true'.  An ``on_grid`` option's parser also
+    takes the command's parsed grid, after every other option is parsed."""
 
     flag: str
     parse: Callable
     default: str | None = None
     help: str = ""
     env: str | None = None
+    on_grid: bool = False
 
     @property
     def key(self) -> str:
@@ -246,9 +253,10 @@ def _resolve(command: Command, ns: argparse.Namespace) -> tuple[SimpleNamespace,
         flags = " and ".join(f"--{key}" for key in command.required)
         raise ValueError(f"{command.name} requires {flags}")
     values = {}
-    for p in options:
+    for p in sorted(options, key=lambda p: p.on_grid):
         try:
-            values[p.key] = None if texts[p.key] is None else p.parse(texts[p.key])
+            grid = (values["grid"],) if p.on_grid else ()
+            values[p.key] = None if texts[p.key] is None else p.parse(texts[p.key], *grid)
         except ValueError as exc:
             raise ValueError(f"{p.flag}: {exc}") from None
     return SimpleNamespace(**values), texts
@@ -359,8 +367,8 @@ def _collapse(v) -> Output:
 
 
 def _wigner(v) -> Output:
-    x_axis, y_axis = default_wigner_axes(v.grid, v.stride)
-    y_axis = v.paxis or y_axis
+    x_axis = v.stride  # the resolver builds it from --stride and the grid
+    y_axis = v.paxis or x_axis
     if v.vacuum:
         if v.fock is not None or v.cubic is not None or v.ym is not None:
             raise ValueError("--vacuum excludes --fock/--cubic/--ym")
@@ -426,12 +434,9 @@ def _scan_catfid(v) -> Output:
 def _scan_mixfid(v) -> Output:
     psi_in = make_vacuum(v.grid)
     ds = np.linspace(*v.d, v.points)
-    mixes = [fidelity_mix(v.fock, d, psi_in) for d in ds.tolist()]
-    table = Table("acceptance-window width vs mixed-state infidelity", {
-        "d": ds,
-        "P_mix": [p_mix for _, p_mix in mixes],
-        "infidelity_mix": [1.0 - f_mix for f_mix, _ in mixes],
-    })
+    f_mix, p_mix = fidelity_mix(v.fock, ds, psi_in)
+    table = Table("acceptance-window width vs mixed-state infidelity",
+                  {"d": ds, "P_mix": p_mix, "infidelity_mix": 1.0 - f_mix})
     return Output([(".csv", table)], f"{v.points} rows")
 
 
@@ -541,7 +546,7 @@ COMMANDS = (
         FOCK,
         CUBIC,
         replace(YM, help="homodyne outcome (default 0)"),
-        Param("--stride", _positive_int, "8", "x-axis stride over the grid"),
+        Param("--stride", _strided_axis, "8", "x-axis stride over the grid", on_grid=True),
         Param("--paxis", _axis_spec, None, "momentum axis 'lo,hi,count' (default: same as x)"),
         GRID,
     ), _wigner),

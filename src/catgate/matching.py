@@ -15,7 +15,7 @@ from .cubic import SQUEEZING_SWEEP, CubicGateConfig
 from .errors import ConvergenceError, FitRangeError
 from .gate import collapse, grade_outcomes
 from .numerics import (
-    _AIRY_NODES,
+    _AIRY_RULES,
     BLOCK_BYTES,
     MIN_SQUEEZING,
     Grid,
@@ -100,9 +100,13 @@ def _scan(start: float, stop: float, step: float, limit: float):
         y += step
 
 
-#: Scan nodes per kernel call of the ladder search, whose Airy node sums then
-#: hold ``BLOCK_BYTES`` however fine the scan; the default scan is one block.
-_LADDER_BLOCK = BLOCK_BYTES // (16 * _AIRY_NODES)
+#: Scan nodes in the first kernel call of the ladder search.  Each later call
+#: takes twice as many, up to ``_LADDER_BLOCK``, whose Airy node sums hold
+#: ``BLOCK_BYTES`` at the largest node count however fine the scan.  So the
+#: scan stops soon after the last root it needs: ``odd_cat_ladder(2)``
+#: evaluates 16 + 32 of the default scan's 251 nodes.
+_LADDER_FIRST_BLOCK = 16
+_LADDER_BLOCK = BLOCK_BYTES // (16 * max(count for _, count in _AIRY_RULES))
 
 
 def odd_cat_ladder(
@@ -118,9 +122,10 @@ def odd_cat_ladder(
 
     Scans the line for sign changes of the node residual, up to ``scan_stop``
     and no further than gamma = 1, and refines each root by bisection to a
-    y_m bracket of 1e-4: one kernel call per ``_LADDER_BLOCK`` scan nodes,
-    and one per bisection step.  s and the scan are checked first.  Entries
-    are returned in increasing y_m order.
+    y_m bracket of 1e-4: one kernel call per block of scan nodes, the blocks
+    doubling from ``_LADDER_FIRST_BLOCK`` up to ``_LADDER_BLOCK``, and one per
+    bisection step.  s and the scan are checked first.  Entries are returned
+    in increasing y_m order.
     """
     ladder_entries(k_max)
     ratio = matched_outcome_ratio(reference_n)
@@ -130,8 +135,10 @@ def odd_cat_ladder(
     nodes = _scan(scan_start, scan_stop, scan_step, ratio)
 
     def scan():
-        while (block := np.fromiter(islice(nodes, _LADDER_BLOCK), float)).size:
+        size = _LADDER_FIRST_BLOCK
+        while (block := np.fromiter(islice(nodes, size), float)).size:
             yield from zip(block.tolist(), _node_residual(block, s, ratio).tolist())
+            size = min(2 * size, _LADDER_BLOCK)
 
     roots = list(islice(_roots(lambda y: _node_residual(np.array([y]), s, ratio)[0],
                                scan(), 1e-4), k_max))

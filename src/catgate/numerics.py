@@ -3,10 +3,12 @@ transforms in the continuum convention, and the closed-form Airy factor of
 the cubic-phase ancilla.
 
 The Airy function of a real argument is evaluated here in numpy
-(``_airy_ai``): its Maclaurin series for |z| <= 2, and beyond that a 40-node
-generalised Gauss-Laguerre rule for its integral representation (Gil, Segura
-and Temme, Numer. Algorithms 30 (2002); DLMF 9.4, 9.7), good to about 1e-13.
-The rule's nodes are computed on first use, so only cubic runs pay for them.
+(``_airy_ai``) by regime of its argument: the Maclaurin series for |z| <= 2,
+generalised Gauss-Laguerre rules for its integral representation in between,
+with fewer nodes the larger |z| (Gil, Segura and Temme, Numer. Algorithms 30
+(2002); DLMF 9.4, 9.7), and the asymptotic expansions DLMF 9.7.5 and 9.7.9
+from |z| = 10 on; good to about 1e-13.  Its tables are computed on first
+use, so only cubic runs pay for them.
 
 Conventions used throughout the package:
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -43,12 +45,20 @@ AIRY_ASYMPTOTIC_Z = 1e6
 #: -(2/3) y^2 / (1 + sqrt(1 + 12 |y|)) on the z > 0 side and -s^2 y / 18 past it.
 _AIRY_ZERO_Y = 1e7
 
-#: ``_airy_ai`` sums the Maclaurin series for |z| up to this edge and uses the
-#: Gauss-Laguerre rule beyond it; the series needs ``_AIRY_TERMS`` terms there
-#: and the rule ``_AIRY_NODES`` nodes, each for about 1e-13.
+#: The regimes of ``_airy_ai``, by |z|: the Maclaurin series with
+#: ``_AIRY_TERMS`` terms up to ``_AIRY_SERIES_EDGE``; then, up to each edge of
+#: ``_AIRY_RULES``, a Gauss-Laguerre rule with its node count; and from the
+#: last edge on the asymptotic expansion with ``_AIRY_EXPANSION_TERMS``
+#: coefficients u_k.  The counts come from a comparison with 30-digit mpmath:
+#: each regime stays within 1e-14 of it on both sides of z = 0, but for the
+#: z < 0 expansion's 8e-14, the roundoff of cos and sin of a large zeta.  So
+#: the value jumps by no more than that at an edge.  Counts good to only
+#: 5e-14 made such jumps show in the collapsed cubic states: their Wigner
+#: position marginal missed |psi|^2 by 1.7e-14 where it misses by 2.5e-15.
 _AIRY_SERIES_EDGE = 2.0
 _AIRY_TERMS = 12
-_AIRY_NODES = 40
+_AIRY_RULES = ((3.0, 32), (5.0, 20), (7.5, 12), (10.0, 8))
+_AIRY_EXPANSION_TERMS = 16
 
 #: Amplitudes below this fraction of their peak count as zero: they bound a
 #: state's support (``WaveFunction.support``), and with it the work of the
@@ -259,40 +269,115 @@ def validate_cubic_params(gamma: float, s: float) -> None:
         raise ValueError(f"squeezing factor s must be in [{MIN_SQUEEZING}, 1], got {s}")
 
 
-@cache
-def _airy_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tables of ``_airy_ai``, built on its first call: the Maclaurin
-    coefficients of Ai(0) f(z) and Ai'(0) g(z) / z in powers of z^3, and the
-    nodes and weights of the generalised Gauss-Laguerre rule with
-    alpha = -1/6 (Golub-Welsch: the eigenvalues of its Jacobi matrix, and the
-    first components of its eigenvectors), the weights times the integral's
-    prefactor 2^(1/6) / (2 sqrt(pi) Gamma(5/6)).  The components come from a
-    recurrence: on a 2-vCPU Xeon VM ``eigvalsh`` takes 0.1 ms where ``eigh``
-    takes 16 ms."""
-    k = np.arange(1, _AIRY_TERMS)
-    f = np.cumprod(np.r_[1.0, 1.0 / ((3 * k - 1) * (3 * k))])
-    g = np.cumprod(np.r_[1.0, 1.0 / ((3 * k) * (3 * k + 1))])
-    f *= 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-    g *= -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
+def _gauss_laguerre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Halved nodes t/2 and weights of the ``count``-node generalised
+    Gauss-Laguerre rule with alpha = -1/6 (Golub-Welsch: the eigenvalues of
+    its Jacobi matrix, and the first components of its eigenvectors), the
+    weights times the Airy integral's prefactor 1 / (2 sqrt(pi) Gamma(5/6)).
+    The components come from a recurrence: on a 2-vCPU Xeon VM ``eigvalsh``
+    takes 0.1 ms where ``eigh`` takes 16 ms."""
     alpha = -1.0 / 6.0
-    j = np.arange(_AIRY_NODES)
+    j = np.arange(count)
     diagonal = 2.0 * j + alpha + 1.0
     off = np.sqrt(j * (j + alpha))  # off[j] couples rows j - 1 and j; off[0] = 0
     nodes = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
     # a first component squared is 1 / sum_j p_j(t)^2 over the orthonormal
     # polynomials, which the matrix's rows generate
-    p_prev, p = np.zeros(_AIRY_NODES), np.ones(_AIRY_NODES)
-    norm = np.ones(_AIRY_NODES)
-    for row in range(_AIRY_NODES - 1):
+    p_prev, p = np.zeros(count), np.ones(count)
+    norm = np.ones(count)
+    for row in range(count - 1):
         p_prev, p = p, ((nodes - diagonal[row]) * p - off[row] * p_prev) / off[row + 1]
         norm += p * p
     # mu_0 = Gamma(alpha + 1), the integral of the weight function, times
     # the prefactor
-    weights = (math.gamma(alpha + 1.0) * 2.0 ** (1.0 / 6.0)
-               / (2.0 * math.sqrt(math.pi) * math.gamma(5.0 / 6.0))) / norm
-    for table in (f, g, nodes, weights):
+    weights = (math.gamma(alpha + 1.0) / (2.0 * math.sqrt(math.pi) * math.gamma(5.0 / 6.0))) / norm
+    return 0.5 * nodes, weights
+
+
+def _airy_series(z: np.ndarray, fg: np.ndarray) -> np.ndarray:
+    """Ai(z) = Ai(0) f(z) + Ai'(0) g(z) (DLMF 9.4.1) by Horner in z^3, on
+    the rows (f_k, g_k) of ``fg``, times exp((2/3) z^(3/2)) for z > 0."""
+    cube = (z * z * z)[:, None]
+    acc = fg[-1] * np.ones_like(cube)
+    for row in fg[-2::-1]:
+        acc *= cube
+        acc += row
+    return np.exp((2.0 / 3.0) * np.maximum(z, 0.0) ** 1.5) * (acc[:, 0] + z * acc[:, 1])
+
+
+def _airy_decaying(z: np.ndarray, half_nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Ai(z) exp(zeta), zeta = (2/3) z^(3/2), for z > 0 by the Gauss-Laguerre
+    rule for z^(-1/4) / (2 sqrt(pi) Gamma(5/6))
+    integral dt t^(-1/6) exp(-t) (1 + t/(2 zeta))^(-1/6)."""
+    zeta = (2.0 / 3.0) * z ** 1.5
+    terms = weights * (1.0 + half_nodes / zeta[:, None]) ** (-1.0 / 6.0)
+    return z ** -0.25 * terms.sum(axis=1)
+
+
+def _airy_oscillating(z: np.ndarray, half_nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Ai(-x) = 2 Re[exp(i pi/3) Ai(x exp(i pi/3))] (DLMF 9.2.11) for z = -x < 0
+    by the same rule: zeta turns imaginary, i zeta, and with h = t/(2 zeta)
+    each node term is a modulus (1 + h^2)^(-1/12) times
+    cos(zeta - pi/4 - atan(h)/6)."""
+    x = -z
+    zeta = (2.0 / 3.0) * x ** 1.5
+    h = half_nodes / zeta[:, None]
+    wave = (zeta - 0.25 * math.pi)[:, None] - np.arctan(h) / 6.0
+    terms = weights * (1.0 + h * h) ** (-1.0 / 12.0) * np.cos(wave)
+    return 2.0 * x ** -0.25 * terms.sum(axis=1)
+
+
+def _airy_expansion(z: np.ndarray, u: np.ndarray, side: float) -> np.ndarray:
+    """The asymptotic expansions in 1/zeta, zeta = (2/3) |z|^(3/2), summed as
+    E = sum_k u_2k w^k and O = sum_k u_2k+1 w^k by Horner in w = side/zeta^2
+    on the rows (u_2k, u_2k+1) of ``u``.  ``side`` +1, z > 0 (DLMF 9.7.5):
+    Ai(z) exp(zeta) = (E - O/zeta) / (2 sqrt(pi) z^(1/4)); ``side`` -1, z < 0
+    (DLMF 9.7.9): Ai(z) = (cos(zeta - pi/4) E + sin(zeta - pi/4) O/zeta) /
+    (sqrt(pi) |z|^(1/4))."""
+    x = side * z
+    zeta = (2.0 / 3.0) * x ** 1.5
+    w = (side / (zeta * zeta))[:, None]
+    acc = u[-1] * np.ones_like(w)
+    for row in u[-2::-1]:
+        acc *= w
+        acc += row
+    even, odd = acc[:, 0], acc[:, 1] / zeta
+    if side > 0:
+        return (even - odd) / (2.0 * math.sqrt(math.pi) * x ** 0.25)
+    wave = zeta - 0.25 * math.pi
+    return (np.cos(wave) * even + np.sin(wave) * odd) / (math.sqrt(math.pi) * x ** 0.25)
+
+
+@cache
+def _airy_tables() -> tuple[np.ndarray, tuple]:
+    """The regimes of ``_airy_ai``, built on its first call: the sorted edges
+    in z, and one evaluator per interval between them, from z = -inf up.
+
+    The tables are the Maclaurin coefficients of Ai(0) f(z) and Ai'(0) g(z) / z
+    in powers of z^3, one Gauss-Laguerre rule per ``_AIRY_RULES`` entry, and
+    the expansion's u_k from u_k = u_(k-1) (6k-5)(6k-3)(6k-1) / ((2k-1) 216 k).
+    A regime holds its lower edge; the series also holds z = 2, as |z| <= 2.
+    """
+    k = np.arange(1, _AIRY_TERMS)
+    f = np.cumprod(np.r_[1.0, 1.0 / ((3 * k - 1) * (3 * k))])
+    g = np.cumprod(np.r_[1.0, 1.0 / ((3 * k) * (3 * k + 1))])
+    f *= 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
+    g *= -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
+    k = np.arange(1, _AIRY_EXPANSION_TERMS)
+    u = np.cumprod(np.r_[1.0, (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216.0 * k)])
+    fg, pairs = np.stack([f, g], axis=1), u.reshape(-1, 2)
+    rules = [_gauss_laguerre(count) for _, count in _AIRY_RULES]
+    outer = [edge for edge, _ in _AIRY_RULES]
+    edges = np.array([-edge for edge in outer[::-1]]
+                     + [-_AIRY_SERIES_EDGE, np.nextafter(_AIRY_SERIES_EDGE, np.inf)] + outer)
+    for table in (fg, pairs, edges, *(t for rule in rules for t in rule)):
         table.setflags(write=False)
-    return f, g, nodes, weights
+    regimes = (partial(_airy_expansion, u=pairs, side=-1.0),
+               *(partial(_airy_oscillating, half_nodes=n, weights=w) for n, w in rules[::-1]),
+               partial(_airy_series, fg=fg),
+               *(partial(_airy_decaying, half_nodes=n, weights=w) for n, w in rules),
+               partial(_airy_expansion, u=pairs, side=1.0))
+    return edges, regimes
 
 
 def _airy_ai(z: np.ndarray) -> np.ndarray:
@@ -300,45 +385,33 @@ def _airy_ai(z: np.ndarray) -> np.ndarray:
     float array; good to about 1e-13, relative to the envelope
     sqrt(Ai^2 + Bi^2) on the z <= 0 side.  A NaN z gives NaN.
 
-    * |z| <= ``_AIRY_SERIES_EDGE``: the Maclaurin series
-      Ai(z) = Ai(0) f(z) + Ai'(0) g(z) (DLMF 9.4.1);
-    * z beyond it: with zeta = (2/3) z^(3/2),
-      Ai(z) exp(zeta) = 2^(1/6) / (2 sqrt(pi) Gamma(5/6)) z^(-1/4)
-      integral dt t^(-1/6) exp(-t) (2 + t/zeta)^(-1/6),
-      by the Gauss-Laguerre rule;
-    * z = -x below minus it: Ai(-x) = 2 Re[exp(i pi/3) Ai(x exp(i pi/3))]
-      (DLMF 9.2.11), where zeta turns imaginary, i zeta, and each node term
-      is a modulus (4 + (t/zeta)^2)^(-1/12) and a phase atan(t/(2 zeta))/6.
+    The regimes, by |z| (see ``_airy_tables``):
 
-    Each regime sums along rows, one row per element, so an element's value
-    does not depend on the array it comes in.
+    * up to ``_AIRY_SERIES_EDGE``: the Maclaurin series;
+    * up to each edge of ``_AIRY_RULES``: that edge's Gauss-Laguerre rule for
+      the integral representation, ``_airy_decaying`` for z > 0 and
+      ``_airy_oscillating`` for z < 0;
+    * beyond the last edge: the asymptotic expansion, ``_airy_expansion``.
+
+    One ``searchsorted`` gives every element its regime.  A call whose
+    elements share one regime evaluates it on z itself; a mixed call gathers
+    and scatters only the regimes present.  NaN sorts above every edge, into
+    the z > 0 expansion, which keeps it.  Each regime works row by row, so
+    an element's value does not depend on the array it comes in.
     """
-    f, g, nodes, weights = _airy_tables()
-    out = np.full_like(z, np.nan)
-
-    near = np.abs(z) <= _AIRY_SERIES_EDGE
-    if near.any():
-        zn = z[near]
-        terms = (zn * zn * zn)[:, None] ** np.arange(_AIRY_TERMS) * (f + g * zn[:, None])
-        out[near] = np.exp((2.0 / 3.0) * np.maximum(zn, 0.0) ** 1.5) * terms.sum(axis=1)
-
-    decaying = z > _AIRY_SERIES_EDGE
-    if decaying.any():
-        zd = z[decaying]
-        zeta = (2.0 / 3.0) * zd ** 1.5
-        terms = weights * (2.0 + nodes / zeta[:, None]) ** (-1.0 / 6.0)
-        out[decaying] = zd ** -0.25 * terms.sum(axis=1)
-
-    oscillating = z < -_AIRY_SERIES_EDGE
-    if oscillating.any():
-        x = -z[oscillating]
-        zeta = (2.0 / 3.0) * x ** 1.5
-        ratio = nodes / zeta[:, None]
-        modulus = weights * (4.0 + ratio * ratio) ** (-1.0 / 12.0)
-        phase = np.arctan(0.5 * ratio) / 6.0
-        wave = zeta - 0.25 * math.pi
-        out[oscillating] = 2.0 * x ** -0.25 * ((modulus * np.cos(phase)).sum(axis=1) * np.cos(wave)
-                                               + (modulus * np.sin(phase)).sum(axis=1) * np.sin(wave))
+    edges, regimes = _airy_tables()
+    regime = edges.searchsorted(z, side="right")
+    counts = np.bincount(regime, minlength=len(regimes))
+    if z.size and counts[regime[0]] == z.size:
+        return regimes[regime[0]](z)
+    out = np.empty_like(z)
+    order = np.argsort(regime, kind="stable")
+    start = 0
+    for evaluate, count in zip(regimes, counts.tolist()):
+        if count:
+            rows = order[start:start + count]
+            out[rows] = evaluate(z[rows])
+            start += count
     return out
 
 

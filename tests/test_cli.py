@@ -120,7 +120,7 @@ def test_wigner_cubic_negativity():
 @pytest.mark.parametrize("args, message", [
     (["--paxis", "3,1,20"], "--paxis: grid requires x_max > x_min"),
     (["--paxis", "0,1,5"], "--paxis: grid needs at least 16 points, got 5"),
-    (["--stride", "5000"], "grid needs at least 16 points, got 1"),
+    (["--stride", "5000"], "--stride: grid needs at least 16 points, got 1"),
 ])
 def test_wigner_checks_its_axes_before_the_collapse(monkeypatch, capsys, in_tmp, args, message):
     calls = []
@@ -272,6 +272,19 @@ def test_scan_mixfid_zero_width_is_the_limit():
     assert infidelity_mix == infidelity_cat
     # only 0 is a limit: a negative width is refused
     assert main(["scan", "mixfid", "--fock", "5", "--d=-1..1", "--out", "neg"]) == 2
+
+
+def test_scan_mixfid_checks_every_width_before_grading(monkeypatch, capsys, in_tmp):
+    # 7.0, the last of the 11 widths of 0..7, is beyond 2 sqrt(11) = 6.63325,
+    # and none of the ten widths below it is graded
+    calls = []
+    original = gate.grade_outcomes
+    monkeypatch.setattr(gate, "grade_outcomes", lambda *a: calls.append(a) or original(*a))
+    assert main(["scan", "mixfid", "--fock", "5", "--d", "0..7", "--out", "sm"]) == 2
+    assert capsys.readouterr().err == ("error: window width d must be in "
+                                       "[0, 2*sqrt(2n+1)] = [0, 6.63325], got 7.0\n")
+    assert calls == []
+    assert list(in_tmp.iterdir()) == []
 
 
 def test_scan_squeeze_matched_row():

@@ -91,20 +91,28 @@ def airy_call_sizes(monkeypatch):
     return sizes
 
 
-def test_ladder_scans_in_one_kernel_call(airy_call_sizes):
-    # the default scan is one call over all of its nodes; every bisection
-    # step is a one-node call, 9 per root to halve the 0.05 step below 1e-4
+def test_ladder_scan_blocks_double_from_16(airy_call_sizes):
+    # the scan is drawn in blocks of 16, then 32, ... nodes, each block one
+    # kernel call; every bisection step is a one-node call, 9 per root to
+    # halve the 0.05 step below 1e-4.  The first root, near y_m = 1.078, lies
+    # in the first block and the second, near 2.492, in the second, so 48 of
+    # the default scan's 251 nodes are evaluated
     odd_cat_ladder(2)
-    assert airy_call_sizes == [len(list(_scan(0.5, 13.0, 0.05, 33.0)))] + [1] * (2 * 9)
+    assert airy_call_sizes == [16] + [1] * 9 + [32] + [1] * 9
+    assert sum(size for size in airy_call_sizes if size > 1) <= 48
 
 
 def test_fine_ladder_scan_is_evaluated_in_blocks(airy_call_sizes):
-    # a kernel call holds at most one block of nodes however fine the step:
-    # the first root, near y_m = 1.078, lies in the second block of 1e-4 steps
-    [(y_m, _)] = odd_cat_ladder(1, scan_step=1e-4)
-    assert y_m == pytest.approx(1.0779785156250006, abs=1e-4)
-    assert airy_call_sizes[:2] == [matching._LADDER_BLOCK] * 2
-    assert set(airy_call_sizes[2:]) <= {1}
+    # however fine the step, a kernel call holds at most _LADDER_BLOCK nodes,
+    # 2 MiB of node sums at 32 nodes.  With 1e-4 steps the roots near y_m =
+    # 1.078 and 2.492 are nodes 5780 and 19921: the blocks of 16 to 4096 hold
+    # 8176 nodes, and three more blocks of the cap reach past the second root
+    entries = odd_cat_ladder(2, scan_step=1e-4)
+    assert [y_m for y_m, _ in entries] == pytest.approx([1.0779785156250006, 2.492138671875],
+                                                        abs=1e-4)
+    assert matching._LADDER_BLOCK == 4096
+    blocks = [16 << k for k in range(9)] + [4096] * 3
+    assert [size for size in airy_call_sizes if size > 1] == blocks
 
 
 def test_ladder_entries_realize_odd_cats():

@@ -25,7 +25,13 @@ from catgate import (
     overlap,
 )
 from catgate.errors import GridMismatchError, GridSupportError
-from catgate.numerics import SUPPORT_TOL, _airy_ai, next_fast_len
+from catgate.numerics import (
+    _AIRY_RULES,
+    _AIRY_SERIES_EDGE,
+    SUPPORT_TOL,
+    _airy_ai,
+    next_fast_len,
+)
 
 GRID = default_grid()
 ODD_GRID = Grid(-16.0, 16.0, 4097)
@@ -264,13 +270,18 @@ def test_overlap_grid_mismatch():
 
 # ---------------------------------------------------------------- Airy kernel
 
+#: The kernel's regime edges in |z|: the series edge, then each rule's.
+AIRY_EDGES = [_AIRY_SERIES_EDGE, *(edge for edge, _ in _AIRY_RULES)]
+
+
 def test_airy_kernel_matches_mpmath():
     # dense over the arguments the cubic factor meets, and on both sides of
-    # each regime edge |z| = 2; relative on z > 0, where the kernel returns
+    # every regime edge; relative on z > 0, where the kernel returns
     # Ai(z) exp((2/3) z^(3/2)), and relative to the envelope sqrt(Ai^2 + Bi^2)
     # on z <= 0, where Ai has zeros
     mpmath.mp.dps = 30
-    edges = [edge + d for edge in (-2.0, 2.0) for d in (-1e-12, 0.0, 1e-12)]
+    edges = [sign * edge + d for edge in AIRY_EDGES for sign in (-1.0, 1.0)
+             for d in (-1e-12, 0.0, 1e-12)]
     zs = np.r_[np.linspace(-60.0, 40.0, 2001), edges]
     values = _airy_ai(zs)
     for z, value in zip(zs, values):
@@ -297,6 +308,22 @@ def test_airy_kernel_matches_mpmath_far_out():
         envelope = mpmath.sqrt(ai ** 2 + mpmath.airybi(zm) ** 2)
         zeta = (2.0 / 3.0) * abs(z) ** 1.5
         assert abs(value - ai) <= envelope * (2e-13 + 4.0 * np.finfo(float).eps * zeta), z
+
+
+def test_airy_kernel_gives_each_element_its_own_call_bits():
+    # one array that mixes every regime, its edges and NaN gives each element
+    # the bits, zero signs included, of a call of its own: a regime's value
+    # does not depend on the array, nor on the other regimes in it
+    rng = np.random.default_rng(11)
+    bounds = np.r_[-60.0, -np.array(AIRY_EDGES[::-1]), AIRY_EDGES, 60.0]
+    inside = rng.uniform(bounds[:-1], bounds[1:], (5, bounds.size - 1)).ravel()
+    edges = [sign * edge for edge in AIRY_EDGES for sign in (-1.0, 1.0)]
+    zs = rng.permutation(np.r_[inside, edges, np.nextafter(edges, 0.0), 0.0, -0.0, np.nan])
+    batched = _airy_ai(zs)
+    single = np.array([_airy_ai(zs[i:i + 1])[0] for i in range(zs.size)])
+    assert np.array_equal(batched, single, equal_nan=True)
+    assert np.array_equal(np.signbit(batched), np.signbit(single))
+    assert np.isnan(batched[np.isnan(zs)]).all() and np.isfinite(batched[~np.isnan(zs)]).all()
 
 
 def test_airy_kernel_matches_scipy():
