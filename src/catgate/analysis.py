@@ -97,8 +97,6 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
     n, h, m = live.stop - live.start, grid.spacing, y_axis.n_points
     values = np.zeros((len(idx), m))
     rows = np.flatnonzero((idx >= live.start) & (idx < live.stop))
-    if rows.size == 0:
-        return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values)
     padded = np.zeros(3 * n, dtype=np.complex128)
     padded[n:2 * n] = psi.values[live]
     # row i of the support (i counted from its start) has products only for
@@ -174,10 +172,15 @@ def fidelity_mix(n: int, d: float | np.ndarray, psi_in: WaveFunction) -> tuple:
 
     d is one width or a 1-D array of widths, each in [0, 2 sqrt(2n+1)], the
     cat regime.  Every width is checked before any is graded: one outside
-    it, NaN included, is a ValueError that names the first such width.  At
-    d = 0 the result is the d -> 0 limit: no accepted probability, and the
-    cat fidelity of the outcome y = 0.  Returns (F_mix, P_mix): floats for
-    one width, arrays for an array, each width graded on its own.
+    it, NaN included, is a ValueError that names the first such width.  The
+    nodes of every width go through one ``grade_outcomes`` call, and each
+    width sums its own slice, so its result does not depend on the others.
+    The half-width d/2 cancels in F_mix, which is sum w P F_cat / sum w P,
+    and only P_mix = (d/2) sum w P carries it: a width of 1e-320 still
+    gives the cat fidelity of its outcomes.  At d = 0 every node is y = 0,
+    and the result is the d -> 0 limit: no accepted probability, and the cat
+    fidelity of the outcome y = 0.  Returns (F_mix, P_mix): floats for one
+    width, arrays for an array.
     """
     resource = FockResource(n)
     limit = 2.0 * resource.copy_shift(0.0)
@@ -186,23 +189,15 @@ def fidelity_mix(n: int, d: float | np.ndarray, psi_in: WaveFunction) -> tuple:
     if outside.size:
         raise ValueError(f"window width d must be in [0, 2*sqrt(2n+1)] = [0, {limit:.6g}], "
                          f"got {outside[0]}")
-    reference = reference_cat(n, 0.0, psi_in.grid)
-    f_mix, p_mix = np.array([_window_mix(psi_in, resource, reference, width)
-                             for width in widths.tolist()]).T
+    halves = 0.5 * widths
+    band = resource.band(SUPPORT_LOG)
+    rules = [_gauss_legendre(math.ceil(band * half) + 16) for half in halves.tolist()]
+    nodes = np.concatenate([half * x for half, (x, _) in zip(halves.tolist(), rules)])
+    densities, fidelities = gate.grade_outcomes(psi_in, resource, nodes,
+                                                reference_cat(n, 0.0, psi_in.grid))
+    splits = np.cumsum([weights.size for _, weights in rules])[:-1]
+    sums = np.array([(np.sum(weights * p), np.sum(weights * p * f))
+                     for (_, weights), p, f in zip(rules, np.split(densities, splits),
+                                                     np.split(fidelities, splits))])
+    f_mix, p_mix = sums[:, 1] / sums[:, 0], halves * sums[:, 0]
     return (float(f_mix[0]), float(p_mix[0])) if np.ndim(d) == 0 else (f_mix, p_mix)
-
-
-def _window_mix(psi_in: WaveFunction, resource: FockResource, reference: WaveFunction,
-                d: float) -> tuple[float, float]:
-    """(F_mix, P_mix) of one checked width, for ``fidelity_mix``."""
-    if d == 0.0:
-        _, fidelities = gate.grade_outcomes(psi_in, resource, np.zeros(1), reference)
-        return float(fidelities[0]), 0.0
-    half = 0.5 * d
-    order = math.ceil(resource.band(SUPPORT_LOG) * half) + 16
-    nodes, weights = _gauss_legendre(order)
-    ws = half * weights
-    densities, fidelities = gate.grade_outcomes(psi_in, resource, half * nodes, reference)
-    p_mix = float(np.sum(ws * densities))
-    f_mix = float(np.sum(ws * densities * fidelities) / p_mix)
-    return f_mix, p_mix

@@ -34,12 +34,6 @@ MAX_HERMITE_ORDER = 64
 #: Smallest ancilla squeezing factor the cubic resource model supports.
 MIN_SQUEEZING = 0.05
 
-#: Above this Airy argument the cubic factor takes the two-term large-z series
-#: (exact to ~1e-20 there) with its prefactor folded in.  That form reaches the
-#: gamma -> 0 limit, the Gaussian, where the prefactor overflows, Ai(z)
-#: exp((2/3) z^(3/2)) goes to 0, and their product would be inf * 0.
-AIRY_ASYMPTOTIC_Z = 1e6
-
 #: ``_airy_factor`` caps |y| here, so that no intermediate overflows: beyond
 #: it the factor is an exact 0 for every valid (gamma, s), its exponent below
 #: -(2/3) y^2 / (1 + sqrt(1 + 12 |y|)) on the z > 0 side and -s^2 y / 18 past it.
@@ -333,10 +327,12 @@ def _airy_expansion(z: np.ndarray, u: np.ndarray, side: float) -> np.ndarray:
     on the rows (u_2k, u_2k+1) of ``u``.  ``side`` +1, z > 0 (DLMF 9.7.5):
     Ai(z) exp(zeta) = (E - O/zeta) / (2 sqrt(pi) z^(1/4)); ``side`` -1, z < 0
     (DLMF 9.7.9): Ai(z) = (cos(zeta - pi/4) E + sin(zeta - pi/4) O/zeta) /
-    (sqrt(pi) |z|^(1/4))."""
+    (sqrt(pi) |z|^(1/4)).  Beyond |z| of about 1e102 zeta^2 overflows, and
+    beyond 1e205 zeta itself: w and O/zeta then read 0, their limit."""
     x = side * z
-    zeta = (2.0 / 3.0) * x ** 1.5
-    w = (side / (zeta * zeta))[:, None]
+    with np.errstate(over="ignore"):
+        zeta = (2.0 / 3.0) * x ** 1.5
+        w = (side / (zeta * zeta))[:, None]
     acc = u[-1] * np.ones_like(w)
     for row in u[-2::-1]:
         acc *= w
@@ -418,9 +414,9 @@ def _airy_ai(z: np.ndarray) -> np.ndarray:
 def _airy_argument(gamma: float, s: float, y: float | np.ndarray):
     """Argument ``z = (s^4/(12 gamma) - y) / (3 gamma)^(1/3)`` of the Airy
     function in the cubic-state factor; +inf at gamma = 0."""
+    gamma = np.asarray(gamma, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore"):
-        cube = np.float64(3.0 * gamma) ** (1.0 / 3.0)
-        return (s ** 4 / np.float64(12.0 * gamma) - y) / cube
+        return (s ** 4 / (12.0 * gamma) - y) / (3.0 * gamma) ** (1.0 / 3.0)
 
 
 def _airy_factor(gamma: float, s: float, y: np.ndarray) -> np.ndarray:
@@ -428,7 +424,7 @@ def _airy_factor(gamma: float, s: float, y: np.ndarray) -> np.ndarray:
 
     ``u = 12 gamma y / s^4 < 1`` is the z > 0 side.  At gamma = 0, and for
     gamma so small that z overflows, z is +inf and every point takes the
-    large-z branch.
+    limit of the product there.
     """
     y = np.clip(y, -_AIRY_ZERO_Y, _AIRY_ZERO_Y)
     norm = (s * s / np.pi) ** 0.25
@@ -443,9 +439,10 @@ def _airy_factor(gamma: float, s: float, y: np.ndarray) -> np.ndarray:
     w = np.sqrt(1.0 - u[decaying])
     zd = z[decaying]
     values = np.exp(-(4.0 / 3.0) * (y[decaying] / s) ** 2 * (w + 0.5) / (1.0 + w) ** 2)
-    far = zd > AIRY_ASYMPTOTIC_Z
-    # Ai(z) exp(2/3 z^(3/2)) = (1 - 5/(48 z^(3/2)) + ...) / (2 sqrt(pi) z^(1/4))
-    values[far] *= norm / (s * np.sqrt(w[far])) * (1.0 - 5.0 / 48.0 * zd[far] ** -1.5)
+    far = zd == np.inf
+    # Ai(z) exp(2/3 z^(3/2)) -> 1 / (2 sqrt(pi) z^(1/4)), which reads 0 at
+    # z = +inf, where its product with the prefactor -> norm / (s sqrt(w))
+    values[far] *= norm / (s * np.sqrt(w[far]))
     values[~far] *= airy_scale * _airy_ai(zd[~far])
     out[decaying] = values
 
@@ -477,9 +474,10 @@ def oscillatory_fourier_factor(
     so F is real.  On the z > 0 side, with ``u = 12 gamma y / s^4`` and
     ``w = sqrt(1 - u)``, the exponential cancels against the decay of Ai to
     ``exp(-(4/3) (y/s)^2 (w + 1/2) / (1 + w)^2)`` times Ai(z) exp((2/3) z^(3/2)),
-    which stays finite as gamma -> 0.  Beyond ``AIRY_ASYMPTOTIC_Z`` the
-    large-z series replaces that product; gamma = 0 is its w = 1 limit, the
-    Gaussian.
+    which stays finite as gamma -> 0.  Where z is +inf (gamma = 0, or
+    s^4/(12 gamma) overflows) Ai(z) exp((2/3) z^(3/2)) reads 0, so that
+    product takes its limit (s^2/pi)^(1/4) / (s sqrt(w)); at gamma = 0,
+    where w = 1, it is the Gaussian.
     On the z <= 0 side a factor whose exponential underflows is exactly 0, so
     an impossible outcome reads as zero probability rather than NaN.
 

@@ -374,6 +374,26 @@ def test_window_domain_is_closed():
     assert 0.0 < f_mix < 1.0 and 0.0 < p_mix < 1.0
 
 
+def test_mix_widths_are_graded_independently():
+    # one grader call for every width, each summed over its own nodes: a
+    # width's result is bit-equal to its one-width call, wherever it sits
+    widths = np.array([1.3, 0.0, 2.0 * math.sqrt(11.0), 1e-320])
+    f_mix, p_mix = fidelity_mix(5, widths, VACUUM)
+    for width, f, p in zip(widths.tolist(), f_mix.tolist(), p_mix.tolist()):
+        assert (f, p) == fidelity_mix(5, width, VACUUM)
+
+
+def test_mix_fidelity_survives_subnormal_widths():
+    # the half-width cancels in F_mix, so a width whose (d/2) w P underflows
+    # still gives the cat fidelity at y = 0, and P_mix stays about P(0) d
+    f_zero, _ = fidelity_mix(5, 0.0, VACUUM)
+    p0 = probability_density(VACUUM, FockResource(5), 0.0)
+    for d in (1e-320, 1e-310, 1e-300):
+        f_mix, p_mix = fidelity_mix(5, d, VACUUM)
+        assert abs(f_mix - f_zero) <= 1e-14
+        assert abs(p_mix - p0 * d) <= 0.02 * p0 * d
+
+
 def test_mix_fidelity_degenerate_window():
     f_mix, p_mix = fidelity_mix(5, 1e-6, VACUUM)
     f_cat0 = fidelity_cat(collapse(VACUUM, FockResource(5), 0.0).psi_out, 5)

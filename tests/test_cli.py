@@ -287,6 +287,16 @@ def test_scan_mixfid_checks_every_width_before_grading(monkeypatch, capsys, in_t
     assert list(in_tmp.iterdir()) == []
 
 
+def test_scan_mixfid_grades_every_width_in_one_call(monkeypatch, in_tmp):
+    calls = []
+    original = gate.grade_outcomes
+    monkeypatch.setattr(gate, "grade_outcomes", lambda *a: calls.append(a) or original(*a))
+    assert main(["scan", "mixfid", "--fock", "5", "--d", "0..2", "--points", "21",
+                 "--out", "sm"]) == 0
+    assert len(calls) == 1
+    assert len(read_csv("sm.csv")["d"]) == 21
+
+
 def test_scan_squeeze_matched_row():
     args = ["scan", "squeeze", "--gamma", "0.075", "--ym", "2.486",
             "--srange", "0.111,0.231,5", "--out", "sq"]

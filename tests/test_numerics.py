@@ -378,7 +378,7 @@ def test_matches_high_precision_closed_form():
         (0.075, 0.171, (-2.0, 0.0, -0.514, 2.486, 5.486)),  # probability-matched point
         (0.334, 0.241, (8.012, 11.012, 14.012)),  # fidelity-matched point
         (1.0, 0.05, (-3.0, 0.0, 2.5, 11.0)),  # strongest nonlinearity and squeezing
-        (1e-6, 1.0, (-3.0, 0.0, 1.0, 3.0)),  # large-z series branch
+        (1e-6, 1.0, (-3.0, 0.0, 1.0, 3.0)),  # z = 5.8e6, the expansion regime
     ]
     for gamma, s, ys in cases:
         for y in ys:
@@ -447,6 +447,7 @@ def test_factor_satisfies_parseval(gamma, s):
 @example(gamma=1e-310, s=1.0, y=1e9)
 @example(gamma=0.0, s=0.05, y=1e9)
 @example(gamma=1.0, s=0.05, y=1e9)
+@example(gamma=1e-118, s=0.5, y=0.0)
 def test_factor_is_finite_over_the_validated_box(gamma, s, y):
     assert math.isfinite(oscillatory_fourier_factor(gamma, s, y).real)
     window = oscillatory_fourier_factor(gamma, s, y + np.linspace(-16.0, 16.0, 65))
