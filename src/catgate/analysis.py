@@ -12,7 +12,7 @@ import numpy as np
 
 from . import gate
 from .errors import GridSupportError
-from .numerics import BLOCK_BYTES, SUPPORT_LOG, Grid, WaveFunction, _offset_dft, overlap
+from .numerics import BLOCK_BYTES, Grid, WaveFunction, _offset_dft, overlap
 from .semiclassical import reference_cat
 from .states import FockResource
 
@@ -59,16 +59,20 @@ def _axis_indices(psi_grid: Grid, axis: Grid) -> np.ndarray:
     return idx
 
 
-def default_wigner_axes(grid: Grid, stride: int = 8) -> tuple[Grid, Grid]:
-    """Phase-space axes obtained by striding the wavefunction grid."""
+#: Every how many grid nodes the default Wigner axis takes one.
+WIGNER_STRIDE = 8
+
+
+def strided_axis(grid: Grid, stride: int = WIGNER_STRIDE) -> Grid:
+    """The axis of every ``stride``-th node of the wavefunction grid."""
     pts = grid.points[::stride]
-    axis = Grid(float(pts[0]), float(pts[-1]), len(pts))
-    return axis, axis
+    return Grid(float(pts[0]), float(pts[-1]), len(pts))
 
 
 def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = None) -> WignerGrid:
     """Wigner function W(x, y) = (1/pi) integral dz conj(psi)(x+z) psi(x-z)
-    exp(2 i y z).
+    exp(2 i y z) on the axes x, by default ``strided_axis(psi.grid)``, and y,
+    by default the x axis.
 
     The z integral runs over the state's support (``WaveFunction.support``,
     L nodes), outside which psi is below ``SUPPORT_TOL`` of its peak and is
@@ -88,10 +92,8 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
     about 1e-13.
     """
     grid = psi.grid
-    if x_axis is None or y_axis is None:
-        xa, ya = default_wigner_axes(grid)
-        x_axis = x_axis or xa
-        y_axis = y_axis or ya
+    x_axis = x_axis or strided_axis(grid)
+    y_axis = y_axis or x_axis
     idx = _axis_indices(grid, x_axis)
     live = psi.support()
     n, h, m = live.stop - live.start, grid.spacing, y_axis.n_points
@@ -164,11 +166,11 @@ def fidelity_mix(n: int, d: float | np.ndarray, psi_in: WaveFunction) -> tuple:
     evaluates P and F_cat in one pass.  P(y) = (|psi_in|^2 * |F|^2)(y) and
     A(y) = (conj(ref) psi_in * F)(y) are convolutions with the resource
     factor F, whose spectrum is psi_res, so P and |A|^2 = P F_cat have a band
-    of at most 2 B_F in y, B_F = ``FockResource(n).band(SUPPORT_LOG)``,
-    whatever the input.  An N-node Gauss-Legendre rule is exact to degree
-    2N - 1, and converges once 2N exceeds that band times the half-width d/2
-    (Trefethen, SIAM Rev. 50 (2008) 67), so N = ceil(B_F d / 2) + 16; up to
-    n = 64, 5 of the 16 extra nodes sufficed for 1e-13.
+    of at most 2 B_F in y, B_F = ``FockResource(n).band()``, whatever the
+    input.  An N-node Gauss-Legendre rule is exact to degree 2N - 1, and
+    converges once 2N exceeds that band times the half-width d/2 (Trefethen,
+    SIAM Rev. 50 (2008) 67), so N = ceil(B_F d / 2) + 16; up to n = 64, 5 of
+    the 16 extra nodes sufficed for 1e-13.
 
     d is one width or a 1-D array of widths, each in [0, 2 sqrt(2n+1)], the
     cat regime.  Every width is checked before any is graded: one outside
@@ -180,7 +182,7 @@ def fidelity_mix(n: int, d: float | np.ndarray, psi_in: WaveFunction) -> tuple:
     gives the cat fidelity of its outcomes.  At d = 0 every node is y = 0,
     and the result is the d -> 0 limit: no accepted probability, and the cat
     fidelity of the outcome y = 0.  Returns (F_mix, P_mix): floats for one
-    width, arrays for an array.
+    width, arrays for an array, empty for an empty one.
     """
     resource = FockResource(n)
     limit = 2.0 * resource.copy_shift(0.0)
@@ -189,8 +191,10 @@ def fidelity_mix(n: int, d: float | np.ndarray, psi_in: WaveFunction) -> tuple:
     if outside.size:
         raise ValueError(f"window width d must be in [0, 2*sqrt(2n+1)] = [0, {limit:.6g}], "
                          f"got {outside[0]}")
+    if not widths.size:
+        return np.empty(0), np.empty(0)
     halves = 0.5 * widths
-    band = resource.band(SUPPORT_LOG)
+    band = resource.band()
     rules = [_gauss_legendre(math.ceil(band * half) + 16) for half in halves.tolist()]
     nodes = np.concatenate([half * x for half, (x, _) in zip(halves.tolist(), rules)])
     densities, fidelities = gate.grade_outcomes(psi_in, resource, nodes,

@@ -34,12 +34,12 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import WignerGrid, default_wigner_axes
+from .analysis import WIGNER_STRIDE, WignerGrid, strided_axis
 from .analysis import fidelity_cat, fidelity_coh, fidelity_mix, wigner
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import CatGateError, ConvergenceError, LinearizationDomainError
 from .gate import collapse, grade_outcomes, probability_scan
-from .matching import compare_gates, fit_squeezing, ladder_entries, odd_cat_ladder
+from .matching import LADDER_ENTRIES, compare_gates, fit_squeezing, ladder_entries, odd_cat_ladder
 from .numerics import MIN_SQUEEZING, Grid, default_grid, validate_fock_order
 from .semiclassical import REFERENCE_N, BestPhaseCat, reference_cat
 from .states import FockResource, make_vacuum
@@ -114,8 +114,8 @@ _axis_spec = _fields("lo,hi,count", _float, _float, _int, into=Grid)
 
 
 def _strided_axis(text: str, grid: Grid) -> Grid:
-    """'8' -> the x axis of every 8th node of the grid."""
-    return default_wigner_axes(grid, _positive_int(text))[0]
+    """'8' -> the axis of every 8th node of the grid."""
+    return strided_axis(grid, _positive_int(text))
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -367,8 +367,6 @@ def _collapse(v) -> Output:
 
 
 def _wigner(v) -> Output:
-    x_axis = v.stride  # the resolver builds it from --stride and the grid
-    y_axis = v.paxis or x_axis
     if v.vacuum:
         if v.fock is not None or v.cubic is not None or v.ym is not None:
             raise ValueError("--vacuum excludes --fock/--cubic/--ym")
@@ -376,7 +374,7 @@ def _wigner(v) -> Output:
     else:
         resource, y_m = _resource(v)
         state = collapse(make_vacuum(v.grid), resource, y_m).psi_out
-    w = wigner(state, x_axis, y_axis)
+    w = wigner(state, v.stride, v.paxis)  # the resolver builds --stride's axis
     norm = w.normalization()
     extra = {
         "x_axis": _grid_params(w.x_axis),
@@ -455,9 +453,7 @@ def _scan_squeeze(v) -> Output:
 
 
 def _match_ladder(v) -> Output:
-    scan = {}
-    if v.scan is not None:
-        scan = dict(zip(("scan_start", "scan_stop", "scan_step"), v.scan))
+    scan = dict(zip(("scan_start", "scan_stop", "scan_step"), v.scan or ()))
     entries = odd_cat_ladder(v.kmax, s=v.s, **scan)
     y_col, gamma_col = zip(*entries)
     table = Table("odd-cat operating points along the matched-spacing line",
@@ -500,8 +496,7 @@ def _match_compare(v) -> Output:
         # Fock gate's own density at its optimal outcome
         target_p = float(grade_outcomes(make_vacuum(v.grid), FockResource(v.fock), [0.0])[0][0])
         y_m, gamma = odd_cat_ladder(v.entry, reference_n=v.fock)[v.entry - 1]
-        report = fit_squeezing(gamma, y_m, "probability", target_p, grid=v.grid, reference_n=v.fock)
-        cfg = report.fitted
+        cfg = fit_squeezing(gamma, y_m, "probability", target_p, grid=v.grid).fitted
 
     comparison = compare_gates(v.fock, cfg, grid=v.grid, include_wigner=v.wigner)
     sides = {"fock": comparison.fock, "cubic": comparison.cubic}
@@ -528,7 +523,7 @@ def _match_compare(v) -> Output:
 
 FOCK = Param("--fock", _int, None, "Fock resource photon number")
 FOCK_RANGE = Param("--fock", _fock_range, None, "photon number or range 'lo..hi'")
-FOCK_5 = Param("--fock", _int, "5", "photon number")
+FOCK_REF = Param("--fock", _int, str(REFERENCE_N), "photon number")
 CUBIC = Param("--cubic", _cubic_spec, None, "cubic resource 'gamma,ym,s'")
 STEP = Param("--step", _positive_float, "0.05", "outcome step")
 GAMMA = Param("--gamma", _float, None, "cubic nonlinearity")
@@ -546,7 +541,7 @@ COMMANDS = (
         FOCK,
         CUBIC,
         replace(YM, help="homodyne outcome (default 0)"),
-        Param("--stride", _strided_axis, "8", "x-axis stride over the grid", on_grid=True),
+        Param("--stride", _strided_axis, str(WIGNER_STRIDE), "stride of the axes", on_grid=True),
         Param("--paxis", _axis_spec, None, "momentum axis 'lo,hi,count' (default: same as x)"),
         GRID,
     ), _wigner),
@@ -562,13 +557,13 @@ COMMANDS = (
         GRID,
     ), _scan_cohfid, required=("fock",)),
     Command(("scan", "catfid"), "fixed-cat infidelity vs outcome", (
-        FOCK_5,
+        FOCK_REF,
         Param("--window", _pair, "0,3", "outcome window 'lo,hi'"),
         STEP,
         GRID,
     ), _scan_catfid),
     Command(("scan", "mixfid"), "acceptance-window fidelity trade-off", (
-        FOCK_5,
+        FOCK_REF,
         Param("--d", _span, "0..2", "window-width span 'lo..hi'"),
         Param("--points", _positive_int, "11", "number of widths"),
         GRID,
@@ -581,7 +576,7 @@ COMMANDS = (
         GRID,
     ), _scan_squeeze, required=("gamma", "ym")),
     Command(("match", "ladder"), "odd-cat operating points on the matched line", (
-        Param("--kmax", _ladder_entry, "9", "number of entries"),
+        Param("--kmax", _ladder_entry, str(LADDER_ENTRIES), "number of entries"),
         Param("--s", _float, str(MIN_SQUEEZING), "ancilla squeezing during the search"),
         Param("--scan", _scan_range, None, "scan override 'lo,hi,step'"),
     ), _match_ladder),
@@ -593,7 +588,7 @@ COMMANDS = (
         GRID,
     ), _match_squeeze, required=("gamma", "ym")),
     Command(("match", "compare"), "Fock vs cubic side-by-side report", (
-        FOCK_5,
+        FOCK_REF,
         Param("--entry", _ladder_entry, None,
               "ladder entry to compare against (fits s for equal P)"),
         Param("--cubic", _cubic_spec, None, "explicit cubic config 'gamma,ym,s'"),

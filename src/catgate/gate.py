@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NyquistError, ZeroProbabilityError
-from .numerics import BLOCK_BYTES, SUPPORT_LOG, SUPPORT_TOL, WaveFunction
+from .numerics import BLOCK_BYTES, SUPPORT_TOL, WaveFunction
 from .semiclassical import BestPhaseCat
 from .states import Resource, require_resource
 
@@ -173,7 +173,7 @@ def grade_outcomes(
     band = max(np.max(np.abs(k_grid[above]), initial=0.0) + shift
                for above, shift in zip(size > SUPPORT_TOL, shifts))
     band += 2.0 * math.pi / (n * h)
-    band += 2.0 * resource.band(SUPPORT_LOG)
+    band += 2.0 * resource.band()
     stride = max(1, int(2.0 * math.pi / (h * band)))
     x = grid.points[live][::stride]
     weights = rows[:, ::stride] * stride

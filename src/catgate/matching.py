@@ -166,10 +166,10 @@ def fit_squeezing(
     target: str,
     value: float,
     grid: Grid | None = None,
-    reference_n: int = REFERENCE_N,
 ) -> MatchReport:
     """Bisection on the squeezing factor so the cubic gate meets a probability
-    or infidelity target at fixed (gamma, y_m).
+    or infidelity target at fixed (gamma, y_m).  The infidelity is graded
+    against the ``REFERENCE_N`` cat, as ``cubic.squeezing_scan``'s is.
 
     The ``SQUEEZING_SWEEP`` nodes are scanned from strong squeezing upward and
     the first bracket where the curve crosses the target is bisected to a
@@ -179,7 +179,7 @@ def fit_squeezing(
         raise ValueError(f"target must be 'probability' or 'infidelity', got {target!r}")
     grid = grid or default_grid()
     psi_in = make_vacuum(grid)
-    reference = reference_cat(reference_n, 0.0, grid)
+    reference = reference_cat(REFERENCE_N, 0.0, grid)
     curve: list[float] = []  # every value evaluated, for the out-of-range message
 
     def point(s: float) -> tuple[CubicGateConfig, dict[str, float]]:

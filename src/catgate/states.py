@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import NyquistError
 from .numerics import (
+    SUPPORT_LOG,
     Grid,
     WaveFunction,
     hermite_function,
@@ -30,9 +31,8 @@ class Resource:
 
     * ``momentum_factor(y)``, the amplitude [F psi_res](y) that multiplies the
       input in the collapse;
-    * ``band(log_tol)``, the half-width of F's spectrum, which is psi_res
-      itself: |psi_res(t)| is below exp(-log_tol) of its peak for |t| beyond
-      it.  ``grade_outcomes`` derives its summation step from it;
+    * ``band()``, the half-width of F's spectrum psi_res, beyond which it is
+      below ``SUPPORT_TOL`` of its peak; ``grade_outcomes``' step comes from it;
     * ``copy_shift(u)``, the semiclassical in-out mapping: at u = y - q
       (outcome y, target position q) the target momentum becomes
       p_in +- delta_p(u), the two copies of a cat; of u's shape, NaN where
@@ -42,7 +42,7 @@ class Resource:
     def momentum_factor(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def band(self, log_tol: float) -> float:
+    def band(self) -> float:
         raise NotImplementedError
 
     def copy_shift(self, u) -> np.ndarray:
@@ -74,10 +74,10 @@ class FockResource(Resource):
         """2n + 1, the square of the Hermite function's turning point, exact."""
         return 2 * self.n + 1
 
-    def band(self, log_tol: float) -> float:
+    def band(self) -> float:
         """The Hermite function's turning point sqrt(2n+1) plus the n = 0
-        Gaussian edge sqrt(2 log_tol)."""
-        return float(self.copy_shift(0.0)) + math.sqrt(2.0 * log_tol)
+        Gaussian edge sqrt(2 SUPPORT_LOG)."""
+        return float(self.copy_shift(0.0)) + math.sqrt(2.0 * SUPPORT_LOG)
 
     def copy_shift(self, u) -> np.ndarray:
         """delta_p = sqrt(2n + 1 - u^2), NaN for u^2 > 2n + 1.  |u| is capped
@@ -101,10 +101,10 @@ class CubicPhaseResource(Resource):
         """An Airy function (``oscillatory_fourier_factor``)."""
         return np.asarray(oscillatory_fourier_factor(self.gamma, self.s, y))
 
-    def band(self, log_tol: float) -> float:
+    def band(self) -> float:
         """|psi_res| is the Gaussian (s^2/pi)^(1/4) exp(-s^2 t^2/2), which
-        falls to exp(-log_tol) of its peak at t = sqrt(2 log_tol)/s."""
-        return math.sqrt(2.0 * log_tol) / self.s
+        falls to exp(-SUPPORT_LOG) of its peak at t = sqrt(2 SUPPORT_LOG)/s."""
+        return math.sqrt(2.0 * SUPPORT_LOG) / self.s
 
     def copy_shift(self, u) -> np.ndarray:
         """delta_p = sqrt(u / (3 gamma)), NaN for u < 0, and NaN for every u at

@@ -1,28 +1,18 @@
 import numpy as np
-import pytest
 
 from catgate import Grid, WaveFunction, default_grid, make_vacuum
 
-
-@pytest.fixture(scope="session")
-def grid():
-    return default_grid()
-
-
-@pytest.fixture(scope="session")
-def odd_grid():
-    """Same window as the default grid but with a node exactly at x = 0."""
-    return Grid(-16.0, 16.0, 4097)
-
-
-@pytest.fixture(scope="session")
-def vacuum(grid):
-    return make_vacuum(grid)
-
-
-@pytest.fixture(scope="session")
-def odd_vacuum(odd_grid):
-    return make_vacuum(odd_grid)
+# Shared inputs, built once for the whole suite; no test changes them.
+GRID = default_grid()
+# the default window with a node exactly at x = 0
+ODD_GRID = Grid(-16.0, 16.0, 4097)
+VACUUM = make_vacuum(GRID)
+# a displaced, squeezed and momentum-kicked input: off-centre, complex, asymmetric
+KICKED = WaveFunction(
+    GRID, np.exp(-(GRID.points - 0.7) ** 2 / (2 * 0.6 ** 2) + 1.3j * GRID.points)
+).normalized()
+VACUUM.values.setflags(write=False)
+KICKED.values.setflags(write=False)
 
 
 def odd_cat_phase_offset(psi: WaveFunction, p_plus: float) -> float:

@@ -17,7 +17,6 @@ from catgate import (
     FockResource,
     Grid,
     collapse,
-    default_grid,
     fidelity_cat,
     fidelity_coh,
     fidelity_mix,
@@ -33,10 +32,7 @@ from catgate import (
     wigner,
 )
 from catgate.states import CubicPhaseResource
-
-GRID = default_grid()
-ODD_GRID = Grid(-16.0, 16.0, 4097)
-VACUUM = make_vacuum(GRID)
+from conftest import GRID, ODD_GRID, VACUUM
 
 MATCH_P = CubicGateConfig(0.075, 2.486, 0.171)
 MATCH_F = CubicGateConfig(0.334, 11.012, 0.241)

@@ -16,7 +16,6 @@ from catgate import (
     WaveFunction,
     added_factor,
     collapse,
-    default_grid,
     fidelity,
     fidelity_cat,
     fidelity_coh,
@@ -29,18 +28,12 @@ from catgate import (
     wigner,
 )
 from catgate import states
-from catgate.analysis import default_wigner_axes
+from catgate.analysis import strided_axis
 from catgate.errors import GridSupportError, LinearizationDomainError
 from catgate.gate import grade_outcomes
+from conftest import GRID, KICKED, ODD_GRID, VACUUM
 
-GRID = default_grid()
-ODD_GRID = Grid(-16.0, 16.0, 4097)
-VACUUM = make_vacuum(GRID)
 ODD_VACUUM = make_vacuum(ODD_GRID)
-# the displaced, squeezed and momentum-kicked input of test_gate
-KICKED = WaveFunction(
-    GRID, np.exp(-(GRID.points - 0.7) ** 2 / (2 * 0.6 ** 2) + 1.3j * GRID.points)
-).normalized()
 
 
 # ---------------------------------------------------------------- wigner
@@ -91,6 +84,14 @@ def test_wigner_axis_errors():
         wigner(VACUUM, x_axis=Grid(-20.0, 20.0, 16))
     with pytest.raises(GridSupportError):
         wigner(VACUUM, x_axis=Grid(-1.0, 1.0, 17))  # nodes off the grid lattice
+
+
+def test_wigner_momentum_axis_defaults_to_the_x_axis():
+    axis = strided_axis(GRID, 16)
+    w = wigner(VACUUM, x_axis=axis)
+    assert w.x_axis == axis and w.y_axis == axis
+    w = wigner(VACUUM)
+    assert w.x_axis == w.y_axis == strided_axis(GRID)
 
 
 def _direct_wigner(psi, x_axis, y_axis):
@@ -301,7 +302,7 @@ def fock5_lobe_peak():
 def x0_row_peak(psi):
     """The peak of W(0, p) on [3.2, 3.3]: the largest of 201 nodes, refined
     by a parabola through it and its neighbours."""
-    x_axis, _ = default_wigner_axes(ODD_GRID)
+    x_axis = strided_axis(ODD_GRID)
     i0 = x_axis.n_points // 2
     assert x_axis.points[i0] == 0.0
     y_axis = Grid(3.2, 3.3, 201)
@@ -381,6 +382,15 @@ def test_mix_widths_are_graded_independently():
     f_mix, p_mix = fidelity_mix(5, widths, VACUUM)
     for width, f, p in zip(widths.tolist(), f_mix.tolist(), p_mix.tolist()):
         assert (f, p) == fidelity_mix(5, width, VACUUM)
+
+
+def test_mix_of_no_widths_is_empty():
+    # like an empty squeezing_scan or grade_outcomes: nothing to grade, after
+    # the Fock order is checked
+    f_mix, p_mix = fidelity_mix(5, np.array([]), VACUUM)
+    assert f_mix.shape == p_mix.shape == (0,)
+    with pytest.raises(ValueError):
+        fidelity_mix(-1, np.array([]), VACUUM)
 
 
 def test_mix_fidelity_survives_subnormal_widths():

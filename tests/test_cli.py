@@ -9,7 +9,8 @@ import pytest
 
 from catgate import FockResource, analysis, cli, cubic, gate, make_vacuum, matching
 from catgate.cli import _write_csv, main
-from catgate.numerics import default_grid
+from catgate.numerics import MIN_SQUEEZING, default_grid
+from catgate.semiclassical import REFERENCE_N
 
 
 def read_csv(path):
@@ -570,6 +571,28 @@ def test_parameter_echo_reruns_the_command(command, in_tmp):
     assert second == [name.replace("first", "second", 1) for name in first]
     for a, b in zip(first, second):
         assert (in_tmp / a).read_bytes() == (in_tmp / b).read_bytes(), a
+
+
+# Each option default that names a library value, and the value.
+LIBRARY_DEFAULTS = {
+    "--kmax": matching.LADDER_ENTRIES,
+    "--stride": analysis.strided_axis(default_grid(), analysis.WIGNER_STRIDE),
+    "--s": MIN_SQUEEZING,
+    "--srange": cubic.SQUEEZING_SWEEP,
+    "--grid": default_grid(),
+    "--fock": REFERENCE_N,
+}
+
+
+@pytest.mark.parametrize("flag", sorted(LIBRARY_DEFAULTS))
+def test_option_defaults_are_the_library_values(flag):
+    # every command's default for the flag, where it has one, parses to the value
+    defaults = [(p, command.name) for command in cli.COMMANDS for p in command.params
+                if p.flag == flag and p.default is not None]
+    assert defaults
+    for p, name in defaults:
+        grid = (default_grid(),) if p.on_grid else ()
+        assert p.parse(p.default, *grid) == LIBRARY_DEFAULTS[flag], name
 
 
 def test_parser_is_built_once():

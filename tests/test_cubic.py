@@ -7,18 +7,15 @@ from catgate import (
     CubicGateConfig,
     FockResource,
     collapse,
-    default_grid,
     fidelity,
-    make_vacuum,
     probability_density,
     reference_cat,
     squeezing_db,
     squeezing_scan,
 )
 from catgate.states import CubicPhaseResource
+from conftest import GRID, VACUUM
 
-GRID = default_grid()
-VACUUM = make_vacuum(GRID)
 ODD_CAT = reference_cat(5, 0.0, GRID)
 
 # configurations where the cubic gate matches the Fock n=5 gate in success

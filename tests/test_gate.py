@@ -14,7 +14,6 @@ from catgate import (
     Grid,
     WaveFunction,
     collapse,
-    default_grid,
     fidelity,
     fourier_transform,
     hermite_values,
@@ -33,15 +32,8 @@ from catgate.errors import (
 )
 from catgate import states
 from catgate.gate import grade_outcomes
-from catgate.numerics import SUPPORT_LOG
+from conftest import GRID, KICKED, ODD_GRID, VACUUM
 
-GRID = default_grid()
-ODD_GRID = Grid(-16.0, 16.0, 4097)
-VACUUM = make_vacuum(GRID)
-# a displaced, squeezed and momentum-kicked input: off-centre, complex, asymmetric
-KICKED = WaveFunction(
-    GRID, np.exp(-(GRID.points - 0.7) ** 2 / (2 * 0.6 ** 2) + 1.3j * GRID.points)
-).normalized()
 CAT5 = reference_cat(5, 0.0, GRID)
 
 
@@ -352,7 +344,7 @@ def test_spectral_cubic_outcomes_match_direct(gamma, s, kicked, u):
     resource = CubicPhaseResource(gamma, s)
     v = float(np.max(np.abs(ys))) + 8.0  # past the inputs' support |x| < 8
     k = min(math.sqrt(v / (3.0 * gamma)) if gamma else math.inf,
-            resource.band(SUPPORT_LOG))
+            resource.band())
     assert_spectral_matches_direct(KICKED if kicked else VACUUM, resource, ys,
                                    np.finfo(float).eps * v * k)
 

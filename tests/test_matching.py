@@ -9,9 +9,7 @@ from catgate import (
     CubicPhaseResource,
     collapse,
     compare_gates,
-    default_grid,
     fit_squeezing,
-    make_vacuum,
     matched_outcome_ratio,
     matching,
     odd_cat_ladder,
@@ -23,10 +21,7 @@ from catgate.errors import ConvergenceError, FitRangeError
 from catgate.gate import grade_outcomes
 from catgate.matching import _node_residual, _roots, _scan
 from catgate.numerics import _airy_ai
-from conftest import odd_cat_phase_offset
-
-GRID = default_grid()
-VACUUM = make_vacuum(GRID)
+from conftest import GRID, VACUUM, odd_cat_phase_offset
 
 # benchmark operating points for the first two odd-cat entries
 ENTRY_1 = (1.066, 0.032)

@@ -14,7 +14,6 @@ from catgate import (
     FockResource,
     Grid,
     WaveFunction,
-    default_grid,
     fourier_transform,
     hermite_function,
     hermite_values,
@@ -32,9 +31,7 @@ from catgate.numerics import (
     _airy_ai,
     next_fast_len,
 )
-
-GRID = default_grid()
-ODD_GRID = Grid(-16.0, 16.0, 4097)
+from conftest import GRID, ODD_GRID
 
 
 # ---------------------------------------------------------------- grids

@@ -11,10 +11,8 @@ from catgate import (
     CatParams,
     CubicPhaseResource,
     FockResource,
-    Grid,
     added_factor,
     collapse,
-    default_grid,
     fidelity,
     linearize,
     make_cat,
@@ -23,10 +21,7 @@ from catgate import (
     reference_cat,
 )
 from catgate.errors import LinearizationDomainError
-from conftest import odd_cat_phase_offset
-
-GRID = default_grid()
-ODD_GRID = Grid(-16.0, 16.0, 4097)
+from conftest import GRID, ODD_GRID, odd_cat_phase_offset
 
 
 # ---------------------------------------------------------------- mappings

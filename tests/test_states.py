@@ -10,7 +10,6 @@ from catgate import (
     CubicPhaseResource,
     FockResource,
     Grid,
-    default_grid,
     make_cat,
     make_cubic_phase,
     make_fock,
@@ -19,9 +18,7 @@ from catgate import (
 )
 from catgate.errors import GridSupportError, NyquistError
 from catgate.numerics import SUPPORT_TOL, hermite_values
-
-GRID = default_grid()
-ODD_GRID = Grid(-16.0, 16.0, 4097)
+from conftest import GRID, ODD_GRID
 
 
 def moment(psi, power):
@@ -100,7 +97,7 @@ def test_resource_band_bounds_the_spectrum(resource):
             return hermite_values(resource.n, t)
         return cubic_phase_amplitude(resource.gamma, resource.s, t)
 
-    band = resource.band(-math.log(SUPPORT_TOL))
+    band = resource.band()
     peak = np.max(np.abs(amplitude(np.linspace(-band, band, 20001))))
     outside = np.linspace(band, 3.0 * band, 20001)[1:]
     for t in (outside, -outside):
