@@ -4,7 +4,7 @@
 Emits the squeezing sweeps at the two matched operating points, the fits of
 the squeezing factor to the Fock gate's probability and infidelity, and
 side-by-side comparison reports with Wigner grids.  ``--ladder`` additionally
-runs the full nine-entry odd-cat operating-point search (about 4-9 ms on a
+runs the full nine-entry odd-cat operating-point search (about 2 ms on a
 2-core Xeon VM).
 """
 

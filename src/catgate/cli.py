@@ -273,11 +273,17 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+#: Rows of a 1-D table that become Python floats at a time.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path: str, title: str, columns: dict) -> None:
     """One CSV table, UTF-8 with LF line endings, formatted straight into
     bytes.  A table whose last column is 2-D is a grid in long format, one
     row per cell: its first two columns are the axes and ``W[i, j]`` belongs
-    to ``(x_i, y_j)``.  Only one grid row at a time becomes Python floats."""
+    to ``(x_i, y_j)``.  Only one grid row, or one block of
+    ``_CSV_BLOCK_ROWS`` rows of a 1-D table, at a time becomes Python
+    floats."""
     names = list(columns)
     values = [np.asarray(columns[c], dtype=float) for c in names]
     with open(path, "wb") as fh:
@@ -297,8 +303,10 @@ def _write_csv(path: str, title: str, columns: dict) -> None:
                           for x_i, w_i, live_i in zip(x.tolist(), w, live.tolist()))
         else:
             row = b",".join([b"%.12g"] * len(names)) + b"\n"
-            cells = zip(*(np.atleast_1d(v).tolist() for v in values))
-            fh.writelines(row % cell for cell in cells)
+            values = [np.atleast_1d(v) for v in values]
+            for start in range(0, min(v.size for v in values), _CSV_BLOCK_ROWS):
+                cells = zip(*(v[start:start + _CSV_BLOCK_ROWS].tolist() for v in values))
+                fh.writelines(row % cell for cell in cells)
 
 
 def _write_json(path: str, payload: dict) -> None:

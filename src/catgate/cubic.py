@@ -51,15 +51,13 @@ def squeezing_scan(
     """Scan the squeezing factor at fixed (gamma, y_m), recording P(y_m) and
     the infidelity against the odd/even cat produced by the Fock gate with
     ``REFERENCE_N`` photons at y_m = 0.  Every operating point is checked
-    before any is graded.  Returns (probability, infidelity), one value per
-    s, in the order given."""
+    before any is graded, and the whole sweep is graded in one pass
+    (``gate.grade_resources``): the values of one ``grade_outcomes`` call
+    per s, and the first s that cannot be graded raises.  Returns
+    (probability, infidelity), one value per s, in the order given."""
     configs = [CubicGateConfig(gamma, y_m, float(s)) for s in s_values]
     grid = grid or default_grid()
-    psi_in = make_vacuum(grid)
     reference = reference_cat(REFERENCE_N, 0.0, grid)
-    probability = np.empty(len(configs))
-    infidelity = np.empty(len(configs))
-    for i, cfg in enumerate(configs):
-        p, f = gate.grade_outcomes(psi_in, cfg.resource, [cfg.y_m], reference)
-        probability[i], infidelity[i] = p[0], 1.0 - f[0]
-    return probability, infidelity
+    probability, fidelity = gate.grade_resources(make_vacuum(grid), [c.resource for c in configs],
+                                                 y_m, reference)
+    return probability, 1.0 - fidelity

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NyquistError, ZeroProbabilityError
-from .numerics import BLOCK_BYTES, SUPPORT_TOL, WaveFunction
+from .numerics import AIRY_BLOCK, BLOCK_BYTES, SUPPORT_TOL, WaveFunction
 from .semiclassical import BestPhaseCat
-from .states import Resource, require_resource
+from .states import CubicPhaseResource, Resource, cubic_momentum_factors, require_resource
 
 #: Below this squared norm an outcome is treated as impossible; the collapsed
 #: state (and any fidelity) is undefined there.
@@ -130,11 +130,108 @@ def grade_outcomes(
     ``collapse`` does.  Returns (P, fidelity), the latter None without a
     reference.
     """
-    grid = psi_in.grid
     resource = require_resource(resource)
     y_values = _finite_outcomes(y_values)
     if y_values.ndim != 1:
         raise ValueError("y_values must be a 1-D set of outcomes")
+    plan = _grading_plan(psi_in, resource, y_values, reference)
+    x, weights = plan.nodes(plan.stride(resource))
+    probability = np.empty(y_values.size)
+    fidelity = None if reference is None else np.empty(y_values.size)
+    block = max(1, BLOCK_BYTES // (16 * x.size))
+    for start in range(0, y_values.size, block):
+        ys = y_values[start:start + block]
+        u = ys[:, None] - x
+        factor = resource.momentum_factor(u.ravel()).reshape(u.shape)
+        p, f = _grade_block(factor, weights, reference, ys, x, resource)
+        probability[start:start + block] = p
+        if f is not None:
+            fidelity[start:start + block] = f
+    return probability, fidelity
+
+
+def grade_resources(
+    psi_in: WaveFunction,
+    resources,
+    y_m: float,
+    reference: WaveFunction | BestPhaseCat | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """P(y_m), and with a ``reference`` the fidelity, for each of many cubic
+    resources at one outcome y_m: the values of one ``grade_outcomes`` call
+    per resource, bit for bit, from one pass.  The input's rows, their band
+    and the Nyquist check are computed once; each resource takes its own
+    stride from its ``band()``; and the nodes of consecutive resources, up to
+    ``AIRY_BLOCK`` of them, go through one Airy pass
+    (``cubic_momentum_factors``).  A resource with P < ``MIN_COLLAPSE_NORM``
+    under a reference raises ``ZeroProbabilityError``, the first in order, as
+    the calls in order would.  Returns (P, fidelity), one value per
+    resource, the latter None without a reference.
+    """
+    resources = [require_resource(r) for r in resources]
+    if not all(isinstance(r, CubicPhaseResource) for r in resources):
+        raise TypeError("grade_resources grades cubic phase resources")
+    probability = np.empty(len(resources))
+    fidelity = None if reference is None else np.empty(len(resources))
+    if not resources:
+        return probability, fidelity
+    y_values = _finite_outcomes([y_m])
+    plan = _grading_plan(psi_in, resources[0], y_values, reference)
+    strides = [plan.stride(r) for r in resources]
+    sizes = [plan.x[::stride].size for stride in strides]
+    for block in _blocks(sizes, AIRY_BLOCK):
+        nodes = np.concatenate([plan.x[::strides[k]] for k in block])
+        factor = cubic_momentum_factors([resources[k] for k in block],
+                                        [sizes[k] for k in block], y_values[0] - nodes)
+        offset = 0
+        for k in block:
+            x, weights = plan.nodes(strides[k])
+            rows = factor[None, offset:offset + sizes[k]]
+            p, f = _grade_block(rows, weights, reference, y_values, x, resources[k])
+            probability[k] = p[0]
+            if f is not None:
+                fidelity[k] = f[0]
+            offset += sizes[k]
+    return probability, fidelity
+
+
+def _blocks(sizes: list[int], limit: int):
+    """Consecutive ranges of indices whose sizes sum to at most ``limit``,
+    or a single index that alone exceeds it."""
+    start = total = 0
+    for k, size in enumerate(sizes):
+        if k > start and total + size > limit:
+            yield range(start, k)
+            start, total = k, 0
+        total += size
+    if sizes:
+        yield range(start, len(sizes))
+
+
+@dataclass(frozen=True)
+class _GradingPlan:
+    """What grading shares across outcomes and resources: the input's
+    support nodes ``x``, the trapezoid-weighted rows on them, and the rows'
+    band, one lattice step included."""
+
+    x: np.ndarray
+    rows: np.ndarray
+    band: float
+    h: float
+
+    def stride(self, resource: Resource) -> int:
+        """max(1, floor(2 pi / (h (B_in + 2 B_F)))) for the resource's band B_F."""
+        return max(1, int(2.0 * math.pi / (self.h * (self.band + 2.0 * resource.band()))))
+
+    def nodes(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``stride``-th support node, and the rows' weights there."""
+        return self.x[::stride], self.rows[:, ::stride] * stride
+
+
+def _grading_plan(psi_in: WaveFunction, resource: Resource, y_values: np.ndarray,
+                  reference: WaveFunction | BestPhaseCat | None) -> _GradingPlan:
+    """The plan of ``grade_outcomes``; ``resource`` only names the
+    resource in its errors."""
+    grid = psi_in.grid
     live = psi_in.support()
     if live.stop == live.start:
         raise ZeroProbabilityError(
@@ -142,8 +239,7 @@ def grade_outcomes(
         )
     h = grid.spacing
     rows, shifts = [np.abs(psi_in.values) ** 2], [0.0]
-    tracking = isinstance(reference, BestPhaseCat)
-    if tracking:
+    if isinstance(reference, BestPhaseCat):
         shifts.append(reference.band(y_values))
         rows.append(reference.envelope(grid.points) * psi_in.values)
     elif reference is not None:
@@ -173,34 +269,27 @@ def grade_outcomes(
     band = max(np.max(np.abs(k_grid[above]), initial=0.0) + shift
                for above, shift in zip(size > SUPPORT_TOL, shifts))
     band += 2.0 * math.pi / (n * h)
-    band += 2.0 * resource.band()
-    stride = max(1, int(2.0 * math.pi / (h * band)))
-    x = grid.points[live][::stride]
-    weights = rows[:, ::stride] * stride
+    return _GradingPlan(grid.points[live], rows, band, h)
 
-    probability = np.empty(y_values.size)
-    fidelity = None if reference is None else np.empty(y_values.size)
-    block = max(1, BLOCK_BYTES // (16 * x.size))
-    for start in range(0, y_values.size, block):
-        ys = y_values[start:start + block]
-        u = ys[:, None] - x
-        factor = resource.momentum_factor(u.ravel()).reshape(u.shape)
-        # einsum sums in numpy's own loop: a threaded BLAS product of these
-        # small blocks stalls whenever a core is busy elsewhere
-        p = np.einsum("ij,j->i", factor.real ** 2 + factor.imag ** 2, weights[0].real)
-        probability[start:start + block] = p
-        if reference is not None:
-            if np.any(p < MIN_COLLAPSE_NORM):
-                y_m = float(ys[np.argmax(p < MIN_COLLAPSE_NORM)])
-                raise ZeroProbabilityError(
-                    f"outcome y_m={y_m} has vanishing probability density for {resource!r}"
-                )
-            if tracking:
-                overlap = np.einsum("ij,ij,j->i", factor, reference.modulation(ys, x), weights[1])
-            else:
-                overlap = np.einsum("ij,j->i", factor, weights[1])
-            fidelity[start:start + block] = np.minimum(np.abs(overlap) ** 2 / p, 1.0)
-    return probability, fidelity
+
+def _grade_block(factor, weights, reference, ys, x, resource) -> tuple[np.ndarray, np.ndarray | None]:
+    """P, and with a reference the fidelity, of the outcomes ``ys`` from
+    their resource factors, one row per outcome, on the nodes x."""
+    # einsum sums in numpy's own loop: a threaded BLAS product of these
+    # small blocks stalls whenever a core is busy elsewhere
+    p = np.einsum("ij,j->i", factor.real ** 2 + factor.imag ** 2, weights[0].real)
+    if reference is None:
+        return p, None
+    if np.any(p < MIN_COLLAPSE_NORM):
+        y_m = float(ys[np.argmax(p < MIN_COLLAPSE_NORM)])
+        raise ZeroProbabilityError(
+            f"outcome y_m={y_m} has vanishing probability density for {resource!r}"
+        )
+    if isinstance(reference, BestPhaseCat):
+        overlap = np.einsum("ij,ij,j->i", factor, reference.modulation(ys, x), weights[1])
+    else:
+        overlap = np.einsum("ij,j->i", factor, weights[1])
+    return p, np.minimum(np.abs(overlap) ** 2 / p, 1.0)
 
 
 def probability_scan(psi_in: WaveFunction, resource: Resource, y_values) -> np.ndarray:

@@ -6,17 +6,17 @@ gate comparison reports."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
 
 from .analysis import WignerGrid, wigner
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig
-from .errors import ConvergenceError, FitRangeError
-from .gate import collapse, grade_outcomes
+from .errors import ConvergenceError, FitRangeError, ZeroProbabilityError
+from .gate import collapse, grade_outcomes, grade_resources
 from .numerics import (
-    _AIRY_RULES,
-    BLOCK_BYTES,
+    AIRY_BLOCK,
     MIN_SQUEEZING,
     Grid,
     _airy_ai,
@@ -39,22 +39,37 @@ def matched_outcome_ratio(reference_n: int = REFERENCE_N) -> float:
 _TARGET_TOLERANCE = {"probability": 1e-3, "infidelity": 1e-4}
 
 
+#: Levels of the bisection tree one call of ``_roots``' function covers: 7 midpoints.
+_TREE_LEVELS = 3
+
+
 def _roots(f, scan, tol: float):
     """The roots of ``f`` along ``scan``, lazy ``(x, f(x))`` pairs in
-    increasing x, in order, each with the bisection steps it took.  ``f`` is
-    called only at bisection midpoints, and no pair past the last root taken
-    is drawn.  A node where ``f`` is exactly 0 is a root; a sign change between
-    consecutive nodes is bisected to a bracket of width ``tol``, or 200 steps."""
+    increasing x, in order, each with the bisection steps it took.  No pair
+    past the last root taken is drawn.  A node where ``f`` is exactly 0 is a
+    root; a sign change between consecutive nodes is bisected to a bracket
+    of width ``tol``, or 200 steps, a midpoint where ``f`` is NaN counting
+    as a change of sign.
+
+    ``f`` takes a 1-D array of midpoints and returns their values.  One call
+    covers the next ``_TREE_LEVELS`` levels of the bisection tree below the
+    bracket, each midpoint ``0.5 * (lo + hi)`` of a bracket still wider than
+    ``tol`` within the step cap, and the walk reads the values it passes.
+    So a root takes a third as many calls as steps, and, for an ``f`` whose
+    value at a point does not depend on the array it comes in, the roots and
+    steps of a bisection that calls ``f`` once per step."""
     x_prev, f_prev = None, 0.0
     for x, f_x in scan:
         if f_x == 0.0:
             yield x, 0
         elif np.sign(f_x) * np.sign(f_prev) < 0:
             lo, hi, f_lo = x_prev, x, f_prev
-            iterations = 0
+            iterations, values = 0, {}
             while hi - lo > tol and iterations < 200:
                 mid = 0.5 * (lo + hi)
-                f_mid = f(mid)
+                if mid not in values:
+                    values = _tree_values(f, lo, hi, tol, 200 - iterations)
+                f_mid = values[mid]
                 if f_mid == 0.0:
                     lo = hi = mid
                 elif np.sign(f_mid) == np.sign(f_lo):
@@ -64,6 +79,37 @@ def _roots(f, scan, tol: float):
                 iterations += 1
             yield 0.5 * (lo + hi), iterations
         x_prev, f_prev = x, f_x
+
+
+def _tree_values(f, lo: float, hi: float, tol: float, steps: int) -> dict:
+    """f at the midpoints of the next ``_TREE_LEVELS`` levels below
+    [lo, hi], at most ``steps`` of them, in one call: every bracket wider
+    than ``tol`` contributes its midpoint, and its two halves go on."""
+    nodes, level = [], [(lo, hi)]
+    for _ in range(min(_TREE_LEVELS, steps)):
+        level = [(a, b) for a, b in level if b - a > tol]
+        mids = [0.5 * (a + b) for a, b in level]
+        nodes += mids
+        level = [half for (a, b), m in zip(level, mids) for half in ((a, m), (m, b))]
+    return dict(zip(nodes, f(np.array(nodes))))
+
+
+#: Scan nodes in the first call of ``_block_scan``.  Each later call takes
+#: twice as many, up to ``AIRY_BLOCK``, so that the memory of a call is
+#: bounded however fine the scan, and a scan stops soon after the last root
+#: it needs: ``odd_cat_ladder(2)`` evaluates 16 + 32 of the default scan's
+#: 251 nodes.
+_FIRST_BLOCK = 16
+
+
+def _block_scan(nodes, f):
+    """Lazy ``(x, f(x))`` pairs over the iterable ``nodes``, ``f`` called on
+    a 1-D array of a block of them, the blocks doubling from
+    ``_FIRST_BLOCK`` up to ``AIRY_BLOCK``."""
+    nodes, size = iter(nodes), _FIRST_BLOCK
+    while (block := np.fromiter(islice(nodes, size), float)).size:
+        yield from zip(block.tolist(), f(block))
+        size = min(2 * size, AIRY_BLOCK)
 
 
 #: Odd-cat operating points the ladder search can list.
@@ -100,15 +146,6 @@ def _scan(start: float, stop: float, step: float, limit: float):
         y += step
 
 
-#: Scan nodes in the first kernel call of the ladder search.  Each later call
-#: takes twice as many, up to ``_LADDER_BLOCK``, whose Airy node sums hold
-#: ``BLOCK_BYTES`` at the largest node count however fine the scan.  So the
-#: scan stops soon after the last root it needs: ``odd_cat_ladder(2)``
-#: evaluates 16 + 32 of the default scan's 251 nodes.
-_LADDER_FIRST_BLOCK = 16
-_LADDER_BLOCK = BLOCK_BYTES // (16 * max(count for _, count in _AIRY_RULES))
-
-
 def odd_cat_ladder(
     k_max: int,
     s: float = MIN_SQUEEZING,
@@ -122,26 +159,20 @@ def odd_cat_ladder(
 
     Scans the line for sign changes of the node residual, up to ``scan_stop``
     and no further than gamma = 1, and refines each root by bisection to a
-    y_m bracket of 1e-4: one kernel call per block of scan nodes, the blocks
-    doubling from ``_LADDER_FIRST_BLOCK`` up to ``_LADDER_BLOCK``, and one per
-    bisection step.  s and the scan are checked first.  Entries are returned
-    in increasing y_m order.
+    y_m bracket of 1e-4: one kernel call per block of scan nodes
+    (``_block_scan``) and one per three bisection steps (``_roots``), so
+    ``odd_cat_ladder(2)`` makes calls of 16, 7, 7, 7, 32, 7, 7 and 7 nodes.
+    s and the scan are checked first.  Entries are returned in increasing
+    y_m order.
     """
     ladder_entries(k_max)
     ratio = matched_outcome_ratio(reference_n)
     if not scan_step > 0:
         raise ValueError(f"the scan step must be positive, got {scan_step}")
     validate_cubic_params(min(scan_start / ratio, 1.0), s)  # gamma rises from here to <= 1
-    nodes = _scan(scan_start, scan_stop, scan_step, ratio)
-
-    def scan():
-        size = _LADDER_FIRST_BLOCK
-        while (block := np.fromiter(islice(nodes, size), float)).size:
-            yield from zip(block.tolist(), _node_residual(block, s, ratio).tolist())
-            size = min(2 * size, _LADDER_BLOCK)
-
-    roots = list(islice(_roots(lambda y: _node_residual(np.array([y]), s, ratio)[0],
-                               scan(), 1e-4), k_max))
+    residual = partial(_node_residual, s=s, ratio=ratio)
+    scan = _block_scan(_scan(scan_start, scan_stop, scan_step, ratio), residual)
+    roots = list(islice(_roots(residual, scan, 1e-4), k_max))
     if len(roots) < k_max:
         raise ConvergenceError(f"found only {len(roots)} odd-cat points in "
                                f"[{scan_start}, {min(scan_stop, ratio)}], needed {k_max}")
@@ -173,7 +204,13 @@ def fit_squeezing(
 
     The ``SQUEEZING_SWEEP`` nodes are scanned from strong squeezing upward and
     the first bracket where the curve crosses the target is bisected to a
-    width of 1e-3.  Deterministic: repeated runs return identical s.
+    width of 1e-3.  The scan is graded in doubling blocks (``_block_scan``)
+    and the bisection three levels at a time (``_roots``), each in one
+    ``grade_resources`` pass, so a fit takes a few passes where it took one
+    per point; its s is that of one pass per point.  A scan node that cannot
+    be graded fails the fit only if the scan reaches it; a bisection pass
+    fails if any of its midpoints cannot be graded.  Deterministic: repeated
+    runs return identical s.
     """
     if target not in _TARGET_TOLERANCE:
         raise ValueError(f"target must be 'probability' or 'infidelity', got {target!r}")
@@ -182,17 +219,26 @@ def fit_squeezing(
     reference = reference_cat(REFERENCE_N, 0.0, grid)
     curve: list[float] = []  # every value evaluated, for the out-of-range message
 
-    def point(s: float) -> tuple[CubicGateConfig, dict[str, float]]:
-        cfg = CubicGateConfig(gamma, y_m, float(s))
-        p, f = grade_outcomes(psi_in, cfg.resource, [cfg.y_m], reference)
-        return cfg, {"probability": float(p[0]), "infidelity": 1.0 - float(f[0])}
+    def grade(s_values) -> tuple[list[CubicGateConfig], dict[str, np.ndarray]]:
+        configs = [CubicGateConfig(gamma, y_m, float(s)) for s in s_values]
+        p, f = grade_resources(psi_in, [cfg.resource for cfg in configs], y_m, reference)
+        return configs, {"probability": p, "infidelity": 1.0 - f}
 
-    def residual(s: float) -> float:
-        curve.append(point(s)[1][target])
-        return curve[-1] - value
+    def residual(s_values: np.ndarray) -> np.ndarray:
+        values = grade(s_values)[1][target]
+        curve.extend(values.tolist())
+        return values - value
+
+    def scan_residual(block: np.ndarray):
+        try:
+            return residual(block)
+        except ZeroProbabilityError:
+            # node by node, so that one that cannot be graded fails the fit
+            # only if the scan reaches it
+            return (residual(block[i:i + 1])[0] for i in range(block.size))
 
     lo, hi, count = SQUEEZING_SWEEP
-    scan = ((s, residual(s)) for s in np.linspace(lo, hi, count))
+    scan = _block_scan(np.linspace(lo, hi, count), scan_residual)
     root = next(_roots(residual, scan, 1e-3), None)
     if root is None:
         raise FitRangeError(
@@ -200,13 +246,13 @@ def fit_squeezing(
             f"(curve spans [{min(curve):.4g}, {max(curve):.4g}])"
         )
     s_fit, iterations = root
-    fitted, achieved = point(s_fit)
+    (fitted,), achieved = grade([s_fit])
     return MatchReport(
         fitted=fitted,
-        achieved_probability=achieved["probability"],
-        achieved_infidelity=achieved["infidelity"],
+        achieved_probability=float(achieved["probability"][0]),
+        achieved_infidelity=float(achieved["infidelity"][0]),
         iterations=iterations,
-        converged=abs(achieved[target] - value) <= _TARGET_TOLERANCE[target],
+        converged=bool(abs(achieved[target][0] - value) <= _TARGET_TOLERANCE[target]),
         tolerance=_TARGET_TOLERANCE[target],
     )
 

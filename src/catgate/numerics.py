@@ -68,6 +68,11 @@ SUPPORT_LOG = -math.log(SUPPORT_TOL)
 #: of 0.5 to 16 MiB on the default 512 x 512 Wigner axes.
 BLOCK_BYTES = 2 * 2 ** 20
 
+#: Nodes per Airy pass of the batched searches (``gate.grade_resources``
+#: and the ladder scan): at the largest node count of ``_AIRY_RULES`` their
+#: Gauss-Laguerre node terms, float64, hold ``BLOCK_BYTES``.
+AIRY_BLOCK = BLOCK_BYTES // (8 * max(count for _, count in _AIRY_RULES))
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -411,46 +416,72 @@ def _airy_ai(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _airy_argument(gamma: float, s: float, y: float | np.ndarray):
-    """Argument ``z = (s^4/(12 gamma) - y) / (3 gamma)^(1/3)`` of the Airy
-    function in the cubic-state factor; +inf at gamma = 0."""
+def _airy_shift_root(gamma, s: float) -> tuple:
+    """s^4/(12 gamma) and (3 gamma)^(1/3), of gamma's shape: the Airy
+    argument is ``z = (s^4/(12 gamma) - y) / (3 gamma)^(1/3)``, +inf at
+    gamma = 0.  Callers ignore the divide and overflow warnings."""
     gamma = np.asarray(gamma, dtype=np.float64)
+    return s ** 4 / (12.0 * gamma), (3.0 * gamma) ** (1.0 / 3.0)
+
+
+def _airy_argument(gamma, s: float, y: np.ndarray) -> np.ndarray:
+    """The Airy argument z of the cubic-state factor (``_airy_shift_root``)."""
     with np.errstate(divide="ignore", over="ignore"):
-        return (s ** 4 / (12.0 * gamma) - y) / (3.0 * gamma) ** (1.0 / 3.0)
+        shift, root = _airy_shift_root(gamma, s)
+        return (shift - y) / root
 
 
-def _airy_factor(gamma: float, s: float, y: np.ndarray) -> np.ndarray:
-    """Real values of the cubic-state factor on a 1-D float array of y.
+def _factor_constants(gamma: float, s: float) -> tuple:
+    """The constants of the cubic-state factor at one (gamma, s), in the
+    order ``_airy_factor`` reads them, each computed on scalars: an array
+    ``** (1/3)`` can differ from the scalar one in the last bit, and a
+    factor value must not depend on the points it is batched with."""
+    norm = (s * s / np.pi) ** 0.25
+    with np.errstate(divide="ignore", over="ignore"):
+        airy_scale = norm * math.sqrt(2.0 * math.pi) / np.float64(3.0 * gamma) ** (1.0 / 3.0)
+        growth = s ** 6 / np.float64(108.0 * gamma * gamma)
+        shift, root = _airy_shift_root(gamma, s)
+    return norm, airy_scale, growth, shift, root, 12.0 * gamma, s ** 4, s
+
+
+def _airy_factor(points, counts, y: np.ndarray) -> np.ndarray:
+    """Real values of the cubic-state factor on a 1-D float array of y, for
+    many operating points in one pass: the first ``counts[0]`` values of y
+    at ``points[0]`` = (gamma, s), the next ``counts[1]`` at ``points[1]``,
+    and so on.  Each point's constants are repeated per value, so a value is
+    the same in any batch, and the Airy function takes one ``_airy_ai`` call
+    per side.
 
     ``u = 12 gamma y / s^4 < 1`` is the z > 0 side.  At gamma = 0, and for
     gamma so small that z overflows, z is +inf and every point takes the
     limit of the product there.
     """
+    table = np.array([_factor_constants(gamma, s) for gamma, s in points]).T
+    norm, airy_scale, growth, shift, root, twelve_gamma, s4, s = np.repeat(table, counts, axis=1)
     y = np.clip(y, -_AIRY_ZERO_Y, _AIRY_ZERO_Y)
-    norm = (s * s / np.pi) ** 0.25
     with np.errstate(divide="ignore", over="ignore"):
-        airy_scale = norm * math.sqrt(2.0 * math.pi) / np.float64(3.0 * gamma) ** (1.0 / 3.0)
-        growth = s ** 6 / np.float64(108.0 * gamma * gamma)
-    z = _airy_argument(gamma, s, y)
-    u = 12.0 * gamma * y / s ** 4
+        z = (shift - y) / root
+    u = twelve_gamma * y / s4
     out = np.zeros_like(y)
 
-    decaying = u < 1.0
+    below = u < 1.0
+    decaying = np.flatnonzero(below)
     w = np.sqrt(1.0 - u[decaying])
     zd = z[decaying]
-    values = np.exp(-(4.0 / 3.0) * (y[decaying] / s) ** 2 * (w + 0.5) / (1.0 + w) ** 2)
+    values = np.exp(-(4.0 / 3.0) * (y[decaying] / s[decaying]) ** 2 * (w + 0.5) / (1.0 + w) ** 2)
     far = zd == np.inf
     # Ai(z) exp(2/3 z^(3/2)) -> 1 / (2 sqrt(pi) z^(1/4)), which reads 0 at
     # z = +inf, where its product with the prefactor -> norm / (s sqrt(w))
-    values[far] *= norm / (s * np.sqrt(w[far]))
-    values[~far] *= airy_scale * _airy_ai(zd[~far])
+    at = decaying[far]
+    values[far] *= norm[at] / (s[at] * np.sqrt(w[far]))
+    values[~far] *= airy_scale[decaying[~far]] * _airy_ai(zd[~far])
     out[decaying] = values
 
-    oscillating = np.flatnonzero(~decaying)
-    scale = np.exp(growth * (1.0 - 1.5 * u[oscillating]))
+    oscillating = np.flatnonzero(~below)
+    scale = np.exp(growth[oscillating] * (1.0 - 1.5 * u[oscillating]))
     keep = scale > 0.0
     live = oscillating[keep]
-    out[live] = airy_scale * scale[keep] * _airy_ai(z[live])
+    out[live] = airy_scale[live] * scale[keep] * _airy_ai(z[live])
     return out
 
 
@@ -485,8 +516,8 @@ def oscillatory_fourier_factor(
     """
     validate_cubic_params(gamma, s)
     if np.isscalar(y):
-        return complex(_airy_factor(gamma, s, np.array([float(y)]))[0])
+        return complex(_airy_factor([(gamma, s)], [1], np.array([float(y)]))[0])
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("y must be a scalar or a 1-D array")
-    return _airy_factor(gamma, s, y).astype(np.complex128)
+    return _airy_factor([(gamma, s)], [y.size], y).astype(np.complex128)

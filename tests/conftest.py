@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from catgate import Grid, WaveFunction, default_grid, make_vacuum
+from catgate import Grid, WaveFunction, default_grid, make_vacuum, matching, numerics
 
 # Shared inputs, built once for the whole suite; no test changes them.
 GRID = default_grid()
@@ -36,3 +37,19 @@ def odd_cat_phase_offset(psi: WaveFunction, p_plus: float) -> float:
         shift = 0.0
     x_node = grid.points[idx[j]] + shift * grid.spacing
     return -p_plus * float(x_node)
+
+
+@pytest.fixture
+def airy_call_sizes(monkeypatch):
+    """The size of every ``_airy_ai`` call: the ladder's node residuals and
+    the two sides of the cubic factor's Airy pass."""
+    sizes = []
+    original = numerics._airy_ai
+
+    def counted(z):
+        sizes.append(z.size)
+        return original(z)
+
+    for module in (numerics, matching):
+        monkeypatch.setattr(module, "_airy_ai", counted)
+    return sizes

@@ -240,6 +240,24 @@ def test_write_csv_holds_one_row_at_a_time():
     assert peak < 2 ** 20
 
 
+def test_write_csv_holds_one_block_of_rows_at_a_time():
+    # the 1-D twin: 2^16 rows of 3 columns as Python floats are about 6 MiB;
+    # the writer converts 1024 rows at a time
+    rng = np.random.default_rng(1)
+    x, p, f = (rng.uniform(0.5, 1.5, size=2 ** 16) for _ in range(3))
+    tracemalloc.start()
+    try:
+        _write_csv("rows.csv", "title", {"x": x, "P": p, "F": f})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    with open("rows.csv", "rb") as fh:
+        body = fh.read().split(b"\n")[3:-1]
+    assert len(body) == 2 ** 16
+    assert body[2 ** 15] == b"%.12g,%.12g,%.12g" % (x[2 ** 15], p[2 ** 15], f[2 ** 15])
+
+
 def test_wigner_command_memory_is_the_result_array():
     # 2048 x 2048 cells: the 32 MiB result, the transform's few MiB, and no
     # table-sized copy in the writer or the normalization

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ from catgate import (
     FockResource,
     collapse,
     fidelity,
+    gate,
+    grade_outcomes,
     probability_density,
     reference_cat,
     squeezing_db,
     squeezing_scan,
 )
+from catgate.cubic import SQUEEZING_SWEEP
+from catgate.errors import ZeroProbabilityError
 from catgate.states import CubicPhaseResource
 from conftest import GRID, VACUUM
 
@@ -69,6 +74,58 @@ def test_squeezing_scan_hits_matched_point():
     assert infidelity[row] == pytest.approx(0.098, abs=5e-3)
     # probability rises with s through the matched point
     assert np.all(np.diff(probability) > 0)
+
+
+# the matched points, a small outcome at strong nonlinearity, and a far one
+SWEEP_POINTS = [(0.075, 2.486), (0.334, 11.012), (0.5, 0.3), (1.0, 30.0)]
+
+
+@pytest.mark.parametrize("gamma, y_m", SWEEP_POINTS)
+def test_squeezing_scan_is_one_grading_per_s(gamma, y_m):
+    # the sweep is graded in one pass, each s on its own stride, to the bit
+    s_values = np.linspace(*SQUEEZING_SWEEP)
+    probability, infidelity = squeezing_scan(gamma, y_m, s_values)
+    single = [grade_outcomes(VACUUM, CubicPhaseResource(gamma, s), [y_m], ODD_CAT) for s in s_values]
+    assert np.array_equal(probability, [p[0] for p, _ in single])
+    assert np.array_equal(infidelity, [1.0 - f[0] for _, f in single])
+
+
+@pytest.mark.parametrize("gamma, y_m", SWEEP_POINTS)
+def test_squeezing_sweep_is_one_plan_and_one_airy_pass(monkeypatch, airy_call_sizes, gamma, y_m):
+    # the sweep's 7830 nodes fit in one block: one decaying and one
+    # oscillating Airy call at most
+    plans = []
+    original = gate._grading_plan
+    monkeypatch.setattr(gate, "_grading_plan", lambda *args: plans.append(1) or original(*args))
+    squeezing_scan(gamma, y_m, np.linspace(*SQUEEZING_SWEEP))
+    assert len(plans) == 1
+    assert 1 <= len(airy_call_sizes) <= 2
+
+
+def test_long_squeezing_sweep_memory_is_its_blocks():
+    # 2000 points hold about 387k nodes; they go through in blocks, so the
+    # peak is a few MiB over the two 16 kB result arrays
+    s_values = np.linspace(0.05, 1.0, 2000)
+    squeezing_scan(0.334, 11.012, s_values[:2])  # tables and caches built
+    tracemalloc.start()
+    try:
+        probability, infidelity = squeezing_scan(0.334, 11.012, s_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probability.shape == infidelity.shape == (2000,)
+    assert peak < 6 * 2 ** 20
+
+
+def test_squeezing_scan_raises_at_the_first_failing_s():
+    # at (0.001, 30) P is below MIN_COLLAPSE_NORM for s = 0.3 and 0.6 but not
+    # for 0.1 and 1; the sweep fails as the per-s gradings in order do, at 0.6
+    with pytest.raises(ZeroProbabilityError) as expected:
+        grade_outcomes(VACUUM, CubicPhaseResource(0.001, 0.6), [30.0], ODD_CAT)
+    with pytest.raises(ZeroProbabilityError) as raised:
+        squeezing_scan(0.001, 30.0, [0.1, 0.6, 0.3, 1.0])
+    assert str(raised.value) == str(expected.value)
+    assert "s=0.6)" in str(raised.value)
 
 
 def test_squeezing_db_convention():

@@ -3,6 +3,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catgate import (
     CubicGateConfig,
@@ -17,7 +19,7 @@ from catgate import (
     reference_cat,
 )
 from catgate.cubic import SQUEEZING_SWEEP
-from catgate.errors import ConvergenceError, FitRangeError
+from catgate.errors import ConvergenceError, FitRangeError, ZeroProbabilityError
 from catgate.gate import grade_outcomes
 from catgate.matching import _node_residual, _roots, _scan
 from catgate.numerics import _airy_ai
@@ -73,41 +75,33 @@ def test_scan_residuals_are_the_one_node_residuals(start):
     assert np.array_equal(np.signbit(batched), np.signbit(single))
 
 
-@pytest.fixture
-def airy_call_sizes(monkeypatch):
-    """The size of every ``_airy_ai`` call the matching layer makes."""
-    sizes = []
-
-    def counted(z):
-        sizes.append(z.size)
-        return _airy_ai(z)
-
-    monkeypatch.setattr(matching, "_airy_ai", counted)
-    return sizes
-
-
 def test_ladder_scan_blocks_double_from_16(airy_call_sizes):
     # the scan is drawn in blocks of 16, then 32, ... nodes, each block one
-    # kernel call; every bisection step is a one-node call, 9 per root to
-    # halve the 0.05 step below 1e-4.  The first root, near y_m = 1.078, lies
-    # in the first block and the second, near 2.492, in the second, so 48 of
-    # the default scan's 251 nodes are evaluated
+    # kernel call; the bisection takes 9 steps per root to halve the 0.05
+    # step below 1e-4, three tree levels of 7 midpoints per call.  The first
+    # root, near y_m = 1.078, lies in the first block and the second, near
+    # 2.492, in the second, so 48 of the default scan's 251 nodes are evaluated
     odd_cat_ladder(2)
-    assert airy_call_sizes == [16] + [1] * 9 + [32] + [1] * 9
-    assert sum(size for size in airy_call_sizes if size > 1) <= 48
+    assert airy_call_sizes == [16, 7, 7, 7, 32, 7, 7, 7]
+
+
+def test_nine_entry_ladder_takes_31_kernel_calls(airy_call_sizes):
+    odd_cat_ladder(9)
+    assert len(airy_call_sizes) == 31
+    assert [size for size in airy_call_sizes if size != 7] == [16, 32, 64, 128]
 
 
 def test_fine_ladder_scan_is_evaluated_in_blocks(airy_call_sizes):
-    # however fine the step, a kernel call holds at most _LADDER_BLOCK nodes,
-    # 2 MiB of node sums at 32 nodes.  With 1e-4 steps the roots near y_m =
-    # 1.078 and 2.492 are nodes 5780 and 19921: the blocks of 16 to 4096 hold
-    # 8176 nodes, and three more blocks of the cap reach past the second root
+    # however fine the step, a kernel call holds at most AIRY_BLOCK nodes.
+    # With 1e-4 steps the roots near y_m = 1.078 and 2.492 are nodes 5780 and
+    # 19921: the blocks of 16 to 8192 hold 16368 nodes, and one more block of
+    # the cap reaches past the second root.  The first root's bracket is
+    # already within 1e-4; the second's takes one step, a one-node tree call
     entries = odd_cat_ladder(2, scan_step=1e-4)
     assert [y_m for y_m, _ in entries] == pytest.approx([1.0779785156250006, 2.492138671875],
                                                         abs=1e-4)
-    assert matching._LADDER_BLOCK == 4096
-    blocks = [16 << k for k in range(9)] + [4096] * 3
-    assert [size for size in airy_call_sizes if size > 1] == blocks
+    assert matching.AIRY_BLOCK == 8192
+    assert airy_call_sizes == [16 << k for k in range(10)] + [8192, 1]
 
 
 def test_ladder_entries_realize_odd_cats():
@@ -159,11 +153,12 @@ def test_ladder_checks_its_values_before_the_scan():
 
 
 def _counted(f):
+    """f on arrays, one value per element, and the list of its calls."""
     calls = []
 
-    def counted(x):
-        calls.append(x)
-        return f(x)
+    def counted(xs):
+        calls.append(xs.tolist())
+        return np.array([f(x) for x in xs])
 
     return counted, calls
 
@@ -173,26 +168,107 @@ def _pairs(f, nodes):
 
 
 def test_roots_stop_at_the_kth_root():
-    # roots at 1.5 and 3.7 between the integer nodes; the first bisection
-    # lands on 1.5 exactly, the second takes four steps to a width of 1/16
-    f, calls = _counted(lambda x: (x - 1.5) * (x - 3.7))
-    assert next(_roots(f, _pairs(f, range(10)), 0.1)) == (1.5, 1)
-    assert calls == [0, 1, 2, 1.5]
-    f, calls = _counted(lambda x: (x - 1.5) * (x - 3.7))
-    assert list(islice(_roots(f, _pairs(f, range(10)), 0.1), 2)) == [(1.5, 1), (3.71875, 4)]
-    assert calls == [0, 1, 2, 1.5, 3, 4, 3.5, 3.75, 3.625, 3.6875]
+    # roots at 1.5 and 3.7 between the integer nodes.  The first bisection
+    # lands on 1.5 exactly, in a call that covers three levels below [1, 2];
+    # the second takes four steps to a width of 1/16: three levels below
+    # [3, 4], then the one midpoint of [3.625, 3.75] still wider than 0.1
+    f = lambda x: (x - 1.5) * (x - 3.7)  # noqa: E731
+    counted, calls = _counted(f)
+    assert next(_roots(counted, _pairs(f, range(10)), 0.1)) == (1.5, 1)
+    assert calls == [[1.5, 1.25, 1.75, 1.125, 1.375, 1.625, 1.875]]
+    counted, calls = _counted(f)
+    assert list(islice(_roots(counted, _pairs(f, range(10)), 0.1), 2)) == [(1.5, 1), (3.71875, 4)]
+    assert calls[1:] == [[3.5, 3.25, 3.75, 3.125, 3.375, 3.625, 3.875], [3.6875]]
 
 
 def test_roots_take_an_exact_zero_node():
-    f, calls = _counted(lambda x: x - 3.0)
-    assert list(_roots(f, _pairs(f, range(10)), 0.1)) == [(3, 0)]
-    assert calls == list(range(10))
+    f = lambda x: x - 3.0  # noqa: E731
+    counted, calls = _counted(f)
+    assert list(_roots(counted, _pairs(f, range(10)), 0.1)) == [(3, 0)]
+    assert calls == []
 
 
 def test_roots_need_a_sign_change():
-    f, calls = _counted(lambda x: (x - 4.5) ** 2 + 1.0)
-    assert list(_roots(f, _pairs(f, range(10)), 0.1)) == []
-    assert calls == list(range(10))
+    f = lambda x: (x - 4.5) ** 2 + 1.0  # noqa: E731
+    counted, calls = _counted(f)
+    assert list(_roots(counted, _pairs(f, range(10)), 0.1)) == []
+    assert calls == []
+
+
+def _bisection_oracle(f, scan, tol):
+    """Plain bisection, one call of ``f`` per step, under ``_roots``' rules."""
+    roots = []
+    x_prev, f_prev = None, 0.0
+    for x, f_x in scan:
+        if f_x == 0.0:
+            roots.append((x, 0))
+        elif np.sign(f_x) * np.sign(f_prev) < 0:
+            lo, hi, f_lo = x_prev, x, f_prev
+            iterations = 0
+            while hi - lo > tol and iterations < 200:
+                mid = 0.5 * (lo + hi)
+                f_mid = f(mid)
+                if f_mid == 0.0:
+                    lo = hi = mid
+                elif np.sign(f_mid) == np.sign(f_lo):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+                iterations += 1
+            roots.append((0.5 * (lo + hi), iterations))
+        x_prev, f_prev = x, f_x
+    return roots
+
+
+@st.composite
+def _root_problems(draw):
+    """Scan nodes, a polynomial with some roots on the bisection tree (so
+    some midpoints are exact zeros), an interval where it reads NaN, and a
+    tolerance, 0 among them (the 200-step cap)."""
+    coordinate = st.floats(-10.0, 10.0, allow_subnormal=False)
+    nodes = sorted(draw(st.lists(coordinate, min_size=2, max_size=8, unique=True)))
+    roots = draw(st.lists(coordinate, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(nodes) - 2))
+        lo, hi = nodes[k], nodes[k + 1]
+        for right in draw(st.lists(st.booleans(), max_size=4)):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if right else (lo, mid)
+        roots.append(0.5 * (lo + hi))
+    nan_band = draw(st.none() | st.tuples(coordinate, st.floats(0.0, 5.0)))
+    tol = draw(st.just(0.0) | st.floats(1e-9, 1.0))
+
+    def f(x):
+        if nan_band is not None and nan_band[0] <= x <= nan_band[0] + nan_band[1]:
+            return math.nan
+        return math.prod(x - r for r in roots)
+
+    return nodes, f, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_problems())
+def test_roots_match_sequential_bisection(problem):
+    # tree levels change how f is called, not what the walk sees: the roots
+    # and step counts of a bisection that calls f once per step
+    nodes, f, tol = problem
+    counted, calls = _counted(f)
+    assert list(_roots(counted, _pairs(f, nodes), tol)) == _bisection_oracle(f, _pairs(f, nodes), tol)
+    assert all(len(call) <= 7 for call in calls)
+
+
+@pytest.fixture
+def grading_passes(monkeypatch):
+    """The s values of every ``grade_resources`` pass of the matching layer."""
+    passes = []
+    original = matching.grade_resources
+
+    def counted(psi_in, resources, *args):
+        passes.append([r.s for r in resources])
+        return original(psi_in, resources, *args)
+
+    monkeypatch.setattr(matching, "grade_resources", counted)
+    return passes
 
 
 @pytest.mark.parametrize(
@@ -200,13 +276,47 @@ def test_roots_need_a_sign_change():
     [(0.075, 2.486, "probability", 0.098, 0.169140625),
      (0.334, 11.012, "infidelity", 0.005, 0.266015625)],
 )
-def test_fit_squeezing_pinned_values(gamma, y_m, target, value, s_fit):
+def test_fit_squeezing_pinned_values(gamma, y_m, target, value, s_fit, grading_passes):
     # the values of a scan over the whole sweep; stopping at the first bracket
-    # must not move them
+    # must not move them.  Both crossings lie in the scan's first block of 16
+    # nodes; the bisection's 5 steps are one pass of three tree levels and
+    # one of the two that the 1e-3 width still needs; the fitted point is one
+    # more pass
     report = fit_squeezing(gamma, y_m, target, value)
     assert report.fitted.s == pytest.approx(s_fit, abs=1e-12)
     assert report.iterations == 5
     assert report.converged
+    assert [len(s_values) for s_values in grading_passes] == [16, 7, 3, 1]
+
+
+def test_fit_reaches_a_crossing_before_a_node_that_cannot_be_graded(monkeypatch):
+    # a grader that fails for s >= 0.3, inside the scan's first block but past
+    # the crossing near s = 0.169: the block is graded node by node, and the
+    # fit ends before the failing node, as a scan of one node at a time does
+    original = matching.grade_resources
+
+    def failing(psi_in, resources, *args):
+        if any(r.s >= 0.3 for r in resources):
+            raise ZeroProbabilityError("no probability")
+        return original(psi_in, resources, *args)
+
+    monkeypatch.setattr(matching, "grade_resources", failing)
+    report = fit_squeezing(0.075, 2.486, "probability", 0.098)
+    assert report.fitted.s == 0.169140625
+    assert report.iterations == 5
+    # a target the scan reaches only past the failing node fails there
+    with pytest.raises(ZeroProbabilityError):
+        fit_squeezing(0.075, 2.486, "probability", 0.5)
+
+
+def test_fit_ends_before_the_physical_zero_probability_nodes():
+    # at (0.001, 30) P falls below MIN_COLLAPSE_NORM from s of about 0.2 to
+    # 0.8, after a crossing of 1e-30 near s = 0.082
+    with pytest.raises(ZeroProbabilityError):
+        grade_outcomes(VACUUM, CubicPhaseResource(0.001, 0.3), [30.0], reference_cat(5, 0.0, GRID))
+    report = fit_squeezing(0.001, 30.0, "probability", 1e-30)
+    assert report.fitted.s == 0.08242187499999998
+    assert report.iterations == 5
 
 
 @pytest.mark.parametrize("gamma, y_m, target, value, bracket, s_cross", [
