@@ -448,16 +448,23 @@ def _airy_factor(points, counts, y: np.ndarray) -> np.ndarray:
     """Real values of the cubic-state factor on a 1-D float array of y, for
     many operating points in one pass: the first ``counts[0]`` values of y
     at ``points[0]`` = (gamma, s), the next ``counts[1]`` at ``points[1]``,
-    and so on.  Each point's constants are repeated per value, so a value is
-    the same in any batch, and the Airy function takes one ``_airy_ai`` call
-    per side.
+    and so on.  Each point's constants are repeated per value (one point's
+    are broadcast), so a value is the same in any batch, and the Airy
+    function takes one ``_airy_ai`` call per side.
 
     ``u = 12 gamma y / s^4 < 1`` is the z > 0 side.  At gamma = 0, and for
     gamma so small that z overflows, z is +inf and every point takes the
     limit of the product there.
     """
-    table = np.array([_factor_constants(gamma, s) for gamma, s in points]).T
-    norm, airy_scale, growth, shift, root, twelve_gamma, s4, s = np.repeat(table, counts, axis=1)
+    if len(points) == 1:  # scalars, which numpy broadcasts over y
+        constants = _factor_constants(*points[0])
+    else:
+        constants = np.repeat(np.array([_factor_constants(*p) for p in points]).T, counts, axis=1)
+    norm, airy_scale, growth, shift, root, twelve_gamma, s4, s = constants
+
+    def at(constant, nodes):
+        return constant[nodes] if np.ndim(constant) else constant
+
     y = np.clip(y, -_AIRY_ZERO_Y, _AIRY_ZERO_Y)
     with np.errstate(divide="ignore", over="ignore"):
         z = (shift - y) / root
@@ -468,20 +475,19 @@ def _airy_factor(points, counts, y: np.ndarray) -> np.ndarray:
     decaying = np.flatnonzero(below)
     w = np.sqrt(1.0 - u[decaying])
     zd = z[decaying]
-    values = np.exp(-(4.0 / 3.0) * (y[decaying] / s[decaying]) ** 2 * (w + 0.5) / (1.0 + w) ** 2)
+    values = np.exp(-(4.0 / 3.0) * (y[decaying] / at(s, decaying)) ** 2 * (w + 0.5) / (1.0 + w) ** 2)
     far = zd == np.inf
     # Ai(z) exp(2/3 z^(3/2)) -> 1 / (2 sqrt(pi) z^(1/4)), which reads 0 at
     # z = +inf, where its product with the prefactor -> norm / (s sqrt(w))
-    at = decaying[far]
-    values[far] *= norm[at] / (s[at] * np.sqrt(w[far]))
-    values[~far] *= airy_scale[decaying[~far]] * _airy_ai(zd[~far])
+    values[far] *= at(norm, decaying[far]) / (at(s, decaying[far]) * np.sqrt(w[far]))
+    values[~far] *= at(airy_scale, decaying[~far]) * _airy_ai(zd[~far])
     out[decaying] = values
 
     oscillating = np.flatnonzero(~below)
-    scale = np.exp(growth[oscillating] * (1.0 - 1.5 * u[oscillating]))
+    scale = np.exp(at(growth, oscillating) * (1.0 - 1.5 * u[oscillating]))
     keep = scale > 0.0
     live = oscillating[keep]
-    out[live] = airy_scale[live] * scale[keep] * _airy_ai(z[live])
+    out[live] = at(airy_scale, live) * scale[keep] * _airy_ai(z[live])
     return out
 
 
