@@ -167,7 +167,7 @@ def grade_resources(
     the calls in order would.  Returns (P, fidelity), one value per
     resource, the latter None without a reference.
     """
-    resources = [require_resource(r) for r in resources]
+    resources = list(resources)
     if not all(isinstance(r, CubicPhaseResource) for r in resources):
         raise TypeError("grade_resources grades cubic phase resources")
     probability = np.empty(len(resources))

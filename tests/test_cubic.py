@@ -128,6 +128,13 @@ def test_squeezing_scan_raises_at_the_first_failing_s():
     assert "s=0.6)" in str(raised.value)
 
 
+def test_grade_resources_takes_cubic_resources():
+    probability, fidelity = gate.grade_resources(VACUUM, [], 2.486, ODD_CAT)
+    assert probability.shape == fidelity.shape == (0,)
+    with pytest.raises(TypeError, match="cubic phase resources"):
+        gate.grade_resources(VACUUM, [FockResource(1)], 0.0)
+
+
 def test_squeezing_db_convention():
     assert squeezing_db(0.171) == pytest.approx(15.3, abs=0.1)
     assert squeezing_db(0.241) == pytest.approx(12.4, abs=0.1)
