@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NyquistError, ZeroProbabilityError
-from .numerics import AIRY_BLOCK, BLOCK_BYTES, SUPPORT_TOL, WaveFunction
+from .numerics import AIRY_BLOCK, BLOCK_BYTES, SUPPORT_TOL, WaveFunction, _airy_factor
 from .semiclassical import BestPhaseCat
-from .states import CubicPhaseResource, Resource, cubic_momentum_factors, require_resource
+from .states import CubicPhaseResource, Resource, require_resource
 
 #: Below this squared norm an outcome is treated as impossible; the collapsed
 #: state (and any fidelity) is undefined there.
@@ -162,7 +162,7 @@ def grade_resources(
     and the Nyquist check are computed once; each resource takes its own
     stride from its ``band()``; and the nodes of consecutive resources, up to
     ``AIRY_BLOCK`` of them, go through one Airy pass
-    (``cubic_momentum_factors``).  A resource with P < ``MIN_COLLAPSE_NORM``
+    (``numerics._airy_factor``).  A resource with P < ``MIN_COLLAPSE_NORM``
     under a reference raises ``ZeroProbabilityError``, the first in order, as
     the calls in order would.  Returns (P, fidelity), one value per
     resource, the latter None without a reference.
@@ -180,8 +180,9 @@ def grade_resources(
     sizes = [plan.x[::stride].size for stride in strides]
     for block in _blocks(sizes, AIRY_BLOCK):
         nodes = np.concatenate([plan.x[::strides[k]] for k in block])
-        factor = cubic_momentum_factors([resources[k] for k in block],
-                                        [sizes[k] for k in block], y_values[0] - nodes)
+        points = [(resources[k].gamma, resources[k].s) for k in block]
+        factor = _airy_factor(points, [sizes[k] for k in block],
+                              y_values[0] - nodes).astype(np.complex128)
         offset = 0
         for k in block:
             x, weights = plan.nodes(strides[k])

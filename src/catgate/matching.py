@@ -16,7 +16,8 @@ from .cubic import SQUEEZING_SWEEP, CubicGateConfig
 from .errors import ConvergenceError, FitRangeError, ZeroProbabilityError
 from .gate import collapse, grade_outcomes, grade_resources
 from .numerics import (
-    AIRY_BLOCK,
+    _AIRY_RULES,
+    BLOCK_BYTES,
     MIN_SQUEEZING,
     Grid,
     _airy_ai,
@@ -57,22 +58,27 @@ def _roots(f, scan, tol: float):
     ``tol`` within the step cap, and the walk reads the values it passes.
     So a root takes a third as many calls as steps, and, for an ``f`` whose
     value at a point does not depend on the array it comes in, the roots and
-    steps of a bisection that calls ``f`` once per step."""
+    steps of a bisection that calls ``f`` once per step.  A call that raises
+    ``ZeroProbabilityError`` is made again for the one midpoint the walk
+    needs, so only a midpoint the walk reaches can fail the search."""
     x_prev, f_prev = None, 0.0
     for x, f_x in scan:
         if f_x == 0.0:
             yield x, 0
-        elif np.sign(f_x) * np.sign(f_prev) < 0:
+        elif f_x < 0.0 < f_prev or f_prev < 0.0 < f_x:
             lo, hi, f_lo = x_prev, x, f_prev
             iterations, values = 0, {}
             while hi - lo > tol and iterations < 200:
                 mid = 0.5 * (lo + hi)
                 if mid not in values:
-                    values = _tree_values(f, lo, hi, tol, 200 - iterations)
+                    try:
+                        values = _tree_values(f, lo, hi, tol, 200 - iterations)
+                    except ZeroProbabilityError:
+                        values = _tree_values(f, lo, hi, tol, 1)
                 f_mid = values[mid]
                 if f_mid == 0.0:
                     lo = hi = mid
-                elif np.sign(f_mid) == np.sign(f_lo):
+                elif f_mid < 0.0 if f_lo < 0.0 else f_mid > 0.0:  # NaN is neither
                     lo, f_lo = mid, f_mid
                 else:
                     hi = mid
@@ -91,25 +97,32 @@ def _tree_values(f, lo: float, hi: float, tol: float, steps: int) -> dict:
         mids = [0.5 * (a + b) for a, b in level]
         nodes += mids
         level = [half for (a, b), m in zip(level, mids) for half in ((a, m), (m, b))]
-    return dict(zip(nodes, f(np.array(nodes))))
+    return dict(zip(nodes, f(np.array(nodes)).tolist()))
 
 
 #: Scan nodes in the first call of ``_block_scan``.  Each later call takes
-#: twice as many, up to ``AIRY_BLOCK``, so that the memory of a call is
-#: bounded however fine the scan, and a scan stops soon after the last root
-#: it needs: ``odd_cat_ladder(2)`` evaluates 16 + 32 of the default scan's
-#: 251 nodes.
+#: twice as many, up to ``_MAX_BLOCK``, whose Airy node sums hold
+#: ``BLOCK_BYTES`` at the largest node count however fine the scan.  So a
+#: scan stops soon after the last root it needs: ``odd_cat_ladder(2)``
+#: evaluates 16 + 32 of the default scan's 251 nodes.
 _FIRST_BLOCK = 16
+_MAX_BLOCK = BLOCK_BYTES // (16 * max(count for _, count in _AIRY_RULES))
 
 
 def _block_scan(nodes, f):
     """Lazy ``(x, f(x))`` pairs over the iterable ``nodes``, ``f`` called on
     a 1-D array of a block of them, the blocks doubling from
-    ``_FIRST_BLOCK`` up to ``AIRY_BLOCK``."""
+    ``_FIRST_BLOCK`` up to ``_MAX_BLOCK``.  A block whose call raises
+    ``ZeroProbabilityError`` is evaluated node by node, so only a node the
+    scan reaches can fail it."""
     nodes, size = iter(nodes), _FIRST_BLOCK
     while (block := np.fromiter(islice(nodes, size), float)).size:
-        yield from zip(block.tolist(), f(block))
-        size = min(2 * size, AIRY_BLOCK)
+        try:
+            values = f(block).tolist()
+        except ZeroProbabilityError:
+            values = (f(block[i:i + 1])[0] for i in range(block.size))
+        yield from zip(block.tolist(), values)
+        size = min(2 * size, _MAX_BLOCK)
 
 
 #: Odd-cat operating points the ladder search can list.
@@ -207,10 +220,9 @@ def fit_squeezing(
     width of 1e-3.  The scan is graded in doubling blocks (``_block_scan``)
     and the bisection three levels at a time (``_roots``), each in one
     ``grade_resources`` pass, so a fit takes a few passes where it took one
-    per point; its s is that of one pass per point.  A scan node that cannot
-    be graded fails the fit only if the scan reaches it; a bisection pass
-    fails if any of its midpoints cannot be graded.  Deterministic: repeated
-    runs return identical s.
+    per point; its s is that of one pass per point.  A node that cannot be
+    graded fails the fit only if the scan or the bisection reaches it.
+    Deterministic: repeated runs return identical s.
     """
     if target not in _TARGET_TOLERANCE:
         raise ValueError(f"target must be 'probability' or 'infidelity', got {target!r}")
@@ -229,16 +241,8 @@ def fit_squeezing(
         curve.extend(values.tolist())
         return values - value
 
-    def scan_residual(block: np.ndarray):
-        try:
-            return residual(block)
-        except ZeroProbabilityError:
-            # node by node, so that one that cannot be graded fails the fit
-            # only if the scan reaches it
-            return (residual(block[i:i + 1])[0] for i in range(block.size))
-
     lo, hi, count = SQUEEZING_SWEEP
-    scan = _block_scan(np.linspace(lo, hi, count), scan_residual)
+    scan = _block_scan(np.linspace(lo, hi, count), residual)
     root = next(_roots(residual, scan, 1e-3), None)
     if root is None:
         raise FitRangeError(

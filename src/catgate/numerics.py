@@ -68,9 +68,10 @@ SUPPORT_LOG = -math.log(SUPPORT_TOL)
 #: of 0.5 to 16 MiB on the default 512 x 512 Wigner axes.
 BLOCK_BYTES = 2 * 2 ** 20
 
-#: Nodes per Airy pass of the batched searches (``gate.grade_resources``
-#: and the ladder scan): at the largest node count of ``_AIRY_RULES`` their
-#: Gauss-Laguerre node terms, float64, hold ``BLOCK_BYTES``.
+#: Nodes per Airy pass of ``gate.grade_resources``: at the largest node
+#: count of ``_AIRY_RULES`` their Gauss-Laguerre node terms, float64, hold
+#: ``BLOCK_BYTES``, and the default 39-point squeezing sweep's 7830 nodes
+#: are one pass.
 AIRY_BLOCK = BLOCK_BYTES // (8 * max(count for _, count in _AIRY_RULES))
 
 

@@ -15,7 +15,6 @@ from .numerics import (
     SUPPORT_LOG,
     Grid,
     WaveFunction,
-    _airy_factor,
     hermite_function,
     hermite_values,
     oscillatory_fourier_factor,
@@ -119,15 +118,6 @@ class CubicPhaseResource(Resource):
             ratio = u / (3.0 * self.gamma)
             split = np.sqrt(np.maximum(u, 0.0)) / math.sqrt(3.0 * self.gamma)
         return np.where(ratio == np.inf, split, np.sqrt(np.where(ratio >= 0, ratio, np.nan)))
-
-
-def cubic_momentum_factors(resources, counts, y: np.ndarray) -> np.ndarray:
-    """The momentum factors of many cubic resources in one Airy pass
-    (``_airy_factor``): the first ``counts[0]`` values of the 1-D array y at
-    ``resources[0]``, the next ``counts[1]`` at ``resources[1]``, and so on.
-    Each value is the one ``momentum_factor`` gives it."""
-    points = [(r.gamma, r.s) for r in resources]
-    return _airy_factor(points, counts, y).astype(np.complex128)
 
 
 @dataclass(frozen=True)

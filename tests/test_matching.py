@@ -92,16 +92,16 @@ def test_nine_entry_ladder_takes_31_kernel_calls(airy_call_sizes):
 
 
 def test_fine_ladder_scan_is_evaluated_in_blocks(airy_call_sizes):
-    # however fine the step, a kernel call holds at most AIRY_BLOCK nodes.
+    # however fine the step, a kernel call holds at most _MAX_BLOCK nodes.
     # With 1e-4 steps the roots near y_m = 1.078 and 2.492 are nodes 5780 and
-    # 19921: the blocks of 16 to 8192 hold 16368 nodes, and one more block of
-    # the cap reaches past the second root.  The first root's bracket is
+    # 19921: the blocks of 16 to 4096 hold 8176 nodes, and three more blocks
+    # of the cap reach past the second root.  The first root's bracket is
     # already within 1e-4; the second's takes one step, a one-node tree call
     entries = odd_cat_ladder(2, scan_step=1e-4)
     assert [y_m for y_m, _ in entries] == pytest.approx([1.0779785156250006, 2.492138671875],
                                                         abs=1e-4)
-    assert matching.AIRY_BLOCK == 8192
-    assert airy_call_sizes == [16 << k for k in range(10)] + [8192, 1]
+    assert matching._MAX_BLOCK == 4096
+    assert airy_call_sizes == [16 << k for k in range(9)] + [4096] * 3 + [1]
 
 
 def test_ladder_entries_realize_odd_cats():
@@ -163,36 +163,75 @@ def _counted(f):
     return counted, calls
 
 
-def _pairs(f, nodes):
-    return ((x, f(x)) for x in nodes)
+def _pairs(f, nodes, drawn=None):
+    """Lazy (x, f(x)) pairs over nodes, each x appended to ``drawn`` as it
+    is drawn."""
+    for x in nodes:
+        if drawn is not None:
+            drawn.append(x)
+        yield x, f(x)
 
 
 def test_roots_stop_at_the_kth_root():
     # roots at 1.5 and 3.7 between the integer nodes.  The first bisection
     # lands on 1.5 exactly, in a call that covers three levels below [1, 2];
     # the second takes four steps to a width of 1/16: three levels below
-    # [3, 4], then the one midpoint of [3.625, 3.75] still wider than 0.1
+    # [3, 4], then the one midpoint of [3.625, 3.75] still wider than 0.1.
+    # No pair past the last root taken is drawn
     f = lambda x: (x - 1.5) * (x - 3.7)  # noqa: E731
     counted, calls = _counted(f)
-    assert next(_roots(counted, _pairs(f, range(10)), 0.1)) == (1.5, 1)
+    drawn = []
+    assert next(_roots(counted, _pairs(f, range(10), drawn), 0.1)) == (1.5, 1)
+    assert drawn == [0, 1, 2]
     assert calls == [[1.5, 1.25, 1.75, 1.125, 1.375, 1.625, 1.875]]
     counted, calls = _counted(f)
-    assert list(islice(_roots(counted, _pairs(f, range(10)), 0.1), 2)) == [(1.5, 1), (3.71875, 4)]
+    drawn = []
+    roots = _roots(counted, _pairs(f, range(10), drawn), 0.1)
+    assert list(islice(roots, 2)) == [(1.5, 1), (3.71875, 4)]
+    assert drawn == [0, 1, 2, 3, 4]
     assert calls[1:] == [[3.5, 3.25, 3.75, 3.125, 3.375, 3.625, 3.875], [3.6875]]
 
 
 def test_roots_take_an_exact_zero_node():
     f = lambda x: x - 3.0  # noqa: E731
     counted, calls = _counted(f)
-    assert list(_roots(counted, _pairs(f, range(10)), 0.1)) == [(3, 0)]
+    drawn = []
+    assert list(_roots(counted, _pairs(f, range(10), drawn), 0.1)) == [(3, 0)]
+    assert drawn == list(range(10))
     assert calls == []
 
 
 def test_roots_need_a_sign_change():
     f = lambda x: (x - 4.5) ** 2 + 1.0  # noqa: E731
     counted, calls = _counted(f)
-    assert list(_roots(counted, _pairs(f, range(10)), 0.1)) == []
+    drawn = []
+    assert list(_roots(counted, _pairs(f, range(10), drawn), 0.1)) == []
+    assert drawn == list(range(10))
     assert calls == []
+
+
+def test_roots_evaluate_alone_a_midpoint_whose_tree_call_fails():
+    # f cannot be evaluated at 1.875, a midpoint of the first tree call below
+    # [1, 2].  The walk takes that step's midpoint alone and goes on by tree
+    # calls, so only a midpoint it reaches can fail it: the root at 1.3 is
+    # found, and the walk to the root at 1.9 raises where it reaches 1.875
+    def failing(root):
+        def f(x):
+            if x == 1.875:
+                raise ZeroProbabilityError("cannot evaluate 1.875")
+            return x - root
+        return f
+
+    f = failing(1.3)
+    counted, calls = _counted(f)
+    assert next(_roots(counted, _pairs(f, range(10)), 0.1)) == (1.28125, 4)
+    assert calls == [[1.5, 1.25, 1.75, 1.125, 1.375, 1.625, 1.875], [1.5],
+                     [1.25, 1.125, 1.375, 1.0625, 1.1875, 1.3125, 1.4375]]
+    f = failing(1.9)
+    counted, calls = _counted(f)
+    with pytest.raises(ZeroProbabilityError, match="1.875"):
+        next(_roots(counted, _pairs(f, range(10)), 0.1))
+    assert calls[-2:] == [[1.875, 1.8125, 1.9375], [1.875]]
 
 
 def _bisection_oracle(f, scan, tol):
@@ -307,6 +346,25 @@ def test_fit_reaches_a_crossing_before_a_node_that_cannot_be_graded(monkeypatch)
     # a target the scan reaches only past the failing node fails there
     with pytest.raises(ZeroProbabilityError):
         fit_squeezing(0.075, 2.486, "probability", 0.5)
+
+
+def test_fit_bisects_past_a_midpoint_that_cannot_be_graded(monkeypatch, grading_passes):
+    # a grader that fails for s in (0.152, 0.155), inside the bracket
+    # [0.15, 0.175] that the fit bisects: its first tree pass holds 0.153125,
+    # which the walk to the crossing near s = 0.169 never reaches.  That step
+    # is graded alone and the fit keeps its s and steps
+    counted = matching.grade_resources
+
+    def failing(psi_in, resources, *args):
+        if any(0.152 < r.s < 0.155 for r in resources):
+            raise ZeroProbabilityError("no probability")
+        return counted(psi_in, resources, *args)
+
+    monkeypatch.setattr(matching, "grade_resources", failing)
+    report = fit_squeezing(0.075, 2.486, "probability", 0.098)
+    assert report.fitted.s == 0.169140625
+    assert report.iterations == 5
+    assert [len(s_values) for s_values in grading_passes] == [16, 1, 7, 1, 1]
 
 
 def test_fit_ends_before_the_physical_zero_probability_nodes():
