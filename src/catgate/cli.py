@@ -94,14 +94,18 @@ def _bool(text: str) -> bool:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-def _fields(form: str, *parsers: Callable, into: Callable | None = None) -> Callable:
+def _fields(form: str, *parsers: Callable, into: Callable | None = None,
+            ordered: bool = False) -> Callable:
     """Parser of the comma-separated fields that ``form`` names, one parser
-    each; the values are passed to ``into`` if given."""
+    each; the values are passed to ``into`` if given.  An ``ordered`` range
+    'lo,hi,...' with hi < lo is empty and refused; hi == lo is one node."""
     def parse(text: str):
         parts = text.split(",")
         if len(parts) != len(parsers):
             raise ValueError(f"expected '{form}', got {text!r}")
         values = tuple(field_parser(part) for field_parser, part in zip(parsers, parts))
+        if ordered and values[1] < values[0]:
+            raise ValueError(f"empty range {text!r}")
         return values if into is None else into(*values)
     return parse
 
@@ -109,20 +113,14 @@ def _fields(form: str, *parsers: Callable, into: Callable | None = None) -> Call
 _grid_spec = _fields("xmin,xmax,n", _float, _float, _int, into=Grid)
 _cubic_spec = _fields("gamma,ym,s", _float, _float, _float, into=CubicGateConfig)
 _triple = _fields("lo,hi,count", _float, _float, _positive_int)
-_scan_range = _fields("lo,hi,step", _float, _float, _positive_float)
+_scan_range = _fields("lo,hi,step", _float, _float, _positive_float, ordered=True)
+_pair = _fields("lo,hi", _float, _float, ordered=True)
 _axis_spec = _fields("lo,hi,count", _float, _float, _int, into=Grid)
 
 
 def _strided_axis(text: str, grid: Grid) -> Grid:
     """'8' -> the axis of every 8th node of the grid."""
     return strided_axis(grid, _positive_int(text))
-
-
-def _pair(text: str) -> tuple[float, float]:
-    lo, hi = _fields("lo,hi", _float, _float)(text)
-    if hi < lo:
-        raise ValueError(f"empty window {text!r}")
-    return lo, hi
 
 
 def _fock_range(text: str) -> list[int]:

@@ -29,7 +29,7 @@ class CubicGateConfig:
 
     def __post_init__(self) -> None:
         validate_cubic_params(self.gamma, self.s)
-        if self.y_m < 0:
+        if not self.y_m >= 0:
             raise ValueError("cubic gate outcomes use the y_m >= 0 convention")
 
     @property
@@ -50,8 +50,9 @@ def squeezing_scan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scan the squeezing factor at fixed (gamma, y_m), recording P(y_m) and
     the infidelity against the odd/even cat produced by the Fock gate with
-    ``REFERENCE_N`` photons at y_m = 0.  Every operating point is checked
-    before any is graded, and the whole sweep is graded in one pass
+    ``REFERENCE_N`` photons at y_m = 0: the one squeezing curve, of the
+    sweeps and of ``matching.fit_squeezing``.  Every operating point is
+    checked before any is graded, and the whole sweep is graded in one pass
     (``gate.grade_resources``): the values of one ``grade_outcomes`` call
     per s, and the first s that cannot be graded raises.  Returns
     (probability, infidelity), one value per s, in the order given."""

@@ -16,10 +16,12 @@ peak, psi_out is exactly 0 there, and the resource factor is not evaluated.
 untrimmed oracle.  ``grade_outcomes`` evaluates P(y) and the fidelity with a
 fixed reference for a whole set of outcomes without building a state: both
 are trapezoid sums over every stride-th support node, the stride derived from
-the integrands' closed-form band.  It is the one grader of every operating
-point, the best-phase fidelity scan included: its reference, the
+the integrands' closed-form band.  It grades the outcome scans and the gate
+comparisons, the best-phase fidelity scan included: its reference, the
 linearized cat of the outcome, is evaluated in closed form on the same
-strided nodes.  ``collapse`` is left to the states that are written out.
+strided nodes.  ``grade_resources`` grades the squeezing sweeps and fits:
+many cubic resources at one outcome, with the same plan and the same sums.
+``collapse`` is left to the states that are written out.
 """
 
 from __future__ import annotations
@@ -154,24 +156,24 @@ def grade_resources(
     psi_in: WaveFunction,
     resources,
     y_m: float,
-    reference: WaveFunction | BestPhaseCat | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """P(y_m), and with a ``reference`` the fidelity, for each of many cubic
+    reference: WaveFunction | BestPhaseCat,
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(y_m) and the fidelity with ``reference``, for each of many cubic
     resources at one outcome y_m: the values of one ``grade_outcomes`` call
-    per resource, bit for bit, from one pass.  The input's rows, their band
+    per resource, bit for bit, from one pass.  It grades the squeezing
+    sweeps and fits (``cubic.squeezing_scan``).  The input's rows, their band
     and the Nyquist check are computed once; each resource takes its own
     stride from its ``band()``; and the nodes of consecutive resources, up to
     ``AIRY_BLOCK`` of them, go through one Airy pass
     (``numerics._airy_factor``).  A resource with P < ``MIN_COLLAPSE_NORM``
-    under a reference raises ``ZeroProbabilityError``, the first in order, as
-    the calls in order would.  Returns (P, fidelity), one value per
-    resource, the latter None without a reference.
+    raises ``ZeroProbabilityError``, the first in order, as the calls in
+    order would.  Returns (P, fidelity), one value per resource.
     """
     resources = list(resources)
     if not all(isinstance(r, CubicPhaseResource) for r in resources):
         raise TypeError("grade_resources grades cubic phase resources")
     probability = np.empty(len(resources))
-    fidelity = None if reference is None else np.empty(len(resources))
+    fidelity = np.empty(len(resources))
     if not resources:
         return probability, fidelity
     y_values = _finite_outcomes([y_m])
@@ -188,9 +190,7 @@ def grade_resources(
             x, weights = plan.nodes(strides[k])
             rows = factor[None, offset:offset + sizes[k]]
             p, f = _grade_block(rows, weights, reference, y_values, x, resources[k])
-            probability[k] = p[0]
-            if f is not None:
-                fidelity[k] = f[0]
+            probability[k], fidelity[k] = p[0], f[0]
             offset += sizes[k]
     return probability, fidelity
 

@@ -12,12 +12,11 @@ from itertools import islice
 import numpy as np
 
 from .analysis import WignerGrid, wigner
-from .cubic import SQUEEZING_SWEEP, CubicGateConfig
+from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_scan
 from .errors import ConvergenceError, FitRangeError, ZeroProbabilityError
-from .gate import collapse, grade_outcomes, grade_resources
+from .gate import collapse, grade_outcomes
 from .numerics import (
-    _AIRY_RULES,
-    BLOCK_BYTES,
+    AIRY_BLOCK,
     MIN_SQUEEZING,
     Grid,
     _airy_ai,
@@ -101,18 +100,16 @@ def _tree_values(f, lo: float, hi: float, tol: float, steps: int) -> dict:
 
 
 #: Scan nodes in the first call of ``_block_scan``.  Each later call takes
-#: twice as many, up to ``_MAX_BLOCK``, whose Airy node sums hold
-#: ``BLOCK_BYTES`` at the largest node count however fine the scan.  So a
-#: scan stops soon after the last root it needs: ``odd_cat_ladder(2)``
-#: evaluates 16 + 32 of the default scan's 251 nodes.
+#: twice as many, up to ``AIRY_BLOCK``, the nodes of one Airy pass, however
+#: fine the scan.  So a scan stops soon after the last root it needs:
+#: ``odd_cat_ladder(2)`` evaluates 16 + 32 of the default scan's 251 nodes.
 _FIRST_BLOCK = 16
-_MAX_BLOCK = BLOCK_BYTES // (16 * max(count for _, count in _AIRY_RULES))
 
 
 def _block_scan(nodes, f):
     """Lazy ``(x, f(x))`` pairs over the iterable ``nodes``, ``f`` called on
     a 1-D array of a block of them, the blocks doubling from
-    ``_FIRST_BLOCK`` up to ``_MAX_BLOCK``.  A block whose call raises
+    ``_FIRST_BLOCK`` up to ``AIRY_BLOCK``.  A block whose call raises
     ``ZeroProbabilityError`` is evaluated node by node, so only a node the
     scan reaches can fail it."""
     nodes, size = iter(nodes), _FIRST_BLOCK
@@ -122,7 +119,7 @@ def _block_scan(nodes, f):
         except ZeroProbabilityError:
             values = (f(block[i:i + 1])[0] for i in range(block.size))
         yield from zip(block.tolist(), values)
-        size = min(2 * size, _MAX_BLOCK)
+        size = min(2 * size, AIRY_BLOCK)
 
 
 #: Odd-cat operating points the ladder search can list.
@@ -175,20 +172,25 @@ def odd_cat_ladder(
     y_m bracket of 1e-4: one kernel call per block of scan nodes
     (``_block_scan``) and one per three bisection steps (``_roots``), so
     ``odd_cat_ladder(2)`` makes calls of 16, 7, 7, 7, 32, 7, 7 and 7 nodes.
-    s and the scan are checked first.  Entries are returned in increasing
+    s and the scan are checked first; a step too small to move the scan's
+    top node, min(scan_stop, ratio), is refused, since the scan would stall
+    at the first node it cannot move.  Entries are returned in increasing
     y_m order.
     """
     ladder_entries(k_max)
     ratio = matched_outcome_ratio(reference_n)
     if not scan_step > 0:
         raise ValueError(f"the scan step must be positive, got {scan_step}")
+    top = min(scan_stop, ratio)
+    if top + scan_step == top:
+        raise ValueError(f"the scan step {scan_step} does not move the scan at y_m = {top}")
     validate_cubic_params(min(scan_start / ratio, 1.0), s)  # gamma rises from here to <= 1
     residual = partial(_node_residual, s=s, ratio=ratio)
     scan = _block_scan(_scan(scan_start, scan_stop, scan_step, ratio), residual)
     roots = list(islice(_roots(residual, scan, 1e-4), k_max))
     if len(roots) < k_max:
         raise ConvergenceError(f"found only {len(roots)} odd-cat points in "
-                               f"[{scan_start}, {min(scan_stop, ratio)}], needed {k_max}")
+                               f"[{scan_start}, {top}], needed {k_max}")
     return [(y_k, y_k / ratio) for y_k, _ in roots]
 
 
@@ -212,32 +214,26 @@ def fit_squeezing(
     grid: Grid | None = None,
 ) -> MatchReport:
     """Bisection on the squeezing factor so the cubic gate meets a probability
-    or infidelity target at fixed (gamma, y_m).  The infidelity is graded
-    against the ``REFERENCE_N`` cat, as ``cubic.squeezing_scan``'s is.
+    or infidelity target at fixed (gamma, y_m), on the curve of
+    ``cubic.squeezing_scan``.
 
     The ``SQUEEZING_SWEEP`` nodes are scanned from strong squeezing upward and
     the first bracket where the curve crosses the target is bisected to a
     width of 1e-3.  The scan is graded in doubling blocks (``_block_scan``)
-    and the bisection three levels at a time (``_roots``), each in one
-    ``grade_resources`` pass, so a fit takes a few passes where it took one
-    per point; its s is that of one pass per point.  A node that cannot be
-    graded fails the fit only if the scan or the bisection reaches it.
-    Deterministic: repeated runs return identical s.
+    and the bisection three levels at a time (``_roots``), each block or
+    tree in one ``squeezing_scan`` call; its s is that of one call per
+    point, and the achieved values are those of ``squeezing_scan`` at s.
+    A node that cannot be graded fails the fit only if the scan or the
+    bisection reaches it.  Deterministic: repeated runs return identical s.
     """
     if target not in _TARGET_TOLERANCE:
         raise ValueError(f"target must be 'probability' or 'infidelity', got {target!r}")
     grid = grid or default_grid()
-    psi_in = make_vacuum(grid)
-    reference = reference_cat(REFERENCE_N, 0.0, grid)
+    column = ("probability", "infidelity").index(target)  # of squeezing_scan's pair
     curve: list[float] = []  # every value evaluated, for the out-of-range message
 
-    def grade(s_values) -> tuple[list[CubicGateConfig], dict[str, np.ndarray]]:
-        configs = [CubicGateConfig(gamma, y_m, float(s)) for s in s_values]
-        p, f = grade_resources(psi_in, [cfg.resource for cfg in configs], y_m, reference)
-        return configs, {"probability": p, "infidelity": 1.0 - f}
-
     def residual(s_values: np.ndarray) -> np.ndarray:
-        values = grade(s_values)[1][target]
+        values = squeezing_scan(gamma, y_m, s_values, grid)[column]
         curve.extend(values.tolist())
         return values - value
 
@@ -250,13 +246,13 @@ def fit_squeezing(
             f"(curve spans [{min(curve):.4g}, {max(curve):.4g}])"
         )
     s_fit, iterations = root
-    (fitted,), achieved = grade([s_fit])
+    achieved = [float(v[0]) for v in squeezing_scan(gamma, y_m, [s_fit], grid)]
     return MatchReport(
-        fitted=fitted,
-        achieved_probability=float(achieved["probability"][0]),
-        achieved_infidelity=float(achieved["infidelity"][0]),
+        fitted=CubicGateConfig(gamma, y_m, s_fit),
+        achieved_probability=achieved[0],
+        achieved_infidelity=achieved[1],
         iterations=iterations,
-        converged=bool(abs(achieved[target][0] - value) <= _TARGET_TOLERANCE[target]),
+        converged=abs(achieved[column] - value) <= _TARGET_TOLERANCE[target],
         tolerance=_TARGET_TOLERANCE[target],
     )
 

@@ -65,10 +65,12 @@ SUPPORT_LOG = -math.log(SUPPORT_TOL)
 #: Size of one block of work, as complex numbers, in the batched transforms
 #: of ``analysis.wigner`` and the outcome sums of ``gate.grade_outcomes``; a
 #: block's temporaries hold a few such arrays.  2 MiB blocks were the fastest
-#: of 0.5 to 16 MiB on the default 512 x 512 Wigner axes.
+#: of 0.5 to 16 MiB on the default 512 x 512 Wigner axes.  It also sizes
+#: the row blocks of ``WignerGrid.position_marginal`` and ``AIRY_BLOCK``.
 BLOCK_BYTES = 2 * 2 ** 20
 
-#: Nodes per Airy pass of ``gate.grade_resources``: at the largest node
+#: Nodes per Airy pass, of ``gate.grade_resources`` and of the odd-cat
+#: ladder's scan blocks (``matching._block_scan``): at the largest node
 #: count of ``_AIRY_RULES`` their Gauss-Laguerre node terms, float64, hold
 #: ``BLOCK_BYTES``, and the default 39-point squeezing sweep's 7830 nodes
 #: are one pass.
@@ -417,78 +419,57 @@ def _airy_ai(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _airy_shift_root(gamma, s: float) -> tuple:
-    """s^4/(12 gamma) and (3 gamma)^(1/3), of gamma's shape: the Airy
-    argument is ``z = (s^4/(12 gamma) - y) / (3 gamma)^(1/3)``, +inf at
-    gamma = 0.  Callers ignore the divide and overflow warnings."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    return s ** 4 / (12.0 * gamma), (3.0 * gamma) ** (1.0 / 3.0)
-
-
-def _airy_argument(gamma, s: float, y: np.ndarray) -> np.ndarray:
-    """The Airy argument z of the cubic-state factor (``_airy_shift_root``)."""
+def _airy_argument(gamma, s, y: np.ndarray) -> np.ndarray:
+    """The Airy argument ``z = (s^4/(12 gamma) - y) / (3 gamma)^(1/3)`` of the
+    cubic-state factor, elementwise: +inf at gamma = 0, and where
+    s^4/(12 gamma) overflows."""
     with np.errstate(divide="ignore", over="ignore"):
-        shift, root = _airy_shift_root(gamma, s)
-        return (shift - y) / root
-
-
-def _factor_constants(gamma: float, s: float) -> tuple:
-    """The constants of the cubic-state factor at one (gamma, s), in the
-    order ``_airy_factor`` reads them, each computed on scalars: an array
-    ``** (1/3)`` can differ from the scalar one in the last bit, and a
-    factor value must not depend on the points it is batched with."""
-    norm = (s * s / np.pi) ** 0.25
-    with np.errstate(divide="ignore", over="ignore"):
-        airy_scale = norm * math.sqrt(2.0 * math.pi) / np.float64(3.0 * gamma) ** (1.0 / 3.0)
-        growth = s ** 6 / np.float64(108.0 * gamma * gamma)
-        shift, root = _airy_shift_root(gamma, s)
-    return norm, airy_scale, growth, shift, root, 12.0 * gamma, s ** 4, s
+        return (s ** 4 / (12.0 * gamma) - y) / (3.0 * gamma) ** (1.0 / 3.0)
 
 
 def _airy_factor(points, counts, y: np.ndarray) -> np.ndarray:
     """Real values of the cubic-state factor on a 1-D float array of y, for
     many operating points in one pass: the first ``counts[0]`` values of y
     at ``points[0]`` = (gamma, s), the next ``counts[1]`` at ``points[1]``,
-    and so on.  Each point's constants are repeated per value (one point's
-    are broadcast), so a value is the same in any batch, and the Airy
-    function takes one ``_airy_ai`` call per side.
+    and so on.  Each point's constants are computed on arrays and repeated
+    per value: an array ``**`` gives an element the same bits in any array,
+    where a scalar one can differ from it in the last bit, so a value is the
+    same in any batch.  The Airy function takes one ``_airy_ai`` call per
+    side.
 
     ``u = 12 gamma y / s^4 < 1`` is the z > 0 side.  At gamma = 0, and for
     gamma so small that z overflows, z is +inf and every point takes the
     limit of the product there.
     """
-    if len(points) == 1:  # scalars, which numpy broadcasts over y
-        constants = _factor_constants(*points[0])
-    else:
-        constants = np.repeat(np.array([_factor_constants(*p) for p in points]).T, counts, axis=1)
-    norm, airy_scale, growth, shift, root, twelve_gamma, s4, s = constants
-
-    def at(constant, nodes):
-        return constant[nodes] if np.ndim(constant) else constant
-
-    y = np.clip(y, -_AIRY_ZERO_Y, _AIRY_ZERO_Y)
+    gamma, s = np.array(points, dtype=np.float64).T
+    norm = (s * s / np.pi) ** 0.25
     with np.errstate(divide="ignore", over="ignore"):
-        z = (shift - y) / root
-    u = twelve_gamma * y / s4
+        airy_scale = norm * math.sqrt(2.0 * math.pi) / (3.0 * gamma) ** (1.0 / 3.0)
+        growth = s ** 6 / (108.0 * gamma * gamma)
+    gamma, s, norm, airy_scale, growth = np.repeat([gamma, s, norm, airy_scale, growth],
+                                                   counts, axis=1)
+    y = np.clip(y, -_AIRY_ZERO_Y, _AIRY_ZERO_Y)
+    z = _airy_argument(gamma, s, y)
+    u = 12.0 * gamma * y / s ** 4
     out = np.zeros_like(y)
 
     below = u < 1.0
     decaying = np.flatnonzero(below)
     w = np.sqrt(1.0 - u[decaying])
     zd = z[decaying]
-    values = np.exp(-(4.0 / 3.0) * (y[decaying] / at(s, decaying)) ** 2 * (w + 0.5) / (1.0 + w) ** 2)
+    values = np.exp(-(4.0 / 3.0) * (y[decaying] / s[decaying]) ** 2 * (w + 0.5) / (1.0 + w) ** 2)
     far = zd == np.inf
     # Ai(z) exp(2/3 z^(3/2)) -> 1 / (2 sqrt(pi) z^(1/4)), which reads 0 at
     # z = +inf, where its product with the prefactor -> norm / (s sqrt(w))
-    values[far] *= at(norm, decaying[far]) / (at(s, decaying[far]) * np.sqrt(w[far]))
-    values[~far] *= at(airy_scale, decaying[~far]) * _airy_ai(zd[~far])
+    values[far] *= norm[decaying[far]] / (s[decaying[far]] * np.sqrt(w[far]))
+    values[~far] *= airy_scale[decaying[~far]] * _airy_ai(zd[~far])
     out[decaying] = values
 
     oscillating = np.flatnonzero(~below)
-    scale = np.exp(at(growth, oscillating) * (1.0 - 1.5 * u[oscillating]))
+    scale = np.exp(growth[oscillating] * (1.0 - 1.5 * u[oscillating]))
     keep = scale > 0.0
     live = oscillating[keep]
-    out[live] = at(airy_scale, live) * scale[keep] * _airy_ai(z[live])
+    out[live] = airy_scale[live] * scale[keep] * _airy_ai(z[live])
     return out
 
 

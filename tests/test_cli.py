@@ -413,9 +413,23 @@ def test_match_ladder_nonconvergence_exit_code():
 
 
 def test_match_ladder_checks_s_before_the_scan(capsys):
-    # the scan 14..13 has no node, but --s is still a usage error
-    assert main(["match", "ladder", "--kmax", "1", "--s", "0.01", "--scan", "14,13,0.05"]) == 2
+    # the scan 40..40 lies past gamma = 1 and has no node, but --s is still
+    # a usage error
+    assert main(["match", "ladder", "--kmax", "1", "--s", "0.01", "--scan", "40,40,0.05"]) == 2
     assert "squeezing factor s must be in [0.05, 1], got 0.01" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scan,message", [
+    ("13,0.5,0.05", "--scan: empty range '13,0.5,0.05'"),
+    ("0.5,13,1e-17", "the scan step 1e-17 does not move the scan at y_m = 13.0"),
+    ("0.5,13,1e-16", "the scan step 1e-16 does not move the scan at y_m = 13.0"),
+])
+def test_match_ladder_refuses_a_scan_without_nodes_to_step(capsys, airy_call_sizes, scan, message):
+    # a reversed range, or a step that cannot move the scan, is a usage error
+    # before any kernel call, not non-convergence or a scan that never ends
+    assert main(["match", "ladder", "--kmax", "1", "--scan", scan]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert airy_call_sizes == []
 
 
 def test_match_ladder_takes_no_grid(monkeypatch, capsys):

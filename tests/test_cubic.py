@@ -36,6 +36,8 @@ def test_config_validation():
         CubicGateConfig(0.3, 1.0, 0.01)
     with pytest.raises(ValueError):
         CubicGateConfig(0.3, -1.0, 0.3)
+    with pytest.raises(ValueError, match="y_m >= 0"):
+        CubicGateConfig(0.3, float("nan"), 0.3)
 
 
 def test_copy_spacing():
@@ -132,7 +134,7 @@ def test_grade_resources_takes_cubic_resources():
     probability, fidelity = gate.grade_resources(VACUUM, [], 2.486, ODD_CAT)
     assert probability.shape == fidelity.shape == (0,)
     with pytest.raises(TypeError, match="cubic phase resources"):
-        gate.grade_resources(VACUUM, [FockResource(1)], 0.0)
+        gate.grade_resources(VACUUM, [FockResource(1)], 0.0, ODD_CAT)
 
 
 def test_squeezing_db_convention():

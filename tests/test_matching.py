@@ -12,17 +12,18 @@ from catgate import (
     collapse,
     compare_gates,
     fit_squeezing,
+    gate,
     matched_outcome_ratio,
-    matching,
     odd_cat_ladder,
     oscillatory_fourier_factor,
     reference_cat,
+    squeezing_scan,
 )
 from catgate.cubic import SQUEEZING_SWEEP
 from catgate.errors import ConvergenceError, FitRangeError, ZeroProbabilityError
 from catgate.gate import grade_outcomes
 from catgate.matching import _node_residual, _roots, _scan
-from catgate.numerics import _airy_ai
+from catgate.numerics import AIRY_BLOCK, _airy_ai
 from conftest import GRID, VACUUM, odd_cat_phase_offset
 
 # benchmark operating points for the first two odd-cat entries
@@ -92,16 +93,17 @@ def test_nine_entry_ladder_takes_31_kernel_calls(airy_call_sizes):
 
 
 def test_fine_ladder_scan_is_evaluated_in_blocks(airy_call_sizes):
-    # however fine the step, a kernel call holds at most _MAX_BLOCK nodes.
-    # With 1e-4 steps the roots near y_m = 1.078 and 2.492 are nodes 5780 and
-    # 19921: the blocks of 16 to 4096 hold 8176 nodes, and three more blocks
-    # of the cap reach past the second root.  The first root's bracket is
-    # already within 1e-4; the second's takes one step, a one-node tree call
+    # however fine the step, a kernel call holds at most AIRY_BLOCK nodes,
+    # one Airy pass.  With 1e-4 steps the roots near y_m = 1.078 and 2.492
+    # are nodes 5780 and 19921: the blocks of 16 to 8192 hold 16368 nodes,
+    # and one more block of the cap reaches past the second root.  The first
+    # root's bracket is already within 1e-4; the second's takes one step, a
+    # one-node tree call
     entries = odd_cat_ladder(2, scan_step=1e-4)
     assert [y_m for y_m, _ in entries] == pytest.approx([1.0779785156250006, 2.492138671875],
                                                         abs=1e-4)
-    assert matching._MAX_BLOCK == 4096
-    assert airy_call_sizes == [16 << k for k in range(9)] + [4096] * 3 + [1]
+    assert AIRY_BLOCK == 8192
+    assert airy_call_sizes == [16 << k for k in range(10)] + [AIRY_BLOCK, 1]
 
 
 def test_ladder_entries_realize_odd_cats():
@@ -136,6 +138,11 @@ def test_ladder_errors():
         odd_cat_ladder(0)
     with pytest.raises(ValueError):
         odd_cat_ladder(10)
+    # a step must move the top node, 13: 1e-17 moves no node, and 1e-16
+    # moves 0.5 but not 1.0, where the scan would stall
+    for step in (1e-17, 1e-16):
+        with pytest.raises(ValueError, match=f"scan step {step} does not move the scan at y_m = 13.0"):
+            odd_cat_ladder(1, scan_step=step)
     # the reference photon number follows the Fock range rule
     with pytest.raises(ValueError, match=r"Fock resource supports n in \[0, 64\], got -1"):
         odd_cat_ladder(1, reference_n=-1)
@@ -298,15 +305,16 @@ def test_roots_match_sequential_bisection(problem):
 
 @pytest.fixture
 def grading_passes(monkeypatch):
-    """The s values of every ``grade_resources`` pass of the matching layer."""
+    """The s values of every ``grade_resources`` pass: the fits grade
+    through ``squeezing_scan``, which makes them."""
     passes = []
-    original = matching.grade_resources
+    original = gate.grade_resources
 
     def counted(psi_in, resources, *args):
         passes.append([r.s for r in resources])
         return original(psi_in, resources, *args)
 
-    monkeypatch.setattr(matching, "grade_resources", counted)
+    monkeypatch.setattr(gate, "grade_resources", counted)
     return passes
 
 
@@ -328,18 +336,28 @@ def test_fit_squeezing_pinned_values(gamma, y_m, target, value, s_fit, grading_p
     assert [len(s_values) for s_values in grading_passes] == [16, 7, 3, 1]
 
 
+def test_fit_reports_the_squeezing_scan_at_its_s():
+    # the fit's curve is squeezing_scan's: its achieved values are that
+    # sweep's at the fitted s, to the bit
+    report = fit_squeezing(0.334, 11.012, "infidelity", 0.005)
+    probability, infidelity = squeezing_scan(0.334, 11.012, [report.fitted.s])
+    assert report.achieved_probability == probability[0]
+    assert report.achieved_infidelity == infidelity[0]
+    assert report.fitted == CubicGateConfig(0.334, 11.012, 0.266015625)
+
+
 def test_fit_reaches_a_crossing_before_a_node_that_cannot_be_graded(monkeypatch):
     # a grader that fails for s >= 0.3, inside the scan's first block but past
     # the crossing near s = 0.169: the block is graded node by node, and the
     # fit ends before the failing node, as a scan of one node at a time does
-    original = matching.grade_resources
+    original = gate.grade_resources
 
     def failing(psi_in, resources, *args):
         if any(r.s >= 0.3 for r in resources):
             raise ZeroProbabilityError("no probability")
         return original(psi_in, resources, *args)
 
-    monkeypatch.setattr(matching, "grade_resources", failing)
+    monkeypatch.setattr(gate, "grade_resources", failing)
     report = fit_squeezing(0.075, 2.486, "probability", 0.098)
     assert report.fitted.s == 0.169140625
     assert report.iterations == 5
@@ -353,14 +371,14 @@ def test_fit_bisects_past_a_midpoint_that_cannot_be_graded(monkeypatch, grading_
     # [0.15, 0.175] that the fit bisects: its first tree pass holds 0.153125,
     # which the walk to the crossing near s = 0.169 never reaches.  That step
     # is graded alone and the fit keeps its s and steps
-    counted = matching.grade_resources
+    counted = gate.grade_resources
 
     def failing(psi_in, resources, *args):
         if any(0.152 < r.s < 0.155 for r in resources):
             raise ZeroProbabilityError("no probability")
         return counted(psi_in, resources, *args)
 
-    monkeypatch.setattr(matching, "grade_resources", failing)
+    monkeypatch.setattr(gate, "grade_resources", failing)
     report = fit_squeezing(0.075, 2.486, "probability", 0.098)
     assert report.fitted.s == 0.169140625
     assert report.iterations == 5

@@ -29,6 +29,7 @@ from catgate.numerics import (
     _AIRY_SERIES_EDGE,
     SUPPORT_TOL,
     _airy_ai,
+    _airy_factor,
     next_fast_len,
 )
 from conftest import GRID, ODD_GRID
@@ -321,6 +322,22 @@ def test_airy_kernel_gives_each_element_its_own_call_bits():
     assert np.array_equal(batched, single, equal_nan=True)
     assert np.array_equal(np.signbit(batched), np.signbit(single))
     assert np.isnan(batched[np.isnan(zs)]).all() and np.isfinite(batched[~np.isnan(zs)]).all()
+
+
+def test_cubic_factor_gives_each_point_its_own_call_bits():
+    # one call over many points gives each point the bits, zero signs
+    # included, of a call of its own: random points, mixed gamma (which the
+    # sweeps never batch), gamma = 0 (z = +inf) and (0.001, 0.6), whose
+    # oscillating side underflows to exact zeros past y of about 19
+    rng = np.random.default_rng(5)
+    points = [(0.0, 0.5), (0.001, 0.6), *zip(rng.uniform(0.0, 1.0, 40), rng.uniform(0.05, 1.0, 40))]
+    ys = [rng.uniform(-20.0, 40.0, rng.integers(1, 64)) for _ in points]
+    batched = _airy_factor(points, [y.size for y in ys], np.concatenate(ys))
+    single = np.concatenate([_airy_factor([point], [y.size], y) for point, y in zip(points, ys)])
+    assert np.array_equal(batched, single)
+    assert np.array_equal(np.signbit(batched), np.signbit(single))
+    underflow = _airy_factor([(0.001, 0.6)], [2], np.array([5.0, 30.0]))
+    assert underflow[0] > 0.0 and underflow[1] == 0.0
 
 
 def test_airy_kernel_matches_scipy():
