@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -6,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from catgate.cli import main as catgate_main
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "script_outputs.sha256"
 
 
 def load_script(name):
@@ -14,6 +18,37 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def write_script_outputs(root):
+    """Every file of both scripts, the comparison with its ladder, and of
+    ``match compare --fock 3 --entry 1``, under ``root``."""
+    load_script("run_fock_gate_report").run(str(root / "fock_gate"))
+    load_script("run_gate_comparison").run(str(root / "comparison"), True)
+    (root / "match").mkdir()
+    assert catgate_main(["match", "compare", "--fock", "3", "--entry", "1",
+                         "--out", str(root / "match" / "compare_fock3_entry1")]) == 0
+
+
+def test_script_outputs_match_the_golden_manifest(tmp_path, monkeypatch):
+    # flags a change of any output byte; it does not judge it
+    monkeypatch.delenv("CATGATE_GRID", raising=False)
+    outputs = tmp_path / "outputs"
+    write_script_outputs(outputs)
+    found = {path.relative_to(outputs).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted(outputs.rglob("*")) if path.is_file()}
+    expected = {name: digest for digest, name in
+                (line.split("  ", 1) for line in GOLDEN.read_text().splitlines())}
+    moved = sorted(name for name in expected.keys() | found.keys()
+                   if expected.get(name) != found.get(name))
+    if moved:
+        manifest = tmp_path / GOLDEN.name
+        manifest.write_text("".join(f"{digest}  {name}\n" for name, digest in found.items()))
+    assert not moved, (
+        f"{len(moved)} script outputs differ from tests/golden/{GOLDEN.name}: "
+        f"{', '.join(moved)}.  Run scripts/compare_outputs.py on the parent commit's "
+        f"outputs against these ({outputs}) to see by how much; a change made on "
+        f"purpose replaces the manifest with {tmp_path / GOLDEN.name}")
 
 
 @pytest.mark.parametrize(
