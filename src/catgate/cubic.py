@@ -42,23 +42,26 @@ def squeezing_db(s: float) -> float:
     return -20.0 * math.log10(s)
 
 
-def squeezing_scan(
-    gamma: float,
-    y_m: float,
-    s_values,
-    grid: Grid | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scan the squeezing factor at fixed (gamma, y_m), recording P(y_m) and
-    the infidelity against the odd/even cat produced by the Fock gate with
-    ``REFERENCE_N`` photons at y_m = 0: the one squeezing curve, of the
-    sweeps and of ``matching.fit_squeezing``.  Every operating point is
-    checked before any is graded, and the whole sweep is graded in one pass
-    (``gate.grade_resources``): the values of one ``grade_outcomes`` call
-    per s, and the first s that cannot be graded raises.  Returns
-    (probability, infidelity), one value per s, in the order given."""
-    configs = [CubicGateConfig(gamma, y_m, float(s)) for s in s_values]
+def squeezing_scan(gamma: float, y_m: float, s_values,
+                   grid: Grid | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(probability, infidelity) at each s of ``s_values``, in the order
+    given: one call of ``squeezing_curve``."""
+    return squeezing_curve(gamma, y_m, grid)(s_values)
+
+
+def squeezing_curve(gamma: float, y_m: float, grid: Grid | None = None):
+    """The one squeezing curve at fixed (gamma, y_m), of the sweeps and the
+    fits: s values -> (P(y_m), infidelity against the odd/even cat of the Fock
+    gate with ``REFERENCE_N`` photons at y_m = 0).  Its input, reference and
+    ``gate.Grader`` are built once.  A call checks every s, then grades all in
+    one ``Grader.grade``, each to the bits of a ``grade_outcomes`` call; the
+    first s that cannot be graded raises."""
     grid = grid or default_grid()
-    reference = reference_cat(REFERENCE_N, 0.0, grid)
-    probability, fidelity = gate.grade_resources(make_vacuum(grid), [c.resource for c in configs],
-                                                 y_m, reference)
-    return probability, 1.0 - fidelity
+    grader = gate.Grader(make_vacuum(grid), reference_cat(REFERENCE_N, 0.0, grid))
+
+    def curve(s_values) -> tuple[np.ndarray, np.ndarray]:
+        configs = [CubicGateConfig(gamma, y_m, float(s)) for s in s_values]
+        probability, fidelity = grader.grade([(c.resource, [y_m]) for c in configs])
+        return probability, 1.0 - fidelity
+
+    return curve

@@ -13,15 +13,10 @@ density of observing y_m.
 (``WaveFunction.support``): outside it psi_in is below ``SUPPORT_TOL`` of its
 peak, psi_out is exactly 0 there, and the resource factor is not evaluated.
 ``probability_density`` evaluates one outcome on the full grid; it is the
-untrimmed oracle.  ``grade_outcomes`` evaluates P(y) and the fidelity with a
-fixed reference for a whole set of outcomes without building a state: both
-are trapezoid sums over every stride-th support node, the stride derived from
-the integrands' closed-form band.  It grades the outcome scans and the gate
-comparisons, the best-phase fidelity scan included: its reference, the
-linearized cat of the outcome, is evaluated in closed form on the same
-strided nodes.  ``grade_resources`` grades the squeezing sweeps and fits:
-many cubic resources at one outcome, with the same plan and the same sums.
-``collapse`` is left to the states that are written out.
+untrimmed oracle.  ``Grader`` is the one grader of P(y) and the fidelity, for
+any (resource, outcome) pairs, without building a state; ``grade_outcomes``
+is its one-resource form.  ``collapse`` is left to the states that are
+written out.
 """
 
 from __future__ import annotations
@@ -32,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NyquistError, ZeroProbabilityError
-from .numerics import AIRY_BLOCK, BLOCK_BYTES, SUPPORT_TOL, WaveFunction, _airy_factor
+from .numerics import SUPPORT_TOL, WaveFunction
 from .semiclassical import BestPhaseCat
-from .states import CubicPhaseResource, Resource, require_resource
+from .states import Resource, require_resource
 
 #: Below this squared norm an outcome is treated as impossible; the collapsed
 #: state (and any fidelity) is undefined there.
@@ -90,15 +85,22 @@ def probability_density(psi_in: WaveFunction, resource: Resource, y_m: float) ->
     return float(np.trapezoid(integrand, dx=grid.spacing))
 
 
-def grade_outcomes(
-    psi_in: WaveFunction,
-    resource: Resource,
-    y_values,
-    reference: WaveFunction | BestPhaseCat | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Probability density P(y) over a set of outcomes, and with a
-    ``reference`` the fidelity |<reference|psi_out(y)>|^2 = |A(y)|^2 / P(y),
-    from the two integrals
+def grade_outcomes(psi_in: WaveFunction, resource: Resource, y_values,
+                   reference: WaveFunction | BestPhaseCat | None = None
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """P(y) over a set of outcomes of one resource, and with a ``reference``
+    the fidelity: one job of a ``Grader``.  Returns (P, fidelity), the latter
+    None without a reference."""
+    resource = require_resource(resource)
+    if np.ndim(y_values) != 1:
+        raise ValueError("y_values must be a 1-D set of outcomes")
+    return Grader(psi_in, reference).grade([(resource, y_values)])
+
+
+class Grader:
+    """The one grader: probability densities P(y) of (resource, outcome)
+    pairs, and with a ``reference`` the fidelities
+    |<reference|psi_out(y)>|^2 = |A(y)|^2 / P(y), from the two integrals
 
         P(y) = integral dx |psi_in(x)|^2 |[F psi_res](y - x)|^2,
         A(y) = integral dx conj(reference)(x) psi_in(x) [F psi_res](y - x).
@@ -113,8 +115,9 @@ def grade_outcomes(
     stride = max(1, floor(2 pi / (h (B_in + 2 B_F)))).  B_in is the highest
     |k| where the rows' FFT on the support exceeds ``SUPPORT_TOL`` of their
     1-norm; rows that have not decayed at the grid's Nyquist limit pi/h
-    alias in any grid sum and raise ``NyquistError``.  Outcomes go through in
-    blocks of a fixed byte size, so memory does not grow with their number.
+    alias in any grid sum and raise ``NyquistError``.  Rows, band and check
+    are computed once (``_grading_plan``), and outcomes go through in blocks
+    of a fixed size, so memory does not grow with their number.
 
     The ``reference`` is a fixed state, or a ``BestPhaseCat``, whose cat
     changes with the outcome (the best-phase fidelity).  Its overlap row is
@@ -129,124 +132,76 @@ def grade_outcomes(
     at ``SUPPORT_TOL`` of its peak amplitude, limits the accuracy.  P is never
     negative.  A zero input, or a fidelity asked for at an outcome with
     P < ``MIN_COLLAPSE_NORM``, raises ``ZeroProbabilityError``, as
-    ``collapse`` does.  Returns (P, fidelity), the latter None without a
-    reference.
+    ``collapse`` does.
     """
-    resource = require_resource(resource)
-    y_values = _finite_outcomes(y_values)
-    if y_values.ndim != 1:
-        raise ValueError("y_values must be a 1-D set of outcomes")
-    plan = _grading_plan(psi_in, resource, y_values, reference)
-    x, weights = plan.nodes(plan.stride(resource))
-    probability = np.empty(y_values.size)
-    fidelity = None if reference is None else np.empty(y_values.size)
-    block = max(1, BLOCK_BYTES // (16 * x.size))
-    for start in range(0, y_values.size, block):
-        ys = y_values[start:start + block]
-        u = ys[:, None] - x
-        factor = resource.momentum_factor(u.ravel()).reshape(u.shape)
-        p, f = _grade_block(factor, weights, reference, ys, x, resource)
-        probability[start:start + block] = p
-        if f is not None:
-            fidelity[start:start + block] = f
-    return probability, fidelity
 
+    def __init__(self, psi_in: WaveFunction, reference: WaveFunction | BestPhaseCat | None = None):
+        self.x, self.rows, self.edges, self.h = _grading_plan(psi_in, reference)
+        self.reference = reference
 
-def grade_resources(
-    psi_in: WaveFunction,
-    resources,
-    y_m: float,
-    reference: WaveFunction | BestPhaseCat,
-) -> tuple[np.ndarray, np.ndarray]:
-    """P(y_m) and the fidelity with ``reference``, for each of many cubic
-    resources at one outcome y_m: the values of one ``grade_outcomes`` call
-    per resource, bit for bit, from one pass.  It grades the squeezing
-    sweeps and fits (``cubic.squeezing_scan``).  The input's rows, their band
-    and the Nyquist check are computed once; each resource takes its own
-    stride from its ``band()``; and the nodes of consecutive resources, up to
-    ``AIRY_BLOCK`` of them, go through one Airy pass
-    (``numerics._airy_factor``).  A resource with P < ``MIN_COLLAPSE_NORM``
-    raises ``ZeroProbabilityError``, the first in order, as the calls in
-    order would.  Returns (P, fidelity), one value per resource.
-    """
-    resources = list(resources)
-    if not all(isinstance(r, CubicPhaseResource) for r in resources):
-        raise TypeError("grade_resources grades cubic phase resources")
-    probability = np.empty(len(resources))
-    fidelity = np.empty(len(resources))
-    if not resources:
+    def grade(self, jobs) -> tuple[np.ndarray, np.ndarray | None]:
+        """(P, fidelity) of each outcome of the jobs, in order, the fidelity
+        None without a reference.  A job is a resource and a 1-D set of its
+        outcomes, each a finite float or a ValueError, graded to the bits of a
+        job of its own, except that a ``BestPhaseCat``'s band is that of every job."""
+        jobs, shift = [(resource, _finite_outcomes(ys)) for resource, ys in jobs], 0.0
+        if isinstance(self.reference, BestPhaseCat):
+            shift = max((self.reference.band(ys) for _, ys in jobs), default=0.0)
+        total = sum(ys.size for _, ys in jobs)
+        probability = np.empty(total)
+        fidelity = None if self.reference is None else np.empty(total)
+        for block in self._blocks(jobs, shift):
+            pieces = [(ys[:, None] - self.x[::stride]).ravel() for _, ys, stride, _ in block]
+            counts = [piece.size for piece in pieces]
+            resources = [resource for resource, _, _, _ in block]
+            factor = type(resources[0]).momentum_factors(resources, counts, np.concatenate(pieces))
+            for (resource, ys, stride, start), end in zip(block, np.cumsum(counts).tolist()):
+                x, weights = self.x[::stride], self.rows[:, ::stride] * stride
+                rows = factor[end - ys.size * x.size:end].reshape(ys.size, x.size)
+                p, f = _grade_block(rows, weights, self.reference, ys, x, resource)
+                probability[start:start + ys.size] = p
+                if f is not None:
+                    fidelity[start:start + ys.size] = f
         return probability, fidelity
-    y_values = _finite_outcomes([y_m])
-    plan = _grading_plan(psi_in, resources[0], y_values, reference)
-    strides = [plan.stride(r) for r in resources]
-    sizes = [plan.x[::stride].size for stride in strides]
-    for block in _blocks(sizes, AIRY_BLOCK):
-        nodes = np.concatenate([plan.x[::strides[k]] for k in block])
-        points = [(resources[k].gamma, resources[k].s) for k in block]
-        factor = _airy_factor(points, [sizes[k] for k in block],
-                              y_values[0] - nodes).astype(np.complex128)
-        offset = 0
-        for k in block:
-            x, weights = plan.nodes(strides[k])
-            rows = factor[None, offset:offset + sizes[k]]
-            p, f = _grade_block(rows, weights, reference, y_values, x, resources[k])
-            probability[k], fidelity[k] = p[0], f[0]
-            offset += sizes[k]
-    return probability, fidelity
+
+    def _blocks(self, jobs, shift: float):
+        """Runs (resource, outcomes, stride, first row) of the jobs' rows, in
+        order, in blocks of one resource class and at most its ``pass_nodes``
+        nodes, or of one row alone.  B_in includes one lattice step, and a
+        best-phase row's p_plus ``shift``."""
+        band = max(edge + s for edge, s in zip(self.edges, (0.0, shift)))
+        band += 2.0 * math.pi / (self.x.size * self.h)
+        block, used, start = [], 0, 0
+        for resource, ys in jobs:
+            stride = max(1, int(2.0 * math.pi / (self.h * (band + 2.0 * resource.band()))))
+            size, a = self.x[::stride].size, 0
+            while a < ys.size:
+                if block and (used + size > resource.pass_nodes
+                              or type(resource) is not type(block[0][0])):
+                    yield block
+                    block, used = [], 0
+                b = min(ys.size, a + max(1, (resource.pass_nodes - used) // size))
+                block.append((resource, ys[a:b], stride, start + a))
+                used, a = used + (b - a) * size, b
+            start += ys.size
+        if block:
+            yield block
 
 
-def _blocks(sizes: list[int], limit: int):
-    """Consecutive ranges of indices whose sizes sum to at most ``limit``,
-    or a single index that alone exceeds it."""
-    start = total = 0
-    for k, size in enumerate(sizes):
-        if k > start and total + size > limit:
-            yield range(start, k)
-            start, total = k, 0
-        total += size
-    if sizes:
-        yield range(start, len(sizes))
-
-
-@dataclass(frozen=True)
-class _GradingPlan:
-    """What grading shares across outcomes and resources: the input's
-    support nodes ``x``, the trapezoid-weighted rows on them, and the rows'
-    band, one lattice step included."""
-
-    x: np.ndarray
-    rows: np.ndarray
-    band: float
-    h: float
-
-    def stride(self, resource: Resource) -> int:
-        """max(1, floor(2 pi / (h (B_in + 2 B_F)))) for the resource's band B_F."""
-        return max(1, int(2.0 * math.pi / (self.h * (self.band + 2.0 * resource.band()))))
-
-    def nodes(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every ``stride``-th support node, and the rows' weights there."""
-        return self.x[::stride], self.rows[:, ::stride] * stride
-
-
-def _grading_plan(psi_in: WaveFunction, resource: Resource, y_values: np.ndarray,
-                  reference: WaveFunction | BestPhaseCat | None) -> _GradingPlan:
-    """The plan of ``grade_outcomes``; ``resource`` only names the
-    resource in its errors."""
+def _grading_plan(psi_in: WaveFunction, reference: WaveFunction | BestPhaseCat | None):
+    """A ``Grader``'s input support nodes, the trapezoid-weighted rows on them,
+    the edge of each row's spectrum, and the grid step."""
     grid = psi_in.grid
     live = psi_in.support()
     if live.stop == live.start:
-        raise ZeroProbabilityError(
-            f"a zero input state has vanishing probability density for {resource!r}"
-        )
+        raise ZeroProbabilityError("a zero input state has vanishing probability density")
     h = grid.spacing
-    rows, shifts = [np.abs(psi_in.values) ** 2], [0.0]
+    rows = [np.abs(psi_in.values) ** 2]
     if isinstance(reference, BestPhaseCat):
-        shifts.append(reference.band(y_values))
         rows.append(reference.envelope(grid.points) * psi_in.values)
     elif reference is not None:
         if reference.grid != grid:
             raise GridMismatchError("the reference must live on the input's grid")
-        shifts.append(0.0)
         rows.append(np.conj(reference.values) * psi_in.values)
     rows = np.array(rows, dtype=np.complex128) * h
     rows[:, [0, -1]] *= 0.5  # trapezoid end points
@@ -263,14 +218,11 @@ def _grading_plan(psi_in: WaveFunction, resource: Resource, y_values: np.ndarray
     if edge > SUPPORT_TOL:
         raise NyquistError(
             f"outcome integrand is {edge:.2e} of its bound at the grid's Nyquist "
-            f"limit {math.pi / h:.3g}; the grid is too coarse for {resource!r}"
+            f"limit {math.pi / h:.3g}; the grid is too coarse for this input"
         )
-    # the rows' edge lies within one lattice step past their last node above
-    # it; a best-phase row's modulation shifts its spectrum by up to p_plus
-    band = max(np.max(np.abs(k_grid[above]), initial=0.0) + shift
-               for above, shift in zip(size > SUPPORT_TOL, shifts))
-    band += 2.0 * math.pi / (n * h)
-    return _GradingPlan(grid.points[live], rows, band, h)
+    # a row's edge lies within one lattice step past its last node above it
+    edges = [float(np.max(np.abs(k_grid[above]), initial=0.0)) for above in size > SUPPORT_TOL]
+    return grid.points[live], rows, edges, h
 
 
 def _grade_block(factor, weights, reference, ys, x, resource) -> tuple[np.ndarray, np.ndarray | None]:

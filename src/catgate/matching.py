@@ -12,9 +12,9 @@ from itertools import islice
 import numpy as np
 
 from .analysis import WignerGrid, wigner
-from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_scan
+from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_curve
 from .errors import ConvergenceError, FitRangeError, ZeroProbabilityError
-from .gate import collapse, grade_outcomes
+from .gate import Grader, collapse
 from .numerics import (
     AIRY_BLOCK,
     MIN_SQUEEZING,
@@ -145,7 +145,8 @@ def _node_residual(y_m: np.ndarray, s: float, ratio: float) -> np.ndarray:
     exact zeros, so Ai(z) of the factor's own z stands in for it.  The
     caller checks (gamma, s).
     """
-    return _airy_ai(_airy_argument(y_m / ratio, s, y_m))
+    gamma = y_m / ratio
+    return _airy_ai(_airy_argument(gamma, s ** 4, (3.0 * gamma) ** (1.0 / 3.0), y_m))
 
 
 def _scan(start: float, stop: float, step: float, limit: float):
@@ -214,26 +215,25 @@ def fit_squeezing(
     grid: Grid | None = None,
 ) -> MatchReport:
     """Bisection on the squeezing factor so the cubic gate meets a probability
-    or infidelity target at fixed (gamma, y_m), on the curve of
-    ``cubic.squeezing_scan``.
+    or infidelity target at fixed (gamma, y_m), on one ``cubic.squeezing_curve``.
 
     The ``SQUEEZING_SWEEP`` nodes are scanned from strong squeezing upward and
     the first bracket where the curve crosses the target is bisected to a
     width of 1e-3.  The scan is graded in doubling blocks (``_block_scan``)
     and the bisection three levels at a time (``_roots``), each block or
-    tree in one ``squeezing_scan`` call; its s is that of one call per
-    point, and the achieved values are those of ``squeezing_scan`` at s.
-    A node that cannot be graded fails the fit only if the scan or the
-    bisection reaches it.  Deterministic: repeated runs return identical s.
+    tree in one call of the curve; its s is that of one call per point, and
+    the achieved values are those of ``squeezing_scan`` at s.  A node that
+    cannot be graded fails the fit only if the scan or the bisection reaches
+    it.  Deterministic: repeated runs return identical s.
     """
     if target not in _TARGET_TOLERANCE:
         raise ValueError(f"target must be 'probability' or 'infidelity', got {target!r}")
-    grid = grid or default_grid()
-    column = ("probability", "infidelity").index(target)  # of squeezing_scan's pair
+    squeezing = squeezing_curve(gamma, y_m, grid)
+    column = ("probability", "infidelity").index(target)  # of the curve's pair
     curve: list[float] = []  # every value evaluated, for the out-of-range message
 
     def residual(s_values: np.ndarray) -> np.ndarray:
-        values = squeezing_scan(gamma, y_m, s_values, grid)[column]
+        values = squeezing(s_values)[column]
         curve.extend(values.tolist())
         return values - value
 
@@ -246,7 +246,7 @@ def fit_squeezing(
             f"(curve spans [{min(curve):.4g}, {max(curve):.4g}])"
         )
     s_fit, iterations = root
-    achieved = [float(v[0]) for v in squeezing_scan(gamma, y_m, [s_fit], grid)]
+    achieved = [float(v[0]) for v in squeezing([s_fit])]
     return MatchReport(
         fitted=CubicGateConfig(gamma, y_m, s_fit),
         achieved_probability=achieved[0],
@@ -289,15 +289,11 @@ def compare_gates(
     ``include_wigner`` builds the collapsed states."""
     grid = grid or default_grid()
     psi_in = make_vacuum(grid)
-    reference = reference_cat(n, 0.0, grid)
-
-    sides = []
-    for label, resource, y_m in (
-        (f"fock n={n} y_m=0", FockResource(n), 0.0),
-        (f"cubic gamma={cfg.gamma} y_m={cfg.y_m} s={cfg.s}", cfg.resource, cfg.y_m),
-    ):
-        p, f = grade_outcomes(psi_in, resource, [y_m], reference)
-        state = wigner(collapse(psi_in, resource, y_m).psi_out) if include_wigner else None
-        sides.append(GateSideReport(label, float(p[0]), 1.0 - float(f[0]),
-                                    float(resource.copy_shift(y_m)), state))
-    return GateComparison(*sides)
+    sides = ((f"fock n={n} y_m=0", FockResource(n), 0.0),
+             (f"cubic gamma={cfg.gamma} y_m={cfg.y_m} s={cfg.s}", cfg.resource, cfg.y_m))
+    grader = Grader(psi_in, reference_cat(n, 0.0, grid))
+    p, f = grader.grade([(resource, [y_m]) for _, resource, y_m in sides])
+    return GateComparison(*(
+        GateSideReport(label, float(p_i), 1.0 - float(f_i), float(resource.copy_shift(y_m)),
+                       wigner(collapse(psi_in, resource, y_m).psi_out) if include_wigner else None)
+        for (label, resource, y_m), p_i, f_i in zip(sides, p, f)))

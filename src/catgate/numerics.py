@@ -63,15 +63,17 @@ SUPPORT_TOL = 1e-15
 SUPPORT_LOG = -math.log(SUPPORT_TOL)
 
 #: Size of one block of work, as complex numbers, in the batched transforms
-#: of ``analysis.wigner`` and the outcome sums of ``gate.grade_outcomes``; a
-#: block's temporaries hold a few such arrays.  2 MiB blocks were the fastest
-#: of 0.5 to 16 MiB on the default 512 x 512 Wigner axes.  It also sizes
-#: the row blocks of ``WignerGrid.position_marginal`` and ``AIRY_BLOCK``.
+#: of ``analysis.wigner`` and the outcome sums of ``gate.Grader`` (a Fock
+#: resource's ``pass_nodes``); a block's temporaries hold a few such arrays.
+#: 2 MiB blocks were the fastest of 0.5 to 16 MiB on the default 512 x 512
+#: Wigner axes.  It also sizes the row blocks of
+#: ``WignerGrid.position_marginal`` and ``AIRY_BLOCK``.
 BLOCK_BYTES = 2 * 2 ** 20
 
-#: Nodes per Airy pass, of ``gate.grade_resources`` and of the odd-cat
-#: ladder's scan blocks (``matching._block_scan``): at the largest node
-#: count of ``_AIRY_RULES`` their Gauss-Laguerre node terms, float64, hold
+#: Nodes per Airy pass, of ``gate.Grader``'s cubic blocks
+#: (``CubicPhaseResource.pass_nodes``) and of the odd-cat ladder's scan
+#: blocks (``matching._block_scan``): at the largest node count of
+#: ``_AIRY_RULES`` their Gauss-Laguerre node terms, float64, hold
 #: ``BLOCK_BYTES``, and the default 39-point squeezing sweep's 7830 nodes
 #: are one pass.
 AIRY_BLOCK = BLOCK_BYTES // (8 * max(count for _, count in _AIRY_RULES))
@@ -419,12 +421,12 @@ def _airy_ai(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _airy_argument(gamma, s, y: np.ndarray) -> np.ndarray:
+def _airy_argument(gamma, s4, root, y: np.ndarray) -> np.ndarray:
     """The Airy argument ``z = (s^4/(12 gamma) - y) / (3 gamma)^(1/3)`` of the
-    cubic-state factor, elementwise: +inf at gamma = 0, and where
-    s^4/(12 gamma) overflows."""
+    cubic-state factor, elementwise, from s^4 and the root (3 gamma)^(1/3):
+    +inf at gamma = 0, and where s^4/(12 gamma) overflows."""
     with np.errstate(divide="ignore", over="ignore"):
-        return (s ** 4 / (12.0 * gamma) - y) / (3.0 * gamma) ** (1.0 / 3.0)
+        return (s4 / (12.0 * gamma) - y) / root
 
 
 def _airy_factor(points, counts, y: np.ndarray) -> np.ndarray:
@@ -432,10 +434,10 @@ def _airy_factor(points, counts, y: np.ndarray) -> np.ndarray:
     many operating points in one pass: the first ``counts[0]`` values of y
     at ``points[0]`` = (gamma, s), the next ``counts[1]`` at ``points[1]``,
     and so on.  Each point's constants are computed on arrays and repeated
-    per value: an array ``**`` gives an element the same bits in any array,
-    where a scalar one can differ from it in the last bit, so a value is the
-    same in any batch.  The Airy function takes one ``_airy_ai`` call per
-    side.
+    per value, s^4 and (3 gamma)^(1/3) among them: an array ``**`` gives an
+    element the same bits in any array, where a scalar one can differ from it
+    in the last bit, so a value is the same in any batch.  The Airy function
+    takes one ``_airy_ai`` call per side.
 
     ``u = 12 gamma y / s^4 < 1`` is the z > 0 side.  At gamma = 0, and for
     gamma so small that z overflows, z is +inf and every point takes the
@@ -443,14 +445,15 @@ def _airy_factor(points, counts, y: np.ndarray) -> np.ndarray:
     """
     gamma, s = np.array(points, dtype=np.float64).T
     norm = (s * s / np.pi) ** 0.25
+    s4, root = s ** 4, (3.0 * gamma) ** (1.0 / 3.0)
     with np.errstate(divide="ignore", over="ignore"):
-        airy_scale = norm * math.sqrt(2.0 * math.pi) / (3.0 * gamma) ** (1.0 / 3.0)
+        airy_scale = norm * math.sqrt(2.0 * math.pi) / root
         growth = s ** 6 / (108.0 * gamma * gamma)
-    gamma, s, norm, airy_scale, growth = np.repeat([gamma, s, norm, airy_scale, growth],
-                                                   counts, axis=1)
+    gamma, s, s4, root, norm, airy_scale, growth = np.repeat(
+        [gamma, s, s4, root, norm, airy_scale, growth], counts, axis=1)
     y = np.clip(y, -_AIRY_ZERO_Y, _AIRY_ZERO_Y)
-    z = _airy_argument(gamma, s, y)
-    u = 12.0 * gamma * y / s ** 4
+    z = _airy_argument(gamma, s4, root, y)
+    u = 12.0 * gamma * y / s4
     out = np.zeros_like(y)
 
     below = u < 1.0

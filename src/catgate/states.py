@@ -12,9 +12,12 @@ import numpy as np
 
 from .errors import NyquistError
 from .numerics import (
+    AIRY_BLOCK,
+    BLOCK_BYTES,
     SUPPORT_LOG,
     Grid,
     WaveFunction,
+    _airy_factor,
     hermite_function,
     hermite_values,
     oscillatory_fourier_factor,
@@ -27,20 +30,31 @@ Parity = Literal["even", "odd"]
 
 class Resource:
     """An ancilla state of the gate.  A resource is known to the gate only
-    through three closed forms:
+    through three closed forms, the first also in batches (``momentum_factors``):
 
     * ``momentum_factor(y)``, the amplitude [F psi_res](y) that multiplies the
       input in the collapse;
     * ``band()``, the half-width of F's spectrum psi_res, beyond which it is
-      below ``SUPPORT_TOL`` of its peak; ``grade_outcomes``' step comes from it;
+      below ``SUPPORT_TOL`` of its peak; the grader's step comes from it;
     * ``copy_shift(u)``, the semiclassical in-out mapping: at u = y - q
       (outcome y, target position q) the target momentum becomes
       p_in +- delta_p(u), the two copies of a cat; of u's shape, NaN where
       the measurement admits no copy.
     """
 
+    #: Most values per ``momentum_factors`` call of the grader: complex, filling ``BLOCK_BYTES``.
+    pass_nodes = BLOCK_BYTES // 16
+
     def momentum_factor(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @classmethod
+    def momentum_factors(cls, resources, counts, y: np.ndarray) -> np.ndarray:
+        """Complex factors of a 1-D float array of y, ``counts[k]`` values in
+        turn for each of ``resources``: one ``momentum_factor`` call each."""
+        ends = np.cumsum(counts).tolist()
+        return np.concatenate([resource.momentum_factor(y[end - count:end])
+                               for resource, count, end in zip(resources, counts, ends)])
 
     def band(self) -> float:
         raise NotImplementedError
@@ -100,6 +114,13 @@ class CubicPhaseResource(Resource):
     def momentum_factor(self, y: np.ndarray) -> np.ndarray:
         """An Airy function (``oscillatory_fourier_factor``)."""
         return np.asarray(oscillatory_fourier_factor(self.gamma, self.s, y))
+
+    pass_nodes = AIRY_BLOCK
+
+    @classmethod
+    def momentum_factors(cls, resources, counts, y: np.ndarray) -> np.ndarray:
+        """One Airy pass (``numerics._airy_factor``), bit for bit the calls one by one."""
+        return _airy_factor([(r.gamma, r.s) for r in resources], counts, y).astype(np.complex128)
 
     def band(self) -> float:
         """|psi_res| is the Gaussian (s^2/pi)^(1/4) exp(-s^2 t^2/2), which

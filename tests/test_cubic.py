@@ -130,11 +130,9 @@ def test_squeezing_scan_raises_at_the_first_failing_s():
     assert "s=0.6)" in str(raised.value)
 
 
-def test_grade_resources_takes_cubic_resources():
-    probability, fidelity = gate.grade_resources(VACUUM, [], 2.486, ODD_CAT)
+def test_grader_takes_no_jobs():
+    probability, fidelity = gate.Grader(VACUUM, ODD_CAT).grade([])
     assert probability.shape == fidelity.shape == (0,)
-    with pytest.raises(TypeError, match="cubic phase resources"):
-        gate.grade_resources(VACUUM, [FockResource(1)], 0.0, ODD_CAT)
 
 
 def test_squeezing_db_convention():

@@ -31,7 +31,7 @@ from catgate.errors import (
     ZeroProbabilityError,
 )
 from catgate import states
-from catgate.gate import grade_outcomes
+from catgate.gate import Grader, _grade_block, grade_outcomes
 from conftest import GRID, KICKED, ODD_GRID, VACUUM
 
 CAT5 = reference_cat(5, 0.0, GRID)
@@ -189,7 +189,8 @@ def test_zero_state_scans_raise_zero_probability(scan):
     lambda resource, y_m: collapse(VACUUM, resource, y_m),
     lambda resource, y_m: probability_density(VACUUM, resource, y_m),
     lambda resource, y_m: grade_outcomes(VACUUM, resource, [0.0, y_m], BestPhaseCat(5)),
-], ids=["collapse", "probability_density", "grade_outcomes"])
+    lambda resource, y_m: Grader(VACUUM, CAT5).grade([(resource, [0.0]), (resource, [y_m])]),
+], ids=["collapse", "probability_density", "grade_outcomes", "Grader"])
 def test_non_finite_outcome_is_a_value_error(evaluate, resource, y_m):
     """Every gate entry point names a non-finite outcome, where it used to give
     a NaN or zero density, a NaN fidelity or a misleading amplitude error."""
@@ -392,6 +393,23 @@ def test_spectral_fidelity_at_impossible_outcome_raises():
     assert densities[1] == 0.0
     with pytest.raises(ZeroProbabilityError, match="y_m=40.0"):
         grade_outcomes(VACUUM, FockResource(0), [0.0, 40.0], CAT5)
+
+
+@pytest.mark.parametrize("rows", [2, 7, 64])
+@pytest.mark.parametrize("reference", [None, CAT5, BestPhaseCat(5)], ids=["none", "cat", "best_phase"])
+def test_grade_block_sums_a_row_alone_as_in_a_block(rows, reference):
+    # the grader's blocks hold as many rows as fit: a row's sums do not
+    # depend on how many rows share its block, nor where it sits there
+    resource = FockResource(5)
+    ys = np.linspace(-3.0, 3.0, rows)
+    grader = Grader(KICKED, reference)
+    x, weights = grader.x[::3], grader.rows[:, ::3] * 3
+    factor = resource.momentum_factor((ys[:, None] - x).ravel()).reshape(rows, x.size)
+    p, f = _grade_block(factor, weights, reference, ys, x, resource)
+    for i in range(rows):
+        p_i, f_i = _grade_block(factor[i:i + 1], weights, reference, ys[i:i + 1], x, resource)
+        assert p_i[0] == p[i]
+        assert f_i is None if reference is None else f_i[0] == f[i]
 
 
 @pytest.mark.parametrize("count,spacing", [(400_000, "axis"), (40_000, "nodes")])

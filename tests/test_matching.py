@@ -305,16 +305,16 @@ def test_roots_match_sequential_bisection(problem):
 
 @pytest.fixture
 def grading_passes(monkeypatch):
-    """The s values of every ``grade_resources`` pass: the fits grade
-    through ``squeezing_scan``, which makes them."""
+    """The s values of every ``Grader.grade`` pass: the fits grade
+    through ``squeezing_curve``, which makes them."""
     passes = []
-    original = gate.grade_resources
+    original = gate.Grader.grade
 
-    def counted(psi_in, resources, *args):
-        passes.append([r.s for r in resources])
-        return original(psi_in, resources, *args)
+    def counted(grader, jobs):
+        passes.append([resource.s for resource, _ in jobs])
+        return original(grader, jobs)
 
-    monkeypatch.setattr(gate, "grade_resources", counted)
+    monkeypatch.setattr(gate.Grader, "grade", counted)
     return passes
 
 
@@ -336,6 +336,17 @@ def test_fit_squeezing_pinned_values(gamma, y_m, target, value, s_fit, grading_p
     assert [len(s_values) for s_values in grading_passes] == [16, 7, 3, 1]
 
 
+def test_fit_builds_one_grading_plan(monkeypatch, grading_passes):
+    # the vacuum, the reference cat and the grader are built once per fit,
+    # and serve its four grading passes
+    plans = []
+    original = gate._grading_plan
+    monkeypatch.setattr(gate, "_grading_plan", lambda *args: plans.append(1) or original(*args))
+    fit_squeezing(0.075, 2.486, "probability", 0.098)
+    assert len(plans) == 1
+    assert len(grading_passes) == 4
+
+
 def test_fit_reports_the_squeezing_scan_at_its_s():
     # the fit's curve is squeezing_scan's: its achieved values are that
     # sweep's at the fitted s, to the bit
@@ -350,14 +361,14 @@ def test_fit_reaches_a_crossing_before_a_node_that_cannot_be_graded(monkeypatch)
     # a grader that fails for s >= 0.3, inside the scan's first block but past
     # the crossing near s = 0.169: the block is graded node by node, and the
     # fit ends before the failing node, as a scan of one node at a time does
-    original = gate.grade_resources
+    original = gate.Grader.grade
 
-    def failing(psi_in, resources, *args):
-        if any(r.s >= 0.3 for r in resources):
+    def failing(grader, jobs):
+        if any(resource.s >= 0.3 for resource, _ in jobs):
             raise ZeroProbabilityError("no probability")
-        return original(psi_in, resources, *args)
+        return original(grader, jobs)
 
-    monkeypatch.setattr(gate, "grade_resources", failing)
+    monkeypatch.setattr(gate.Grader, "grade", failing)
     report = fit_squeezing(0.075, 2.486, "probability", 0.098)
     assert report.fitted.s == 0.169140625
     assert report.iterations == 5
@@ -371,14 +382,14 @@ def test_fit_bisects_past_a_midpoint_that_cannot_be_graded(monkeypatch, grading_
     # [0.15, 0.175] that the fit bisects: its first tree pass holds 0.153125,
     # which the walk to the crossing near s = 0.169 never reaches.  That step
     # is graded alone and the fit keeps its s and steps
-    counted = gate.grade_resources
+    counted = gate.Grader.grade
 
-    def failing(psi_in, resources, *args):
-        if any(0.152 < r.s < 0.155 for r in resources):
+    def failing(grader, jobs):
+        if any(0.152 < resource.s < 0.155 for resource, _ in jobs):
             raise ZeroProbabilityError("no probability")
-        return counted(psi_in, resources, *args)
+        return counted(grader, jobs)
 
-    monkeypatch.setattr(gate, "grade_resources", failing)
+    monkeypatch.setattr(gate.Grader, "grade", failing)
     report = fit_squeezing(0.075, 2.486, "probability", 0.098)
     assert report.fitted.s == 0.169140625
     assert report.iterations == 5
