@@ -412,6 +412,20 @@ def test_grade_block_sums_a_row_alone_as_in_a_block(rows, reference):
         assert f_i is None if reference is None else f_i[0] == f[i]
 
 
+@pytest.mark.parametrize("reference", [None, CAT5], ids=["none", "cat"])
+def test_grader_grades_each_job_as_alone(reference):
+    # one call packs runs of jobs with different strides into shared Fock
+    # blocks, and a cubic job into its own; every row keeps the bits of its
+    # job graded alone
+    jobs = [(FockResource(5), np.linspace(-3.0, 3.0, 2000)),
+            (FockResource(2), np.linspace(-2.0, 2.0, 3000)),
+            (CubicPhaseResource(0.3, 0.5), np.linspace(0.0, 4.0, 50))]
+    p, f = Grader(KICKED, reference).grade(jobs)
+    alone = [grade_outcomes(KICKED, resource, ys, reference) for resource, ys in jobs]
+    assert np.array_equal(p, np.concatenate([p_job for p_job, _ in alone]))
+    assert f is None if reference is None else np.array_equal(f, np.concatenate([f_job for _, f_job in alone]))
+
+
 @pytest.mark.parametrize("count,spacing", [(400_000, "axis"), (40_000, "nodes")])
 def test_spectral_memory_does_not_grow_with_outcomes(count, spacing):
     # one outcome-by-node matrix for 400k outcomes would hold about 600 MiB

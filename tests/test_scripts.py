@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,7 @@ def test_script_outputs_match_the_golden_manifest(tmp_path, monkeypatch):
         f"{', '.join(moved)}.  Run scripts/compare_outputs.py on the parent commit's "
         f"outputs against these ({outputs}) to see by how much; a change made on "
         f"purpose replaces the manifest with {tmp_path / GOLDEN.name}")
+    shutil.rmtree(outputs)  # 67 MB that pytest would keep for its last three runs
 
 
 @pytest.mark.parametrize(
