@@ -31,8 +31,8 @@ from .errors import (
 )
 from .gate import (
     CollapseResult,
+    Grader,
     collapse,
-    grade_outcomes,
     probability_density,
     probability_scan,
 )
@@ -84,6 +84,7 @@ __all__ = [
     "FockResource",
     "GateComparison",
     "GateSideReport",
+    "Grader",
     "Grid",
     "GridMismatchError",
     "GridSupportError",
@@ -103,7 +104,6 @@ __all__ = [
     "fidelity_mix",
     "fit_squeezing",
     "fourier_transform",
-    "grade_outcomes",
     "hermite_function",
     "hermite_values",
     "linearize",

@@ -133,9 +133,9 @@ def fidelity(a: WaveFunction, b: WaveFunction) -> float:
 def fidelity_coh(psi_out: WaveFunction, n: int, y_m: float) -> float:
     """Fidelity against the linearized reference whose phase theta tracks the
     measurement outcome (the best-matching coherent superposition), for one
-    collapsed state.  It is the oracle of the batched path,
-    ``gate.grade_outcomes`` with a ``BestPhaseCat`` reference, which grades a
-    whole outcome scan without collapsing."""
+    collapsed state.  It is the oracle of the batched path, a ``gate.Grader``
+    with a ``BestPhaseCat`` reference, which grades a whole outcome scan
+    without collapsing."""
     return fidelity(psi_out, reference_cat(n, y_m, psi_out.grid))
 
 
@@ -162,8 +162,8 @@ def fidelity_mix(n: int, d: float | np.ndarray, psi_in: WaveFunction) -> tuple:
         F_mix = (1/P_mix) integral P(y) F_cat(y) dy,
         P_mix = integral P(y) dy,
 
-    both by one Gauss-Legendre rule, at whose nodes ``gate.grade_outcomes``
-    evaluates P and F_cat in one pass.  P(y) = (|psi_in|^2 * |F|^2)(y) and
+    both by one Gauss-Legendre rule, at whose nodes ``gate.Grader`` evaluates
+    P and F_cat in one pass.  P(y) = (|psi_in|^2 * |F|^2)(y) and
     A(y) = (conj(ref) psi_in * F)(y) are convolutions with the resource
     factor F, whose spectrum is psi_res, so P and |A|^2 = P F_cat have a band
     of at most 2 B_F in y, B_F = ``FockResource(n).band()``, whatever the
@@ -175,7 +175,7 @@ def fidelity_mix(n: int, d: float | np.ndarray, psi_in: WaveFunction) -> tuple:
     d is one width or a 1-D array of widths, each in [0, 2 sqrt(2n+1)], the
     cat regime.  Every width is checked before any is graded: one outside
     it, NaN included, is a ValueError that names the first such width.  The
-    nodes of every width go through one ``grade_outcomes`` call, and each
+    nodes of every width are one job of one ``Grader.grade`` call, and each
     width sums its own slice, so its result does not depend on the others.
     The half-width d/2 cancels in F_mix, which is sum w P F_cat / sum w P,
     and only P_mix = (d/2) sum w P carries it: a width of 1e-320 still
@@ -197,8 +197,8 @@ def fidelity_mix(n: int, d: float | np.ndarray, psi_in: WaveFunction) -> tuple:
     band = resource.band()
     rules = [_gauss_legendre(math.ceil(band * half) + 16) for half in halves.tolist()]
     nodes = np.concatenate([half * x for half, (x, _) in zip(halves.tolist(), rules)])
-    densities, fidelities = gate.grade_outcomes(psi_in, resource, nodes,
-                                                reference_cat(n, 0.0, psi_in.grid))
+    grader = gate.Grader(psi_in, reference_cat(n, 0.0, psi_in.grid))
+    densities, fidelities = grader.grade([(resource, nodes)])
     splits = np.cumsum([weights.size for _, weights in rules])[:-1]
     sums = np.array([(np.sum(weights * p), np.sum(weights * p * f))
                      for (_, weights), p, f in zip(rules, np.split(densities, splits),

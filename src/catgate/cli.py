@@ -38,7 +38,7 @@ from .analysis import WIGNER_STRIDE, WignerGrid, strided_axis
 from .analysis import fidelity_cat, fidelity_coh, fidelity_mix, wigner
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import CatGateError, ConvergenceError, LinearizationDomainError
-from .gate import collapse, grade_outcomes, probability_scan
+from .gate import Grader, collapse, probability_scan
 from .matching import LADDER_ENTRIES, compare_gates, fit_squeezing, ladder_entries, odd_cat_ladder
 from .numerics import MIN_SQUEEZING, Grid, default_grid, validate_fock_order
 from .semiclassical import REFERENCE_N, BestPhaseCat, reference_cat
@@ -416,7 +416,7 @@ def _scan_cohfid(v) -> Output:
     columns = []
     for n in v.fock:
         ys = np.arange(0.0, 0.98 * FockResource(n).copy_shift(0.0), v.step)
-        _, fidelities = grade_outcomes(psi_in, FockResource(n), ys, BestPhaseCat(n))
+        _, fidelities = Grader(psi_in, BestPhaseCat(n)).grade([(FockResource(n), ys)])
         columns.append((np.full(ys.size, n), ys, 1.0 - fidelities))
     n_col, y_col, f_col = map(np.concatenate, zip(*columns))
     table = Table("infidelity vs outcome, best-phase reference",
@@ -429,7 +429,7 @@ def _scan_catfid(v) -> Output:
     lo, hi = v.window
     ys = np.arange(lo, hi + v.step / 2, v.step)
     reference = reference_cat(v.fock, 0.0, v.grid)
-    _, fidelities = grade_outcomes(psi_in, FockResource(v.fock), ys, reference)
+    _, fidelities = Grader(psi_in, reference).grade([(FockResource(v.fock), ys)])
     table = Table("infidelity vs outcome, fixed even/odd cat reference",
                   {"ym": ys, "infidelity_cat": 1.0 - fidelities})
     return Output([(".csv", table)], f"{len(ys)} rows")
@@ -500,7 +500,7 @@ def _match_compare(v) -> Output:
             raise ValueError(f"--entry: the ladder holds odd cats; --fock {v.fock} is even")
         # equal success probability: fit s so the cubic gate matches the
         # Fock gate's own density at its optimal outcome
-        target_p = float(grade_outcomes(make_vacuum(v.grid), FockResource(v.fock), [0.0])[0][0])
+        target_p = float(Grader(make_vacuum(v.grid)).grade([(FockResource(v.fock), [0.0])])[0][0])
         y_m, gamma = odd_cat_ladder(v.entry, reference_n=v.fock)[v.entry - 1]
         cfg = fit_squeezing(gamma, y_m, "probability", target_p, grid=v.grid).fitted
 

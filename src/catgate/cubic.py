@@ -54,8 +54,8 @@ def squeezing_curve(gamma: float, y_m: float, grid: Grid | None = None):
     fits: s values -> (P(y_m), infidelity against the odd/even cat of the Fock
     gate with ``REFERENCE_N`` photons at y_m = 0).  Its input, reference and
     ``gate.Grader`` are built once.  A call checks every s, then grades all in
-    one ``Grader.grade``, each to the bits of a ``grade_outcomes`` call; the
-    first s that cannot be graded raises."""
+    one ``Grader.grade``, each to the bits of a job of its own; the first s
+    that cannot be graded raises."""
     grid = grid or default_grid()
     grader = gate.Grader(make_vacuum(grid), reference_cat(REFERENCE_N, 0.0, grid))
 

@@ -14,9 +14,8 @@ density of observing y_m.
 peak, psi_out is exactly 0 there, and the resource factor is not evaluated.
 ``probability_density`` evaluates one outcome on the full grid; it is the
 untrimmed oracle.  ``Grader`` is the one grader of P(y) and the fidelity, for
-any (resource, outcome) pairs, without building a state; ``grade_outcomes``
-is its one-resource form.  ``collapse`` is left to the states that are
-written out.
+any (resource, outcome) pairs, without building a state, and the one place
+that checks them.  ``collapse`` is left to the states that are written out.
 """
 
 from __future__ import annotations
@@ -85,18 +84,6 @@ def probability_density(psi_in: WaveFunction, resource: Resource, y_m: float) ->
     return float(np.trapezoid(integrand, dx=grid.spacing))
 
 
-def grade_outcomes(psi_in: WaveFunction, resource: Resource, y_values,
-                   reference: WaveFunction | BestPhaseCat | None = None
-                   ) -> tuple[np.ndarray, np.ndarray | None]:
-    """P(y) over a set of outcomes of one resource, and with a ``reference``
-    the fidelity: one job of a ``Grader``.  Returns (P, fidelity), the latter
-    None without a reference."""
-    resource = require_resource(resource)
-    if np.ndim(y_values) != 1:
-        raise ValueError("y_values must be a 1-D set of outcomes")
-    return Grader(psi_in, reference).grade([(resource, y_values)])
-
-
 class Grader:
     """The one grader: probability densities P(y) of (resource, outcome)
     pairs, and with a ``reference`` the fidelities
@@ -119,13 +106,14 @@ class Grader:
     are computed once (``_grading_plan``), and outcomes go through in blocks
     of a fixed size, so memory does not grow with their number.
 
-    The ``reference`` is a fixed state, or a ``BestPhaseCat``, whose cat
-    changes with the outcome (the best-phase fidelity).  Its overlap row is
-    then the outcome-free envelope times psi_in, whose FFT band is widened
-    by the largest copy spacing p_plus of the outcomes; the cat's modulation
-    is evaluated in closed form on the strided nodes, block by block, and is
-    normalized in closed form.  An outcome outside the cat domain raises
-    ``LinearizationDomainError`` before any grading.
+    The ``reference`` is None, a fixed state, or a ``BestPhaseCat``, whose
+    cat changes with the outcome (the best-phase fidelity); anything else is
+    a TypeError.  A best-phase overlap row is the outcome-free envelope
+    times psi_in, whose FFT band is widened by the largest copy spacing
+    p_plus of the outcomes; the cat's modulation is evaluated in closed form
+    on the strided nodes, block by block, and is normalized in closed form.
+    An outcome outside the cat domain raises ``LinearizationDomainError``
+    before any grading.
 
     P agrees with ``probability_density`` and ``collapse`` to about 1e-13
     relative wherever it exceeds 1e-20; below that the input's support, cut
@@ -141,10 +129,13 @@ class Grader:
 
     def grade(self, jobs) -> tuple[np.ndarray, np.ndarray | None]:
         """(P, fidelity) of each outcome of the jobs, in order, the fidelity
-        None without a reference.  A job is a resource and a 1-D set of its
-        outcomes, each a finite float or a ValueError, graded to the bits of a
+        None without a reference.  A job is a resource, else TypeError, and a
+        1-D set of its outcomes, each a finite float, else ValueError; every
+        job is checked before any is graded.  Each is graded to the bits of a
         job of its own, except that a ``BestPhaseCat``'s band is that of every job."""
-        jobs, shift = [(resource, _finite_outcomes(ys)) for resource, ys in jobs], 0.0
+        jobs, shift = [(require_resource(r), _finite_outcomes(ys)) for r, ys in jobs], 0.0
+        if any(ys.ndim != 1 for _, ys in jobs):
+            raise ValueError("a job's outcomes must be a 1-D set")
         if isinstance(self.reference, BestPhaseCat):
             shift = max((self.reference.band(ys) for _, ys in jobs), default=0.0)
         total = sum(ys.size for _, ys in jobs)
@@ -192,17 +183,19 @@ def _grading_plan(psi_in: WaveFunction, reference: WaveFunction | BestPhaseCat |
     """A ``Grader``'s input support nodes, the trapezoid-weighted rows on them,
     the edge of each row's spectrum, and the grid step."""
     grid = psi_in.grid
+    rows = [np.abs(psi_in.values) ** 2]
+    if isinstance(reference, BestPhaseCat):
+        rows.append(reference.envelope(grid.points) * psi_in.values)
+    elif isinstance(reference, WaveFunction):
+        if reference.grid != grid:
+            raise GridMismatchError("the reference must live on the input's grid")
+        rows.append(np.conj(reference.values) * psi_in.values)
+    elif reference is not None:
+        raise TypeError(f"unsupported reference {reference!r}")
     live = psi_in.support()
     if live.stop == live.start:
         raise ZeroProbabilityError("a zero input state has vanishing probability density")
     h = grid.spacing
-    rows = [np.abs(psi_in.values) ** 2]
-    if isinstance(reference, BestPhaseCat):
-        rows.append(reference.envelope(grid.points) * psi_in.values)
-    elif reference is not None:
-        if reference.grid != grid:
-            raise GridMismatchError("the reference must live on the input's grid")
-        rows.append(np.conj(reference.values) * psi_in.values)
     rows = np.array(rows, dtype=np.complex128) * h
     rows[:, [0, -1]] *= 0.5  # trapezoid end points
     rows = rows[:, live]  # nothing outside the input's support
@@ -246,10 +239,10 @@ def _grade_block(factor, weights, reference, ys, x, resource) -> tuple[np.ndarra
 
 
 def probability_scan(psi_in: WaveFunction, resource: Resource, y_values) -> np.ndarray:
-    """Probability density over a set of outcomes, by ``grade_outcomes``.
+    """Probability density over a set of outcomes, by a ``Grader``.
 
     Returns an array of shape (len(y_values), 2) with columns (y_m, P).
     Results are assembled in input order.
     """
     y_values = np.asarray(y_values, dtype=np.float64)
-    return np.column_stack([y_values, grade_outcomes(psi_in, resource, y_values)[0]])
+    return np.column_stack([y_values, Grader(psi_in).grade([(resource, y_values)])[0]])

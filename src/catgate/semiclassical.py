@@ -84,7 +84,7 @@ class BestPhaseCat:
     c = cos for even n and sin for odd n (``make_cat``'s global factor i
     dropped), with the closed-form norm
     N(y) = (sqrt(pi)/2) (1 +- cos(2 theta) exp(-p_plus^2)).  ``reference_cat``
-    builds one of these on a grid; ``gate.grade_outcomes`` grades against the
+    builds one of these on a grid; a ``gate.Grader`` grades against the
     whole family at once, as the outcome-free ``envelope`` exp(-x^2/2) times
     the ``modulation`` c(...) / sqrt(N), whose spectrum is the two lines
     +-p_plus(y).

@@ -30,7 +30,7 @@ from catgate import (
 from catgate import states
 from catgate.analysis import strided_axis
 from catgate.errors import GridSupportError, LinearizationDomainError
-from catgate.gate import grade_outcomes
+from catgate.gate import Grader
 from conftest import GRID, KICKED, ODD_GRID, VACUUM
 
 ODD_VACUUM = make_vacuum(ODD_GRID)
@@ -234,7 +234,7 @@ def test_fidelity_coh_domain_error():
 def test_best_phase_grader_matches_collapse_and_fidelity_coh(n):
     # the outcomes of scan cohfid, the last one included; both parities
     ys = np.arange(0.0, 0.98 * math.sqrt(2 * n + 1), 0.05)
-    _, batched = grade_outcomes(VACUUM, FockResource(n), ys, BestPhaseCat(n))
+    _, batched = Grader(VACUUM, BestPhaseCat(n)).grade([(FockResource(n), ys)])
     for y_m, f in zip(ys.tolist(), batched):
         result = collapse(VACUUM, FockResource(n), y_m)
         assert abs(f - fidelity_coh(result.psi_out, n, y_m)) <= 1e-12
@@ -244,14 +244,14 @@ def test_best_phase_grader_takes_any_input():
     # a kicked input is complex and narrower than the cat: the cat's norm
     # must not be cut to the input's support
     ys = np.array([-1.7, -0.3, 0.0, 0.9, 2.2])
-    _, batched = grade_outcomes(KICKED, FockResource(4), ys, BestPhaseCat(4))
+    _, batched = Grader(KICKED, BestPhaseCat(4)).grade([(FockResource(4), ys)])
     for y_m, f in zip(ys.tolist(), batched):
         result = collapse(KICKED, FockResource(4), y_m)
         assert abs(f - fidelity_coh(result.psi_out, 4, y_m)) <= 1e-12
 
 
 def test_best_phase_grader_at_zero_outcome_is_the_cat_fidelity():
-    _, [f] = grade_outcomes(VACUUM, FockResource(5), [0.0], BestPhaseCat(5))
+    _, [f] = Grader(VACUUM, BestPhaseCat(5)).grade([(FockResource(5), [0.0])])
     result = collapse(VACUUM, FockResource(5), 0.0)
     assert f == pytest.approx(fidelity_cat(result.psi_out, 5), abs=1e-14)
 
@@ -261,7 +261,7 @@ def test_best_phase_domain_error_comes_before_any_grading(monkeypatch, n, ys, ba
     calls = []
     monkeypatch.setattr(states, "hermite_values", lambda *a: calls.append(a))
     with pytest.raises(LinearizationDomainError, match=f"y_m={bad} "):
-        grade_outcomes(VACUUM, FockResource(n), ys, BestPhaseCat(n))
+        Grader(VACUUM, BestPhaseCat(n)).grade([(FockResource(n), ys)])
     assert calls == []
 
 
@@ -367,7 +367,7 @@ def test_window_domain_is_closed():
     # d = 0 is the d -> 0 limit: no probability, and the cat fidelity at y = 0
     f_mix, p_mix = fidelity_mix(5, 0.0, VACUUM)
     reference = reference_cat(5, 0.0, GRID)
-    _, fidelities = grade_outcomes(VACUUM, FockResource(5), np.zeros(1), reference)
+    _, fidelities = Grader(VACUUM, reference).grade([(FockResource(5), np.zeros(1))])
     assert p_mix == 0.0
     assert f_mix == float(fidelities[0])
     # the widest window, 2 sqrt(2n+1), is accepted as it stands
@@ -385,7 +385,7 @@ def test_mix_widths_are_graded_independently():
 
 
 def test_mix_of_no_widths_is_empty():
-    # like an empty squeezing_scan or grade_outcomes: nothing to grade, after
+    # like an empty squeezing_scan or Grader.grade: nothing to grade, after
     # the Fock order is checked
     f_mix, p_mix = fidelity_mix(5, np.array([]), VACUUM)
     assert f_mix.shape == p_mix.shape == (0,)
@@ -441,8 +441,8 @@ def test_mix_matches_a_512_node_rule(kicked, n, d):
     # from n = 22 on, the widest window needs more than 64 nodes
     psi_in = KICKED if kicked else VACUUM
     nodes, weights = np.polynomial.legendre.leggauss(512)
-    densities, fidelities = grade_outcomes(psi_in, FockResource(n), 0.5 * d * nodes,
-                                           reference_cat(n, 0.0, GRID))
+    grader = Grader(psi_in, reference_cat(n, 0.0, GRID))
+    densities, fidelities = grader.grade([(FockResource(n), 0.5 * d * nodes)])
     p_rule = 0.5 * d * float(np.sum(weights * densities))
     f_rule = 0.5 * d * float(np.sum(weights * densities * fidelities)) / p_rule
     f_mix, p_mix = fidelity_mix(n, d, psi_in)

@@ -297,8 +297,8 @@ def test_scan_mixfid_checks_every_width_before_grading(monkeypatch, capsys, in_t
     # 7.0, the last of the 11 widths of 0..7, is beyond 2 sqrt(11) = 6.63325,
     # and none of the ten widths below it is graded
     calls = []
-    original = gate.grade_outcomes
-    monkeypatch.setattr(gate, "grade_outcomes", lambda *a: calls.append(a) or original(*a))
+    original = gate.Grader.grade
+    monkeypatch.setattr(gate.Grader, "grade", lambda *a: calls.append(a) or original(*a))
     assert main(["scan", "mixfid", "--fock", "5", "--d", "0..7", "--out", "sm"]) == 2
     assert capsys.readouterr().err == ("error: window width d must be in "
                                        "[0, 2*sqrt(2n+1)] = [0, 6.63325], got 7.0\n")
@@ -308,8 +308,8 @@ def test_scan_mixfid_checks_every_width_before_grading(monkeypatch, capsys, in_t
 
 def test_scan_mixfid_grades_every_width_in_one_call(monkeypatch, in_tmp):
     calls = []
-    original = gate.grade_outcomes
-    monkeypatch.setattr(gate, "grade_outcomes", lambda *a: calls.append(a) or original(*a))
+    original = gate.Grader.grade
+    monkeypatch.setattr(gate.Grader, "grade", lambda *a: calls.append(a) or original(*a))
     assert main(["scan", "mixfid", "--fock", "5", "--d", "0..2", "--points", "21",
                  "--out", "sm"]) == 0
     assert len(calls) == 1
@@ -329,17 +329,21 @@ def test_scan_squeeze_matched_row():
 def test_scan_squeeze_checks_every_s_before_grading(monkeypatch, capsys, in_tmp):
     # 1.5 is the last of the three squeezing factors, and none of them is graded
     calls = []
-    original = gate.grade_outcomes
-    monkeypatch.setattr(gate, "grade_outcomes", lambda *a: calls.append(a) or original(*a))
+    original = gate.Grader.grade
+    monkeypatch.setattr(gate.Grader, "grade", lambda *a: calls.append(a) or original(*a))
     args = ["scan", "squeeze", "--gamma", "0.075", "--ym", "2.486", "--srange", "0.05,1.5,3"]
     assert main(args) == 2
     assert capsys.readouterr().err == "error: squeezing factor s must be in [0.05, 1], got 1.5\n"
     assert calls == []
     assert list(in_tmp.iterdir()) == []
+    # the spy sees the grading of a valid range
+    args[-1] = "0.05,1,3"
+    assert main(args + ["--out", "sq"]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["scan", "catfid", "--fock", "5"], "grade_outcomes"),
+    (["scan", "catfid", "--fock", "5"], "Grader"),
     (["scan", "probability", "--fock", "1"], "probability_scan"),
     (["wigner", "--fock", "5"], "wigner"),
 ])
@@ -356,7 +360,7 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys, argv, name):
 
 @pytest.mark.parametrize("command, name", [
     ("probability", "probability_scan"),
-    ("cohfid", "grade_outcomes"),
+    ("cohfid", "Grader"),
 ])
 def test_fock_range_is_checked_before_any_curve(monkeypatch, capsys, in_tmp, command, name):
     calls = []

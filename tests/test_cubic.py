@@ -10,7 +10,6 @@ from catgate import (
     collapse,
     fidelity,
     gate,
-    grade_outcomes,
     probability_density,
     reference_cat,
     squeezing_db,
@@ -87,7 +86,8 @@ def test_squeezing_scan_is_one_grading_per_s(gamma, y_m):
     # the sweep is graded in one pass, each s on its own stride, to the bit
     s_values = np.linspace(*SQUEEZING_SWEEP)
     probability, infidelity = squeezing_scan(gamma, y_m, s_values)
-    single = [grade_outcomes(VACUUM, CubicPhaseResource(gamma, s), [y_m], ODD_CAT) for s in s_values]
+    single = [gate.Grader(VACUUM, ODD_CAT).grade([(CubicPhaseResource(gamma, s), [y_m])])
+              for s in s_values]
     assert np.array_equal(probability, [p[0] for p, _ in single])
     assert np.array_equal(infidelity, [1.0 - f[0] for _, f in single])
 
@@ -123,7 +123,7 @@ def test_squeezing_scan_raises_at_the_first_failing_s():
     # at (0.001, 30) P is below MIN_COLLAPSE_NORM for s = 0.3 and 0.6 but not
     # for 0.1 and 1; the sweep fails as the per-s gradings in order do, at 0.6
     with pytest.raises(ZeroProbabilityError) as expected:
-        grade_outcomes(VACUUM, CubicPhaseResource(0.001, 0.6), [30.0], ODD_CAT)
+        gate.Grader(VACUUM, ODD_CAT).grade([(CubicPhaseResource(0.001, 0.6), [30.0])])
     with pytest.raises(ZeroProbabilityError) as raised:
         squeezing_scan(0.001, 30.0, [0.1, 0.6, 0.3, 1.0])
     assert str(raised.value) == str(expected.value)

@@ -31,7 +31,7 @@ from catgate.errors import (
     ZeroProbabilityError,
 )
 from catgate import states
-from catgate.gate import Grader, _grade_block, grade_outcomes
+from catgate.gate import Grader, _grade_block
 from conftest import GRID, KICKED, ODD_GRID, VACUUM
 
 CAT5 = reference_cat(5, 0.0, GRID)
@@ -175,8 +175,10 @@ def test_zero_state_collapse_raises_zero_probability(resource):
         collapse(WaveFunction(GRID, np.zeros(GRID.n_points)), resource, 0.0)
 
 
-@pytest.mark.parametrize("scan", [grade_outcomes, probability_scan],
-                         ids=["grade_outcomes", "probability_scan"])
+@pytest.mark.parametrize("scan", [
+    lambda psi_in, resource, ys: Grader(psi_in).grade([(resource, ys)]),
+    probability_scan,
+], ids=["Grader", "probability_scan"])
 def test_zero_state_scans_raise_zero_probability(scan):
     with pytest.raises(ZeroProbabilityError):
         scan(WaveFunction(GRID, np.zeros(GRID.n_points)), FockResource(1), [0.0])
@@ -188,9 +190,9 @@ def test_zero_state_scans_raise_zero_probability(scan):
 @pytest.mark.parametrize("evaluate", [
     lambda resource, y_m: collapse(VACUUM, resource, y_m),
     lambda resource, y_m: probability_density(VACUUM, resource, y_m),
-    lambda resource, y_m: grade_outcomes(VACUUM, resource, [0.0, y_m], BestPhaseCat(5)),
+    lambda resource, y_m: Grader(VACUUM, BestPhaseCat(5)).grade([(resource, [0.0, y_m])]),
     lambda resource, y_m: Grader(VACUUM, CAT5).grade([(resource, [0.0]), (resource, [y_m])]),
-], ids=["collapse", "probability_density", "grade_outcomes", "Grader"])
+], ids=["collapse", "probability_density", "Grader_best_phase", "Grader"])
 def test_non_finite_outcome_is_a_value_error(evaluate, resource, y_m):
     """Every gate entry point names a non-finite outcome, where it used to give
     a NaN or zero density, a NaN fidelity or a misleading amplitude error."""
@@ -208,11 +210,11 @@ def test_huge_outcome_is_finite_or_typed_without_warnings(resource, y_m):
         warnings.simplefilter("error")
         assert np.all(resource.momentum_factor(np.array([y_m])) == 0.0)
         assert probability_density(VACUUM, resource, y_m) == 0.0
-        assert np.all(grade_outcomes(VACUUM, resource, [y_m])[0] == 0.0)
+        assert np.all(Grader(VACUUM).grade([(resource, [y_m])])[0] == 0.0)
         with pytest.raises(ZeroProbabilityError):
-            grade_outcomes(VACUUM, resource, [y_m], CAT5)
+            Grader(VACUUM, CAT5).grade([(resource, [y_m])])
         with pytest.raises(LinearizationDomainError):
-            grade_outcomes(VACUUM, resource, [y_m], BestPhaseCat(5))
+            Grader(VACUUM, BestPhaseCat(5)).grade([(resource, [y_m])])
         with pytest.raises(ZeroProbabilityError):
             collapse(VACUUM, resource, y_m)
 
@@ -239,8 +241,8 @@ def test_any_outcome_is_finite_or_typed_without_warnings(resource, y_m):
     evaluations = {
         "collapse": lambda: collapse(VACUUM, resource, y_m).psi_out.values,
         "probability_density": lambda: probability_density(VACUUM, resource, y_m),
-        "grade_outcomes": lambda: grade_outcomes(VACUUM, resource, [y_m])[0],
-        "grade_outcomes_cat": lambda: np.concatenate(grade_outcomes(VACUUM, resource, [y_m], CAT5)),
+        "Grader": lambda: Grader(VACUUM).grade([(resource, [y_m])])[0],
+        "Grader_cat": lambda: np.concatenate(Grader(VACUUM, CAT5).grade([(resource, [y_m])])),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -297,8 +299,8 @@ def test_collapse_evaluates_the_resource_on_the_support_only(monkeypatch):
     lambda resource: collapse(VACUUM, resource, 0.0),
     lambda resource: probability_density(VACUUM, resource, 0.0),
     lambda resource: probability_scan(VACUUM, resource, [0.0]),
-    lambda resource: grade_outcomes(VACUUM, resource, [0.0]),
-], ids=["collapse", "probability_density", "probability_scan", "grade_outcomes"])
+    lambda resource: Grader(VACUUM).grade([(resource, [0.0])]),
+], ids=["collapse", "probability_density", "probability_scan", "Grader"])
 def test_unsupported_resource_type_raises(evaluate):
     """Every entry point of the gate refuses a non-resource with one error."""
     with pytest.raises(TypeError, match="unsupported resource"):
@@ -314,7 +316,7 @@ def assert_spectral_matches_direct(psi_in, resource, ys, conditioning=0.0):
     P to 1e-13 relative plus ``conditioning``, the relative error that
     rounding the factor's argument puts on F^2 at every node, and F_cat to
     1e-13."""
-    densities, fidelities = grade_outcomes(psi_in, resource, ys, CAT5)
+    densities, fidelities = Grader(psi_in, CAT5).grade([(resource, ys)])
     for y_m, p, f in zip(ys, densities, fidelities):
         result = collapse(psi_in, resource, float(y_m))
         assert abs(p - result.norm_N) <= (1e-13 + conditioning) * result.norm_N
@@ -353,8 +355,8 @@ def test_spectral_cubic_outcomes_match_direct(gamma, s, kicked, u):
 def test_spectral_uniform_axis_agrees_with_node_sums():
     ys = np.arange(-6.0, 6.0 + 1e-9, 0.05)
     order = np.random.default_rng(0).permutation(ys.size)
-    p_axis, f_axis = grade_outcomes(KICKED, FockResource(4), ys, CAT5)
-    p_nodes, f_nodes = grade_outcomes(KICKED, FockResource(4), ys[order], CAT5)
+    p_axis, f_axis = Grader(KICKED, CAT5).grade([(FockResource(4), ys)])
+    p_nodes, f_nodes = Grader(KICKED, CAT5).grade([(FockResource(4), ys[order])])
     assert np.max(np.abs(p_axis[order] - p_nodes)) < 1e-13
     assert np.max(np.abs(f_axis[order] - f_nodes) * p_nodes) < 1e-13
 
@@ -372,7 +374,7 @@ def test_spectral_single_node_input_is_a_nyquist_error():
     spike = np.zeros(GRID.n_points)
     spike[100] = 1.0
     with pytest.raises(NyquistError, match="Nyquist limit"):
-        grade_outcomes(WaveFunction(GRID, spike), FockResource(1), [0.0])
+        Grader(WaveFunction(GRID, spike)).grade([(FockResource(1), [0.0])])
 
 
 def test_spectral_density_outside_support_and_never_negative():
@@ -385,14 +387,14 @@ def test_spectral_density_outside_support_and_never_negative():
 
 def test_spectral_reference_must_share_the_grid():
     with pytest.raises(GridMismatchError):
-        grade_outcomes(VACUUM, FockResource(5), [0.0], reference_cat(5, 0.0, ODD_GRID))
+        Grader(VACUUM, reference_cat(5, 0.0, ODD_GRID)).grade([(FockResource(5), [0.0])])
 
 
 def test_spectral_fidelity_at_impossible_outcome_raises():
-    densities, _ = grade_outcomes(VACUUM, FockResource(0), [0.0, 40.0])
+    densities, _ = Grader(VACUUM).grade([(FockResource(0), [0.0, 40.0])])
     assert densities[1] == 0.0
     with pytest.raises(ZeroProbabilityError, match="y_m=40.0"):
-        grade_outcomes(VACUUM, FockResource(0), [0.0, 40.0], CAT5)
+        Grader(VACUUM, CAT5).grade([(FockResource(0), [0.0, 40.0])])
 
 
 @pytest.mark.parametrize("rows", [2, 7, 64])
@@ -421,9 +423,36 @@ def test_grader_grades_each_job_as_alone(reference):
             (FockResource(2), np.linspace(-2.0, 2.0, 3000)),
             (CubicPhaseResource(0.3, 0.5), np.linspace(0.0, 4.0, 50))]
     p, f = Grader(KICKED, reference).grade(jobs)
-    alone = [grade_outcomes(KICKED, resource, ys, reference) for resource, ys in jobs]
+    alone = [Grader(KICKED, reference).grade([job]) for job in jobs]
     assert np.array_equal(p, np.concatenate([p_job for p_job, _ in alone]))
     assert f is None if reference is None else np.array_equal(f, np.concatenate([f_job for _, f_job in alone]))
+
+
+@pytest.mark.parametrize("resource", [FockResource(5), CubicPhaseResource(0.3, 0.5)],
+                         ids=["fock", "cubic"])
+@pytest.mark.parametrize("bad_job, error, message", [
+    (lambda resource: (resource, 0.5), ValueError, "1-D"),
+    (lambda resource: (resource, [[0.0, 1.0]]), ValueError, "1-D"),
+    (lambda resource: ("fock", [0.0]), TypeError, "unsupported resource"),
+    (lambda resource: (resource, [0.0, math.nan]), ValueError, "not finite"),
+], ids=["scalar", "2-D", "not_a_resource", "nan"])
+def test_grader_checks_every_job_before_grading_any(monkeypatch, resource, bad_job, error, message):
+    # a good job first: the bad one after it stops the call before any factor
+    calls = []
+    original = type(resource).momentum_factors
+    monkeypatch.setattr(type(resource), "momentum_factors",
+                        classmethod(lambda cls, *a: calls.append(a) or original(*a)))
+    with pytest.raises(error, match=message):
+        Grader(VACUUM, CAT5).grade([(resource, [0.0]), bad_job(resource)])
+    assert calls == []
+    Grader(VACUUM, CAT5).grade([(resource, [0.0])])
+    assert len(calls) == 1  # the spy sees the good job graded alone
+
+
+@pytest.mark.parametrize("reference", ["cat", 5])
+def test_grader_refuses_a_reference_that_is_not_a_state(reference):
+    with pytest.raises(TypeError, match="unsupported reference"):
+        Grader(VACUUM, reference)
 
 
 @pytest.mark.parametrize("count,spacing", [(400_000, "axis"), (40_000, "nodes")])
@@ -434,7 +463,7 @@ def test_spectral_memory_does_not_grow_with_outcomes(count, spacing):
         ys[1::2] += 1e-3
     tracemalloc.start()
     try:
-        grade_outcomes(VACUUM, FockResource(5), ys, CAT5)
+        Grader(VACUUM, CAT5).grade([(FockResource(5), ys)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,7 +475,7 @@ def test_best_phase_memory_does_not_grow_with_outcomes():
     ys = np.linspace(-3.0, 3.0, 400_000)
     tracemalloc.start()
     try:
-        grade_outcomes(VACUUM, FockResource(5), ys, BestPhaseCat(5))
+        Grader(VACUUM, BestPhaseCat(5)).grade([(FockResource(5), ys)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

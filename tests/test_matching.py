@@ -21,7 +21,7 @@ from catgate import (
 )
 from catgate.cubic import SQUEEZING_SWEEP
 from catgate.errors import ConvergenceError, FitRangeError, ZeroProbabilityError
-from catgate.gate import grade_outcomes
+from catgate.gate import Grader
 from catgate.matching import _node_residual, _roots, _scan
 from catgate.numerics import AIRY_BLOCK, _airy_ai
 from conftest import GRID, VACUUM, odd_cat_phase_offset
@@ -400,7 +400,7 @@ def test_fit_ends_before_the_physical_zero_probability_nodes():
     # at (0.001, 30) P falls below MIN_COLLAPSE_NORM from s of about 0.2 to
     # 0.8, after a crossing of 1e-30 near s = 0.082
     with pytest.raises(ZeroProbabilityError):
-        grade_outcomes(VACUUM, CubicPhaseResource(0.001, 0.3), [30.0], reference_cat(5, 0.0, GRID))
+        Grader(VACUUM, reference_cat(5, 0.0, GRID)).grade([(CubicPhaseResource(0.001, 0.3), [30.0])])
     report = fit_squeezing(0.001, 30.0, "probability", 1e-30)
     assert report.fitted.s == 0.08242187499999998
     assert report.iterations == 5
@@ -417,7 +417,7 @@ def test_fit_squeezing_brackets_the_graded_crossing(gamma, y_m, target, value, b
     reference = reference_cat(5, 0.0, GRID)
 
     def residual(s):
-        p, f = grade_outcomes(VACUUM, CubicPhaseResource(gamma, s), [y_m], reference)
+        p, f = Grader(VACUUM, reference).grade([(CubicPhaseResource(gamma, s), [y_m])])
         return (p[0] if target == "probability" else 1.0 - f[0]) - value
 
     lo, hi = bracket

@@ -1,5 +1,6 @@
 """The public surface: the functions an outside timing wrapper patches by
-name, and the package's export list.
+name, the package's export list, and the module attributes that the README
+and the docstrings name.
 
 The benchmark's ``--trace 1`` mode wraps these functions as attributes of
 their modules and of every catgate module that imported them.  A refactor that
@@ -10,6 +11,9 @@ without touching this test.
 
 import ast
 import importlib
+import pathlib
+import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +55,25 @@ def test_every_export_resolves():
     exec("from catgate import *", namespace)
     for name in catgate.__all__:
         assert namespace[name] is getattr(catgate, name)
+
+
+PACKAGE = pathlib.Path(catgate.__file__).parent
+MODULES = {info.name for info in pkgutil.iter_modules([str(PACKAGE)])}
+# a backticked `module.name` or ``catgate.module.name``; a file name such as
+# `gate.py` is not one
+NAMED = re.compile(r"`(?:catgate\.)?(\w+)\.(\w+)")
+
+
+def test_every_named_module_attribute_resolves():
+    """The README and the docstrings name no function or class that is gone."""
+    texts = [pathlib.Path(__file__).parents[1] / "README.md", *sorted(PACKAGE.glob("*.py"))]
+    named = {(module, name) for path in texts
+             for module, name in NAMED.findall(path.read_text(encoding="utf-8"))
+             if module in MODULES and name != "py"}
+    assert len(named) > 5
+    missing = [f"{module}.{name}" for module, name in sorted(named)
+               if not hasattr(importlib.import_module(f"catgate.{module}"), name)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("resource, kernel", [
