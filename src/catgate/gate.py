@@ -109,9 +109,10 @@ class Grader:
     The ``reference`` is None, a fixed state, or a ``BestPhaseCat``, whose
     cat changes with the outcome (the best-phase fidelity); anything else is
     a TypeError.  A best-phase overlap row is the outcome-free envelope
-    times psi_in, whose FFT band is widened by the largest copy spacing
-    p_plus of the outcomes; the cat's modulation is evaluated in closed form
-    on the strided nodes, block by block, and is normalized in closed form.
+    times psi_in, whose FFT band is widened by sqrt(2n + 1), the largest
+    copy spacing p_plus at any outcome; the cat's modulation is evaluated in
+    closed form on the strided nodes, block by block, and is normalized in
+    closed form.
     An outcome outside the cat domain raises ``LinearizationDomainError``
     before any grading.
 
@@ -124,24 +125,25 @@ class Grader:
     """
 
     def __init__(self, psi_in: WaveFunction, reference: WaveFunction | BestPhaseCat | None = None):
-        self.x, self.rows, self.edges, self.h = _grading_plan(psi_in, reference)
+        self.x, self.rows, self.band, self.h = _grading_plan(psi_in, reference)
         self.reference = reference
 
     def grade(self, jobs) -> tuple[np.ndarray, np.ndarray | None]:
         """(P, fidelity) of each outcome of the jobs, in order, the fidelity
         None without a reference.  A job is a resource, else TypeError, and a
         1-D set of its outcomes, each a finite float, else ValueError; every
-        job is checked before any is graded.  Each is graded to the bits of a
-        job of its own, except that a ``BestPhaseCat``'s band is that of every job."""
-        jobs, shift = [(require_resource(r), _finite_outcomes(ys)) for r, ys in jobs], 0.0
+        job is checked before any is graded, against a ``BestPhaseCat``'s
+        domain too.  Each is graded to the bits of a job of its own."""
+        jobs = [(require_resource(r), _finite_outcomes(ys)) for r, ys in jobs]
         if any(ys.ndim != 1 for _, ys in jobs):
             raise ValueError("a job's outcomes must be a 1-D set")
         if isinstance(self.reference, BestPhaseCat):
-            shift = max((self.reference.band(ys) for _, ys in jobs), default=0.0)
+            for _, ys in jobs:
+                self.reference.parameters(ys)
         total = sum(ys.size for _, ys in jobs)
         probability = np.empty(total)
         fidelity = None if self.reference is None else np.empty(total)
-        for block in self._blocks(jobs, shift):
+        for block in self._blocks(jobs):
             pieces = [(ys[:, None] - self.x[::stride]).ravel() for _, ys, stride, _ in block]
             counts = [piece.size for piece in pieces]
             resources = [resource for resource, _, _, _ in block]
@@ -155,16 +157,14 @@ class Grader:
                     fidelity[start:start + ys.size] = f
         return probability, fidelity
 
-    def _blocks(self, jobs, shift: float):
+    def _blocks(self, jobs):
         """Runs (resource, outcomes, stride, first row) of the jobs' rows, in
         order, in blocks of one resource class and at most its ``pass_nodes``
-        nodes, or of one row alone.  B_in includes one lattice step, and a
-        best-phase row's p_plus ``shift``."""
-        band = max(edge + s for edge, s in zip(self.edges, (0.0, shift)))
-        band += 2.0 * math.pi / (self.x.size * self.h)
+        nodes, or of one row alone; a job's stride resolves B_in (``band``)
+        plus twice its resource's band."""
         block, used, start = [], 0, 0
         for resource, ys in jobs:
-            stride = max(1, int(2.0 * math.pi / (self.h * (band + 2.0 * resource.band()))))
+            stride = max(1, int(2.0 * math.pi / (self.h * (self.band + 2.0 * resource.band()))))
             size, a = self.x[::stride].size, 0
             while a < ys.size:
                 if block and (used + size > resource.pass_nodes
@@ -181,7 +181,9 @@ class Grader:
 
 def _grading_plan(psi_in: WaveFunction, reference: WaveFunction | BestPhaseCat | None):
     """A ``Grader``'s input support nodes, the trapezoid-weighted rows on them,
-    the edge of each row's spectrum, and the grid step."""
+    their band B_in, and the grid step.  B_in is the larger of the rows' FFT
+    edges, a best-phase overlap row's widened by the cat's ``band()``, plus
+    one lattice step."""
     grid = psi_in.grid
     rows = [np.abs(psi_in.values) ** 2]
     if isinstance(reference, BestPhaseCat):
@@ -215,7 +217,9 @@ def _grading_plan(psi_in: WaveFunction, reference: WaveFunction | BestPhaseCat |
         )
     # a row's edge lies within one lattice step past its last node above it
     edges = [float(np.max(np.abs(k_grid[above]), initial=0.0)) for above in size > SUPPORT_TOL]
-    return grid.points[live], rows, edges, h
+    shift = reference.band() if isinstance(reference, BestPhaseCat) else 0.0
+    band = max(edge + s for edge, s in zip(edges, (0.0, shift)))
+    return grid.points[live], rows, band + 2.0 * math.pi / (n * h), h
 
 
 def _grade_block(factor, weights, reference, ys, x, resource) -> tuple[np.ndarray, np.ndarray | None]:

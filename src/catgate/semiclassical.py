@@ -107,15 +107,10 @@ class BestPhaseCat:
         theta = phase_function(self.n, -y_m / resource.copy_shift(0.0))
         return theta, p_plus
 
-    def band(self, y_values) -> float:
-        """The largest p_plus over the outcomes, the half-width of the
-        modulations' spectra; checks the domain of every outcome."""
-        y = np.asarray(y_values, dtype=np.float64)
-        if y.size == 0:
-            return 0.0
-        y_abs = np.abs(y)
-        _, p_plus = self.parameters(y[[np.argmax(y_abs), np.argmin(y_abs)]])
-        return float(p_plus[1])
+    def band(self) -> float:
+        """sqrt(2n + 1), the largest p_plus at any outcome: a bound on the
+        half-width of every modulation's spectrum."""
+        return float(FockResource(self.n).copy_shift(0.0))
 
     @staticmethod
     def envelope(x: np.ndarray) -> np.ndarray:

@@ -414,16 +414,25 @@ def test_grade_block_sums_a_row_alone_as_in_a_block(rows, reference):
         assert f_i is None if reference is None else f_i[0] == f[i]
 
 
-@pytest.mark.parametrize("reference", [None, CAT5], ids=["none", "cat"])
-def test_grader_grades_each_job_as_alone(reference):
+MIXED_JOBS = [(FockResource(5), np.linspace(-3.0, 3.0, 2000)),
+              (FockResource(2), np.linspace(-2.0, 2.0, 3000)),
+              (CubicPhaseResource(0.3, 0.5), np.linspace(0.0, 4.0, 50))]
+
+
+@pytest.mark.parametrize("psi_in, reference, jobs", [
+    (KICKED, None, MIXED_JOBS),
+    (KICKED, CAT5, MIXED_JOBS),
+    # on the vacuum the overlap row sets the band; the smallest |y| of a job
+    # sets its largest p_plus, and the other job's must not widen its band
+    (VACUUM, BestPhaseCat(5), [(FockResource(5), np.linspace(2.5, 3.0, 200)),
+                               (FockResource(3), np.linspace(-0.5, 0.5, 300))]),
+], ids=["none", "cat", "best_phase"])
+def test_grader_grades_each_job_as_alone(psi_in, reference, jobs):
     # one call packs runs of jobs with different strides into shared Fock
     # blocks, and a cubic job into its own; every row keeps the bits of its
     # job graded alone
-    jobs = [(FockResource(5), np.linspace(-3.0, 3.0, 2000)),
-            (FockResource(2), np.linspace(-2.0, 2.0, 3000)),
-            (CubicPhaseResource(0.3, 0.5), np.linspace(0.0, 4.0, 50))]
-    p, f = Grader(KICKED, reference).grade(jobs)
-    alone = [Grader(KICKED, reference).grade([job]) for job in jobs]
+    p, f = Grader(psi_in, reference).grade(jobs)
+    alone = [Grader(psi_in, reference).grade([job]) for job in jobs]
     assert np.array_equal(p, np.concatenate([p_job for p_job, _ in alone]))
     assert f is None if reference is None else np.array_equal(f, np.concatenate([f_job for _, f_job in alone]))
 
