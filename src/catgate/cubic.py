@@ -29,8 +29,9 @@ class CubicGateConfig:
 
     def __post_init__(self) -> None:
         validate_cubic_params(self.gamma, self.s)
-        if not self.y_m >= 0:
-            raise ValueError("cubic gate outcomes use the y_m >= 0 convention")
+        if not 0 <= self.y_m < math.inf:
+            raise ValueError(f"cubic gate outcomes use the y_m >= 0 convention and are "
+                             f"finite, got y_m={self.y_m}")
 
     @property
     def resource(self) -> CubicPhaseResource:

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Union
@@ -88,6 +89,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.n_points))):
+            raise ValueError(f"grid needs finite bounds and size, got {self}")
         if self.n_points < 16:
             raise ValueError(f"grid needs at least 16 points, got {self.n_points}")
         if not self.x_max > self.x_min:
@@ -260,7 +263,10 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
 
 
 def validate_fock_order(n: int) -> None:
-    """Range check shared by every Fock entry point, the Hermite kernel included."""
+    """Check shared by every Fock entry point, the Hermite kernel included:
+    n is an integer, Python's or numpy's but not a bool, in its range."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"Fock order must be an integer, got {n!r}")
     if not 0 <= n <= MAX_HERMITE_ORDER:
         raise ValueError(f"Fock resource supports n in [0, {MAX_HERMITE_ORDER}], got {n}")
 
@@ -470,7 +476,7 @@ def _airy_factor(points, counts, y: np.ndarray) -> np.ndarray:
 
     oscillating = np.flatnonzero(~below)
     scale = np.exp(growth[oscillating] * (1.0 - 1.5 * u[oscillating]))
-    keep = scale > 0.0
+    keep = scale != 0.0  # a NaN y keeps its NaN
     live = oscillating[keep]
     out[live] = airy_scale[live] * scale[keep] * _airy_ai(z[live])
     return out
@@ -501,7 +507,8 @@ def oscillatory_fourier_factor(
     product takes its limit (s^2/pi)^(1/4) / (s sqrt(w)); at gamma = 0,
     where w = 1, it is the Gaussian.
     On the z <= 0 side a factor whose exponential underflows is exactly 0, so
-    an impossible outcome reads as zero probability rather than NaN.
+    an impossible outcome reads as zero probability rather than NaN; a NaN y
+    gives NaN.
 
     Returns a complex for a scalar y and a complex128 array for a 1-D y.
     """

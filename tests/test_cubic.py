@@ -39,6 +39,12 @@ def test_config_validation():
         CubicGateConfig(0.3, float("nan"), 0.3)
 
 
+@pytest.mark.parametrize("y_m", [math.inf, math.nan])
+def test_config_refuses_a_non_finite_outcome_when_built(y_m):
+    with pytest.raises(ValueError, match=f"y_m >= 0 convention and are finite, got y_m={y_m}"):
+        CubicGateConfig(0.3, y_m, 0.5)
+
+
 def test_copy_spacing():
     # the copy spacing of a centered input is the resource's copy shift at y_m
     assert MATCH_P.resource.copy_shift(MATCH_P.y_m) == math.sqrt(2.486 / (3.0 * 0.075))

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,8 @@ from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.special import airy, airye
 
 from catgate import (
+    BestPhaseCat,
+    CubicPhaseResource,
     FockResource,
     Grid,
     WaveFunction,
@@ -49,6 +52,14 @@ def test_grid_validation():
         Grid(-1.0, 1.0, 8)
     with pytest.raises(ValueError):
         Grid(1.0, -1.0, 64)
+
+
+@pytest.mark.parametrize("bounds", [(-math.inf, 16.0, 4096), (-16.0, math.inf, 4096),
+                                    (math.nan, 16.0, 4096), (-16.0, 16.0, math.nan),
+                                    (-16.0, 16.0, math.inf)])
+def test_grid_refuses_non_finite_numbers_when_built(bounds):
+    with pytest.raises(ValueError, match="finite bounds and size"):
+        Grid(*bounds)
 
 
 def test_grid_symmetry_flag():
@@ -143,6 +154,26 @@ def test_fock_order_has_one_rule(build, n):
     # pass for psi_1; every path refuses with the one message
     with pytest.raises(ValueError, match=rf"^Fock resource supports n in \[0, 64\], got {n}$"):
         build(n)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, np.True_], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda n: hermite_values(n, GRID.points),
+    lambda n: hermite_function(n, Grid(-24.0, 24.0, 4096)),
+    lambda n: FockResource(n),
+    lambda n: odd_cat_ladder(1, reference_n=n),
+    lambda n: BestPhaseCat(n).parameters([0.0]),
+], ids=["hermite_values", "hermite_function", "FockResource", "odd_cat_ladder", "BestPhaseCat"])
+def test_fock_order_is_an_integer(build, n):
+    # an integral float or a bool would pass the range check as some other n
+    with pytest.raises(ValueError, match=f"^{re.escape(f'Fock order must be an integer, got {n!r}')}$"):
+        build(n)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3)], ids=repr)
+def test_fock_order_may_be_a_numpy_integer(n):
+    assert np.array_equal(FockResource(n).momentum_factor(GRID.points),
+                          FockResource(3).momentum_factor(GRID.points))
 
 
 def test_hermite_values_stable_at_high_order():
@@ -482,6 +513,16 @@ def test_factor_is_finite_over_the_validated_box(gamma, s, y):
     assert math.isfinite(oscillatory_fourier_factor(gamma, s, y).real)
     window = oscillatory_fourier_factor(gamma, s, y + np.linspace(-16.0, 16.0, 65))
     assert np.all(np.isfinite(window))
+
+
+def test_nan_outcome_gives_a_nan_cubic_factor():
+    # like hermite_values and _airy_ai, and not 0, which reads as an
+    # impossible outcome; the finite values keep their bits
+    ys = np.array([math.nan, 1.0, -2.0, 30.0])
+    factor = oscillatory_fourier_factor(0.3, 0.5, ys)
+    assert np.isnan(factor[0]) and np.isnan(oscillatory_fourier_factor(0.3, 0.5, math.nan))
+    assert np.array_equal(factor[1:], oscillatory_fourier_factor(0.3, 0.5, ys[1:]))
+    assert np.isnan(CubicPhaseResource(0.3, 0.5).momentum_factor(ys)[0])
 
 
 def test_vector_matches_scalar_path():

@@ -87,3 +87,13 @@ def test_resource_closed_forms_call_kernels_by_module_name(monkeypatch, resource
     monkeypatch.setattr(states, kernel, lambda *a: calls.append(a) or original(*a))
     resource.momentum_factor(np.linspace(-2.0, 2.0, 5))
     assert len(calls) == 1
+
+
+def test_readme_python_examples_run():
+    """Every ```python block of the README runs as written."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(readme), "exec"), {})
