@@ -37,12 +37,8 @@ def test_config_validation():
         CubicGateConfig(0.3, -1.0, 0.3)
     with pytest.raises(ValueError, match="y_m >= 0"):
         CubicGateConfig(0.3, float("nan"), 0.3)
-
-
-@pytest.mark.parametrize("y_m", [math.inf, math.nan])
-def test_config_refuses_a_non_finite_outcome_when_built(y_m):
-    with pytest.raises(ValueError, match=f"y_m >= 0 convention and are finite, got y_m={y_m}"):
-        CubicGateConfig(0.3, y_m, 0.5)
+    with pytest.raises(ValueError, match="are finite, got y_m=inf"):
+        CubicGateConfig(0.3, math.inf, 0.5)
 
 
 def test_copy_spacing():

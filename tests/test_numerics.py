@@ -170,7 +170,7 @@ def test_fock_order_is_an_integer(build, n):
         build(n)
 
 
-@pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3)], ids=repr)
+@pytest.mark.parametrize("n", [3, np.int64(3)], ids=repr)
 def test_fock_order_may_be_a_numpy_integer(n):
     assert np.array_equal(FockResource(n).momentum_factor(GRID.points),
                           FockResource(3).momentum_factor(GRID.points))
