@@ -21,7 +21,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Union
@@ -265,7 +264,7 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
 def validate_fock_order(n: int) -> None:
     """Check shared by every Fock entry point, the Hermite kernel included:
     n is an integer, Python's or numpy's but not a bool, in its range."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"Fock order must be an integer, got {n!r}")
     if not 0 <= n <= MAX_HERMITE_ORDER:
         raise ValueError(f"Fock resource supports n in [0, {MAX_HERMITE_ORDER}], got {n}")
