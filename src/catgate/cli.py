@@ -308,9 +308,9 @@ def _write_csv(path: str, title: str, columns: dict) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """One JSON file in one write, with an LF line end on every platform."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
 
 
 def _write(command: Command, v: SimpleNamespace, texts: dict, output: Output) -> None:

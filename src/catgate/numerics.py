@@ -64,8 +64,10 @@ SUPPORT_LOG = -math.log(SUPPORT_TOL)
 
 #: Size of one block of work, as complex numbers, in the batched transforms
 #: of ``analysis.wigner`` and the outcome sums of ``gate.Grader`` (a Fock
-#: resource's ``pass_nodes``); a block's temporaries hold a few such arrays.
-#: 2 MiB blocks were the fastest of 0.5 to 16 MiB on the default 512 x 512
+#: resource's ``pass_nodes``).  A Wigner block holds its products and one
+#: FFT buffer, each about this size: by tracemalloc, 2.5 MiB above the 2 MiB
+#: result at the default axes of the Fock-5 output, 3.1 MiB above the 32 MiB
+#: result on 2048 x 2048 axes.  2 MiB blocks were the fastest of 0.5 to 16 MiB on the default 512 x 512
 #: Wigner axes.  It also sizes the row blocks of
 #: ``WignerGrid.position_marginal`` and ``AIRY_BLOCK``.
 BLOCK_BYTES = 2 * 2 ** 20
@@ -88,8 +90,12 @@ class Grid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.x_min, self.x_max, self.n_points))):
-            raise ValueError(f"grid needs finite bounds and size, got {self}")
+        # an integer size that numpy can index; a float size, inf and nan
+        # included, or a bool is refused here, not by the first array built
+        size = _is_integer(self.n_points) and self.n_points <= np.iinfo(np.intp).max
+        if not (size and math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"grid needs finite bounds and size, the size an integer "
+                             f"that fits an array index, got {self}")
         if self.n_points < 16:
             raise ValueError(f"grid needs at least 16 points, got {self.n_points}")
         if not self.x_max > self.x_min:
@@ -227,11 +233,15 @@ def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int
     batched FFT pass; the result has f's leading shape and a last axis of
     length m.  Exact up to FFT roundoff for any offsets and spacings, of
     either sign.
+
+    The chirped input goes into one zero-padded buffer of f's leading shape
+    and ``nfft = next_fast_len(n + m - 1)`` complex values a row, which both
+    FFTs and the kernel product transform in place; the result is a view of
+    it.  So a call holds f and that one buffer, and f is never written.
     """
     n = f.shape[-1]
     a = dy * h
     k = np.arange(n, dtype=np.float64)
-    g = f * np.exp(-1j * ((y0 * h) * k + 0.5 * a * k * k))
     nfft = next_fast_len(n + m - 1)
     kk = np.arange(max(n, m), dtype=np.float64)
     chirp = np.exp(0.5j * a * kk * kk)
@@ -239,9 +249,11 @@ def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int
     kernel[:m] = chirp[:m]
     if n > 1:
         kernel[-(n - 1):] = chirp[1:n][::-1]
-    spectrum = np.fft.fft(g, nfft, axis=-1)
-    spectrum *= np.fft.fft(kernel)
-    out = np.fft.ifft(spectrum, axis=-1)[..., :m]
+    buf = np.zeros(f.shape[:-1] + (nfft,), dtype=np.complex128)
+    np.multiply(f, np.exp(-1j * ((y0 * h) * k + 0.5 * a * k * k)), out=buf[..., :n])
+    np.fft.fft(buf, axis=-1, out=buf)
+    buf *= np.fft.fft(kernel)
+    out = np.fft.ifft(buf, axis=-1, out=buf)[..., :m]
     j = np.arange(m, dtype=np.float64)
     out *= np.exp(-1j * (0.5 * a * j * j + (y0 + dy * j) * x0))
     return out
@@ -261,17 +273,26 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     return WaveFunction(grid, out * dx / math.sqrt(2.0 * math.pi))
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer, Python's or numpy's but not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def validate_fock_order(n: int) -> None:
     """Check shared by every Fock entry point, the Hermite kernel included:
-    n is an integer, Python's or numpy's but not a bool, in its range."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    n is an integer (``_is_integer``) in its range."""
+    if not _is_integer(n):
         raise ValueError(f"Fock order must be an integer, got {n!r}")
     if not 0 <= n <= MAX_HERMITE_ORDER:
         raise ValueError(f"Fock resource supports n in [0, {MAX_HERMITE_ORDER}], got {n}")
 
 
 def validate_cubic_params(gamma: float, s: float) -> None:
-    """Range check shared by every cubic-resource entry point."""
+    """Check shared by every cubic-resource entry point: gamma and s are in
+    their ranges, and neither is a bool, Python's or numpy's."""
+    for name, value in (("gamma", gamma), ("s", s)):
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"cubic parameter {name} must be a number, got {value!r}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"cubic nonlinearity gamma must be in [0, 1], got {gamma}")
     if not MIN_SQUEEZING <= s <= 1.0:

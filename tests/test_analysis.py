@@ -170,16 +170,18 @@ def test_wigner_rows_outside_the_support_are_exactly_zero():
     assert np.all(np.any(w.values[~outside], axis=1))
 
 
-def test_wigner_memory_does_not_grow_with_momentum_axis():
-    # a dense (2N-1) x M kernel alone would be 256 MiB here; the result
-    # itself is 512 x 2049 doubles, 8 MiB
+@pytest.mark.parametrize("y_axis", [None, Grid(-16.0, 16.0, 2049)], ids=["default", "m2049"])
+def test_wigner_memory_does_not_grow_with_momentum_axis(y_axis):
+    # a dense (2N-1) x M kernel alone would be 256 MiB at m = 2049; the
+    # result is 512 x m doubles, and each block holds about one 2 MiB work
+    # buffer besides its products
     tracemalloc.start()
     try:
-        wigner(VACUUM, y_axis=Grid(-16.0, 16.0, 2049))
+        w = wigner(VACUUM, y_axis=y_axis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert peak < w.values.nbytes + 4 * 2 ** 20
 
 
 def test_wigner_custom_momentum_axis():

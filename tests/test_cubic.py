@@ -39,6 +39,12 @@ def test_config_validation():
         CubicGateConfig(0.3, float("nan"), 0.3)
     with pytest.raises(ValueError, match="are finite, got y_m=inf"):
         CubicGateConfig(0.3, math.inf, 0.5)
+    # a bool is not a number here, as it is not a Fock order
+    for gamma, s in ((True, 0.5), (np.True_, 0.5), (0.3, True), (0.3, np.True_)):
+        with pytest.raises(ValueError, match="must be a number, got"):
+            CubicPhaseResource(gamma, s)
+        with pytest.raises(ValueError, match="must be a number, got"):
+            CubicGateConfig(gamma, 1.0, s)
 
 
 def test_copy_spacing():

@@ -33,6 +33,7 @@ from catgate.numerics import (
     SUPPORT_TOL,
     _airy_ai,
     _airy_factor,
+    _offset_dft,
     next_fast_len,
 )
 from conftest import GRID, ODD_GRID
@@ -60,6 +61,16 @@ def test_grid_validation():
 def test_grid_refuses_non_finite_numbers_when_built(bounds):
     with pytest.raises(ValueError, match="finite bounds and size"):
         Grid(*bounds)
+
+
+@pytest.mark.parametrize("size", [4096.5, 4096.0, True, np.True_, 10 ** 400, 2 ** 63])
+def test_grid_size_is_an_integer_that_fits_an_index(size):
+    with pytest.raises(ValueError, match="the size an integer that fits an array index"):
+        Grid(-16.0, 16.0, size)
+
+
+def test_grid_size_may_be_a_numpy_integer():
+    assert Grid(-16.0, 16.0, np.int64(64)).points.size == 64
 
 
 def test_grid_symmetry_flag():
@@ -231,6 +242,21 @@ def test_fourth_power_is_identity():
         for _ in range(4):
             out = fourier_transform(out)
         assert np.max(np.abs(out.values - psi.values)) < 1e-6
+
+
+@pytest.mark.parametrize("m", [20, 50])
+def test_offset_dft_matches_the_direct_sum_and_keeps_its_input(m):
+    # two rows in one batch, y off the x lattice and fewer or more outputs
+    # than inputs; the input is read, never written
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=(2, 37)) + 1j * rng.normal(size=(2, 37))
+    kept = f.copy()
+    x0, h, y0, dy = 0.7, -0.3, -1.1, 0.13
+    out = _offset_dft(f, x0, h, y0, dy, m)
+    direct = f @ np.exp(-1j * np.outer(x0 + h * np.arange(37), y0 + dy * np.arange(m)))
+    assert out.shape == (2, m)
+    assert np.max(np.abs(out - direct)) < 1e-12
+    assert np.array_equal(f, kept)
 
 
 def test_next_fast_len_matches_scipy():
