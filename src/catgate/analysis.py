@@ -91,8 +91,8 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
     the transform's one buffer; nothing of it outlives it.  So the working
     memory does not grow with the axis sizes (until a single row outgrows
     the block): by tracemalloc, 2.5 MiB above the result at the default axes
-    of the Fock-5 output, 3.1 MiB on 2048 x 2048 axes.  The values agree with the direct sum over the full grid to FFT roundoff,
-    about 1e-13.
+    of the Fock-5 output, 3.1 MiB on 2048 x 2048 axes.  The values agree with
+    the direct sum over the full grid to FFT roundoff, about 1e-13.
     """
     grid = psi.grid
     x_axis = x_axis or strided_axis(grid)

@@ -67,9 +67,9 @@ SUPPORT_LOG = -math.log(SUPPORT_TOL)
 #: resource's ``pass_nodes``).  A Wigner block holds its products and one
 #: FFT buffer, each about this size: by tracemalloc, 2.5 MiB above the 2 MiB
 #: result at the default axes of the Fock-5 output, 3.1 MiB above the 32 MiB
-#: result on 2048 x 2048 axes.  2 MiB blocks were the fastest of 0.5 to 16 MiB on the default 512 x 512
-#: Wigner axes.  It also sizes the row blocks of
-#: ``WignerGrid.position_marginal`` and ``AIRY_BLOCK``.
+#: result on 2048 x 2048 axes.  2 MiB blocks were the fastest of 0.5 to
+#: 16 MiB on the default 512 x 512 Wigner axes.  It also sizes the row blocks
+#: of ``WignerGrid.position_marginal`` and ``AIRY_BLOCK``.
 BLOCK_BYTES = 2 * 2 ** 20
 
 #: Nodes per Airy pass, of ``gate.Grader``'s cubic blocks
@@ -79,6 +79,11 @@ BLOCK_BYTES = 2 * 2 ** 20
 #: ``BLOCK_BYTES``, and the default 39-point squeezing sweep's 7830 nodes
 #: are one pass.
 AIRY_BLOCK = BLOCK_BYTES // (8 * max(count for _, count in _AIRY_RULES))
+
+
+def _is_integer(value) -> bool:
+    """Whether value is an integer, Python's or numpy's but not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 @dataclass(frozen=True)
@@ -271,11 +276,6 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     dx = grid.spacing
     out = _offset_dft(psi.values, grid.x_min, dx, grid.x_min, dx, grid.n_points)
     return WaveFunction(grid, out * dx / math.sqrt(2.0 * math.pi))
-
-
-def _is_integer(value) -> bool:
-    """Whether value is an integer, Python's or numpy's but not a bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 def validate_fock_order(n: int) -> None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from catgate import FockResource, analysis, cli, cubic, gate, make_vacuum, matching
-from catgate.cli import _write_csv, _write_json, main
+from catgate.cli import _write_csv, main
 from catgate.numerics import MIN_SQUEEZING, default_grid
 from catgate.semiclassical import REFERENCE_N
 
@@ -224,12 +224,6 @@ def test_write_csv_golden_bytes():
         b"-0,0.25,-0\n-0,-1e-300,nan\n"
         b"1.5,0.25,0\n1.5,-1e-300,0\n"
         b"1e+22,0.25,inf\n1e+22,-1e-300,1e+22\n")
-
-
-def test_write_json_golden_bytes():
-    # keys sorted, two-space indent, ASCII escapes and one LF at the end
-    _write_json("g.json", {"b": [1, 2.5], "a": "\u00e9"})
-    assert open("g.json", "rb").read() == b'{\n  "a": "\\u00e9",\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
 
 
 def test_write_csv_holds_one_row_at_a_time():
