@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .analysis import (
     WignerGrid,
+    WignerRows,
     fidelity,
     fidelity_cat,
     fidelity_coh,
@@ -93,6 +94,7 @@ __all__ = [
     "NyquistError",
     "WaveFunction",
     "WignerGrid",
+    "WignerRows",
     "ZeroProbabilityError",
     "added_factor",
     "collapse",

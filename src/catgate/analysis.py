@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,64 +70,106 @@ def strided_axis(grid: Grid, stride: int = WIGNER_STRIDE) -> Grid:
     return Grid(float(pts[0]), float(pts[-1]), len(pts))
 
 
-def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = None) -> WignerGrid:
-    """Wigner function W(x, y) = (1/pi) integral dz conj(psi)(x+z) psi(x-z)
-    exp(2 i y z) on the axes x, by default ``strided_axis(psi.grid)``, and y,
-    by default the x axis.
+class WignerRows:
+    """The Wigner function W(x, y) = (1/pi) integral dz conj(psi)(x+z)
+    psi(x-z) exp(2 i y z) on the axes x, by default ``strided_axis(psi.grid)``,
+    and y, by default the x axis, as a stream of row blocks.
 
-    The z integral runs over the state's support (``WaveFunction.support``,
-    L nodes), outside which psi is below ``SUPPORT_TOL`` of its peak and is
+    Building it checks the axes (``_axis_indices``) and finds the state's
+    support; iterating it yields ``(values, imag_residue)`` for consecutive
+    blocks of x rows, in x order, each row once: ``values`` is a (rows, M)
+    float array, valid until the next block is asked for, and
+    ``imag_residue`` the largest imaginary part the block discarded.
+    ``wigner`` collects it into a ``WignerGrid``; the CLI writes it into its
+    table without holding the grid.
+
+    The z integral runs over the support (``WaveFunction.support``, L
+    nodes), outside which psi is below ``SUPPORT_TOL`` of its peak and is
     taken as 0: the symmetric lattice of offsets z = k h (the state vanishes
     at the support's edge, so the trapezoid sum is spectrally accurate).  A
-    row whose x lies outside the support has no nonzero product and is
-    exactly 0 without a transform.  The row at support node i (counted from
-    0) has products only for |k| <= min(i, L-1-i), its reach: beyond it
-    x + z or x - z leaves the support.  Since exp(2 i y z) = exp(-i y (-2z)),
-    every other x row is an offset DFT of the 2K+1 products at the points
-    -2z, |k| <= K, which the chirp-z transform ``numerics._offset_dft``
-    evaluates on any y axis, on or off the lattice.  Rows go through it
-    sorted by reach, in blocks of ``BLOCK_BYTES``, one batched FFT pass per
-    block whose K is its largest reach.  A block's rows are gathered through
-    a sliding window of the padded support, and it holds its products and
-    the transform's one buffer; nothing of it outlives it.  So the working
-    memory does not grow with the axis sizes (until a single row outgrows
-    the block): by tracemalloc, 2.5 MiB above the result at the default axes
-    of the Fock-5 output, 3.1 MiB on 2048 x 2048 axes.  The values agree with
-    the direct sum over the full grid to FFT roundoff, about 1e-13.
+    row whose x lies outside the support has no nonzero product: it comes
+    as exact zeros, a read-only broadcast that holds no memory.  The row at
+    support node i (counted from 0) has products only for |k| <=
+    min(i, L-1-i), its reach: beyond it x + z or x - z leaves the support.
+    Since exp(2 i y z) = exp(-i y (-2z)), every other row is an offset DFT
+    of the 2K+1 products at the points -2z, |k| <= K, which the chirp-z
+    transform ``numerics._offset_dft`` evaluates on any y axis, on or off
+    the lattice.  K is the largest reach in the row's block when the
+    support's rows are sorted by reach and cut into blocks of
+    ``BLOCK_BYTES``: a sorted block is one run of rows on either flank of
+    the support, and each run goes through the transform in x order, in
+    batches of at most a block's rows.  numpy's FFT transforms each row of
+    a batch alone, so a row's values depend on its K only, not on its
+    batch.  A batch's rows are gathered through a sliding window of the
+    padded support, and it holds its products and the transform's one
+    buffer; nothing of it outlives the next request.  So the working memory
+    does not grow with the axis sizes (until a single row outgrows the
+    block).  The values agree with the direct sum over the full grid to FFT
+    roundoff, about 1e-13.
     """
-    grid = psi.grid
-    x_axis = x_axis or strided_axis(grid)
-    y_axis = y_axis or x_axis
-    idx = _axis_indices(grid, x_axis)
-    live = psi.support()
-    n, h, m = live.stop - live.start, grid.spacing, y_axis.n_points
-    values = np.zeros((len(idx), m))
-    rows = np.flatnonzero((idx >= live.start) & (idx < live.stop))
-    padded = np.zeros(3 * n, dtype=np.complex128)
-    padded[n:2 * n] = psi.values[live]
-    # row i of the support (i counted from its start) has products only for
-    # |z| <= reach * h; sorted by reach, a block's rows share a short lattice
-    offset = idx[rows] - live.start
-    reach = np.minimum(offset, n - 1 - offset)
-    order = np.argsort(reach, kind="stable")
-    rows, offset, reach = rows[order], offset[order], reach[order]
-    block = max(1, BLOCK_BYTES // (16 * (2 * n + m)))
-    imag_residue = 0.0
-    for start in range(0, rows.size, block):
-        chunk = slice(start, start + block)
-        k = int(reach[chunk][-1])
-        # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z)
-        plus = np.lib.stride_tricks.sliding_window_view(padded, 2 * k + 1)[n - k + offset[chunk]]
-        products = np.conj(plus)
-        products *= plus[:, ::-1]
-        del plus
-        transform = _offset_dft(products, 2.0 * k * h, -2.0 * h,
-                                y_axis.x_min, y_axis.spacing, m)
-        transform *= h / np.pi
-        imag_residue = max(imag_residue, float(np.max(np.abs(transform.imag))))
-        values[rows[chunk]] = transform.real
-        del products, transform  # freed before the next block is gathered
-    return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values, imag_residue=imag_residue)
+
+    def __init__(self, psi: WaveFunction, x_axis: Grid | None = None,
+                 y_axis: Grid | None = None) -> None:
+        grid = psi.grid
+        self.x_axis = x_axis or strided_axis(grid)
+        self.y_axis = y_axis or self.x_axis
+        idx = _axis_indices(grid, self.x_axis)
+        live = psi.support()
+        n, m = live.stop - live.start, self.y_axis.n_points
+        self._padded = np.zeros(3 * n, dtype=np.complex128)
+        self._padded[n:2 * n] = psi.values[live]
+        self._h = grid.spacing
+        # the axis rows inside the support are one run of x rows, from first
+        first, stop = np.searchsorted(idx, [live.start, live.stop]).tolist()
+        self._offset = idx[first:stop] - live.start
+        reach = np.minimum(self._offset, n - 1 - self._offset)
+        # each row's K: the largest reach of its block in the reach order
+        block = max(1, BLOCK_BYTES // (16 * (2 * n + m)))
+        order = np.argsort(reach, kind="stable")
+        ends = np.minimum(np.arange(block, reach.size + block, block), reach.size)
+        k = np.empty_like(reach)
+        k[order] = np.repeat(reach[order][ends - 1], np.diff(ends, prepend=0))
+        # runs (first row, stop row, K or None for zeros) in x order, cut
+        # into batches of at most a block's rows
+        cuts = [first, *(first + np.flatnonzero(np.diff(k)) + 1).tolist(), stop]
+        runs = [(a, b, int(k[a - first])) for a, b in zip(cuts, cuts[1:]) if b > a]
+        runs = [(0, first, None), *runs, (stop, len(idx), None)]
+        self._batches = [(s, min(s + block, b), run_k) for a, b, run_k in runs
+                         for s in range(a, b, block)]
+        self._first = first
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, float]]:
+        n, h, y = len(self._padded) // 3, self._h, self.y_axis
+        for a, b, k in self._batches:
+            if k is None:
+                yield np.broadcast_to(0.0, (b - a, y.n_points)), 0.0
+                continue
+            # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z)
+            offset = self._offset[a - self._first:b - self._first]
+            plus = np.lib.stride_tricks.sliding_window_view(self._padded, 2 * k + 1)[n - k + offset]
+            products = np.conj(plus)
+            products *= plus[:, ::-1]
+            del plus
+            transform = _offset_dft(products, 2.0 * k * h, -2.0 * h, y.x_min, y.spacing, y.n_points)
+            del products
+            transform *= h / np.pi
+            yield transform.real, float(np.max(np.abs(transform.imag)))
+            del transform  # freed before the next batch is gathered
+
+
+def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = None) -> WignerGrid:
+    """The Wigner function of psi on the axes x and y (defaults as for
+    ``WignerRows``), collected from its ``WignerRows`` into one array.  The
+    transform's working memory above the result, by tracemalloc: 2.5 MiB at
+    the default axes of the Fock-5 output, 3.1 MiB on 2048 x 2048 axes."""
+    rows = WignerRows(psi, x_axis, y_axis)
+    values = np.empty((rows.x_axis.n_points, rows.y_axis.n_points))
+    imag_residue, start = 0.0, 0
+    for block, residue in rows:
+        values[start:start + len(block)] = block
+        start += len(block)
+        imag_residue = max(imag_residue, residue)
+    return WignerGrid(x_axis=rows.x_axis, y_axis=rows.y_axis, values=values, imag_residue=imag_residue)
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:

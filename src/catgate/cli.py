@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cache
 from types import SimpleNamespace
@@ -34,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import WIGNER_STRIDE, WignerGrid, strided_axis
-from .analysis import fidelity_cat, fidelity_coh, fidelity_mix, wigner
+from .analysis import WIGNER_STRIDE, WignerRows, fidelity_cat, fidelity_coh, fidelity_mix
+from .analysis import strided_axis
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import CatGateError, ConvergenceError, LinearizationDomainError
 from .gate import Grader, collapse, probability_scan
@@ -172,23 +174,25 @@ class Param:
 @dataclass
 class Table:
     """One CSV file: its title, its columns (name -> 1-D numbers, or two
-    axes and a 2-D grid over them) and what its ``.meta.json`` sidecar adds
-    to the echo."""
+    axes and a grid over them, 2-D or an iterator of row blocks) and what
+    its ``.meta.json`` sidecar adds to the echo, or a function that gives
+    that once the table is written."""
 
     title: str
     columns: dict
-    extra: dict = field(default_factory=dict)
+    extra: dict | Callable[[], dict] = field(default_factory=dict)
 
 
 @dataclass
 class Output:
     """What one command computed: its files in the order they are written and
     announced, each a suffix of the ``--out`` prefix with a Table or a JSON
-    summary dict, then a note for stdout.  ``_write`` adds the parameter
-    echo from the command's options."""
+    summary dict, then a note for stdout, or a function that gives it once
+    the files are written.  ``_write`` adds the parameter echo from the
+    command's options."""
 
     files: list[tuple[str, Table | dict]]
-    note: str = ""
+    note: str | Callable[[], str] = ""
 
 
 @dataclass(frozen=True)
@@ -277,28 +281,33 @@ _CSV_BLOCK_ROWS = 1024
 
 def _write_csv(path: str, title: str, columns: dict) -> None:
     """One CSV table, UTF-8 with LF line endings, formatted straight into
-    bytes.  A table whose last column is 2-D is a grid in long format, one
-    row per cell: its first two columns are the axes and ``W[i, j]`` belongs
-    to ``(x_i, y_j)``.  Only one grid row, or one block of
-    ``_CSV_BLOCK_ROWS`` rows of a 1-D table, at a time becomes Python
-    floats."""
+    bytes.  A table whose last column is 2-D, or an iterator of 2-D blocks
+    of consecutive rows, is a grid in long format, one row per cell: its
+    first two columns are the axes and ``W[i, j]`` belongs to
+    ``(x_i, y_j)``.  Only one grid row, or one block of ``_CSV_BLOCK_ROWS``
+    rows of a 1-D table, at a time becomes Python floats."""
     names = list(columns)
-    values = [np.asarray(columns[c], dtype=float) for c in names]
+    grid = columns[names[-1]]
+    blocked = isinstance(grid, Iterator)
+    values = [np.asarray(columns[c], dtype=float) for c in (names[:-1] if blocked else names)]
     with open(path, "wb") as fh:
         fh.write(f"# {title}\n# columns: {', '.join(names)}\n{','.join(names)}\n".encode())
-        if values[-1].ndim == 2:
-            x, y, w = values
+        if blocked or values[-1].ndim == 2:
+            x, y = (v.tolist() for v in values[:2])
             # every x row is one template: x between the pieces, then W by one %;
             # a row of +0.0 only is its text already ("%.12g" % -0.0 is "-0")
-            pieces = [b""] + [b",%.12g,%%.12g\n" % y_j for y_j in y.tolist()]
+            pieces = [b""] + [b",%.12g,%%.12g\n" % y_j for y_j in y]
             zero_pieces = [b""] + [piece % 0.0 for piece in pieces[1:]]
-            # any() reduces without a table-sized mask; a row of +-0 only is
-            # then checked for -0 on its own
-            live = w.any(axis=1)
-            fh.writelines((b"%.12g" % x_i).join(pieces) % tuple(w_i.tolist())
-                          if live_i or np.signbit(w_i).any()
-                          else (b"%.12g" % x_i).join(zero_pieces)
-                          for x_i, w_i, live_i in zip(x.tolist(), w, live.tolist()))
+            start = 0
+            for w in grid if blocked else [values[-1]]:
+                # any() reduces without a block-sized mask; a row of +-0 only
+                # is then checked for -0 on its own
+                live = w.any(axis=1)
+                fh.writelines((b"%.12g" % x_i).join(pieces) % tuple(w_i.tolist())
+                              if live_i or np.signbit(w_i).any()
+                              else (b"%.12g" % x_i).join(zero_pieces)
+                              for x_i, w_i, live_i in zip(x[start:start + len(w)], w, live.tolist()))
+                start += len(w)
         else:
             row = b",".join([b"%.12g"] * len(names)) + b"\n"
             values = [np.atleast_1d(v) for v in values]
@@ -323,22 +332,57 @@ def _write(command: Command, v: SimpleNamespace, texts: dict, output: Output) ->
     if GRID in command.params:
         params["grid"] = _grid_params(v.grid)
     echo = {"parameters": params, "version": __version__}
-    written = []
-    for suffix, content in output.files:
-        path = v.out + suffix
-        if isinstance(content, Table):
-            _write_csv(path, f"catgate {command.name}: {content.title}", content.columns)
-            _write_json(path + ".meta.json", {"command": command.name, **echo, **content.extra})
-        else:
-            _write_json(path, {**content, **echo})
-        written.append(path)
-    note = f" ({output.note})" if output.note else ""
+    written, opened = [], []
+    try:
+        for suffix, content in output.files:
+            path = v.out + suffix
+            opened.append(path)
+            if isinstance(content, Table):
+                _write_csv(path, f"catgate {command.name}: {content.title}", content.columns)
+                extra = content.extra() if callable(content.extra) else content.extra
+                opened.append(path + ".meta.json")
+                _write_json(path + ".meta.json", {"command": command.name, **echo, **extra})
+            else:
+                _write_json(path, {**content, **echo})
+            written.append(path)
+        note = output.note() if callable(output.note) else output.note
+    except BaseException:
+        # a failure mid-way, a streamed grid's MemoryError say, leaves no file
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    note = f" ({note})" if note else ""
     print(f"wrote {', '.join(written)}{note}")
 
 
-def _wigner_table(w: WignerGrid, title: str, extra: dict) -> Table:
-    """The long-format (x, y, W) table of one Wigner grid."""
-    return Table(title, {"x": w.x_axis.points, "y": w.y_axis.points, "W": w.values}, extra)
+class _WignerTally:
+    """A Wigner grid streamed into its long-format (x, y, W) table: its
+    ``WignerRows`` blocks pass through ``table``'s W column to the writer,
+    and on the way it keeps what the sidecar and the note need, each the
+    number ``WignerGrid`` gives for the whole grid, bit for bit: the
+    normalization (each row's y trapezoid, then the x trapezoid of those),
+    the least and the largest value and ``imag_residue``."""
+
+    def __init__(self, rows: WignerRows) -> None:
+        self.rows = rows
+        self.marginals: list[np.ndarray] = []
+        self.min_value, self.max_value, self.imag_residue = math.inf, -math.inf, 0.0
+
+    def _blocks(self) -> Iterator[np.ndarray]:
+        for values, residue in self.rows:
+            self.marginals.append(np.trapezoid(values, dx=self.rows.y_axis.spacing, axis=1))
+            self.min_value = float(np.minimum(self.min_value, values.min()))
+            self.max_value = float(np.maximum(self.max_value, values.max()))
+            self.imag_residue = max(self.imag_residue, residue)
+            yield values
+
+    def table(self, title: str, extra: Callable[[], dict]) -> Table:
+        return Table(title, {"x": self.rows.x_axis.points, "y": self.rows.y_axis.points,
+                             "W": self._blocks()}, extra)
+
+    def normalization(self) -> float:
+        return float(np.trapezoid(np.concatenate(self.marginals), dx=self.rows.x_axis.spacing))
 
 
 # ---------------------------------------------------------------- commands
@@ -380,20 +424,23 @@ def _wigner(v) -> Output:
     else:
         resource, y_m = _resource(v)
         state = collapse(make_vacuum(v.grid), resource, y_m).psi_out
-    w = wigner(state, v.stride, v.paxis)  # the resolver builds --stride's axis
-    norm = w.normalization()
-    extra = {
-        "x_axis": _grid_params(w.x_axis),
-        "y_axis": _grid_params(w.y_axis),
-        "normalization": norm,
-        "normalization_residual": norm - 1.0,
-        "imag_residue": w.imag_residue,
-        "min_value": float(w.values.min()),
-        "max_value": float(w.values.max()),
-    }
-    table = _wigner_table(w, "phase-space quasi-probability, long format", extra)
-    note = f"normalization={norm:.6f}, min={extra['min_value']:.4f}"
-    return Output([(".csv", table)], note)
+    tally = _WignerTally(WignerRows(state, v.stride, v.paxis))  # the resolver builds --stride's axis
+
+    def extra() -> dict:
+        norm = tally.normalization()
+        return {
+            "x_axis": _grid_params(tally.rows.x_axis),
+            "y_axis": _grid_params(tally.rows.y_axis),
+            "normalization": norm,
+            "normalization_residual": norm - 1.0,
+            "imag_residue": tally.imag_residue,
+            "min_value": tally.min_value,
+            "max_value": tally.max_value,
+        }
+
+    table = tally.table("phase-space quasi-probability, long format", extra)
+    return Output([(".csv", table)],
+                  lambda: f"normalization={tally.normalization():.6f}, min={tally.min_value:.4f}")
 
 
 def _scan_probability(v) -> Output:
@@ -504,7 +551,7 @@ def _match_compare(v) -> Output:
         y_m, gamma = odd_cat_ladder(v.entry, reference_n=v.fock)[v.entry - 1]
         cfg = fit_squeezing(gamma, y_m, "probability", target_p, grid=v.grid).fitted
 
-    comparison = compare_gates(v.fock, cfg, grid=v.grid, include_wigner=v.wigner)
+    comparison = compare_gates(v.fock, cfg, grid=v.grid)
     sides = {"fock": comparison.fock, "cubic": comparison.cubic}
     summary = {
         tag: {
@@ -518,11 +565,19 @@ def _match_compare(v) -> Output:
     summary["infidelity_ratio"] = comparison.infidelity_ratio
     files = [(".json", summary)]
     if v.wigner:
-        for tag, side in sides.items():
-            extra = {"side": tag, "normalization": side.wigner.normalization()}
-            table = _wigner_table(side.wigner, f"wigner grid for the {tag} side", extra)
-            files.append((f"_{tag}_wigner.csv", table))
+        psi_in = make_vacuum(v.grid)
+        for tag, resource, y_m in (("fock", FockResource(v.fock), 0.0),
+                                   ("cubic", cfg.resource, cfg.y_m)):
+            files.append(_side_wigner(tag, collapse(psi_in, resource, y_m).psi_out))
     return Output(files)
+
+
+def _side_wigner(tag: str, state) -> tuple[str, Table]:
+    """One side's streamed Wigner table of ``match compare --wigner``."""
+    tally = _WignerTally(WignerRows(state))
+    return f"_{tag}_wigner.csv", tally.table(
+        f"wigner grid for the {tag} side",
+        lambda: {"side": tag, "normalization": tally.normalization()})
 
 
 # ---------------------------------------------------------------- the table

@@ -11,10 +11,9 @@ from itertools import islice
 
 import numpy as np
 
-from .analysis import WignerGrid, wigner
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_curve
 from .errors import ConvergenceError, FitRangeError, ZeroProbabilityError
-from .gate import Grader, collapse
+from .gate import Grader
 from .numerics import (
     AIRY_BLOCK,
     MIN_SQUEEZING,
@@ -265,7 +264,6 @@ class GateSideReport:
     probability: float
     infidelity: float
     copy_spacing: float  # the resource's copy shift for a centered input
-    wigner: WignerGrid | None = None
 
 
 @dataclass
@@ -282,11 +280,10 @@ def compare_gates(
     n: int,
     cfg: CubicGateConfig,
     grid: Grid | None = None,
-    include_wigner: bool = False,
 ) -> GateComparison:
     """Side-by-side report of the Fock gate at (n, y_m = 0) and the cubic gate
-    at ``cfg``, both graded against the same even/odd cat reference.  Only
-    ``include_wigner`` builds the collapsed states."""
+    at ``cfg``, both graded against the same even/odd cat reference, in one
+    ``Grader`` call and without collapsing either state."""
     grid = grid or default_grid()
     psi_in = make_vacuum(grid)
     sides = ((f"fock n={n} y_m=0", FockResource(n), 0.0),
@@ -294,6 +291,5 @@ def compare_gates(
     grader = Grader(psi_in, reference_cat(n, 0.0, grid))
     p, f = grader.grade([(resource, [y_m]) for _, resource, y_m in sides])
     return GateComparison(*(
-        GateSideReport(label, float(p_i), 1.0 - float(f_i), float(resource.copy_shift(y_m)),
-                       wigner(collapse(psi_in, resource, y_m).psi_out) if include_wigner else None)
+        GateSideReport(label, float(p_i), 1.0 - float(f_i), float(resource.copy_shift(y_m)))
         for (label, resource, y_m), p_i, f_i in zip(sides, p, f)))

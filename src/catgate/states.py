@@ -13,7 +13,6 @@ import numpy as np
 from .errors import NyquistError
 from .numerics import (
     AIRY_BLOCK,
-    BLOCK_BYTES,
     SUPPORT_LOG,
     Grid,
     WaveFunction,
@@ -42,8 +41,8 @@ class Resource:
       the measurement admits no copy.
     """
 
-    #: Most values per ``momentum_factors`` call of the grader: complex, filling ``BLOCK_BYTES``.
-    pass_nodes = BLOCK_BYTES // 16
+    #: Most values per ``momentum_factors`` call of the grader.
+    pass_nodes = AIRY_BLOCK
 
     def momentum_factor(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -114,8 +113,6 @@ class CubicPhaseResource(Resource):
     def momentum_factor(self, y: np.ndarray) -> np.ndarray:
         """An Airy function (``oscillatory_fourier_factor``)."""
         return np.asarray(oscillatory_fourier_factor(self.gamma, self.s, y))
-
-    pass_nodes = AIRY_BLOCK
 
     @classmethod
     def momentum_factors(cls, resources, counts, y: np.ndarray) -> np.ndarray:

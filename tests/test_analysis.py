@@ -28,9 +28,10 @@ from catgate import (
     wigner,
 )
 from catgate import states
-from catgate.analysis import strided_axis
+from catgate.analysis import WignerRows, strided_axis
 from catgate.errors import GridSupportError, LinearizationDomainError
 from catgate.gate import Grader
+from catgate.numerics import BLOCK_BYTES, _offset_dft
 from conftest import GRID, KICKED, ODD_GRID, VACUUM
 
 ODD_VACUUM = make_vacuum(ODD_GRID)
@@ -168,6 +169,85 @@ def test_wigner_rows_outside_the_support_are_exactly_zero():
     assert np.count_nonzero(outside) == 246
     assert not np.any(w.values[outside])
     assert np.all(np.any(w.values[~outside], axis=1))
+
+
+def _reach_sorted_wigner(psi, x_axis, y_axis):
+    """The bits' oracle: the support's rows sorted by reach and transformed
+    in blocks of ``BLOCK_BYTES``, each at its largest reach, as one batch a
+    block.  Returns (values, imag_residue)."""
+    grid, live = psi.grid, psi.support()
+    n, h, m = live.stop - live.start, grid.spacing, y_axis.n_points
+    idx = np.rint((x_axis.points - grid.x_min) / h).astype(int)
+    values = np.zeros((len(idx), m))
+    rows = np.flatnonzero((idx >= live.start) & (idx < live.stop))
+    padded = np.zeros(3 * n, dtype=np.complex128)
+    padded[n:2 * n] = psi.values[live]
+    offset = idx[rows] - live.start
+    reach = np.minimum(offset, n - 1 - offset)
+    order = np.argsort(reach, kind="stable")
+    rows, offset, reach = rows[order], offset[order], reach[order]
+    block = max(1, BLOCK_BYTES // (16 * (2 * n + m)))
+    imag_residue = 0.0
+    for start in range(0, rows.size, block):
+        chunk = slice(start, start + block)
+        k = int(reach[chunk][-1])
+        gather = n - k + offset[chunk, None] + np.arange(2 * k + 1)
+        products = np.conj(padded[gather]) * padded[gather[:, ::-1]]
+        transform = _offset_dft(products, 2.0 * k * h, -2.0 * h, y_axis.x_min, y_axis.spacing, m)
+        transform *= h / np.pi
+        imag_residue = max(imag_residue, float(np.max(np.abs(transform.imag))))
+        values[rows[chunk]] = transform.real
+    return values, imag_residue
+
+
+def _stream_case(case):
+    """(psi, x_axis, y_axis) of a named stream case."""
+    if case == "vacuum":
+        return VACUUM, strided_axis(GRID), strided_axis(GRID)
+    if case.startswith("cubic"):
+        cfg = {"cubic_06a": CubicGateConfig(0.075, 2.486, 0.171),
+               "cubic_02b": CubicGateConfig(0.334, 11.012, 0.241)}[case]
+        psi = collapse(VACUUM, cfg.resource, cfg.y_m).psi_out
+        return psi, strided_axis(GRID), strided_axis(GRID)
+    y_m = {"fock5_ym0": 0.0, "fock5_ym1": 1.0, "fock5_ym2": 2.0}.get(case, 0.0)
+    psi = collapse(VACUUM, FockResource(5), y_m).psi_out
+    if case == "stride2":
+        return psi, strided_axis(GRID, 2), strided_axis(GRID, 2)
+    if case == "paxis":
+        # the --paxis of the momentum-lobe plots: its nodes are off the x lattice
+        return psi, strided_axis(GRID), Grid(-6.0, 6.0, 385)
+    return psi, strided_axis(GRID), strided_axis(GRID)
+
+
+STREAM_CASES = ["fock5_ym0", "fock5_ym1", "fock5_ym2", "cubic_06a", "cubic_02b", "vacuum",
+                "stride2", "paxis"]
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_wigner_rows_keep_the_bits_of_the_reach_sorted_blocks(case):
+    # the stream gives every x row once, in x order, with the bits of its
+    # reach-sorted block; wigner() is the same stream collected
+    psi, x_axis, y_axis = _stream_case(case)
+    rows = WignerRows(psi, x_axis, y_axis)
+    n = psi.support().stop - psi.support().start
+    batch = BLOCK_BYTES // (16 * (2 * n + y_axis.n_points))
+    blocks, residues, zero_rows = [], [], 0
+    for values, residue in rows:
+        assert values.shape[1] == y_axis.n_points and 1 <= len(values) <= batch
+        if values.strides == (0, 0):  # rows outside the support hold no memory
+            assert not np.any(values) and residue == 0.0
+            zero_rows += len(values)
+        blocks.append(values.copy())
+        residues.append(residue)
+    live = psi.support()
+    outside = (x_axis.points < GRID.points[live.start]) | (x_axis.points > GRID.points[live.stop - 1])
+    assert zero_rows == np.count_nonzero(outside)
+    streamed = np.concatenate(blocks)
+    expected, expected_residue = _reach_sorted_wigner(psi, x_axis, y_axis)
+    assert streamed.tobytes() == expected.tobytes()
+    assert max(residues) == expected_residue
+    w = wigner(psi, x_axis, y_axis)
+    assert w.values.tobytes() == expected.tobytes() and w.imag_residue == expected_residue
 
 
 @pytest.mark.parametrize("y_axis", [None, Grid(-16.0, 16.0, 2049)], ids=["default", "m2049"])

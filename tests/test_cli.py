@@ -258,18 +258,67 @@ def test_write_csv_holds_one_block_of_rows_at_a_time():
     assert body[2 ** 15] == b"%.12g,%.12g,%.12g" % (x[2 ** 15], p[2 ** 15], f[2 ** 15])
 
 
-def test_wigner_command_memory_is_the_result_array():
-    # 2048 x 2048 cells: the 32 MiB result, the transform's block buffers
-    # (about 3 MiB), and no table-sized copy in the writer or the normalization
+def _traced_peak(argv):
+    """main(argv)'s exit code and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
-        code = main(["wigner", "--fock", "5", "--stride", "2", "--out", "w2"])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, peak
+
+
+def test_wigner_command_holds_no_grid():
+    # 2048 x 2048 cells, a 32 MiB grid, streamed into the table: one batch
+    # of rows and its transform buffer (about 3 MiB), no grid anywhere
+    code, peak = _traced_peak(["wigner", "--fock", "5", "--stride", "2", "--out", "w2"])
     assert code == 0
     os.remove("w2.csv")  # 157 MB
-    assert peak < 2048 * 2048 * 8 + 6 * 2 ** 20
+    assert peak < 6 * 2 ** 20
+
+
+def test_match_compare_wigner_holds_no_grid():
+    # both sides' 512 x 512 grids (2 MiB each) are streamed one after the other
+    argv = ["match", "compare", "--fock", "5", "--cubic", "0.075,2.486,0.171", "--wigner"]
+    code, peak = _traced_peak(argv + ["--out", "mc"])
+    assert code == 0
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [["wigner", "--fock", "5", "--ym", "1"],
+                                  ["wigner", "--cubic", "0.334,11.012,0.241", "--paxis", "2.5,4,601"],
+                                  ["wigner", "--vacuum", "--stride", "4"]],
+                         ids=["fock5", "cubic_02b", "vacuum"])
+def test_streamed_sidecar_is_the_wigner_grids(argv):
+    assert main(argv + ["--out", "w"]) == 0
+    meta = json.loads(open("w.csv.meta.json").read())
+    grid = default_grid()
+    if "--vacuum" in argv:
+        state, x_axis, y_axis = make_vacuum(grid), analysis.strided_axis(grid, 4), None
+    elif "--cubic" in argv:
+        cfg = cubic.CubicGateConfig(0.334, 11.012, 0.241)
+        state = gate.collapse(make_vacuum(grid), cfg.resource, cfg.y_m).psi_out
+        x_axis, y_axis = None, analysis.Grid(2.5, 4.0, 601)
+    else:
+        state, x_axis, y_axis = gate.collapse(make_vacuum(grid), FockResource(5), 1.0).psi_out, None, None
+    w = analysis.wigner(state, x_axis, y_axis)
+    norm = w.normalization()
+    assert meta["normalization"] == norm and meta["normalization_residual"] == norm - 1.0
+    assert meta["imag_residue"] == w.imag_residue
+    assert meta["min_value"] == w.values.min() and meta["max_value"] == w.values.max()
+
+
+def test_match_compare_sidecars_are_the_wigner_grids():
+    # each side's normalization is its WignerGrid's, and close to 1
+    argv = ["match", "compare", "--fock", "1", "--cubic", "0.05,0.45,0.5", "--wigner", "--out", "mc"]
+    assert main(argv) == 0
+    vacuum = make_vacuum(default_grid())
+    cfg = cubic.CubicGateConfig(0.05, 0.45, 0.5)
+    for tag, resource, y_m in (("fock", FockResource(1), 0.0), ("cubic", cfg.resource, cfg.y_m)):
+        meta = json.loads(open(f"mc_{tag}_wigner.csv.meta.json").read())
+        norm = analysis.wigner(gate.collapse(vacuum, resource, y_m).psi_out).normalization()
+        assert meta["normalization"] == norm == pytest.approx(1.0, abs=1e-4)
 
 
 def test_scan_mixfid_monotone():
@@ -345,7 +394,7 @@ def test_scan_squeeze_checks_every_s_before_grading(monkeypatch, capsys, in_tmp)
 @pytest.mark.parametrize("argv, name", [
     (["scan", "catfid", "--fock", "5"], "Grader"),
     (["scan", "probability", "--fock", "1"], "probability_scan"),
-    (["wigner", "--fock", "5"], "wigner"),
+    (["wigner", "--fock", "5"], "WignerRows"),
 ])
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys, argv, name):
     # an axis too large for memory, e.g. --step 1e-10 (224 GiB), without
@@ -356,6 +405,31 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys, argv, name):
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: out of memory, choose smaller axes: Unable to allocate 224. GiB for an array"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner", "--fock", "5"],
+    ["match", "compare", "--fock", "1", "--cubic", "0.05,0.45,0.5", "--wigner"],
+], ids=["wigner", "match_compare"])
+def test_a_failed_stream_leaves_no_file(monkeypatch, capsys, in_tmp, argv):
+    # the stream fails after its first block, which the writer has written:
+    # the partial table, and every file the command wrote before it, go
+    class FailingRows(analysis.WignerRows):
+        def __iter__(self):
+            blocks = super().__iter__()
+            yield next(blocks)
+            assert os.path.getsize(written[-1]) > 0
+            raise MemoryError("Unable to allocate 2.00 MiB for an array")
+
+    written = []
+    original = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", lambda path, *a: written.append(path) or original(path, *a))
+    monkeypatch.setattr(cli, "WignerRows", FailingRows)
+    assert main(argv + ["--out", "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory, choose smaller axes: Unable to allocate 2.00 MiB for an array"]
+    assert len(written) == 1
+    assert list(in_tmp.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, name", [
