@@ -281,25 +281,23 @@ _CSV_BLOCK_ROWS = 1024
 
 def _write_csv(path: str, title: str, columns: dict) -> None:
     """One CSV table, UTF-8 with LF line endings, formatted straight into
-    bytes.  A table whose last column is 2-D, or an iterator of 2-D blocks
-    of consecutive rows, is a grid in long format, one row per cell: its
-    first two columns are the axes and ``W[i, j]`` belongs to
-    ``(x_i, y_j)``.  Only one grid row, or one block of ``_CSV_BLOCK_ROWS``
-    rows of a 1-D table, at a time becomes Python floats."""
+    bytes.  A table whose last column is an iterator of 2-D float blocks of
+    consecutive rows is a grid in long format, one row per cell: its first
+    two columns are the axes and ``W[i, j]`` belongs to ``(x_i, y_j)``.
+    Only one grid row, or one block of ``_CSV_BLOCK_ROWS`` rows of a 1-D
+    table, at a time becomes Python floats."""
     names = list(columns)
-    grid = columns[names[-1]]
-    blocked = isinstance(grid, Iterator)
-    values = [np.asarray(columns[c], dtype=float) for c in (names[:-1] if blocked else names)]
+    *axes, grid = columns.values()
     with open(path, "wb") as fh:
         fh.write(f"# {title}\n# columns: {', '.join(names)}\n{','.join(names)}\n".encode())
-        if blocked or values[-1].ndim == 2:
-            x, y = (v.tolist() for v in values[:2])
+        if isinstance(grid, Iterator):
+            x, y = (np.asarray(axis, dtype=float).tolist() for axis in axes)
             # every x row is one template: x between the pieces, then W by one %;
             # a row of +0.0 only is its text already ("%.12g" % -0.0 is "-0")
             pieces = [b""] + [b",%.12g,%%.12g\n" % y_j for y_j in y]
             zero_pieces = [b""] + [piece % 0.0 for piece in pieces[1:]]
             start = 0
-            for w in grid if blocked else [values[-1]]:
+            for w in grid:
                 # any() reduces without a block-sized mask; a row of +-0 only
                 # is then checked for -0 on its own
                 live = w.any(axis=1)
@@ -310,7 +308,7 @@ def _write_csv(path: str, title: str, columns: dict) -> None:
                 start += len(w)
         else:
             row = b",".join([b"%.12g"] * len(names)) + b"\n"
-            values = [np.atleast_1d(v) for v in values]
+            values = [np.atleast_1d(np.asarray(columns[c], dtype=float)) for c in names]
             for start in range(0, min(v.size for v in values), _CSV_BLOCK_ROWS):
                 cells = zip(*(v[start:start + _CSV_BLOCK_ROWS].tolist() for v in values))
                 fh.writelines(row % cell for cell in cells)

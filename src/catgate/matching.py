@@ -258,7 +258,9 @@ def fit_squeezing(
 
 @dataclass
 class GateSideReport:
-    """Diagnostics of one gate at one operating point."""
+    """Diagnostics of one gate at one operating point: graded numbers only,
+    no state and no grid (``match compare --wigner`` streams each side's
+    Wigner grid from its collapsed state)."""
 
     label: str
     probability: float

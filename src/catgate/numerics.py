@@ -63,17 +63,15 @@ SUPPORT_TOL = 1e-15
 SUPPORT_LOG = -math.log(SUPPORT_TOL)
 
 #: Size of one block of work, as complex numbers, in the batched transforms
-#: of ``analysis.wigner`` and the outcome sums of ``gate.Grader`` (a Fock
-#: resource's ``pass_nodes``).  A Wigner block holds its products and one
-#: FFT buffer, each about this size: by tracemalloc, 2.5 MiB above the 2 MiB
-#: result at the default axes of the Fock-5 output, 3.1 MiB above the 32 MiB
-#: result on 2048 x 2048 axes.  2 MiB blocks were the fastest of 0.5 to
-#: 16 MiB on the default 512 x 512 Wigner axes.  It also sizes the row blocks
-#: of ``WignerGrid.position_marginal`` and ``AIRY_BLOCK``.
+#: of ``analysis.WignerRows``.  A batch of rows holds its products and one
+#: FFT buffer, each about this size, and the blocks of the reach order set
+#: each row's K, and with it the row's bits.  2 MiB blocks were the fastest
+#: of 0.5 to 16 MiB on the default 512 x 512 Wigner axes.  It also sizes the
+#: row blocks of ``WignerGrid.position_marginal`` and ``AIRY_BLOCK``.
 BLOCK_BYTES = 2 * 2 ** 20
 
-#: Nodes per Airy pass, of ``gate.Grader``'s cubic blocks
-#: (``CubicPhaseResource.pass_nodes``) and of the odd-cat ladder's scan
+#: Nodes per Airy pass, of ``gate.Grader``'s blocks for every resource
+#: (``Resource.pass_nodes``) and of the odd-cat ladder's scan
 #: blocks (``matching._block_scan``): at the largest node count of
 #: ``_AIRY_RULES`` their Gauss-Laguerre node terms, float64, hold
 #: ``BLOCK_BYTES``, and the default 39-point squeezing sweep's 7830 nodes

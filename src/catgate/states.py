@@ -41,7 +41,8 @@ class Resource:
       the measurement admits no copy.
     """
 
-    #: Most values per ``momentum_factors`` call of the grader.
+    #: Most values per ``momentum_factors`` call of the grader, for every
+    #: resource: a Fock block of 2 MiB was faulted in afresh on every block.
     pass_nodes = AIRY_BLOCK
 
     def momentum_factor(self, y: np.ndarray) -> np.ndarray:

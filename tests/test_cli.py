@@ -192,14 +192,14 @@ def test_scan_probability_echoes_window():
 
 
 def test_grid_table_is_the_long_format():
-    # a grid table (two axes and W over them) writes the bytes of the (x, y, W)
-    # columns it stands for, also in rows of +0.0 only, of -0.0 only ("-0"),
-    # of some zeros, and with a NaN
+    # a grid table (two axes and blocks of W rows over them) writes the bytes
+    # of the (x, y, W) columns it stands for, also in rows of +0.0 only, of
+    # -0.0 only ("-0"), of some zeros, and with a NaN
     x = np.array([-1.5, -0.0, 1.0 / 3.0, 1e22, 0.0, 2.0, 2.5, 3.0])
     y = np.array([-2.0, 0.25, 1e-300, 123456789012345.0, 3.0])
     w = np.random.default_rng(0).normal(size=(8, 5)) * 10.0 ** np.arange(-6, 4, 2)
     w[4], w[5], w[6, [0, 2, 3]], w[7, 1] = 0.0, -0.0, [0.0, -0.0, 0.0], np.nan
-    _write_csv("grid.csv", "title", {"x": x, "y": y, "W": w})
+    _write_csv("grid.csv", "title", {"x": x, "y": y, "W": iter([w[:3], w[3:]])})
     xs, ys = np.meshgrid(x, y, indexing="ij")
     _write_csv("long.csv", "title", {"x": xs.ravel(), "y": ys.ravel(), "W": w.ravel()})
     text = open("grid.csv").read()
@@ -215,7 +215,8 @@ def test_write_csv_golden_bytes():
     _write_csv("flat.csv", "flat table", {"a": [0.0, -0.0, nan, inf, -inf],
                                           "b": [1e22, 1e-300, 1.0 / 3.0, -2.5, 123456789012345.0]})
     _write_csv("grid.csv", "grid table", {"x": [-0.0, 1.5, 1e22], "y": [0.25, -1e-300],
-                                          "W": [[-0.0, nan], [0.0, 0.0], [inf, 1e22]]})
+                                          "W": iter([np.array([[-0.0, nan], [0.0, 0.0]]),
+                                                     np.array([[inf, 1e22]])])})
     assert open("flat.csv", "rb").read() == (
         b"# flat table\n# columns: a, b\na,b\n"
         b"0,1e+22\n-0,1e-300\nnan,0.333333333333\ninf,-2.5\n-inf,1.23456789012e+14\n")
@@ -233,7 +234,7 @@ def test_write_csv_holds_one_row_at_a_time():
     x, y = np.arange(2048.0), np.arange(512.0)
     tracemalloc.start()
     try:
-        _write_csv("live.csv", "title", {"x": x, "y": y, "W": w})
+        _write_csv("live.csv", "title", {"x": x, "y": y, "W": iter([w])})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
