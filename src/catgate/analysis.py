@@ -170,7 +170,8 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
         values[start:start + len(block)] = block
         start += len(block)
         imag_residue = max(imag_residue, residue)
-    return WignerGrid(x_axis=rows.x_axis, y_axis=rows.y_axis, values=values, imag_residue=imag_residue)
+    return WignerGrid(x_axis=rows.x_axis, y_axis=rows.y_axis, values=values,
+                      imag_residue=imag_residue)
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:

@@ -36,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import WIGNER_STRIDE, WignerRows, fidelity_cat, fidelity_coh, fidelity_mix
-from .analysis import strided_axis
+from .analysis import WIGNER_STRIDE, WignerRows, strided_axis
+from .analysis import fidelity_cat, fidelity_coh, fidelity_mix
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import CatGateError, ConvergenceError, LinearizationDomainError
 from .gate import Grader, collapse, probability_scan
@@ -174,9 +174,9 @@ class Param:
 @dataclass
 class Table:
     """One CSV file: its title, its columns (name -> 1-D numbers, or two
-    axes and a grid over them, 2-D or an iterator of row blocks) and what
-    its ``.meta.json`` sidecar adds to the echo, or a function that gives
-    that once the table is written."""
+    axes and an iterator of row blocks of a grid over them) and what its
+    ``.meta.json`` sidecar adds to the echo, or a function that gives that
+    once the table is written."""
 
     title: str
     columns: dict
@@ -301,10 +301,11 @@ def _write_csv(path: str, title: str, columns: dict) -> None:
                 # any() reduces without a block-sized mask; a row of +-0 only
                 # is then checked for -0 on its own
                 live = w.any(axis=1)
+                rows = zip(x[start:start + len(w)], w, live.tolist())
                 fh.writelines((b"%.12g" % x_i).join(pieces) % tuple(w_i.tolist())
                               if live_i or np.signbit(w_i).any()
                               else (b"%.12g" % x_i).join(zero_pieces)
-                              for x_i, w_i, live_i in zip(x[start:start + len(w)], w, live.tolist()))
+                              for x_i, w_i, live_i in rows)
                 start += len(w)
         else:
             row = b",".join([b"%.12g"] * len(names)) + b"\n"
@@ -422,7 +423,8 @@ def _wigner(v) -> Output:
     else:
         resource, y_m = _resource(v)
         state = collapse(make_vacuum(v.grid), resource, y_m).psi_out
-    tally = _WignerTally(WignerRows(state, v.stride, v.paxis))  # the resolver builds --stride's axis
+    # the resolver builds --stride's axis
+    tally = _WignerTally(WignerRows(state, v.stride, v.paxis))
 
     def extra() -> dict:
         norm = tally.normalization()

@@ -240,7 +240,8 @@ def test_wigner_rows_keep_the_bits_of_the_reach_sorted_blocks(case):
         blocks.append(values.copy())
         residues.append(residue)
     live = psi.support()
-    outside = (x_axis.points < GRID.points[live.start]) | (x_axis.points > GRID.points[live.stop - 1])
+    x = x_axis.points
+    outside = (x < GRID.points[live.start]) | (x > GRID.points[live.stop - 1])
     assert zero_rows == np.count_nonzero(outside)
     streamed = np.concatenate(blocks)
     expected, expected_residue = _reach_sorted_wigner(psi, x_axis, y_axis)

@@ -287,10 +287,11 @@ def test_match_compare_wigner_holds_no_grid():
     assert peak < 4 * 2 ** 20
 
 
-@pytest.mark.parametrize("argv", [["wigner", "--fock", "5", "--ym", "1"],
-                                  ["wigner", "--cubic", "0.334,11.012,0.241", "--paxis", "2.5,4,601"],
-                                  ["wigner", "--vacuum", "--stride", "4"]],
-                         ids=["fock5", "cubic_02b", "vacuum"])
+@pytest.mark.parametrize("argv", [
+    ["wigner", "--fock", "5", "--ym", "1"],
+    ["wigner", "--cubic", "0.334,11.012,0.241", "--paxis", "2.5,4,601"],
+    ["wigner", "--vacuum", "--stride", "4"],
+], ids=["fock5", "cubic_02b", "vacuum"])
 def test_streamed_sidecar_is_the_wigner_grids(argv):
     assert main(argv + ["--out", "w"]) == 0
     meta = json.loads(open("w.csv.meta.json").read())
@@ -302,7 +303,8 @@ def test_streamed_sidecar_is_the_wigner_grids(argv):
         state = gate.collapse(make_vacuum(grid), cfg.resource, cfg.y_m).psi_out
         x_axis, y_axis = None, analysis.Grid(2.5, 4.0, 601)
     else:
-        state, x_axis, y_axis = gate.collapse(make_vacuum(grid), FockResource(5), 1.0).psi_out, None, None
+        state = gate.collapse(make_vacuum(grid), FockResource(5), 1.0).psi_out
+        x_axis, y_axis = None, None
     w = analysis.wigner(state, x_axis, y_axis)
     norm = w.normalization()
     assert meta["normalization"] == norm and meta["normalization_residual"] == norm - 1.0
@@ -312,8 +314,8 @@ def test_streamed_sidecar_is_the_wigner_grids(argv):
 
 def test_match_compare_sidecars_are_the_wigner_grids():
     # each side's normalization is its WignerGrid's, and close to 1
-    argv = ["match", "compare", "--fock", "1", "--cubic", "0.05,0.45,0.5", "--wigner", "--out", "mc"]
-    assert main(argv) == 0
+    argv = ["match", "compare", "--fock", "1", "--cubic", "0.05,0.45,0.5", "--wigner"]
+    assert main(argv + ["--out", "mc"]) == 0
     vacuum = make_vacuum(default_grid())
     cfg = cubic.CubicGateConfig(0.05, 0.45, 0.5)
     for tag, resource, y_m in (("fock", FockResource(1), 0.0), ("cubic", cfg.resource, cfg.y_m)):
@@ -424,7 +426,8 @@ def test_a_failed_stream_leaves_no_file(monkeypatch, capsys, in_tmp, argv):
 
     written = []
     original = cli._write_csv
-    monkeypatch.setattr(cli, "_write_csv", lambda path, *a: written.append(path) or original(path, *a))
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda path, *a: written.append(path) or original(path, *a))
     monkeypatch.setattr(cli, "WignerRows", FailingRows)
     assert main(argv + ["--out", "out"]) == 2
     assert capsys.readouterr().err.splitlines() == [
