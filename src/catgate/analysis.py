@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,33 +20,35 @@ from .states import FockResource
 
 @dataclass
 class WignerGrid:
-    """Real phase-space quasi-probability on an (x, y) product grid.
-
-    ``imag_residue`` records the largest imaginary part discarded when the
-    complex transform was truncated to its real part.  W is real in exact
-    arithmetic, so this is the chirp-z FFT's roundoff, about 1e-14 for a
-    normalized state.  The transform runs on the state's support only: rows
-    whose x lies outside it are exactly 0 and add nothing to the residue.
+    """Real phase-space quasi-probability on an (x, y) product grid, and the
+    summary that its ``WignerRows`` pass gathered (see there);
+    ``WignerRows.summary`` is that summary alone, with ``values`` None.
+    ``imag_residue`` is the largest imaginary part that the transform
+    discarded.  W is real in exact arithmetic, so this is the chirp-z FFT's
+    roundoff, about 1e-14 for a normalized state; rows outside the state's
+    support are exactly 0 and add nothing to it.
     """
 
     x_axis: Grid
     y_axis: Grid
-    values: np.ndarray
-    imag_residue: float = 0.0
+    values: np.ndarray | None
+    imag_residue: float
+    min_value: float
+    max_value: float
+    _position: np.ndarray
+    _momentum: np.ndarray
 
     def normalization(self) -> float:
-        return float(np.trapezoid(self.position_marginal(), dx=self.x_axis.spacing))
+        """integral W dx dy, the x trapezoid of the position marginal."""
+        return float(np.trapezoid(self._position, dx=self.x_axis.spacing))
 
     def position_marginal(self) -> np.ndarray:
-        """integral W dy, one value per x-axis node, over blocks of rows so
-        that no temporary grows with the table."""
-        rows = max(1, BLOCK_BYTES // (8 * self.y_axis.n_points))
-        return np.concatenate([np.trapezoid(self.values[i:i + rows], dx=self.y_axis.spacing, axis=1)
-                               for i in range(0, len(self.values), rows)])
+        """integral W dy, one value per x-axis node: each row's y trapezoid."""
+        return self._position
 
     def momentum_marginal(self) -> np.ndarray:
-        """integral W dx, one value per y-axis node."""
-        return np.trapezoid(self.values, dx=self.x_axis.spacing, axis=0)
+        """integral W dx, one value per y-axis node: the x trapezoid."""
+        return self._momentum
 
 
 def _axis_indices(psi_grid: Grid, axis: Grid) -> np.ndarray:
@@ -80,8 +82,14 @@ class WignerRows:
     blocks of x rows, in x order, each row once: ``values`` is a (rows, M)
     float array, valid until the next block is asked for, and
     ``imag_residue`` the largest imaginary part the block discarded.
-    ``wigner`` collects it into a ``WignerGrid``; the CLI writes it into its
-    table without holding the grid.
+    A pass also gathers the grid's one summary, with no grid-sized
+    temporary: each row's y trapezoid (the position marginal), the x
+    trapezoid as a running sum of the rows less half the first and the last
+    (the momentum marginal), the least and the largest value and
+    ``imag_residue``.  Only a pass that ran to its end leaves it, as
+    ``summary``, a ``WignerGrid`` without values: every pass starts by
+    resetting it to None.  ``wigner`` collects the rows into a
+    ``WignerGrid``; the CLI writes them without holding the grid.
 
     The z integral runs over the support (``WaveFunction.support``, L
     nodes), outside which psi is below ``SUPPORT_TOL`` of its peak and is
@@ -107,6 +115,8 @@ class WignerRows:
     block).  The values agree with the direct sum over the full grid to FFT
     roundoff, about 1e-13.
     """
+
+    summary: WignerGrid | None = None
 
     def __init__(self, psi: WaveFunction, x_axis: Grid | None = None,
                  y_axis: Grid | None = None) -> None:
@@ -139,39 +149,52 @@ class WignerRows:
         self._first = first
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, float]]:
-        n, h, y = len(self._padded) // 3, self._h, self.y_axis
+        n, h, x, y = len(self._padded) // 3, self._h, self.x_axis, self.y_axis
+        self.summary = None
+        position, total, first = [], np.zeros(y.n_points), None
+        lo, hi, imag_residue = math.inf, -math.inf, 0.0
         for a, b, k in self._batches:
             if k is None:
-                yield np.broadcast_to(0.0, (b - a, y.n_points)), 0.0
-                continue
-            # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z)
-            offset = self._offset[a - self._first:b - self._first]
-            plus = np.lib.stride_tricks.sliding_window_view(self._padded, 2 * k + 1)[n - k + offset]
-            products = np.conj(plus)
-            products *= plus[:, ::-1]
-            del plus
-            transform = _offset_dft(products, 2.0 * k * h, -2.0 * h, y.x_min, y.spacing, y.n_points)
-            del products
-            transform *= h / np.pi
-            yield transform.real, float(np.max(np.abs(transform.imag)))
-            del transform  # freed before the next batch is gathered
+                values, residue = np.broadcast_to(0.0, (b - a, y.n_points)), 0.0
+            else:
+                # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z)
+                offset = self._offset[a - self._first:b - self._first]
+                plus = np.lib.stride_tricks.sliding_window_view(self._padded, 2 * k + 1)[n - k + offset]
+                products = np.conj(plus)
+                products *= plus[:, ::-1]
+                del plus
+                transform = _offset_dft(products, 2.0 * k * h, -2.0 * h, y.x_min, y.spacing, y.n_points)
+                del products
+                transform *= h / np.pi
+                values, residue = transform.real, float(np.max(np.abs(transform.imag)))
+                del transform  # values holds it until the next batch is asked for
+            position.append(np.trapezoid(values, dx=y.spacing, axis=1))
+            total += values.sum(axis=0)
+            first = values[0].copy() if first is None else first
+            last = values[-1].copy()
+            lo, hi = float(np.minimum(lo, values.min())), float(np.maximum(hi, values.max()))
+            imag_residue = max(imag_residue, residue)
+            yield values, residue
+            del values  # freed before the next batch is gathered
+        self.summary = WignerGrid(
+            x_axis=x, y_axis=y, values=None, imag_residue=imag_residue, min_value=lo, max_value=hi,
+            _position=np.concatenate(position), _momentum=x.spacing * (total - 0.5 * (first + last)))
 
 
 def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = None) -> WignerGrid:
     """The Wigner function of psi on the axes x and y (defaults as for
-    ``WignerRows``), collected from its ``WignerRows`` into one array.  The
-    transform's working memory above the result, by tracemalloc: 2.0 MiB at
-    the default axes of the Fock-5 output, 2.3 MiB on 2048 x 2048 axes.  A
-    caller that only writes or reduces the grid reads the rows instead."""
+    ``WignerRows``), collected from its ``WignerRows`` into one array beside
+    the summary of that pass (``WignerRows.summary``).  The transform's
+    working memory above the result, by tracemalloc: 2.0 MiB at the default
+    axes of the Fock-5 output, 2.4 MiB on 2048 x 2048 axes.  A caller that
+    only writes the grid or reads its summary iterates the rows instead."""
     rows = WignerRows(psi, x_axis, y_axis)
     values = np.empty((rows.x_axis.n_points, rows.y_axis.n_points))
-    imag_residue, start = 0.0, 0
-    for block, residue in rows:
+    start = 0
+    for block, _ in rows:
         values[start:start + len(block)] = block
         start += len(block)
-        imag_residue = max(imag_residue, residue)
-    return WignerGrid(x_axis=rows.x_axis, y_axis=rows.y_axis, values=values,
-                      imag_residue=imag_residue)
+    return replace(rows.summary, values=values)
 
 
 def fidelity(a: WaveFunction, b: WaveFunction) -> float:

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import WIGNER_STRIDE, WignerRows, strided_axis
+from .analysis import WIGNER_STRIDE, WignerGrid, WignerRows, strided_axis
 from .analysis import fidelity_cat, fidelity_coh, fidelity_mix
 from .cubic import SQUEEZING_SWEEP, CubicGateConfig, squeezing_db, squeezing_scan
 from .errors import CatGateError, ConvergenceError, LinearizationDomainError
@@ -355,33 +355,11 @@ def _write(command: Command, v: SimpleNamespace, texts: dict, output: Output) ->
     print(f"wrote {', '.join(written)}{note}")
 
 
-class _WignerTally:
-    """A Wigner grid streamed into its long-format (x, y, W) table: its
-    ``WignerRows`` blocks pass through ``table``'s W column to the writer,
-    and on the way it keeps what the sidecar and the note need, each the
-    number ``WignerGrid`` gives for the whole grid, bit for bit: the
-    normalization (each row's y trapezoid, then the x trapezoid of those),
-    the least and the largest value and ``imag_residue``."""
-
-    def __init__(self, rows: WignerRows) -> None:
-        self.rows = rows
-        self.marginals: list[np.ndarray] = []
-        self.min_value, self.max_value, self.imag_residue = math.inf, -math.inf, 0.0
-
-    def _blocks(self) -> Iterator[np.ndarray]:
-        for values, residue in self.rows:
-            self.marginals.append(np.trapezoid(values, dx=self.rows.y_axis.spacing, axis=1))
-            self.min_value = float(np.minimum(self.min_value, values.min()))
-            self.max_value = float(np.maximum(self.max_value, values.max()))
-            self.imag_residue = max(self.imag_residue, residue)
-            yield values
-
-    def table(self, title: str, extra: Callable[[], dict]) -> Table:
-        return Table(title, {"x": self.rows.x_axis.points, "y": self.rows.y_axis.points,
-                             "W": self._blocks()}, extra)
-
-    def normalization(self) -> float:
-        return float(np.trapezoid(np.concatenate(self.marginals), dx=self.rows.x_axis.spacing))
+def _wigner_table(rows: WignerRows, title: str, extra: Callable[[WignerGrid], dict]) -> Table:
+    """A Wigner grid streamed into its long-format (x, y, W) table; the
+    sidecar is ``extra`` of the summary that the writer's pass leaves."""
+    return Table(title, {"x": rows.x_axis.points, "y": rows.y_axis.points,
+                         "W": (values for values, _ in rows)}, lambda: extra(rows.summary))
 
 
 # ---------------------------------------------------------------- commands
@@ -424,23 +402,23 @@ def _wigner(v) -> Output:
         resource, y_m = _resource(v)
         state = collapse(make_vacuum(v.grid), resource, y_m).psi_out
     # the resolver builds --stride's axis
-    tally = _WignerTally(WignerRows(state, v.stride, v.paxis))
+    rows = WignerRows(state, v.stride, v.paxis)
 
-    def extra() -> dict:
-        norm = tally.normalization()
+    def extra(summary: WignerGrid) -> dict:
+        norm = summary.normalization()
         return {
-            "x_axis": _grid_params(tally.rows.x_axis),
-            "y_axis": _grid_params(tally.rows.y_axis),
+            "x_axis": _grid_params(summary.x_axis),
+            "y_axis": _grid_params(summary.y_axis),
             "normalization": norm,
             "normalization_residual": norm - 1.0,
-            "imag_residue": tally.imag_residue,
-            "min_value": tally.min_value,
-            "max_value": tally.max_value,
+            "imag_residue": summary.imag_residue,
+            "min_value": summary.min_value,
+            "max_value": summary.max_value,
         }
 
-    table = tally.table("phase-space quasi-probability, long format", extra)
-    return Output([(".csv", table)],
-                  lambda: f"normalization={tally.normalization():.6f}, min={tally.min_value:.4f}")
+    table = _wigner_table(rows, "phase-space quasi-probability, long format", extra)
+    return Output([(".csv", table)], lambda: f"normalization={rows.summary.normalization():.6f}, "
+                                             f"min={rows.summary.min_value:.4f}")
 
 
 def _scan_probability(v) -> Output:
@@ -574,10 +552,9 @@ def _match_compare(v) -> Output:
 
 def _side_wigner(tag: str, state) -> tuple[str, Table]:
     """One side's streamed Wigner table of ``match compare --wigner``."""
-    tally = _WignerTally(WignerRows(state))
-    return f"_{tag}_wigner.csv", tally.table(
-        f"wigner grid for the {tag} side",
-        lambda: {"side": tag, "normalization": tally.normalization()})
+    return f"_{tag}_wigner.csv", _wigner_table(
+        WignerRows(state), f"wigner grid for the {tag} side",
+        lambda summary: {"side": tag, "normalization": summary.normalization()})
 
 
 # ---------------------------------------------------------------- the table

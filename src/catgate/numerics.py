@@ -66,8 +66,8 @@ SUPPORT_LOG = -math.log(SUPPORT_TOL)
 #: of ``analysis.WignerRows``.  A batch of rows holds its products and one
 #: FFT buffer, each about this size, and the blocks of the reach order set
 #: each row's K, and with it the row's bits.  2 MiB blocks were the fastest
-#: of 0.5 to 16 MiB on the default 512 x 512 Wigner axes.  It also sizes the
-#: row blocks of ``WignerGrid.position_marginal`` and ``AIRY_BLOCK``.
+#: of 0.5 to 16 MiB on the default 512 x 512 Wigner axes.  It also sizes
+#: ``AIRY_BLOCK``; the stream's summary reduces each batch as it comes.
 BLOCK_BYTES = 2 * 2 ** 20
 
 #: Nodes per Airy pass, of ``gate.Grader``'s blocks for every resource

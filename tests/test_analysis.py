@@ -251,6 +251,46 @@ def test_wigner_rows_keep_the_bits_of_the_reach_sorted_blocks(case):
     assert w.values.tobytes() == expected.tobytes() and w.imag_residue == expected_residue
 
 
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_wigner_summary_is_the_reductions_of_the_collected_grid(case):
+    # the summary the stream gathers, against reductions of the whole array:
+    # bit for bit, but the momentum marginal, a running sum over the blocks
+    psi, x_axis, y_axis = _stream_case(case)
+    rows = WignerRows(psi, x_axis, y_axis)
+    values = np.concatenate([block.copy() for block, _ in rows])
+    summary = rows.summary
+    position = np.trapezoid(values, dx=y_axis.spacing, axis=1)
+    assert summary.values is None
+    assert summary.position_marginal().tobytes() == position.tobytes()
+    assert summary.normalization() == float(np.trapezoid(position, dx=x_axis.spacing))
+    assert (summary.min_value, summary.max_value) == (values.min(), values.max())
+    assert summary.imag_residue == _reach_sorted_wigner(psi, x_axis, y_axis)[1]
+    momentum = np.trapezoid(values, dx=x_axis.spacing, axis=0)
+    assert np.max(np.abs(summary.momentum_marginal() - momentum)) <= 1e-14
+
+
+def _summary_bits(summary):
+    return (summary.position_marginal().tobytes(), summary.momentum_marginal().tobytes(),
+            summary.normalization(), summary.min_value, summary.max_value, summary.imag_residue)
+
+
+def test_wigner_summary_belongs_to_a_finished_pass():
+    # every pass gathers its own summary from nothing, so a reused stream
+    # counts no marginal twice; a pass left after one block leaves none
+    psi, x_axis, y_axis = _stream_case("fock5_ym1")
+    rows = WignerRows(psi, x_axis, y_axis)
+    assert rows.summary is None
+    bits = []
+    for _ in range(2):
+        for _ in rows:
+            pass
+        bits.append(_summary_bits(rows.summary))
+    assert bits[0] == bits[1]
+    assert _summary_bits(wigner(psi, x_axis, y_axis)) == bits[0]
+    next(iter(rows))
+    assert rows.summary is None
+
+
 @pytest.mark.parametrize("y_axis", [None, Grid(-16.0, 16.0, 2049)], ids=["default", "m2049"])
 def test_wigner_memory_does_not_grow_with_momentum_axis(y_axis):
     # a dense (2N-1) x M kernel alone would be 256 MiB at m = 2049; the

@@ -62,17 +62,27 @@ MODULES = {info.name for info in pkgutil.iter_modules([str(PACKAGE)])}
 # a backticked `module.name` or ``catgate.module.name``; a file name such as
 # `gate.py` is not one
 NAMED = re.compile(r"`(?:catgate\.)?(\w+)\.(\w+)")
+# a backticked `Class.attr`, also after a module name, as in ``gate.Grader.grade``
+MEMBER = re.compile(r"`(?:catgate\.)?(?:\w+\.)?(\w+)\.(\w+)")
+CLASSES = {name: value for module in MODULES
+           for name, value in vars(importlib.import_module(f"catgate.{module}")).items()
+           if isinstance(value, type) and value.__module__.startswith("catgate.")}
 
 
 def test_every_named_module_attribute_resolves():
-    """The README and the docstrings name no function or class that is gone."""
+    """The README and the docstrings name no function, class or class
+    attribute that is gone."""
     texts = [pathlib.Path(__file__).parents[1] / "README.md", *sorted(PACKAGE.glob("*.py"))]
     named = {(module, name) for path in texts
              for module, name in NAMED.findall(path.read_text(encoding="utf-8"))
              if module in MODULES and name != "py"}
-    assert len(named) > 5
+    members = {(cls, name) for path in texts
+               for cls, name in MEMBER.findall(path.read_text(encoding="utf-8")) if cls in CLASSES}
+    assert len(named) > 5 and len(members) >= 5
     missing = [f"{module}.{name}" for module, name in sorted(named)
                if not hasattr(importlib.import_module(f"catgate.{module}"), name)]
+    missing += [f"{cls}.{name}" for cls, name in sorted(members)
+                if not hasattr(CLASSES[cls], name)]
     assert missing == []
 
 
