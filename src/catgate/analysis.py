@@ -153,21 +153,28 @@ class WignerRows:
         self.summary = None
         position, total, first = [], np.zeros(y.n_points), None
         lo, hi, imag_residue = math.inf, -math.inf, 0.0
+        zero_row = np.zeros(y.n_points)
         for a, b, k in self._batches:
             if k is None:
-                values, residue = np.broadcast_to(0.0, (b - a, y.n_points)), 0.0
-            else:
-                # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z)
-                offset = self._offset[a - self._first:b - self._first]
-                plus = np.lib.stride_tricks.sliding_window_view(self._padded, 2 * k + 1)[n - k + offset]
-                products = np.conj(plus)
-                products *= plus[:, ::-1]
-                del plus
-                transform = _offset_dft(products, 2.0 * k * h, -2.0 * h, y.x_min, y.spacing, y.n_points)
-                del products
-                transform *= h / np.pi
-                values, residue = transform.real, float(np.max(np.abs(transform.imag)))
-                del transform  # values holds it until the next batch is asked for
+                # the reductions of zeros: zero marginals, 0 into min and
+                # max, nothing added to the row sum (which never holds -0.0)
+                position.append(np.zeros(b - a))
+                first = zero_row if first is None else first
+                last = zero_row
+                lo, hi = float(np.minimum(lo, 0.0)), float(np.maximum(hi, 0.0))
+                yield np.broadcast_to(0.0, (b - a, y.n_points)), 0.0
+                continue
+            # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z)
+            offset = self._offset[a - self._first:b - self._first]
+            plus = np.lib.stride_tricks.sliding_window_view(self._padded, 2 * k + 1)[n - k + offset]
+            products = np.conj(plus)
+            products *= plus[:, ::-1]
+            del plus
+            transform = _offset_dft(products, 2.0 * k * h, -2.0 * h, y.x_min, y.spacing, y.n_points)
+            del products
+            transform *= h / np.pi
+            values, residue = transform.real, float(np.max(np.abs(transform.imag)))
+            del transform  # values holds it until the next batch is asked for
             position.append(np.trapezoid(values, dx=y.spacing, axis=1))
             total += values.sum(axis=0)
             first = values[0].copy() if first is None else first

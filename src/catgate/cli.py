@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -277,40 +278,190 @@ def _fmt(value: float) -> str:
 
 #: Rows of a 1-D table that become Python floats at a time.
 _CSV_BLOCK_ROWS = 1024
+#: Cells of a grid table that ``_format_g12`` formats at a time, in whole
+#: rows (one row at least).
+_CSV_BLOCK_CELLS = 2048
+
+# "%.12g" of a finite v != 0 is its 12 significant digits, rounded to
+# nearest, as an integer m in [1e11, 1e12), and its decimal exponent e, with
+# trailing zeros of the fraction dropped: "0." and -1-e zeros before the
+# digits for -4 <= e < 0, a point after e + 1 digits for 0 <= e < 12, else
+# a point after the first digit and "e-05"-style exponent.  ``_format_g12``
+# takes e = floor(log10|v|) and r = |v| 10^(11-e), the power a correctly
+# rounded float64, so r is within two roundings, 2.3e-4, of the exact
+# |v| 10^(11-e) when r < 1e12.  So m = rint(r) is exact where r is within
+# 0.499 of an integer, 1e11 <= r and m < 1e12.  Every other cell goes to
+# "%" itself: ties, decade carries, a log10 off by one, 0 <= e < 12,
+# |e| > 290, NaN and inf.  The tables are indexed by the clipped decade
+# i = e + _G12_BIAS in [0, 2 _G12_BIAS]; i = 0 also holds every zero.
+_G12_BIAS = 291
+
+
+@cache
+def _g12_tables() -> tuple[np.ndarray, ...]:
+    """The kernel's tables, built by numpy from a few literals when the
+    first grid table is written, so that other commands neither build nor
+    hold them.  Each cell is 32 bytes: sign and lead ("-0.000") in 8, the
+    first digit, the point and the second digit in 4, two more digits in
+    4, four and four digits in 4 each, exponent and "\\n" in 8.  A byte that
+    no text fills is NUL, and every pass writes all 32, so a buffer can be
+    reused.  Text is only copied as whole words, never computed on, so it
+    is the same in either byte order."""
+    e = np.arange(2 * _G12_BIAS + 1) - _G12_BIAS
+    kernel = (np.abs(e) < _G12_BIAS) & ((e < 0) | (e >= 12))
+    e_form = kernel & ((e < -4) | (e >= 12))
+    # the decimal literals' float64 values, so correctly rounded
+    scale = np.where(kernel, np.strings.add(b"1e", (11 - e).astype("S4")).astype(np.float64), 0.0)
+
+    lead = np.zeros((2, e.size, 8), np.uint8)
+    lead[1, :, 0] = ord("-")
+    lead[:, :, 1:6] = np.where((-4 <= e[:, None]) & (e[:, None] < 0) & (np.arange(5) < 1 - e[:, None]),
+                               np.frombuffer(b"0.000", np.uint8), 0)
+    lead[:, 0, 1] = ord("0")
+
+    a = np.abs(e)[:, None]
+    three = a >= 100
+    digits = np.where(three, a // np.array([100, 10, 1]) % 10, a // np.array([10, 1, 1]) % 10) + ord("0")
+    exponent = np.zeros((e.size, 8), np.uint8)
+    exponent[:, 0] = np.where(e_form, ord("e"), ord("\n"))
+    exponent[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    exponent[:, 2:5] = digits
+    exponent[:, 4] = np.where(three[:, 0], exponent[:, 4], ord("\n"))
+    exponent[:, 5] = np.where(three[:, 0], ord("\n"), 0)
+    exponent[~e_form, 1:] = 0
+
+    # [stripped][g]: the digits of g, two or four, then with trailing zeros NUL
+    def groups(width: int) -> np.ndarray:
+        chars = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+        full = np.stack(np.meshgrid(*[chars] * width, indexing="ij"), axis=-1).reshape(-1, width)
+        kept = np.logical_or.accumulate(full[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+        return np.stack([full, full * kept])
+
+    pairs, quads = groups(2), groups(4)
+    # [e-form][stripped][g]: first digit, the point if a digit follows it, second digit
+    first = np.zeros((2, 2, 100, 4), np.uint8)
+    first[:, :, :, 0] = pairs[:, :, 0]
+    first[:, :, :, 2] = pairs[:, :, 1]
+    first[1, :, :, 1] = (pairs[:, :, 1] != 0) * np.uint8(ord("."))
+    return (scale, np.where(e_form, 200, 0), lead.view(np.uint64).ravel(),
+            first.view(np.uint32).ravel(), np.pad(pairs, ((0, 0), (0, 0), (0, 2))).view(np.uint32).ravel(),
+            quads.view(np.uint32).ravel(), exponent.view(np.uint64).ravel())
+
+
+def _format_g12(values: np.ndarray, out: np.ndarray) -> int:
+    """Write ``b"%.12g\\n" % v`` of each float64 v of ``values`` (1-D) into
+    the row of ``out``, an (n, 4) uint64 array, NUL-padded (see
+    ``_g12_tables``), and return how many cells "%" formatted."""
+    scale, form, lead, first, pairs, quads, exponent = _g12_tables()
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        i = np.log10(a)
+        i += _G12_BIAS
+        # NaN and log10(0) to the bottom row, inf to the top
+        np.fmax(i, 0.0, out=i)
+        np.fmin(i, 2 * _G12_BIAS, out=i)
+        i = i.astype(np.intp)
+        a *= scale[i]
+        m = np.rint(a)
+        exact = np.abs(a - m) < 0.499
+    exact &= a >= 1e11
+    exact &= m < 1e12
+    m = np.where(exact, m, 0.0)
+    del a
+    # m's 12 digits as groups of 2, 2, 4 and 4, each the index of its text,
+    # stripped if only zeros follow; every quotient is exact, since m < 2^53
+    groups = []
+    for size, stripped in ((1e10, 100.0), (1e8, 100.0), (1e4, 10000.0)):
+        group = np.floor(m / size)
+        m -= group * size
+        group += (m == 0) * stripped
+        groups.append(group.astype(np.intp))
+    top, pair, mid = groups
+    top += form[i]
+    m += 10000.0
+    out[:, 0] = lead[i + scale.size * np.signbit(values)]
+    out[:, 3] = exponent[i]
+    words = out.view(np.uint32)
+    words[:, 2] = first[top]
+    words[:, 3] = pairs[pair]
+    words[:, 4] = quads[mid]
+    words[:, 5] = quads[m.astype(np.intp)]
+    slow = np.flatnonzero(~exact & (values != 0))
+    text = out.view(np.uint8)
+    for k, value in zip(slow.tolist(), values[slow].tolist()):
+        text[k] = np.frombuffer((b"%.12g\n" % value).ljust(32, b"\0"), np.uint8)
+    return slow.size
+
+
+def _text_fields(values, end: bytes) -> tuple[list[bytes], np.ndarray]:
+    """``b"%.12g" % v`` of each value, and the same with ``end`` as an
+    (n, words) uint64 array of NUL-padded 8-byte words."""
+    texts = [b"%.12g" % v for v in np.asarray(values, dtype=float).tolist()]
+    width = 8 * -(-(max(map(len, texts), default=0) + len(end)) // 8)
+    fields = np.array([text + end for text in texts], dtype=f"S{width}")
+    return texts, fields.view(np.uint64).reshape(len(texts), width // 8)
+
+
+def _write_grid(fh, x, y, blocks: Iterator) -> None:
+    """The long-format rows of a grid given as blocks of consecutive rows.
+    A row of +0.0 only is its text already ("%.12g" % -0.0 is "-0"); the
+    other rows go through ``_format_g12`` in passes of whole rows, about
+    ``_CSV_BLOCK_CELLS`` cells, each pass one buffer of NUL-padded lines
+    (x, y, W fields) that one ``translate`` compacts."""
+    x_texts, x_fields = _text_fields(x, b",")
+    y_texts, y_fields = _text_fields(y, b",")
+    n, m = len(x_texts), len(y_texts)
+    zero_pieces = [b""] + [b",%s,0\n" % y_j for y_j in y_texts]
+    rows = max(1, _CSV_BLOCK_CELLS // max(m, 1))
+    xw, yw = x_fields.shape[1], y_fields.shape[1]
+    buffer = bytearray(8 * rows * m * (xw + yw + 4))
+    lines = np.frombuffer(buffer, np.uint64).reshape(rows, m, -1)
+    lines[:, :, xw:xw + yw] = y_fields
+    start = 0
+    for w in blocks:
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] != m or start + len(w) > n:
+            raise ValueError(f"grid block of shape {w.shape} at row {start} "
+                             f"does not fit the {n} x {m} axes")
+        # a row with a set bit holds a value other than +0.0
+        live = w.view(np.uint64).any(axis=1).tolist()
+        for is_live, run in itertools.groupby(range(len(w)), live.__getitem__):
+            run = list(run)
+            if not is_live:
+                fh.writelines(x_texts[start + j].join(zero_pieces) for j in run)
+                continue
+            for i in range(run[0], run[-1] + 1, rows):
+                k = min(i + rows, run[-1] + 1)
+                size = 8 * (k - i) * m * (xw + yw + 4)
+                lines[:k - i, :, :xw] = x_fields[start + i:start + k, None]
+                _format_g12(w[i:k].ravel(), lines[:k - i].reshape((k - i) * m, -1)[:, xw + yw:])
+                fh.write((buffer if size == len(buffer) else buffer[:size]).translate(None, b"\0"))
+        start += len(w)
+    if start != n:
+        raise ValueError(f"grid of {start} rows for an x axis of {n}")
 
 
 def _write_csv(path: str, title: str, columns: dict) -> None:
     """One CSV table, UTF-8 with LF line endings, formatted straight into
     bytes.  A table whose last column is an iterator of 2-D float blocks of
     consecutive rows is a grid in long format, one row per cell: its first
-    two columns are the axes and ``W[i, j]`` belongs to ``(x_i, y_j)``.
-    Only one grid row, or one block of ``_CSV_BLOCK_ROWS`` rows of a 1-D
-    table, at a time becomes Python floats."""
+    two columns are the axes and ``W[i, j]`` belongs to ``(x_i, y_j)``
+    (``_write_grid``); the blocks must cover the axes exactly.  The
+    columns of a 1-D table must be equally long, and only one block of
+    ``_CSV_BLOCK_ROWS`` of its rows at a time becomes Python floats.  A
+    table that does not fit is a ValueError."""
     names = list(columns)
     *axes, grid = columns.values()
     with open(path, "wb") as fh:
         fh.write(f"# {title}\n# columns: {', '.join(names)}\n{','.join(names)}\n".encode())
         if isinstance(grid, Iterator):
-            x, y = (np.asarray(axis, dtype=float).tolist() for axis in axes)
-            # every x row is one template: x between the pieces, then W by one %;
-            # a row of +0.0 only is its text already ("%.12g" % -0.0 is "-0")
-            pieces = [b""] + [b",%.12g,%%.12g\n" % y_j for y_j in y]
-            zero_pieces = [b""] + [piece % 0.0 for piece in pieces[1:]]
-            start = 0
-            for w in grid:
-                # any() reduces without a block-sized mask; a row of +-0 only
-                # is then checked for -0 on its own
-                live = w.any(axis=1)
-                rows = zip(x[start:start + len(w)], w, live.tolist())
-                fh.writelines((b"%.12g" % x_i).join(pieces) % tuple(w_i.tolist())
-                              if live_i or np.signbit(w_i).any()
-                              else (b"%.12g" % x_i).join(zero_pieces)
-                              for x_i, w_i, live_i in rows)
-                start += len(w)
+            _write_grid(fh, *axes, grid)
         else:
             row = b",".join([b"%.12g"] * len(names)) + b"\n"
             values = [np.atleast_1d(np.asarray(columns[c], dtype=float)) for c in names]
-            for start in range(0, min(v.size for v in values), _CSV_BLOCK_ROWS):
+            if len({v.size for v in values}) > 1:
+                raise ValueError(f"columns of unequal lengths {[v.size for v in values]}")
+            for start in range(0, values[0].size, _CSV_BLOCK_ROWS):
                 cells = zip(*(v[start:start + _CSV_BLOCK_ROWS].tolist() for v in values))
                 fh.writelines(row % cell for cell in cells)
 

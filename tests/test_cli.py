@@ -2,10 +2,13 @@ import json
 import math
 import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catgate import FockResource, analysis, cli, cubic, gate, make_vacuum, matching
 from catgate.cli import _write_csv, main
@@ -225,6 +228,120 @@ def test_write_csv_golden_bytes():
         b"-0,0.25,-0\n-0,-1e-300,nan\n"
         b"1.5,0.25,0\n1.5,-1e-300,0\n"
         b"1e+22,0.25,inf\n1e+22,-1e-300,1e+22\n")
+
+
+def g12(values):
+    """``cli._format_g12``'s text of each value, and how many cells it sent
+    to "%"."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((values.size, 4), np.uint64)
+    slow = cli._format_g12(values, out)
+    return out.tobytes().translate(None, b"\0").split(b"\n")[:-1], slow
+
+
+def percent_g12(values):
+    return [b"%.12g" % value for value in np.asarray(values, dtype=np.float64).tolist()]
+
+
+G12_EDGES = [
+    0.0, -0.0, 1e-5, 9.99999999999949e-05, 1e11, 999999999999.5, 9.9999999999995e-07,
+    2.5, 0.125, -0.375, 1e-300, 5e-324, sys.float_info.max, -sys.float_info.max,
+    sys.float_info.min, math.nan, math.inf, -math.inf,
+    # decade carries that log10 does not see
+    9.9999999999993e-05, -9.9999999999996e-07, 9.99999999999951e+20,
+    # ties at the 12th digit: 1001/8192 is 0.1221923828125
+    1001 / 8192, -1003 / 8192, 1234567890125000.0, 1234567890135000.0,
+    # the lead "0." to "0.000", and the decades on either side of it
+    0.1, 1e-4, -1.05e-4, 0.000123456789012345, 9.99999999999e-5, 1.5e-5, 1.0 / 3.0,
+    # the decades "%" takes, and the kernel's last ones
+    1.0, 123.456, 999999999999.4, 1e12, 1.5e15, 123456789012345.0, 1e16,
+    1e-290, 1e290, 1e-291, 1e291, 9.99999999999e290, 1e300,
+]
+
+
+def test_format_g12_is_percent_on_the_edges():
+    texts, _ = g12(G12_EDGES)
+    assert texts == percent_g12(G12_EDGES)
+
+
+def test_format_g12_powers_are_the_decimal_literals():
+    # r = |v| 10^(11-e) is within 2.3e-4 of exact only with correctly rounded powers
+    scale = cli._g12_tables()[0]
+    e = np.arange(scale.size) - cli._G12_BIAS
+    kernel = scale != 0
+    assert kernel.sum() == 2 * 290 + 1 - 12
+    assert all(scale[i] == float(f"1e{11 - e[i]}") for i in np.flatnonzero(kernel))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_format_g12_is_percent_on_any_float(values):
+    assert g12(values)[0] == percent_g12(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=8, max_size=512).map(lambda b: b[:len(b) // 8 * 8]))
+def test_format_g12_is_percent_on_any_bit_pattern(bits):
+    values = np.frombuffer(bits, dtype=np.float64)
+    assert g12(values)[0] == percent_g12(values)
+
+
+def test_format_g12_is_percent_on_random_bit_patterns():
+    # about a tenth of random patterns are NaN, inf, subnormal or past 1e290
+    values = np.random.default_rng(3).integers(0, 256, size=8 * 2 ** 16, dtype=np.uint8).view(np.float64)
+    texts, slow = g12(values)
+    assert texts == percent_g12(values)
+    assert slow < values.size // 5
+
+
+def test_grid_table_is_the_long_format_in_every_decade():
+    # 32 values in each decade from 1e-320 to 1e308, both signs, through the
+    # kernel on the grid path and "%" on the flat path
+    rng = np.random.default_rng(4)
+    decades = np.arange(-320, 309)
+    mantissas = rng.uniform(1.0, 10.0, size=(decades.size, 32))
+    mantissas[-1] = rng.uniform(1.0, 1.75, size=32)
+    w = mantissas * 10.0 ** decades[:, None].astype(float)
+    w[:, 16:] *= -1.0
+    w[:, 1] = 10.0 ** decades.astype(float)
+    x, y = np.arange(decades.size) * 0.1, np.linspace(-1.0, 1.0, 32)
+    _write_csv("grid.csv", "title", {"x": x, "y": y, "W": iter([w[:300], w[300:]])})
+    xs, ys = np.meshgrid(x, y, indexing="ij")
+    _write_csv("long.csv", "title", {"x": xs.ravel(), "y": ys.ravel(), "W": w.ravel()})
+    assert open("grid.csv", "rb").read() == open("long.csv", "rb").read()
+
+
+def test_format_g12_formats_a_script_grid_itself():
+    # the Fock-5, y_m = 0 grid of the Fock report: 108032 live cells, of
+    # which 215 (0.2%) are ties or decade carries that go to "%"
+    rows = analysis.WignerRows(gate.collapse(make_vacuum(default_grid()), FockResource(5), 0.0).psi_out)
+    live = np.concatenate([block[block.any(axis=1)] for block, _ in rows]).ravel()
+    texts, slow = g12(live)
+    assert texts == percent_g12(live)
+    assert slow < 0.01 * live.size
+
+
+@pytest.mark.parametrize("columns", [
+    {"x": np.arange(6.0), "y": np.arange(2.0), "W": iter([np.ones((3, 2))])},
+    {"x": np.arange(6.0), "y": np.arange(2.0), "W": iter([np.ones((4, 2)), np.ones((4, 2))])},
+    {"x": np.arange(6.0), "y": np.arange(2.0), "W": iter([np.ones((6, 3))])},
+    {"a": np.arange(5.0), "b": np.arange(2.0)},
+], ids=["short_stream", "long_stream", "wide_block", "unequal_columns"])
+def test_write_csv_refuses_a_table_that_does_not_fit(columns):
+    with pytest.raises(ValueError):
+        _write_csv("t.csv", "title", columns)
+
+
+def test_a_short_grid_stream_is_a_usage_error_and_leaves_no_file(monkeypatch, capsys, in_tmp):
+    class ShortRows(analysis.WignerRows):
+        def __iter__(self):
+            blocks = super().__iter__()
+            yield next(blocks)
+
+    monkeypatch.setattr(cli, "WignerRows", ShortRows)
+    assert main(["wigner", "--fock", "5", "--out", "w"]) == 2
+    assert capsys.readouterr().err.startswith("error: grid of ")
+    assert list(in_tmp.iterdir()) == []
 
 
 def test_write_csv_holds_one_row_at_a_time():
