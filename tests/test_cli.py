@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -427,6 +428,30 @@ def test_streamed_sidecar_is_the_wigner_grids(argv):
     assert meta["normalization"] == norm and meta["normalization_residual"] == norm - 1.0
     assert meta["imag_residue"] == w.imag_residue
     assert meta["min_value"] == w.values.min() and meta["max_value"] == w.values.max()
+
+
+# sha256 of Wigner tables that the golden manifest does not cover: a
+# --paxis table at stride 3 with its sidecar, and a table whose x axis
+# starts on the grid's fourth node and ends on the support's middle row,
+# which is a live batch of one row
+TABLE_PINS = {
+    "w.csv": "a94c5e8d5a644f4fe54096d6db7e0b387cd6372f1b2a875394ba60c1b779ee06",
+    "w.csv.meta.json": "229f494fe4c0d02fb106f303ebd2db26947379423f44a42c56aab40cff325f58",
+    "one_row.csv": "bfc606f859c5385bf47bd2db21a9661f06131a6de32ab65428618472955a312c",
+}
+
+
+def test_wigner_tables_keep_their_bytes():
+    assert main(["wigner", "--fock", "5", "--stride", "3", "--paxis=-6,6,301", "--out", "w"]) == 0
+    grid = default_grid()
+    psi = gate.collapse(make_vacuum(grid), FockResource(5), 1.0).psi_out
+    x_axis = analysis.Grid(float(grid.points[3]), float(grid.points[2047]), 293)
+    rows = analysis.WignerRows(psi, x_axis, analysis.Grid(-6.0, 6.0, 121))
+    assert [len(values) for values, _ in rows][-3:] == [37, 37, 1]
+    _write_csv("one_row.csv", "title",
+               {"x": x_axis.points, "y": rows.y_axis.points, "W": (values for values, _ in rows)})
+    digests = {name: hashlib.sha256(open(name, "rb").read()).hexdigest() for name in TABLE_PINS}
+    assert digests == TABLE_PINS
 
 
 def test_match_compare_sidecars_are_the_wigner_grids():
