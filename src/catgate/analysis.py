@@ -4,8 +4,11 @@ even/odd cat reference, and the acceptance-window-averaged mixture)."""
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import queue
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -13,7 +16,7 @@ import numpy as np
 
 from . import gate
 from .errors import GridSupportError
-from .numerics import BLOCK_BYTES, Grid, WaveFunction, _offset_dft, overlap
+from .numerics import BLOCK_BYTES, Grid, WaveFunction, _dft_buffer, _offset_dft, overlap
 from .semiclassical import reference_cat
 from .states import FockResource
 
@@ -80,8 +83,8 @@ class WignerRows:
     Building it checks the axes (``_axis_indices``) and finds the state's
     support; iterating it yields ``(values, imag_residue)`` for consecutive
     blocks of x rows, in x order, each row once: ``values`` is a (rows, M)
-    float array, valid until the next block is asked for, and
-    ``imag_residue`` the largest imaginary part the block discarded.
+    float array that no later block writes into, and ``imag_residue`` the
+    largest imaginary part the block discarded.
     A pass also gathers the grid's one summary, with no grid-sized
     temporary: each row's y trapezoid (the position marginal), the x
     trapezoid as a running sum of the rows less half the first and the last
@@ -90,6 +93,18 @@ class WignerRows:
     ``summary``, a ``WignerGrid`` without values: every pass starts by
     resetting it to None.  ``wigner`` collects the rows into a
     ``WignerGrid``; the CLI writes them without holding the grid.
+
+    A pass does its batch work (the gather, the transform and the summary's
+    reductions) in one worker thread, one batch ahead of its consumer:
+    handing block j over, it asks the worker for block j + 1, so that the
+    transform runs while the consumer writes (numpy's FFT and ufunc loops
+    release the GIL).  The hand-off holds one item at a time.  The worker
+    runs in a copy of the caller's context, ``np.errstate`` included, and
+    calls nothing that perfbench's tracer wraps, whose span stack is
+    single-threaded.  Its exception reaches the consumer with its own type
+    and message.  However the pass ends (at its end, on an error, or
+    closed or dropped by its consumer), the worker is stopped and joined
+    before the pass's generator returns, so no thread outlives its pass.
 
     The z integral runs over the support (``WaveFunction.support``, L
     nodes), outside which psi is below ``SUPPORT_TOL`` of its peak and is
@@ -108,12 +123,15 @@ class WignerRows:
     the support, and each run goes through the transform in x order, in
     batches of at most a block's rows.  numpy's FFT transforms each row of
     a batch alone, so a row's values depend on its K only, not on its
-    batch.  A batch's rows are gathered through a sliding window of the
-    padded support, and it holds its products and the transform's one
-    buffer; nothing of it outlives the next request.  So the working memory
-    does not grow with the axis sizes (until a single row outgrows the
-    block).  The values agree with the direct sum over the full grid to FFT
-    roundoff, about 1e-13.
+    batch.  A batch's rows are evenly spaced, so they are a strided slice of
+    a sliding window over the padded support, a view; their products are
+    built in the transform's one zero-padded buffer
+    (``numerics._dft_buffer``), with the operations of a separate products
+    array.  So a pass holds two batches' transforms, the one the consumer
+    has and the one the worker makes, and its working memory does not grow
+    with the axis sizes (until a single row outgrows the block).  The
+    values agree with the direct sum over the full grid to FFT roundoff,
+    about 1e-13.
     """
 
     summary: WignerGrid | None = None
@@ -131,8 +149,8 @@ class WignerRows:
         self._h = grid.spacing
         # the axis rows inside the support are one run of x rows, from first
         first, stop = np.searchsorted(idx, [live.start, live.stop]).tolist()
-        self._offset = idx[first:stop] - live.start
-        reach = np.minimum(self._offset, n - 1 - self._offset)
+        self._offset = idx - live.start
+        reach = np.minimum(self._offset[first:stop], n - 1 - self._offset[first:stop])
         # each row's K: the largest reach of its block in the reach order
         block = max(1, BLOCK_BYTES // (16 * (2 * n + m)))
         order = np.argsort(reach, kind="stable")
@@ -146,14 +164,50 @@ class WignerRows:
         runs = [(0, first, None), *runs, (stop, len(idx), None)]
         self._batches = [(s, min(s + block, b), run_k) for a, b, run_k in runs
                          for s in range(a, b, block)]
-        self._first = first
+        # the axis rows are evenly spaced grid nodes
+        self._step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, float]]:
-        n, h, x, y = len(self._padded) // 3, self._h, self.x_axis, self.y_axis
         self.summary = None
+        asks, done = queue.SimpleQueue(), queue.SimpleQueue()
+        worker = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(self._work, asks, done), daemon=True)
+        worker.start()
+        try:
+            asks.put(True)
+            while True:
+                item = done.get()
+                if isinstance(item, BaseException):
+                    raise item
+                if isinstance(item, WignerGrid):
+                    break
+                asks.put(True)  # the worker takes the next batch meanwhile
+                yield item
+                del item  # a block the consumer let go is freed while it waits
+            self.summary = item
+        finally:
+            asks.put(False)
+            worker.join()
+
+    def _work(self, asks: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+        """The worker of a pass: one step of ``_steps`` into ``done`` for
+        each True from ``asks``, until a False, the last step or an
+        exception, which goes into ``done`` too."""
+        steps = self._steps()
+        try:
+            while asks.get():
+                done.put(next(steps))
+        except BaseException as exc:
+            done.put(exc)
+
+    def _steps(self) -> Iterator[tuple[np.ndarray, float] | WignerGrid]:
+        """The batch work of a pass, in x order: each batch's block, reduced
+        into the summary, and then the summary."""
+        n, h, x, y = len(self._padded) // 3, self._h, self.x_axis, self.y_axis
         position, total, first = [], np.zeros(y.n_points), None
         lo, hi, imag_residue = math.inf, -math.inf, 0.0
         zero_row = np.zeros(y.n_points)
+        windows = np.lib.stride_tricks.sliding_window_view
         for a, b, k in self._batches:
             if k is None:
                 # the reductions of zeros: zero marginals, 0 into min and
@@ -164,17 +218,18 @@ class WignerRows:
                 lo, hi = float(np.minimum(lo, 0.0)), float(np.maximum(hi, 0.0))
                 yield np.broadcast_to(0.0, (b - a, y.n_points)), 0.0
                 continue
-            # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z)
-            offset = self._offset[a - self._first:b - self._first]
-            plus = np.lib.stride_tricks.sliding_window_view(self._padded, 2 * k + 1)[n - k + offset]
-            products = np.conj(plus)
+            # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z): the
+            # batch's rows are evenly spaced, a strided slice of the windows;
+            # their products go straight into the transform's buffer
+            plus = windows(self._padded, 2 * k + 1)[n - k + self._offset[a]::self._step][:b - a]
+            transform = _dft_buffer((b - a,), 2 * k + 1, y.n_points)
+            products = transform[:, :2 * k + 1]
+            np.conjugate(plus, out=products)
             products *= plus[:, ::-1]
-            del plus
-            transform = _offset_dft(products, 2.0 * k * h, -2.0 * h, y.x_min, y.spacing, y.n_points)
-            del products
+            transform = _offset_dft(transform, 2.0 * k * h, -2.0 * h, y.x_min, y.spacing,
+                                    y.n_points, 2 * k + 1)
             transform *= h / np.pi
             values, residue = transform.real, float(np.max(np.abs(transform.imag)))
-            del transform  # values holds it until the next batch is asked for
             position.append(np.trapezoid(values, dx=y.spacing, axis=1))
             total += values.sum(axis=0)
             first = values[0].copy() if first is None else first
@@ -182,8 +237,7 @@ class WignerRows:
             lo, hi = float(np.minimum(lo, values.min())), float(np.maximum(hi, values.max()))
             imag_residue = max(imag_residue, residue)
             yield values, residue
-            del values  # freed before the next batch is gathered
-        self.summary = WignerGrid(
+        yield WignerGrid(
             x_axis=x, y_axis=y, values=None, imag_residue=imag_residue, min_value=lo, max_value=hi,
             _position=np.concatenate(position), _momentum=x.spacing * (total - 0.5 * (first + last)))
 
@@ -192,8 +246,8 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
     """The Wigner function of psi on the axes x and y (defaults as for
     ``WignerRows``), collected from its ``WignerRows`` into one array beside
     the summary of that pass (``WignerRows.summary``).  The transform's
-    working memory above the result, by tracemalloc: 2.0 MiB at the default
-    axes of the Fock-5 output, 2.4 MiB on 2048 x 2048 axes.  A caller that
+    working memory above the result, by tracemalloc: 1.7 MiB at the default
+    axes of the Fock-5 output, 2.1 MiB on 2048 x 2048 axes.  A caller that
     only writes the grid or reads its summary iterates the rows instead."""
     rows = WignerRows(psi, x_axis, y_axis)
     values = np.empty((rows.x_axis.n_points, rows.y_axis.n_points))

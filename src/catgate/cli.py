@@ -446,7 +446,8 @@ def _write_csv(path: str, title: str, columns: dict) -> None:
     bytes.  A table whose last column is an iterator of 2-D float blocks of
     consecutive rows is a grid in long format, one row per cell: its first
     two columns are the axes and ``W[i, j]`` belongs to ``(x_i, y_j)``
-    (``_write_grid``); the blocks must cover the axes exactly.  The
+    (``_write_grid``); the blocks must cover the axes exactly, and an
+    iterator that has ``close``, a generator say, is closed.  The
     columns of a 1-D table must be equally long, and only one block of
     ``_CSV_BLOCK_ROWS`` of its rows at a time becomes Python floats.  A
     table that does not fit is a ValueError."""
@@ -455,7 +456,13 @@ def _write_csv(path: str, title: str, columns: dict) -> None:
     with open(path, "wb") as fh:
         fh.write(f"# {title}\n# columns: {', '.join(names)}\n{','.join(names)}\n".encode())
         if isinstance(grid, Iterator):
-            _write_grid(fh, *axes, grid)
+            try:
+                _write_grid(fh, *axes, grid)
+            finally:
+                # a stream ends with its table: a failed write stops it
+                # before the file goes
+                if hasattr(grid, "close"):
+                    grid.close()
         else:
             row = b",".join([b"%.12g"] * len(names)) + b"\n"
             values = [np.atleast_1d(np.asarray(columns[c], dtype=float)) for c in names]
@@ -508,9 +515,15 @@ def _write(command: Command, v: SimpleNamespace, texts: dict, output: Output) ->
 
 def _wigner_table(rows: WignerRows, title: str, extra: Callable[[WignerGrid], dict]) -> Table:
     """A Wigner grid streamed into its long-format (x, y, W) table; the
-    sidecar is ``extra`` of the summary that the writer's pass leaves."""
-    return Table(title, {"x": rows.x_axis.points, "y": rows.y_axis.points,
-                         "W": (values for values, _ in rows)}, lambda: extra(rows.summary))
+    sidecar is ``extra`` of the summary that the writer's pass leaves.
+    Closing the W column closes the pass, and so joins its worker."""
+    def values() -> Iterator[np.ndarray]:
+        with contextlib.closing(iter(rows)) as blocks:
+            for block, _ in blocks:
+                yield block
+
+    return Table(title, {"x": rows.x_axis.points, "y": rows.y_axis.points, "W": values()},
+                 lambda: extra(rows.summary))
 
 
 # ---------------------------------------------------------------- commands

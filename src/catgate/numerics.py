@@ -198,8 +198,16 @@ def hermite_values(n: int, x: np.ndarray) -> np.ndarray:
     if n == 0:
         return h0
     prev, cur = h0, math.sqrt(2.0) * x * h0
+    if n > 1:
+        # the recurrence in place, with the operations of the expression
+        # above: prev takes each psi_{k+1}, and scratch x sqrt(2/(k+1)) psi_k
+        prev, cur, scratch = np.asarray(prev), np.asarray(cur), np.empty_like(x)
     for k in range(1, n):
-        prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=scratch)
+        scratch *= cur
+        prev *= math.sqrt(k / (k + 1.0))
+        np.subtract(scratch, prev, out=prev)
+        prev, cur = cur, prev
     return cur
 
 
@@ -226,7 +234,15 @@ def next_fast_len(n: int) -> int:
         m += 1
 
 
-def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int) -> np.ndarray:
+def _dft_buffer(rows: tuple[int, ...], n: int, m: int) -> np.ndarray:
+    """The zeroed buffer in which ``_offset_dft`` transforms ``rows`` rows
+    of n inputs into m outputs each: ``next_fast_len(n + m - 1)`` complex
+    values a row."""
+    return np.zeros(rows + (next_fast_len(n + m - 1),), dtype=np.complex128)
+
+
+def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int,
+                n: int | None = None) -> np.ndarray:
     """Evaluate ``X_j = sum_n f_n exp(-i y_j x_n)`` along the last axis of f,
     for ``x_n = x0 + n h`` and ``y_j = y0 + j dy``, ``j = 0 .. m-1``, via
     Bluestein's chirp factorization:
@@ -238,21 +254,26 @@ def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int
     either sign.
 
     The chirped input goes into one zero-padded buffer of f's leading shape
-    and ``nfft = next_fast_len(n + m - 1)`` complex values a row, which both
-    FFTs and the kernel product transform in place; the result is a view of
-    it.  So a call holds f and that one buffer, and f is never written.
+    (``_dft_buffer``), which both FFTs and the kernel product transform in
+    place; the result is a view of it.  So a call holds f and that one
+    buffer, and f is never written.  A caller that builds its input in
+    place passes that buffer itself as f, with the input in its first n
+    columns, and n: the call then chirps and transforms f, and holds
+    nothing else of f's size.
     """
-    n = f.shape[-1]
+    if n is None:
+        n, buf = f.shape[-1], _dft_buffer(f.shape[:-1], f.shape[-1], m)
+    else:
+        buf, f = f, f[..., :n]
+    nfft = buf.shape[-1]
     a = dy * h
     k = np.arange(n, dtype=np.float64)
-    nfft = next_fast_len(n + m - 1)
     kk = np.arange(max(n, m), dtype=np.float64)
     chirp = np.exp(0.5j * a * kk * kk)
     kernel = np.zeros(nfft, dtype=np.complex128)
     kernel[:m] = chirp[:m]
     if n > 1:
         kernel[-(n - 1):] = chirp[1:n][::-1]
-    buf = np.zeros(f.shape[:-1] + (nfft,), dtype=np.complex128)
     np.multiply(f, np.exp(-1j * ((y0 * h) * k + 0.5 * a * k * k)), out=buf[..., :n])
     np.fft.fft(buf, axis=-1, out=buf)
     buf *= np.fft.fft(kernel)

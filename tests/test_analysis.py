@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,7 +29,7 @@ from catgate import (
     reference_cat,
     wigner,
 )
-from catgate import states
+from catgate import analysis, states
 from catgate.analysis import WignerRows, strided_axis
 from catgate.errors import GridSupportError, LinearizationDomainError
 from catgate.gate import Grader
@@ -303,6 +305,81 @@ def test_wigner_memory_does_not_grow_with_momentum_axis(y_axis):
     finally:
         tracemalloc.stop()
     assert peak < w.values.nbytes + 4 * 2 ** 20
+
+
+def _one_block(rows):
+    for block in rows:
+        return block
+
+
+@pytest.mark.parametrize("consume", [list, _one_block], ids=["full", "break"])
+def test_a_wigner_pass_leaves_no_thread(consume):
+    # the worker of a pass is joined when the pass ends, however it ends;
+    # only a pass that ran to its end leaves a summary
+    psi, x_axis, y_axis = _stream_case("fock5_ym1")
+    rows = WignerRows(psi, x_axis, y_axis)
+    threads = threading.active_count()
+    consume(rows)
+    assert threading.active_count() == threads
+    assert (rows.summary is not None) == (consume is list)
+
+
+def _overflow(*args):
+    return np.float64(1e308) * 10.0
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    (MemoryError("Unable to allocate 2.00 MiB for an array"), MemoryError, "Unable to allocate"),
+    (_overflow, RuntimeWarning, "overflow"),
+], ids=["MemoryError", "RuntimeWarning"])
+def test_a_worker_error_reaches_the_caller_after_its_join(monkeypatch, fault, error, message):
+    # the error of a batch's transform, with its own type and message; a
+    # RuntimeWarning is one under the suite's filter, in the worker too
+    def transform(*args):
+        if isinstance(fault, Exception):
+            raise fault
+        return fault(*args)
+
+    monkeypatch.setattr(analysis, "_offset_dft", transform)
+    rows = WignerRows(*_stream_case("fock5_ym1"))
+    threads = threading.active_count()
+    with pytest.raises(error, match=message):
+        for _ in rows:
+            pass
+    assert threading.active_count() == threads
+    assert rows.summary is None
+
+
+def test_the_worker_keeps_the_callers_floating_point_errors(monkeypatch):
+    # the worker runs in a copy of the caller's context, np.errstate included
+    monkeypatch.setattr(analysis, "_offset_dft", _overflow)
+    rows = WignerRows(*_stream_case("fock5_ym1"))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        list(rows)
+
+
+def test_held_blocks_keep_their_values_while_passes_interleave():
+    # block k stays intact after block k+1 is asked for: three passes, each
+    # with its worker, advanced in turn with thread switches forced often,
+    # and every block held to the end
+    cases = ["fock5_ym1", "cubic_06a", "paxis"]
+    expected = [wigner(*_stream_case(case)).values for case in cases]
+    passes = {case: iter(WignerRows(*_stream_case(case))) for case in cases}
+    held = {case: [] for case in cases}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        while passes:
+            for case, blocks in list(passes.items()):
+                block = next(blocks, None)
+                if block is None:
+                    del passes[case]
+                else:
+                    held[case].append(block[0])
+    finally:
+        sys.setswitchinterval(interval)
+    for case, values in zip(cases, expected):
+        assert np.concatenate(held[case]).tobytes() == values.tobytes()
 
 
 def test_wigner_custom_momentum_axis():

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -576,6 +577,59 @@ def test_a_failed_stream_leaves_no_file(monkeypatch, capsys, in_tmp, argv):
         "error: out of memory, choose smaller axes: Unable to allocate 2.00 MiB for an array"]
     assert len(written) == 1
     assert list(in_tmp.iterdir()) == []
+
+
+def _format_once(monkeypatch):
+    """Let the writer format one pass of rows, then fail as a full disk does."""
+    calls = []
+
+    def format_g12(values, out):
+        if calls:
+            raise OSError(28, "No space left on device")
+        calls.append(len(values))
+        return original(values, out)
+
+    original = cli._format_g12
+    monkeypatch.setattr(cli, "_format_g12", format_g12)
+
+
+def _refuse_transforms(monkeypatch):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 2.00 MiB for an array")
+    monkeypatch.setattr(analysis, "_offset_dft", refuse)
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    (_refuse_transforms, 2,
+     "error: out of memory, choose smaller axes: Unable to allocate 2.00 MiB for an array"),
+    (_format_once, 4, "error: I/O failure: [Errno 28] No space left on device"),
+], ids=["worker", "writer"])
+def test_a_failed_stream_is_joined_before_its_files_go(monkeypatch, capsys, in_tmp, fault, code,
+                                                        message):
+    # the stream's worker is stopped and joined before the command's files
+    # are removed, whether the transform or the write failed; the pass
+    # leaves no summary
+    passes, threads_at_remove = [], []
+
+    class Rows(analysis.WignerRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            passes.append(self)
+
+    def remove(path):
+        threads_at_remove.append(threading.active_count())
+        original_remove(path)
+
+    original_remove = os.remove
+    fault(monkeypatch)
+    monkeypatch.setattr(cli, "WignerRows", Rows)
+    monkeypatch.setattr(os, "remove", remove)
+    threads = threading.active_count()
+    assert main(["wigner", "--fock", "5", "--out", "w"]) == code
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert list(in_tmp.iterdir()) == []
+    assert threads_at_remove == [threads] and threading.active_count() == threads
+    assert len(passes) == 1 and passes[0].summary is None
 
 
 @pytest.mark.parametrize("command, name", [

@@ -187,6 +187,28 @@ def test_fock_order_may_be_a_numpy_integer(n):
                           FockResource(3).momentum_factor(GRID.points))
 
 
+def _hermite_expression(n, x):
+    """The recurrence as one expression a step: the in-place kernel's bits."""
+    x = np.clip(np.asarray(x, dtype=np.float64), -40.0, 40.0)
+    prev = np.pi ** -0.25 * np.exp(-x ** 2 / 2.0)
+    if n == 0:
+        return prev
+    cur = math.sqrt(2.0) * x * prev
+    for k in range(1, n):
+        prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
+    return cur
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 64])
+def test_hermite_values_keep_the_bits_of_the_expression(n):
+    # the recurrence runs in reused buffers with the expression's operations
+    x = np.r_[np.random.default_rng(5).uniform(-12.0, 12.0, 8192), 0.0, -0.0, 39.5, -40.0,
+              40.5, -41.0, 1e6]
+    values = hermite_values(n, x)
+    assert values.tobytes() == _hermite_expression(n, x).tobytes()
+    assert values.shape == x.shape and x[-1] == 1e6
+
+
 def test_hermite_values_stable_at_high_order():
     vals = hermite_values(60, GRID.points)
     assert np.all(np.isfinite(vals))
