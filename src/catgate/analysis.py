@@ -170,6 +170,7 @@ class WignerRows:
     def __iter__(self) -> Iterator[tuple[np.ndarray, float]]:
         self.summary = None
         asks, done = queue.SimpleQueue(), queue.SimpleQueue()
+        # a daemon, so that a pass left suspended does not hold up the exit
         worker = threading.Thread(target=contextvars.copy_context().run,
                                   args=(self._work, asks, done), daemon=True)
         worker.start()

@@ -296,8 +296,8 @@ def test_wigner_summary_belongs_to_a_finished_pass():
 @pytest.mark.parametrize("y_axis", [None, Grid(-16.0, 16.0, 2049)], ids=["default", "m2049"])
 def test_wigner_memory_does_not_grow_with_momentum_axis(y_axis):
     # a dense (2N-1) x M kernel alone would be 256 MiB at m = 2049; the
-    # result is 512 x m doubles, and each block holds about one 2 MiB work
-    # buffer besides its products
+    # result is 512 x m doubles, and a pass holds at most two batches' work
+    # buffers of about 2 MiB, the consumer's and the worker's
     tracemalloc.start()
     try:
         w = wigner(VACUUM, y_axis=y_axis)

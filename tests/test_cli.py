@@ -390,8 +390,9 @@ def _traced_peak(argv):
 
 
 def test_wigner_command_holds_no_grid():
-    # 2048 x 2048 cells, a 32 MiB grid, streamed into the table: one batch
-    # of rows and its transform buffer (about 3 MiB), no grid anywhere
+    # 2048 x 2048 cells, a 32 MiB grid, streamed into the table: the
+    # writer's batch and the one the worker transforms (about 3.4 MiB
+    # traced), no grid anywhere
     code, peak = _traced_peak(["wigner", "--fock", "5", "--stride", "2", "--out", "w2"])
     assert code == 0
     os.remove("w2.csv")  # 157 MB
@@ -442,7 +443,7 @@ TABLE_PINS = {
 }
 
 
-def test_wigner_tables_keep_their_bytes():
+def test_wigner_tables_keep_their_bytes(in_tmp):
     assert main(["wigner", "--fock", "5", "--stride", "3", "--paxis=-6,6,301", "--out", "w"]) == 0
     grid = default_grid()
     psi = gate.collapse(make_vacuum(grid), FockResource(5), 1.0).psi_out
@@ -451,7 +452,7 @@ def test_wigner_tables_keep_their_bytes():
     assert [len(values) for values, _ in rows][-3:] == [37, 37, 1]
     _write_csv("one_row.csv", "title",
                {"x": x_axis.points, "y": rows.y_axis.points, "W": (values for values, _ in rows)})
-    digests = {name: hashlib.sha256(open(name, "rb").read()).hexdigest() for name in TABLE_PINS}
+    digests = {name: hashlib.sha256((in_tmp / name).read_bytes()).hexdigest() for name in TABLE_PINS}
     assert digests == TABLE_PINS
 
 
