@@ -256,10 +256,10 @@ def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int
     The chirped input goes into one zero-padded buffer of f's leading shape
     (``_dft_buffer``), which both FFTs and the kernel product transform in
     place; the result is a view of it.  So a call holds f and that one
-    buffer, and f is never written.  A caller that builds its input in
-    place passes that buffer itself as f, with the input in its first n
-    columns, and n: the call then chirps and transforms f, and holds
-    nothing else of f's size.
+    buffer, and f is not written.  A caller that builds its input in place
+    instead passes that buffer itself as f, with the input in its first n
+    columns, and n: the call then chirps and transforms that buffer, and
+    holds nothing else of its size.
     """
     if n is None:
         n, buf = f.shape[-1], _dft_buffer(f.shape[:-1], f.shape[-1], m)
