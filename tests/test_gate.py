@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -489,3 +490,49 @@ def test_best_phase_memory_does_not_grow_with_outcomes():
     finally:
         tracemalloc.stop()
     assert peak - 2 * ys.nbytes < 16 * 2 ** 20  # less the two result columns
+
+
+# ---------------------------------------------------------------- pinned bits
+PINNED_RESOURCES = [FockResource(n) for n in (0, 1, 2, 3, 5, 64)] + [CubicPhaseResource(0.3, 0.5)]
+# one grading call of mixed jobs; the cubic outcomes stay in BestPhaseCat(5)'s domain
+PINNED_JOBS = [(r, np.linspace(-3.0, 3.0, 41)) for r in PINNED_RESOURCES[:-1]]
+PINNED_JOBS.append((PINNED_RESOURCES[-1], np.linspace(0.0, 3.0, 25)))
+
+
+BIT_PINS = {
+    "grade_none": "a78b9b5f41c9a77d",
+    "grade_cat": "6e143f4103fe2131",
+    "grade_best_phase": "bb84c49fd82b5c9a",
+    "collapse_FockResource(n=0)": "facfc5df79474705",
+    "density_FockResource(n=0)": "156a6899a44868ab",
+    "collapse_FockResource(n=1)": "9eb42becf24e2e28",
+    "density_FockResource(n=1)": "8612ee8beae1f02b",
+    "collapse_FockResource(n=2)": "688807e14c602404",
+    "density_FockResource(n=2)": "8ef8d7ef5a038c12",
+    "collapse_FockResource(n=3)": "5320e4d6212800cf",
+    "density_FockResource(n=3)": "6da63266b26d018e",
+    "collapse_FockResource(n=5)": "8d6805dfc34c8146",
+    "density_FockResource(n=5)": "38e4284e449324aa",
+    "collapse_FockResource(n=64)": "873c2632c7efa988",
+    "density_FockResource(n=64)": "cd28d022d3302243",
+    "collapse_CubicPhaseResource(gamma=0.3, s=0.5)": "1c02cc27be3f71f1",
+    "density_CubicPhaseResource(gamma=0.3, s=0.5)": "b9e66de76a0b1a40",
+}
+
+
+def _digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()[:16]
+
+
+def test_gate_values_keep_their_bits():
+    # P and F of mixed jobs under each kind of reference, and each
+    # resource's collapsed state and full-grid density, to the last bit
+    digests = {}
+    for name, reference in (("none", None), ("cat", CAT5), ("best_phase", BestPhaseCat(5))):
+        p, f = Grader(KICKED, reference).grade(PINNED_JOBS)
+        digests[f"grade_{name}"] = _digest(p) if f is None else _digest(p, f)
+    for resource, y_m in zip(PINNED_RESOURCES, (0.7, -0.4, 1.1, 0.3, -2.0, 2.5, 1.5)):
+        result = collapse(KICKED, resource, y_m)
+        digests[f"collapse_{resource!r}"] = _digest(result.psi_out.values, result.norm_N)
+        digests[f"density_{resource!r}"] = _digest(probability_density(KICKED, resource, y_m))
+    assert digests == BIT_PINS
