@@ -272,10 +272,6 @@ def _exactly_one(values: SimpleNamespace, a: str, b: str) -> None:
 
 # ---------------------------------------------------------------- writer
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 #: Rows of a 1-D table that become Python floats at a time.
 _CSV_BLOCK_ROWS = 1024
 #: Cells of a grid table that ``_format_g12`` formats at a time, in whole
@@ -387,9 +383,7 @@ def _format_g12(values: np.ndarray, out: np.ndarray) -> int:
     words[:, 4] = quads[mid]
     words[:, 5] = quads[m.astype(np.intp)]
     slow = np.flatnonzero(~exact & (values != 0))
-    text = out.view(np.uint8)
-    for k, value in zip(slow.tolist(), values[slow].tolist()):
-        text[k] = np.frombuffer((b"%.12g\n" % value).ljust(32, b"\0"), np.uint8)
+    out.view("S32")[slow, 0] = [b"%.12g\n" % v for v in values[slow].tolist()]
     return slow.size
 
 
@@ -550,7 +544,7 @@ def _collapse(v) -> Output:
             pass
     psi = result.psi_out.values
     table = Table(
-        f"output wavefunction, resource={resource!r}, ym={_fmt(y_m)}",
+        f"output wavefunction, resource={resource!r}, ym={y_m:.12g}",
         {"x": v.grid.points, "re": psi.real, "im": psi.imag, "abs2": np.abs(psi) ** 2},
     )
     summary = {"y_m": y_m, "norm_N": result.norm_N, "P": result.norm_N, "fidelities": fidelities}
