@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NyquistError, ZeroProbabilityError
-from .numerics import SUPPORT_TOL, WaveFunction
+from .numerics import AIRY_BLOCK, SUPPORT_TOL, WaveFunction
 from .semiclassical import BestPhaseCat
 from .states import Resource, require_resource
 
@@ -79,8 +79,8 @@ def probability_density(psi_in: WaveFunction, resource: Resource, y_m: float) ->
     the untrimmed oracle of ``collapse``'s norm."""
     grid = psi_in.grid
     _finite_outcomes(y_m)
-    factor = require_resource(resource).momentum_factor(y_m - grid.points)
-    integrand = np.abs(psi_in.values) ** 2 * np.abs(factor) ** 2
+    amplitude = require_resource(resource).amplitude(y_m - grid.points)
+    integrand = np.abs(psi_in.values) ** 2 * amplitude ** 2
     return float(np.trapezoid(integrand, dx=grid.spacing))
 
 
@@ -147,10 +147,10 @@ class Grader:
             pieces = [(ys[:, None] - self.x[::stride]).ravel() for _, ys, stride, _ in block]
             counts = [piece.size for piece in pieces]
             resources = [resource for resource, _, _, _ in block]
-            factor = type(resources[0]).momentum_factors(resources, counts, np.concatenate(pieces))
+            amplitude = type(resources[0]).amplitudes(resources, counts, np.concatenate(pieces))
             for (resource, ys, stride, start), end in zip(block, np.cumsum(counts).tolist()):
                 x, weights = self.x[::stride], self.rows[:, ::stride] * stride
-                rows = factor[end - ys.size * x.size:end].reshape(ys.size, x.size)
+                rows = amplitude[end - ys.size * x.size:end].reshape(ys.size, x.size)
                 p, f = _grade_block(rows, weights, self.reference, ys, x, resource)
                 probability[start:start + ys.size] = p
                 if f is not None:
@@ -159,7 +159,7 @@ class Grader:
 
     def _blocks(self, jobs):
         """Runs (resource, outcomes, stride, first row) of the jobs' rows, in
-        order, in blocks of one resource class and at most its ``pass_nodes``
+        order, in blocks of one resource class and at most ``AIRY_BLOCK``
         nodes, or of one row alone; a job's stride resolves B_in (``band``)
         plus twice its resource's band."""
         block, used, start = [], 0, 0
@@ -167,11 +167,11 @@ class Grader:
             stride = max(1, int(2.0 * math.pi / (self.h * (self.band + 2.0 * resource.band()))))
             size, a = self.x[::stride].size, 0
             while a < ys.size:
-                if block and (used + size > resource.pass_nodes
+                if block and (used + size > AIRY_BLOCK
                               or type(resource) is not type(block[0][0])):
                     yield block
                     block, used = [], 0
-                b = min(ys.size, a + max(1, (resource.pass_nodes - used) // size))
+                b = min(ys.size, a + max(1, (AIRY_BLOCK - used) // size))
                 block.append((resource, ys[a:b], stride, start + a))
                 used, a = used + (b - a) * size, b
             start += ys.size
@@ -222,12 +222,12 @@ def _grading_plan(psi_in: WaveFunction, reference: WaveFunction | BestPhaseCat |
     return grid.points[live], rows, band + 2.0 * math.pi / (n * h), h
 
 
-def _grade_block(factor, weights, reference, ys, x, resource) -> tuple[np.ndarray, np.ndarray | None]:
+def _grade_block(f, weights, reference, ys, x, resource) -> tuple[np.ndarray, np.ndarray | None]:
     """P, and with a reference the fidelity, of the outcomes ``ys`` from
-    their resource factors, one row per outcome, on the nodes x."""
+    their resource's real amplitudes f, one row per outcome, on the nodes x."""
     # einsum sums in numpy's own loop: a threaded BLAS product of these
     # small blocks stalls whenever a core is busy elsewhere
-    p = np.einsum("ij,j->i", factor.real ** 2 + factor.imag ** 2, weights[0].real)
+    p = np.einsum("ij,j->i", f * f, weights[0].real)
     if reference is None:
         return p, None
     if np.any(p < MIN_COLLAPSE_NORM):
@@ -236,9 +236,9 @@ def _grade_block(factor, weights, reference, ys, x, resource) -> tuple[np.ndarra
             f"outcome y_m={y_m} has vanishing probability density for {resource!r}"
         )
     if isinstance(reference, BestPhaseCat):
-        overlap = np.einsum("ij,ij,j->i", factor, reference.modulation(ys, x), weights[1])
+        overlap = np.einsum("ij,ij,j->i", f, reference.modulation(ys, x), weights[1])
     else:
-        overlap = np.einsum("ij,j->i", factor, weights[1])
+        overlap = np.einsum("ij,j->i", f, weights[1])
     return p, np.minimum(np.abs(overlap) ** 2 / p, 1.0)
 
 

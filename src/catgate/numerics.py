@@ -71,7 +71,7 @@ SUPPORT_LOG = -math.log(SUPPORT_TOL)
 BLOCK_BYTES = 2 * 2 ** 20
 
 #: Nodes per Airy pass, of ``gate.Grader``'s blocks for every resource
-#: (``Resource.pass_nodes``) and of the odd-cat ladder's scan
+#: (``Resource.amplitudes``) and of the odd-cat ladder's scan
 #: blocks (``matching._block_scan``): at the largest node count of
 #: ``_AIRY_RULES`` their Gauss-Laguerre node terms, float64, hold
 #: ``BLOCK_BYTES``, and the default 39-point squeezing sweep's 7830 nodes
@@ -525,7 +525,7 @@ def oscillatory_fourier_factor(
     gamma: float,
     s: float,
     y: Union[float, np.ndarray],
-) -> Union[complex, np.ndarray]:
+) -> Union[float, np.ndarray]:
     """Momentum-representation amplitude of the cubic phase state,
 
     ``(2 pi)^(-1/2) integral dx exp(-i y x) (s^2/pi)^(1/4)
@@ -549,12 +549,12 @@ def oscillatory_fourier_factor(
     an impossible outcome reads as zero probability rather than NaN; a NaN y
     gives NaN.
 
-    Returns a complex for a scalar y and a complex128 array for a 1-D y.
+    Returns a float for a scalar y and a float64 array for a 1-D y.
     """
     validate_cubic_params(gamma, s)
     if np.isscalar(y):
-        return complex(_airy_factor([(gamma, s)], [1], np.array([float(y)]))[0])
+        return float(_airy_factor([(gamma, s)], [1], np.array([float(y)]))[0])
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("y must be a scalar or a 1-D array")
-    return _airy_factor([(gamma, s)], [y.size], y).astype(np.complex128)
+    return _airy_factor([(gamma, s)], [y.size], y)

@@ -12,14 +12,12 @@ import numpy as np
 
 from .errors import NyquistError
 from .numerics import (
-    AIRY_BLOCK,
     SUPPORT_LOG,
     Grid,
     WaveFunction,
     _airy_factor,
     hermite_function,
     hermite_values,
-    oscillatory_fourier_factor,
     validate_cubic_params,
     validate_fock_order,
 )
@@ -29,10 +27,11 @@ Parity = Literal["even", "odd"]
 
 class Resource:
     """An ancilla state of the gate.  A resource is known to the gate only
-    through three closed forms, the first also in batches (``momentum_factors``):
+    through three closed forms, the first also in batches (``amplitudes``):
 
-    * ``momentum_factor(y)``, the amplitude [F psi_res](y) that multiplies the
-      input in the collapse;
+    * ``amplitude(y)``, real, which times the constant ``phase`` is the
+      amplitude [F psi_res](y) that multiplies the input in the collapse
+      (``momentum_factor``); P(y) and the fidelities drop the phase;
     * ``band()``, the half-width of F's spectrum psi_res, beyond which it is
       below ``SUPPORT_TOL`` of its peak; the grader's step comes from it;
     * ``copy_shift(u)``, the semiclassical in-out mapping: at u = y - q
@@ -41,19 +40,20 @@ class Resource:
       the measurement admits no copy.
     """
 
-    #: Most values per ``momentum_factors`` call of the grader, for every
-    #: resource: a Fock block of 2 MiB was faulted in afresh on every block.
-    pass_nodes = AIRY_BLOCK
+    phase = 1
 
-    def momentum_factor(self, y: np.ndarray) -> np.ndarray:
+    def amplitude(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def momentum_factor(self, y: np.ndarray) -> np.ndarray:
+        return self.phase * self.amplitude(y)
+
     @classmethod
-    def momentum_factors(cls, resources, counts, y: np.ndarray) -> np.ndarray:
-        """Complex factors of a 1-D float array of y, ``counts[k]`` values in
-        turn for each of ``resources``: one ``momentum_factor`` call each."""
+    def amplitudes(cls, resources, counts, y: np.ndarray) -> np.ndarray:
+        """Amplitudes of a 1-D float array of y, ``counts[k]`` values in turn
+        for each of ``resources``: one ``amplitude`` call each."""
         ends = np.cumsum(counts).tolist()
-        return np.concatenate([resource.momentum_factor(y[end - count:end])
+        return np.concatenate([resource.amplitude(y[end - count:end])
                                for resource, count, end in zip(resources, counts, ends)])
 
     def band(self) -> float:
@@ -79,9 +79,13 @@ class FockResource(Resource):
     def __post_init__(self) -> None:
         validate_fock_order(self.n)
 
-    def momentum_factor(self, y: np.ndarray) -> np.ndarray:
+    @property
+    def phase(self) -> complex:
         """|n> is its own Fourier transform up to (-i)^n."""
-        return (-1j) ** self.n * hermite_values(self.n, y)
+        return (-1j) ** self.n
+
+    def amplitude(self, y: np.ndarray) -> np.ndarray:
+        return hermite_values(self.n, y)
 
     @property
     def turning_square(self) -> int:
@@ -111,14 +115,14 @@ class CubicPhaseResource(Resource):
     def __post_init__(self) -> None:
         validate_cubic_params(self.gamma, self.s)
 
-    def momentum_factor(self, y: np.ndarray) -> np.ndarray:
-        """An Airy function (``oscillatory_fourier_factor``)."""
-        return np.asarray(oscillatory_fourier_factor(self.gamma, self.s, y))
+    def amplitude(self, y: np.ndarray) -> np.ndarray:
+        """An Airy function (``oscillatory_fourier_factor``) of a 1-D float y."""
+        return _airy_factor([(self.gamma, self.s)], [y.size], y)
 
     @classmethod
-    def momentum_factors(cls, resources, counts, y: np.ndarray) -> np.ndarray:
-        """One Airy pass (``numerics._airy_factor``), bit for bit the calls one by one."""
-        return _airy_factor([(r.gamma, r.s) for r in resources], counts, y).astype(np.complex128)
+    def amplitudes(cls, resources, counts, y: np.ndarray) -> np.ndarray:
+        """One Airy pass, bit for bit the calls one by one."""
+        return _airy_factor([(r.gamma, r.s) for r in resources], counts, y)
 
     def band(self) -> float:
         """|psi_res| is the Gaussian (s^2/pi)^(1/4) exp(-s^2 t^2/2), which

@@ -289,8 +289,8 @@ def test_collapse_on_the_support_matches_the_full_grid(resource, kicked, u):
 
 def test_collapse_evaluates_the_resource_on_the_support_only(monkeypatch):
     points = []
-    original = states.oscillatory_fourier_factor
-    monkeypatch.setattr(states, "oscillatory_fourier_factor",
+    original = states._airy_factor
+    monkeypatch.setattr(states, "_airy_factor",
                         lambda *a: points.append(np.size(a[2])) or original(*a))
     collapse(VACUUM, CubicPhaseResource(0.334, 0.241), 11.012)
     assert points == [2128]  # the vacuum's support, of 4096 grid points
@@ -407,10 +407,10 @@ def test_grade_block_sums_a_row_alone_as_in_a_block(rows, reference):
     ys = np.linspace(-3.0, 3.0, rows)
     grader = Grader(KICKED, reference)
     x, weights = grader.x[::3], grader.rows[:, ::3] * 3
-    factor = resource.momentum_factor((ys[:, None] - x).ravel()).reshape(rows, x.size)
-    p, f = _grade_block(factor, weights, reference, ys, x, resource)
+    amplitude = resource.amplitude((ys[:, None] - x).ravel()).reshape(rows, x.size)
+    p, f = _grade_block(amplitude, weights, reference, ys, x, resource)
     for i in range(rows):
-        p_i, f_i = _grade_block(factor[i:i + 1], weights, reference, ys[i:i + 1], x, resource)
+        p_i, f_i = _grade_block(amplitude[i:i + 1], weights, reference, ys[i:i + 1], x, resource)
         assert p_i[0] == p[i]
         assert f_i is None if reference is None else f_i[0] == f[i]
 
@@ -447,10 +447,10 @@ def test_grader_grades_each_job_as_alone(psi_in, reference, jobs):
     (lambda resource: (resource, [0.0, math.nan]), ValueError, "not finite"),
 ], ids=["scalar", "2-D", "not_a_resource", "nan"])
 def test_grader_checks_every_job_before_grading_any(monkeypatch, resource, bad_job, error, message):
-    # a good job first: the bad one after it stops the call before any factor
+    # a good job first: the bad one after it stops the call before any amplitude
     calls = []
-    original = type(resource).momentum_factors
-    monkeypatch.setattr(type(resource), "momentum_factors",
+    original = type(resource).amplitudes
+    monkeypatch.setattr(type(resource), "amplitudes",
                         classmethod(lambda cls, *a: calls.append(a) or original(*a)))
     with pytest.raises(error, match=message):
         Grader(VACUUM, CAT5).grade([(resource, [0.0]), bad_job(resource)])

@@ -41,6 +41,24 @@ def test_resource_validation():
         CubicPhaseResource(-0.1, 0.3)
 
 
+@pytest.mark.parametrize("resource", [FockResource(0), FockResource(3), FockResource(64),
+                                      CubicPhaseResource(0.3, 0.5), CubicPhaseResource(0.0, 0.5)],
+                         ids=["fock0", "fock3", "fock64", "cubic", "cubic_gamma0"])
+@pytest.mark.parametrize("size", [0, 1, 9])
+def test_amplitude_is_real_and_times_its_phase_is_the_factor(resource, size):
+    y = np.linspace(-3.0, 3.0, size)
+    amplitude = resource.amplitude(y)
+    assert amplitude.dtype == np.float64 and amplitude.shape == y.shape
+    factor = resource.momentum_factor(y)
+    product = resource.phase * amplitude
+    assert product.dtype == factor.dtype and product.tobytes() == factor.tobytes()
+    if size:
+        y[size // 2] = math.nan
+        assert np.isnan(resource.amplitude(y)[size // 2])
+        assert np.isnan(resource.momentum_factor(y)[size // 2])
+        assert not np.any(np.isnan(np.delete(resource.amplitude(y), size // 2)))
+
+
 # ---------------------------------------------------------------- vacuum
 
 def test_vacuum_examples():

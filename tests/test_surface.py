@@ -88,7 +88,7 @@ def test_every_named_module_attribute_resolves():
 
 @pytest.mark.parametrize("resource, kernel", [
     (FockResource(3), "hermite_values"),
-    (CubicPhaseResource(0.3, 0.5), "oscillatory_fourier_factor"),
+    (CubicPhaseResource(0.3, 0.5), "_airy_factor"),
 ])
 def test_resource_closed_forms_call_kernels_by_module_name(monkeypatch, resource, kernel):
     """A wrapper put on the name in ``states`` sees the resource's calls."""
