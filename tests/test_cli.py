@@ -323,6 +323,27 @@ def test_format_g12_formats_a_script_grid_itself():
     assert slow < 0.01 * live.size
 
 
+def test_zero_batches_are_written_without_the_kernel(monkeypatch):
+    # the rows outside the state's support come as zero batches, which the
+    # writer takes from its pre-formatted zero lines: the kernel formats the
+    # rows of the live batches only, each whole
+    cells = []
+
+    def format_g12(values, out):
+        cells.append(values.size)
+        return original(values, out)
+
+    original = cli._format_g12
+    monkeypatch.setattr(cli, "_format_g12", format_g12)
+    assert main(["wigner", "--fock", "5", "--ym", "1", "--out", "w"]) == 0
+    grid = default_grid()
+    live = gate.collapse(make_vacuum(grid), FockResource(5), 1.0).psi_out.support()
+    x = analysis.strided_axis(grid).points
+    live_rows = np.count_nonzero((x >= grid.points[live.start]) & (x <= grid.points[live.stop - 1]))
+    assert 0 < live_rows < x.size
+    assert sum(cells) == live_rows * x.size
+
+
 @pytest.mark.parametrize("columns", [
     {"x": np.arange(6.0), "y": np.arange(2.0), "W": iter([np.ones((3, 2))])},
     {"x": np.arange(6.0), "y": np.arange(2.0), "W": iter([np.ones((4, 2)), np.ones((4, 2))])},

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import subprocess
@@ -21,6 +22,7 @@ from catgate import (
     hermite_function,
     hermite_values,
     make_cubic_phase,
+    make_fock,
     make_vacuum,
     odd_cat_ladder,
     oscillatory_fourier_factor,
@@ -255,6 +257,20 @@ def test_fourier_unitarity_on_superposition():
         + 0.2j * hermite_function(9, GRID).values,
     )
     assert abs(fourier_transform(psi).squared_norm() - psi.squared_norm()) < 1e-8
+
+
+FOURIER_PINS = {
+    "fock5": "8b77e1167581ff2adee32994846f8ec37020b00cbf25f40fd084d26b71c2bd72",
+    "cubic": "b262e8a7c0a4480a79be1c1c6a74e337822cd7dcd3057c32b3acc517587dbc8a",
+}
+
+
+@pytest.mark.parametrize("name", FOURIER_PINS)
+def test_fourier_transform_keeps_its_bits(name):
+    # the transformed resource states on the default grid, bit for bit
+    psi = make_fock(5, GRID) if name == "fock5" else make_cubic_phase(0.05, 0.5, GRID)
+    digest = hashlib.sha256(fourier_transform(psi).values.tobytes()).hexdigest()
+    assert digest == FOURIER_PINS[name]
 
 
 def test_fourth_power_is_identity():
