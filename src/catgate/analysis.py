@@ -81,18 +81,18 @@ class WignerRows:
     and y, by default the x axis, as a stream of row blocks.
 
     Building it checks the axes (``_axis_indices``) and finds the state's
-    support; iterating it yields ``(values, imag_residue)`` for consecutive
-    blocks of x rows, in x order, each row once: ``values`` is a (rows, M)
-    float array that no later block writes into, and ``imag_residue`` the
-    largest imaginary part the block discarded.
+    support; iterating it yields the values of consecutive blocks of x rows,
+    in x order, each row once: a (rows, M) float array that no later block
+    writes into.
     A pass also gathers the grid's one summary, with no grid-sized
     temporary: each row's y trapezoid (the position marginal), the x
     trapezoid as a running sum of the rows less half the first and the last
     (the momentum marginal), the least and the largest value and
-    ``imag_residue``.  Only a pass that ran to its end leaves it, as
-    ``summary``, a ``WignerGrid`` without values: every pass starts by
-    resetting it to None.  ``wigner`` collects the rows into a
-    ``WignerGrid``; the CLI writes them without holding the grid.
+    ``imag_residue``, the largest imaginary part the transform discarded.
+    Only a pass that ran to its end leaves it, as ``summary``, a
+    ``WignerGrid`` without values: every pass starts by resetting it to
+    None.  ``wigner`` collects the rows into a ``WignerGrid``; the CLI
+    writes them without holding the grid.
 
     A pass does its batch work (the gather, the transform and the summary's
     reductions) in one worker thread, one batch ahead of its consumer:
@@ -167,7 +167,7 @@ class WignerRows:
         # the axis rows are evenly spaced grid nodes
         self._step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
 
-    def __iter__(self) -> Iterator[tuple[np.ndarray, float]]:
+    def __iter__(self) -> Iterator[np.ndarray]:
         self.summary = None
         asks, done = queue.SimpleQueue(), queue.SimpleQueue()
         # a daemon, so that a pass left suspended does not hold up the exit
@@ -201,7 +201,7 @@ class WignerRows:
         except BaseException as exc:
             done.put(exc)
 
-    def _steps(self) -> Iterator[tuple[np.ndarray, float] | WignerGrid]:
+    def _steps(self) -> Iterator[np.ndarray | WignerGrid]:
         """The batch work of a pass, in x order: each batch's block, reduced
         into the summary, and then the summary."""
         n, h, x, y = len(self._padded) // 3, self._h, self.x_axis, self.y_axis
@@ -217,7 +217,7 @@ class WignerRows:
                 first = zero_row if first is None else first
                 last = zero_row
                 lo, hi = float(np.minimum(lo, 0.0)), float(np.maximum(hi, 0.0))
-                yield np.broadcast_to(0.0, (b - a, y.n_points)), 0.0
+                yield np.broadcast_to(0.0, (b - a, y.n_points))
                 continue
             # psi(x_i + z) for z = -k h .. k h, and reversed psi(x_i - z): the
             # batch's rows are evenly spaced, a strided slice of the windows;
@@ -230,14 +230,14 @@ class WignerRows:
             transform = _offset_dft(transform, 2.0 * k * h, -2.0 * h, y.x_min, y.spacing,
                                     y.n_points, 2 * k + 1)
             transform *= h / np.pi
-            values, residue = transform.real, float(np.max(np.abs(transform.imag)))
+            values = transform.real
             position.append(np.trapezoid(values, dx=y.spacing, axis=1))
             total += values.sum(axis=0)
             first = values[0].copy() if first is None else first
             last = values[-1].copy()
             lo, hi = float(np.minimum(lo, values.min())), float(np.maximum(hi, values.max()))
-            imag_residue = max(imag_residue, residue)
-            yield values, residue
+            imag_residue = max(imag_residue, float(np.max(np.abs(transform.imag))))
+            yield values
         yield WignerGrid(
             x_axis=x, y_axis=y, values=None, imag_residue=imag_residue, min_value=lo, max_value=hi,
             _position=np.concatenate(position), _momentum=x.spacing * (total - 0.5 * (first + last)))
@@ -253,7 +253,7 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
     rows = WignerRows(psi, x_axis, y_axis)
     values = np.empty((rows.x_axis.n_points, rows.y_axis.n_points))
     start = 0
-    for block, _ in rows:
+    for block in rows:
         values[start:start + len(block)] = block
         start += len(block)
     return replace(rows.summary, values=values)

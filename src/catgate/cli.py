@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -272,10 +271,9 @@ def _exactly_one(values: SimpleNamespace, a: str, b: str) -> None:
 
 # ---------------------------------------------------------------- writer
 
-#: Rows of a 1-D table that become Python floats at a time.
-_CSV_BLOCK_ROWS = 1024
-#: Cells of a grid table that ``_format_g12`` formats at a time, in whole
-#: rows (one row at least).
+#: Cells that the writer converts at a time, in whole rows (one row at
+#: least): a grid table's through ``_format_g12``, a 1-D table's into
+#: Python floats.
 _CSV_BLOCK_CELLS = 2048
 
 # "%.12g" of a finite v != 0 is its 12 significant digits, rounded to
@@ -398,10 +396,11 @@ def _text_fields(values, end: bytes) -> tuple[list[bytes], np.ndarray]:
 
 def _write_grid(fh, x, y, blocks: Iterator) -> None:
     """The long-format rows of a grid given as blocks of consecutive rows.
-    A row of +0.0 only is its text already ("%.12g" % -0.0 is "-0"); the
-    other rows go through ``_format_g12`` in passes of whole rows, about
-    ``_CSV_BLOCK_CELLS`` cells, each pass one buffer of NUL-padded lines
-    (x, y, W fields) that one ``translate`` compacts."""
+    A block of +0.0 only is its text already ("%.12g" % -0.0 is "-0"); any
+    other block goes through ``_format_g12`` whole, which writes +0.0 as "0"
+    too, in passes of whole rows, about ``_CSV_BLOCK_CELLS`` cells, each pass
+    one buffer of NUL-padded lines (x, y, W fields) that one ``translate``
+    compacts."""
     x_texts, x_fields = _text_fields(x, b",")
     y_texts, y_fields = _text_fields(y, b",")
     n, m = len(x_texts), len(y_texts)
@@ -417,15 +416,12 @@ def _write_grid(fh, x, y, blocks: Iterator) -> None:
         if w.ndim != 2 or w.shape[1] != m or start + len(w) > n:
             raise ValueError(f"grid block of shape {w.shape} at row {start} "
                              f"does not fit the {n} x {m} axes")
-        # a row with a set bit holds a value other than +0.0
-        live = w.view(np.uint64).any(axis=1).tolist()
-        for is_live, run in itertools.groupby(range(len(w)), live.__getitem__):
-            run = list(run)
-            if not is_live:
-                fh.writelines(x_texts[start + j].join(zero_pieces) for j in run)
-                continue
-            for i in range(run[0], run[-1] + 1, rows):
-                k = min(i + rows, run[-1] + 1)
+        # a block with no set bit is +0.0 throughout
+        if not w.view(np.uint64).any():
+            fh.writelines(x_text.join(zero_pieces) for x_text in x_texts[start:start + len(w)])
+        else:
+            for i in range(0, len(w), rows):
+                k = min(i + rows, len(w))
                 size = 8 * (k - i) * m * (xw + yw + 4)
                 lines[:k - i, :, :xw] = x_fields[start + i:start + k, None]
                 _format_g12(w[i:k].ravel(), lines[:k - i].reshape((k - i) * m, -1)[:, xw + yw:])
@@ -442,9 +438,9 @@ def _write_csv(path: str, title: str, columns: dict) -> None:
     two columns are the axes and ``W[i, j]`` belongs to ``(x_i, y_j)``
     (``_write_grid``); the blocks must cover the axes exactly, and an
     iterator that has ``close``, a generator say, is closed.  The
-    columns of a 1-D table must be equally long, and only one block of
-    ``_CSV_BLOCK_ROWS`` of its rows at a time becomes Python floats.  A
-    table that does not fit is a ValueError."""
+    columns of a 1-D table must be equally long, and only about
+    ``_CSV_BLOCK_CELLS`` of its cells at a time, in whole rows, become
+    Python floats.  A table that does not fit is a ValueError."""
     names = list(columns)
     *axes, grid = columns.values()
     with open(path, "wb") as fh:
@@ -462,8 +458,9 @@ def _write_csv(path: str, title: str, columns: dict) -> None:
             values = [np.atleast_1d(np.asarray(columns[c], dtype=float)) for c in names]
             if len({v.size for v in values}) > 1:
                 raise ValueError(f"columns of unequal lengths {[v.size for v in values]}")
-            for start in range(0, values[0].size, _CSV_BLOCK_ROWS):
-                cells = zip(*(v[start:start + _CSV_BLOCK_ROWS].tolist() for v in values))
+            rows = max(1, _CSV_BLOCK_CELLS // len(names))
+            for start in range(0, values[0].size, rows):
+                cells = zip(*(v[start:start + rows].tolist() for v in values))
                 fh.writelines(row % cell for cell in cells)
 
 
@@ -510,13 +507,8 @@ def _write(command: Command, v: SimpleNamespace, texts: dict, output: Output) ->
 def _wigner_table(rows: WignerRows, title: str, extra: Callable[[WignerGrid], dict]) -> Table:
     """A Wigner grid streamed into its long-format (x, y, W) table; the
     sidecar is ``extra`` of the summary that the writer's pass leaves.
-    Closing the W column closes the pass, and so joins its worker."""
-    def values() -> Iterator[np.ndarray]:
-        with contextlib.closing(iter(rows)) as blocks:
-            for block, _ in blocks:
-                yield block
-
-    return Table(title, {"x": rows.x_axis.points, "y": rows.y_axis.points, "W": values()},
+    The W column is the pass, so closing it joins the pass's worker."""
+    return Table(title, {"x": rows.x_axis.points, "y": rows.y_axis.points, "W": iter(rows)},
                  lambda: extra(rows.summary))
 
 

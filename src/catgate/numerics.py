@@ -241,8 +241,8 @@ def _dft_buffer(rows: tuple[int, ...], n: int, m: int) -> np.ndarray:
     return np.zeros(rows + (next_fast_len(n + m - 1),), dtype=np.complex128)
 
 
-def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int,
-                n: int | None = None) -> np.ndarray:
+def _offset_dft(buf: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int,
+                n: int) -> np.ndarray:
     """Evaluate ``X_j = sum_n f_n exp(-i y_j x_n)`` along the last axis of f,
     for ``x_n = x0 + n h`` and ``y_j = y0 + j dy``, ``j = 0 .. m-1``, via
     Bluestein's chirp factorization:
@@ -253,18 +253,13 @@ def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int
     length m.  Exact up to FFT roundoff for any offsets and spacings, of
     either sign.
 
-    The chirped input goes into one zero-padded buffer of f's leading shape
-    (``_dft_buffer``), which both FFTs and the kernel product transform in
-    place; the result is a view of it.  So a call holds f and that one
-    buffer, and f is not written.  A caller that builds its input in place
-    instead passes that buffer itself as f, with the input in its first n
-    columns, and n: the call then chirps and transforms that buffer, and
-    holds nothing else of its size.
+    f is the first n columns of ``buf``, a zeroed ``_dft_buffer`` of f's
+    leading shape into which the caller wrote it.  The call chirps f in
+    place, and both FFTs and the kernel product transform the buffer in
+    place; the result is a view of it.  So a call holds nothing else of the
+    buffer's size, and f is overwritten.
     """
-    if n is None:
-        n, buf = f.shape[-1], _dft_buffer(f.shape[:-1], f.shape[-1], m)
-    else:
-        buf, f = f, f[..., :n]
+    f = buf[..., :n]
     nfft = buf.shape[-1]
     a = dy * h
     k = np.arange(n, dtype=np.float64)
@@ -274,7 +269,7 @@ def _offset_dft(f: np.ndarray, x0: float, h: float, y0: float, dy: float, m: int
     kernel[:m] = chirp[:m]
     if n > 1:
         kernel[-(n - 1):] = chirp[1:n][::-1]
-    np.multiply(f, np.exp(-1j * ((y0 * h) * k + 0.5 * a * k * k)), out=buf[..., :n])
+    f *= np.exp(-1j * ((y0 * h) * k + 0.5 * a * k * k))
     np.fft.fft(buf, axis=-1, out=buf)
     buf *= np.fft.fft(kernel)
     out = np.fft.ifft(buf, axis=-1, out=buf)[..., :m]
@@ -292,8 +287,10 @@ def fourier_transform(psi: WaveFunction) -> WaveFunction:
     grid = psi.grid
     if not grid.is_symmetric:
         raise ValueError("fourier_transform requires a grid symmetric about 0")
-    dx = grid.spacing
-    out = _offset_dft(psi.values, grid.x_min, dx, grid.x_min, dx, grid.n_points)
+    dx, n = grid.spacing, grid.n_points
+    buf = _dft_buffer((), n, n)
+    buf[:n] = psi.values
+    out = _offset_dft(buf, grid.x_min, dx, grid.x_min, dx, n, n)
     return WaveFunction(grid, out * dx / math.sqrt(2.0 * math.pi))
 
 

@@ -33,7 +33,7 @@ from catgate import analysis, states
 from catgate.analysis import WignerRows, strided_axis
 from catgate.errors import GridSupportError, LinearizationDomainError
 from catgate.gate import Grader
-from catgate.numerics import BLOCK_BYTES, _offset_dft
+from catgate.numerics import BLOCK_BYTES, _dft_buffer, _offset_dft
 from conftest import GRID, KICKED, ODD_GRID, VACUUM
 
 ODD_VACUUM = make_vacuum(ODD_GRID)
@@ -194,8 +194,10 @@ def _reach_sorted_wigner(psi, x_axis, y_axis):
         chunk = slice(start, start + block)
         k = int(reach[chunk][-1])
         gather = n - k + offset[chunk, None] + np.arange(2 * k + 1)
-        products = np.conj(padded[gather]) * padded[gather[:, ::-1]]
-        transform = _offset_dft(products, 2.0 * k * h, -2.0 * h, y_axis.x_min, y_axis.spacing, m)
+        transform = _dft_buffer(gather.shape[:1], 2 * k + 1, m)
+        transform[:, :2 * k + 1] = np.conj(padded[gather]) * padded[gather[:, ::-1]]
+        transform = _offset_dft(transform, 2.0 * k * h, -2.0 * h, y_axis.x_min, y_axis.spacing, m,
+                                2 * k + 1)
         transform *= h / np.pi
         imag_residue = max(imag_residue, float(np.max(np.abs(transform.imag))))
         values[rows[chunk]] = transform.real
@@ -233,14 +235,13 @@ def test_wigner_rows_keep_the_bits_of_the_reach_sorted_blocks(case):
     rows = WignerRows(psi, x_axis, y_axis)
     n = psi.support().stop - psi.support().start
     batch = BLOCK_BYTES // (16 * (2 * n + y_axis.n_points))
-    blocks, residues, zero_rows = [], [], 0
-    for values, residue in rows:
+    blocks, zero_rows = [], 0
+    for values in rows:
         assert values.shape[1] == y_axis.n_points and 1 <= len(values) <= batch
         if values.strides == (0, 0):  # rows outside the support hold no memory
-            assert not np.any(values) and residue == 0.0
+            assert not np.any(values)
             zero_rows += len(values)
         blocks.append(values.copy())
-        residues.append(residue)
     live = psi.support()
     x = x_axis.points
     outside = (x < GRID.points[live.start]) | (x > GRID.points[live.stop - 1])
@@ -248,7 +249,7 @@ def test_wigner_rows_keep_the_bits_of_the_reach_sorted_blocks(case):
     streamed = np.concatenate(blocks)
     expected, expected_residue = _reach_sorted_wigner(psi, x_axis, y_axis)
     assert streamed.tobytes() == expected.tobytes()
-    assert max(residues) == expected_residue
+    assert rows.summary.imag_residue == expected_residue
     w = wigner(psi, x_axis, y_axis)
     assert w.values.tobytes() == expected.tobytes() and w.imag_residue == expected_residue
 
@@ -259,7 +260,7 @@ def test_wigner_summary_is_the_reductions_of_the_collected_grid(case):
     # bit for bit, but the momentum marginal, a running sum over the blocks
     psi, x_axis, y_axis = _stream_case(case)
     rows = WignerRows(psi, x_axis, y_axis)
-    values = np.concatenate([block.copy() for block, _ in rows])
+    values = np.concatenate([block.copy() for block in rows])
     summary = rows.summary
     position = np.trapezoid(values, dx=y_axis.spacing, axis=1)
     assert summary.values is None
@@ -375,7 +376,7 @@ def test_held_blocks_keep_their_values_while_passes_interleave():
                 if block is None:
                     del passes[case]
                 else:
-                    held[case].append(block[0])
+                    held[case].append(block)
     finally:
         sys.setswitchinterval(interval)
     for case, values in zip(cases, expected):

@@ -317,7 +317,7 @@ def test_format_g12_formats_a_script_grid_itself():
     # the Fock-5, y_m = 0 grid of the Fock report: 108032 live cells, of
     # which 215 (0.2%) are ties or decade carries that go to "%"
     rows = analysis.WignerRows(gate.collapse(make_vacuum(default_grid()), FockResource(5), 0.0).psi_out)
-    live = np.concatenate([block[block.any(axis=1)] for block, _ in rows]).ravel()
+    live = np.concatenate([block[block.any(axis=1)] for block in rows]).ravel()
     texts, slow = g12(live)
     assert texts == percent_g12(live)
     assert slow < 0.01 * live.size
@@ -383,7 +383,7 @@ def test_write_csv_holds_one_row_at_a_time():
 
 def test_write_csv_holds_one_block_of_rows_at_a_time():
     # the 1-D twin: 2^16 rows of 3 columns as Python floats are about 6 MiB;
-    # the writer converts 1024 rows at a time
+    # the writer converts about _CSV_BLOCK_CELLS cells, 682 rows, at a time
     rng = np.random.default_rng(1)
     x, p, f = (rng.uniform(0.5, 1.5, size=2 ** 16) for _ in range(3))
     tracemalloc.start()
@@ -470,9 +470,9 @@ def test_wigner_tables_keep_their_bytes(in_tmp):
     psi = gate.collapse(make_vacuum(grid), FockResource(5), 1.0).psi_out
     x_axis = analysis.Grid(float(grid.points[3]), float(grid.points[2047]), 293)
     rows = analysis.WignerRows(psi, x_axis, analysis.Grid(-6.0, 6.0, 121))
-    assert [len(values) for values, _ in rows][-3:] == [37, 37, 1]
+    assert [len(values) for values in rows][-3:] == [37, 37, 1]
     _write_csv("one_row.csv", "title",
-               {"x": x_axis.points, "y": rows.y_axis.points, "W": (values for values, _ in rows)})
+               {"x": x_axis.points, "y": rows.y_axis.points, "W": iter(rows)})
     digests = {name: hashlib.sha256((in_tmp / name).read_bytes()).hexdigest() for name in TABLE_PINS}
     assert digests == TABLE_PINS
 

@@ -35,6 +35,7 @@ from catgate.numerics import (
     SUPPORT_TOL,
     _airy_ai,
     _airy_factor,
+    _dft_buffer,
     _offset_dft,
     next_fast_len,
 )
@@ -283,18 +284,18 @@ def test_fourth_power_is_identity():
 
 
 @pytest.mark.parametrize("m", [20, 50])
-def test_offset_dft_matches_the_direct_sum_and_keeps_its_input(m):
+def test_offset_dft_matches_the_direct_sum(m):
     # two rows in one batch, y off the x lattice and fewer or more outputs
-    # than inputs; the input is read, never written
+    # than inputs; the input is transformed in the buffer it was written into
     rng = np.random.default_rng(3)
     f = rng.normal(size=(2, 37)) + 1j * rng.normal(size=(2, 37))
-    kept = f.copy()
     x0, h, y0, dy = 0.7, -0.3, -1.1, 0.13
-    out = _offset_dft(f, x0, h, y0, dy, m)
+    buf = _dft_buffer((2,), 37, m)
+    buf[:, :37] = f
+    out = _offset_dft(buf, x0, h, y0, dy, m, 37)
     direct = f @ np.exp(-1j * np.outer(x0 + h * np.arange(37), y0 + dy * np.arange(m)))
-    assert out.shape == (2, m)
+    assert out.shape == (2, m) and np.shares_memory(out, buf)
     assert np.max(np.abs(out - direct)) < 1e-12
-    assert np.array_equal(f, kept)
 
 
 def test_next_fast_len_matches_scipy():
