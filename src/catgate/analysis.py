@@ -4,11 +4,8 @@ even/odd cat reference, and the acceptance-window-averaged mixture)."""
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-import queue
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -91,20 +88,9 @@ class WignerRows:
     ``imag_residue``, the largest imaginary part the transform discarded.
     Only a pass that ran to its end leaves it, as ``summary``, a
     ``WignerGrid`` without values: every pass starts by resetting it to
-    None.  ``wigner`` collects the rows into a ``WignerGrid``; the CLI
-    writes them without holding the grid.
-
-    A pass does its batch work (the gather, the transform and the summary's
-    reductions) in one worker thread, one batch ahead of its consumer:
-    handing block j over, it asks the worker for block j + 1, so that the
-    transform runs while the consumer writes (numpy's FFT and ufunc loops
-    release the GIL).  The hand-off holds one item at a time.  The worker
-    runs in a copy of the caller's context, ``np.errstate`` included, and
-    calls nothing that perfbench's tracer wraps, whose span stack is
-    single-threaded.  Its exception reaches the consumer with its own type
-    and message.  However the pass ends (at its end, on an error, or
-    closed or dropped by its consumer), the worker is stopped and joined
-    before the pass's generator returns, so no thread outlives its pass.
+    None.  A pass runs in its caller's thread.  ``wigner`` collects the
+    rows into a ``WignerGrid``; the CLI writes them without holding the
+    grid.
 
     The z integral runs over the support (``WaveFunction.support``, L
     nodes), outside which psi is below ``SUPPORT_TOL`` of its peak and is
@@ -127,11 +113,10 @@ class WignerRows:
     a sliding window over the padded support, a view; their products are
     built in the transform's one zero-padded buffer
     (``numerics._dft_buffer``), with the operations of a separate products
-    array.  So a pass holds two batches' transforms, the one the consumer
-    has and the one the worker makes, and its working memory does not grow
-    with the axis sizes (until a single row outgrows the block).  The
-    values agree with the direct sum over the full grid to FFT roundoff,
-    about 1e-13.
+    array.  So a pass holds one batch's transform, besides the block its
+    consumer may still hold, and its working memory does not grow with the
+    axis sizes (until a single row outgrows the block).  The values agree
+    with the direct sum over the full grid to FFT roundoff, about 1e-13.
     """
 
     summary: WignerGrid | None = None
@@ -169,41 +154,6 @@ class WignerRows:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         self.summary = None
-        asks, done = queue.SimpleQueue(), queue.SimpleQueue()
-        # a daemon, so that a pass left suspended does not hold up the exit
-        worker = threading.Thread(target=contextvars.copy_context().run,
-                                  args=(self._work, asks, done), daemon=True)
-        worker.start()
-        try:
-            asks.put(True)
-            while True:
-                item = done.get()
-                if isinstance(item, BaseException):
-                    raise item
-                if isinstance(item, WignerGrid):
-                    break
-                asks.put(True)  # the worker takes the next batch meanwhile
-                yield item
-                del item  # a block the consumer let go is freed while it waits
-            self.summary = item
-        finally:
-            asks.put(False)
-            worker.join()
-
-    def _work(self, asks: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
-        """The worker of a pass: one step of ``_steps`` into ``done`` for
-        each True from ``asks``, until a False, the last step or an
-        exception, which goes into ``done`` too."""
-        steps = self._steps()
-        try:
-            while asks.get():
-                done.put(next(steps))
-        except BaseException as exc:
-            done.put(exc)
-
-    def _steps(self) -> Iterator[np.ndarray | WignerGrid]:
-        """The batch work of a pass, in x order: each batch's block, reduced
-        into the summary, and then the summary."""
         n, h, x, y = len(self._padded) // 3, self._h, self.x_axis, self.y_axis
         position, total, first = [], np.zeros(y.n_points), None
         lo, hi, imag_residue = math.inf, -math.inf, 0.0
@@ -238,7 +188,7 @@ class WignerRows:
             lo, hi = float(np.minimum(lo, values.min())), float(np.maximum(hi, values.max()))
             imag_residue = max(imag_residue, float(np.max(np.abs(transform.imag))))
             yield values
-        yield WignerGrid(
+        self.summary = WignerGrid(
             x_axis=x, y_axis=y, values=None, imag_residue=imag_residue, min_value=lo, max_value=hi,
             _position=np.concatenate(position), _momentum=x.spacing * (total - 0.5 * (first + last)))
 
@@ -247,7 +197,7 @@ def wigner(psi: WaveFunction, x_axis: Grid | None = None, y_axis: Grid | None = 
     """The Wigner function of psi on the axes x and y (defaults as for
     ``WignerRows``), collected from its ``WignerRows`` into one array beside
     the summary of that pass (``WignerRows.summary``).  The transform's
-    working memory above the result, by tracemalloc: 1.7 MiB at the default
+    working memory above the result, by tracemalloc: 1.6 MiB at the default
     axes of the Fock-5 output, 2.1 MiB on 2048 x 2048 axes.  A caller that
     only writes the grid or reads its summary iterates the rows instead."""
     rows = WignerRows(psi, x_axis, y_axis)

@@ -507,7 +507,7 @@ def _write(command: Command, v: SimpleNamespace, texts: dict, output: Output) ->
 def _wigner_table(rows: WignerRows, title: str, extra: Callable[[WignerGrid], dict]) -> Table:
     """A Wigner grid streamed into its long-format (x, y, W) table; the
     sidecar is ``extra`` of the summary that the writer's pass leaves.
-    The W column is the pass, so closing it joins the pass's worker."""
+    The W column is the pass, so closing it ends the pass."""
     return Table(title, {"x": rows.x_axis.points, "y": rows.y_axis.points, "W": iter(rows)},
                  lambda: extra(rows.summary))
 

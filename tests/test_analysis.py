@@ -297,8 +297,8 @@ def test_wigner_summary_belongs_to_a_finished_pass():
 @pytest.mark.parametrize("y_axis", [None, Grid(-16.0, 16.0, 2049)], ids=["default", "m2049"])
 def test_wigner_memory_does_not_grow_with_momentum_axis(y_axis):
     # a dense (2N-1) x M kernel alone would be 256 MiB at m = 2049; the
-    # result is 512 x m doubles, and a pass holds at most two batches' work
-    # buffers of about 2 MiB, the consumer's and the worker's
+    # result is 512 x m doubles, and a pass holds one batch's work buffer
+    # besides the block its consumer holds (about 2.1 and 1.9 MiB in all)
     tracemalloc.start()
     try:
         w = wigner(VACUUM, y_axis=y_axis)
@@ -315,14 +315,24 @@ def _one_block(rows):
 
 @pytest.mark.parametrize("consume", [list, _one_block], ids=["full", "break"])
 def test_a_wigner_pass_leaves_no_thread(consume):
-    # the worker of a pass is joined when the pass ends, however it ends;
-    # only a pass that ran to its end leaves a summary
+    # a pass leaves no thread behind, however it ends; only a pass that ran
+    # to its end leaves a summary
     psi, x_axis, y_axis = _stream_case("fock5_ym1")
     rows = WignerRows(psi, x_axis, y_axis)
     threads = threading.active_count()
     consume(rows)
     assert threading.active_count() == threads
     assert (rows.summary is not None) == (consume is list)
+
+
+def test_a_wigner_pass_starts_no_thread():
+    # a pass runs in its caller's thread, so none runs beside its blocks
+    rows = WignerRows(*_stream_case("fock5_ym1"))
+    threads = threading.active_count()
+    blocks = iter(rows)
+    next(blocks)
+    assert threading.active_count() == threads
+    blocks.close()
 
 
 def _overflow(*args):
@@ -335,7 +345,7 @@ def _overflow(*args):
 ], ids=["MemoryError", "RuntimeWarning"])
 def test_a_worker_error_reaches_the_caller_after_its_join(monkeypatch, fault, error, message):
     # the error of a batch's transform, with its own type and message; a
-    # RuntimeWarning is one under the suite's filter, in the worker too
+    # RuntimeWarning is one under the suite's filter
     def transform(*args):
         if isinstance(fault, Exception):
             raise fault
@@ -352,7 +362,7 @@ def test_a_worker_error_reaches_the_caller_after_its_join(monkeypatch, fault, er
 
 
 def test_the_worker_keeps_the_callers_floating_point_errors(monkeypatch):
-    # the worker runs in a copy of the caller's context, np.errstate included
+    # a pass runs under the caller's np.errstate
     monkeypatch.setattr(analysis, "_offset_dft", _overflow)
     rows = WignerRows(*_stream_case("fock5_ym1"))
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
@@ -360,9 +370,9 @@ def test_the_worker_keeps_the_callers_floating_point_errors(monkeypatch):
 
 
 def test_held_blocks_keep_their_values_while_passes_interleave():
-    # block k stays intact after block k+1 is asked for: three passes, each
-    # with its worker, advanced in turn with thread switches forced often,
-    # and every block held to the end
+    # block k stays intact after block k+1 is asked for: three passes
+    # advanced in turn, with thread switches forced often, and every block
+    # held to the end
     cases = ["fock5_ym1", "cubic_06a", "paxis"]
     expected = [wigner(*_stream_case(case)).values for case in cases]
     passes = {case: iter(WignerRows(*_stream_case(case))) for case in cases}

@@ -412,7 +412,7 @@ def _traced_peak(argv):
 
 def test_wigner_command_holds_no_grid():
     # 2048 x 2048 cells, a 32 MiB grid, streamed into the table: the
-    # writer's batch and the one the worker transforms (about 3.4 MiB
+    # writer's block and the batch being transformed (about 3.3 MiB
     # traced), no grid anywhere
     code, peak = _traced_peak(["wigner", "--fock", "5", "--stride", "2", "--out", "w2"])
     assert code == 0
@@ -628,9 +628,9 @@ def _refuse_transforms(monkeypatch):
 ], ids=["worker", "writer"])
 def test_a_failed_stream_is_joined_before_its_files_go(monkeypatch, capsys, in_tmp, fault, code,
                                                         message):
-    # the stream's worker is stopped and joined before the command's files
-    # are removed, whether the transform or the write failed; the pass
-    # leaves no summary
+    # the stream is stopped, with no thread left, before the command's
+    # files are removed, whether the transform or the write failed; the
+    # pass leaves no summary
     passes, threads_at_remove = [], []
 
     class Rows(analysis.WignerRows):
